@@ -7,31 +7,41 @@ statement (same draw order, same IEEE-754 double expressions, no
 ``-ffast-math``).  At first use the source is compiled with the system C
 compiler into a shared object cached under a per-user temp directory keyed
 by the source hash — so the compile cost is paid once per machine, not per
-process — and loaded through ``cffi``'s ABI-mode ``dlopen``.
+process — and loaded through ``cffi``'s ABI-mode ``dlopen``.  A cache
+directory that is not private to the current user is refused, since
+``dlopen`` runs the library's load-time code.
 
 The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
 ~30 array arguments through cffi per call would swamp the kernel) is solved
 with a pointer-capture struct: :class:`CffiBackend` fills a ``repro_state``
 struct with raw pointers into the engine's arrays once per runtime
-generation, and each round passes that single struct pointer.  The struct is
+generation, and each call passes that single struct pointer.  The struct is
 rebuilt by the :class:`~repro.core.backends.kernel_backend.KernelLoopBackend`
 capture hook whenever the engine bumps ``_runtime_generation``, which is
-what makes holding raw pointers safe.
+what makes holding raw pointers safe.  Beyond the kernel mirror, the C unit
+carries ``repro_run_rounds``, the engine's whole round loop, so a run costs
+one native call per RNG slow-path event rather than three per round.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.backends import kernels
+from repro.core.backends.base import RunBudget
 from repro.core.backends.kernel_backend import KernelLoopBackend
 from repro.utils.indexset import BatchedIndexSet
+
+_INT64_MAX = (1 << 63) - 1
 
 _CDEF = """
 typedef struct {
@@ -81,11 +91,22 @@ typedef struct {
     int64_t *op_indices;
     int64_t *op_toggled;
     int64_t *op_members;
+    int64_t *candidates;
+    int64_t *flips;
+    int64_t *start_flips;
+    int64_t *start_steps;
+    int64_t max_flips;
+    int64_t max_steps;
+    double max_time;
+    int64_t track;
+    int64_t n_active;
+    int64_t rounds;
 } repro_state;
 
 int64_t repro_step_round(repro_state *st, const int64_t *candidates,
                          int64_t n_candidates, int64_t start, int64_t phase,
                          int64_t n_out);
+int64_t repro_run_rounds(repro_state *st, int64_t max_rounds, int64_t phase);
 int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
                           const int64_t *flats, int64_t n_flips,
                           int64_t track);
@@ -342,6 +363,57 @@ void repro_coded_ops(const int64_t *rows, const int64_t *indices,
     }
 }
 
+int64_t repro_run_rounds(repro_state *st, int64_t max_rounds, int64_t phase)
+{
+    /* The engine's round loop (FlipLoopBackend.run_rounds) in one call:
+       build the active set, step it, apply the round's flips.  A slow-path
+       event returns its status with n_active still set; the next call
+       resumes that round at the event's candidate index and flip count,
+       entering the interrupted replica at `phase`. */
+    for (;;) {
+        int64_t start = 0;
+        int64_t n_out = 0;
+        if (st->n_active > 0) {
+            start = st->event[1];
+            n_out = st->event[2];
+        } else {
+            if (st->rounds >= max_rounds)
+                return STATUS_DONE;
+            int64_t n_active = 0;
+            for (int64_t r = 0; r < st->n_replicas; r++) {
+                if (st->counts[r + st->term_offset] == 0
+                    || st->flips[r] - st->start_flips[r] >= st->max_flips
+                    || st->steps[r] - st->start_steps[r] >= st->max_steps
+                    || !(st->times[r] < st->max_time))
+                    continue;
+                st->candidates[n_active] = r;
+                n_active += 1;
+            }
+            if (n_active == 0)
+                return STATUS_DONE;
+            st->n_active = n_active;
+            phase = PHASE_START;
+        }
+        int64_t status = repro_step_round(st, st->candidates, st->n_active,
+                                          start, phase, n_out);
+        if (status != STATUS_DONE)
+            return status;
+        n_out = st->event[2];
+        if (n_out > 0) {
+            int64_t n_ops = repro_apply_flips(st, st->out_reps, st->out_flats,
+                                              n_out, st->track);
+            repro_coded_ops(st->op_rows, st->op_indices, st->op_toggled,
+                            st->op_members, n_ops, st->members,
+                            st->positions, st->counts, st->n_sites,
+                            st->n_replicas);
+            for (int64_t k = 0; k < n_out; k++)
+                st->flips[st->out_reps[k]] += 1;
+        }
+        st->n_active = 0;
+        st->rounds += 1;
+    }
+}
+
 int64_t repro_selfcheck(void)
 {
     /* Probe the double semantics the bitwise contract needs: exact
@@ -388,7 +460,30 @@ def _library_path() -> str:
         tempfile.gettempdir(), f"repro-cffi-{uid}"
     )
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    # The library's load-time code runs on dlopen, and its name follows from
+    # public source: only a private directory of our own may supply it.
+    info = os.lstat(cache_dir)
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != uid
+        or info.st_mode & 0o022
+    ):
+        raise RuntimeError(
+            f"refusing compiled-kernel cache {cache_dir}: not a directory "
+            f"owned by uid {uid} without group/other write access"
+        )
     return os.path.join(cache_dir, f"libreproflip-{digest}.so")
+
+
+def _int64_budget(value: Optional[float]) -> int:
+    """An int64 ``b`` with ``count < b`` iff ``count < value`` for int counts."""
+    if value is None or value >= _INT64_MAX:
+        return _INT64_MAX
+    if value <= -_INT64_MAX:
+        return -_INT64_MAX
+    # Ceiling by floor division: exact for Python and numpy ints and floats
+    # alike (math.ceil rounds numpy ints through float64).
+    return -int(-value // 1)
 
 
 def _load_library():
@@ -474,6 +569,9 @@ class CffiBackend(KernelLoopBackend):
         self._ffi = ffi
         self._lib = lib
         engine = self.engine
+        # The run's start counters, filled by each run_rounds call.
+        self._start_flips = np.zeros(engine.n_replicas, dtype=np.int64)
+        self._start_steps = np.zeros(engine.n_replicas, dtype=np.int64)
         st = ffi.new("repro_state *")
         ptr = self._ptr
         st.counts = ptr("int64_t *", self._counts)
@@ -522,23 +620,54 @@ class CffiBackend(KernelLoopBackend):
         st.op_indices = ptr("int64_t *", self._op_indices)
         st.op_toggled = ptr("int64_t *", self._op_toggled)
         st.op_members = ptr("int64_t *", self._op_members)
+        st.candidates = ptr("int64_t *", self._candidates)
+        st.flips = ptr("int64_t *", engine._n_flips)
+        st.start_flips = ptr("int64_t *", self._start_flips)
+        st.start_steps = ptr("int64_t *", self._start_steps)
         self._state = st
         self._step_fn = lib.repro_step_round
         self._flips_fn = lib.repro_apply_flips
+        self._run_fn = lib.repro_run_rounds
 
     def _ptr(self, ctype: str, array: np.ndarray):
         """Raw pointer into ``array``'s buffer (writable, zero-copy)."""
         return self._ffi.cast(ctype, self._ffi.from_buffer(array))
 
     def _invoke_step(
-        self, cand: np.ndarray, index: int, phase: int, collected: int
+        self, n_candidates: int, index: int, phase: int, collected: int
     ) -> int:
-        cand_ptr = self._ffi.cast(
-            "const int64_t *", self._ffi.from_buffer(cand)
-        )
-        return self._step_fn(
-            self._state, cand_ptr, cand.size, index, phase, collected
-        )
+        st = self._state
+        return self._step_fn(st, st.candidates, n_candidates, index, phase, collected)
+
+    def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
+        """The whole round loop in one native call per slow-path event.
+
+        ``repro_run_rounds`` builds each round's active set from the budget,
+        steps it and applies its flips without returning; RNG block refills
+        and ziggurat slow paths come back as step-kernel events, serviced by
+        the shared :meth:`_service_event` before the call resumes mid-round.
+        """
+        self._refresh()
+        engine = self.engine
+        st = self._state
+        self._start_flips[:] = budget.start_flips
+        self._start_steps[:] = budget.start_steps
+        st.max_flips = _int64_budget(budget.max_flips)
+        st.max_steps = _int64_budget(budget.max_steps)
+        st.max_time = math.inf if budget.max_time is None else budget.max_time
+        st.track = 1 if engine._track_counters else 0
+        st.n_active = 0
+        st.rounds = 0
+        limit = _INT64_MAX if max_rounds is None else max_rounds
+        phase = kernels.PHASE_START
+        while True:
+            status = self._run_fn(st, limit, phase)
+            if status == kernels.STATUS_DONE:
+                break
+            phase = self._service_event(status)
+        if st.rounds and not engine._track_counters:
+            engine._counters_stale = True
+        return st.rounds
 
     def _invoke_flips(self, reps: np.ndarray, flats: np.ndarray) -> int:
         ffi = self._ffi

@@ -10,6 +10,8 @@ status code and this wrapper services the event through
 :class:`~repro.rng.BlockedReplicaStreams`' own methods (the same ones the
 numpy backend calls), then resumes the kernel at the exact phase it left —
 so the rare paths are *shared* with the reference, not reimplemented.
+Multi-round runs use the protocol's Python round loop; only the C backend
+replaces it (with a native round loop that returns the same events).
 
 :class:`PythonKernelBackend` runs the kernels interpreted.  It is far
 slower than the numpy backend (its value is that it executes the exact
@@ -36,9 +38,10 @@ class KernelLoopBackend(FlipLoopBackend):
     Subclasses plug in an execution engine two ways: kernel-dialect
     implementations (interpreted or njit) override :meth:`_get_kernels`;
     foreign implementations (the C backend) override the narrower
-    ``_invoke_step`` / ``_invoke_flips`` / ``_invoke_ops`` call seam and keep
-    the slow-path event loop — the part that must stay bit-for-bit shared —
-    in this one class.
+    ``_invoke_step`` / ``_invoke_flips`` / ``_invoke_ops`` call seam.  The
+    slow-path event servicing — the part that must stay bit-for-bit shared
+    — lives in :meth:`_service_event`, which both :meth:`step_round` and the
+    C backend's native round loop call.
     """
 
     name = "kernel"
@@ -54,6 +57,7 @@ class KernelLoopBackend(FlipLoopBackend):
         )
         r = engine.n_replicas
         area = engine._window_area
+        self._candidates = np.empty(r, dtype=np.int64)
         self._out_reps = np.empty(r, dtype=np.int64)
         self._out_flats = np.empty(r, dtype=np.int64)
         self._event = np.empty(3, dtype=np.int64)
@@ -119,13 +123,13 @@ class KernelLoopBackend(FlipLoopBackend):
             self._capture()
 
     def _invoke_step(
-        self, cand: np.ndarray, index: int, phase: int, collected: int
+        self, n_candidates: int, index: int, phase: int, collected: int
     ) -> int:
-        """Run the step kernel over captured arrays; return its status."""
+        """Run the step kernel over ``self._candidates[:n_candidates]``."""
         engine = self.engine
         return self._step_kernel(
-            cand,
-            cand.size,
+            self._candidates,
+            n_candidates,
             index,
             phase,
             collected,
@@ -151,41 +155,47 @@ class KernelLoopBackend(FlipLoopBackend):
             self._event,
         )
 
+    def _service_event(self, status: int) -> int:
+        """Service one slow-path event the step kernel returned.
+
+        ``self._event`` names the interrupted replica.  Returns the phase to
+        resume that replica at; the caller resumes at the event's candidate
+        index and collected-flip count.
+        """
+        engine = self.engine
+        streams = engine._streams
+        replica = int(self._event[0])
+        if status == kernels.STATUS_ZIGGURAT_SLOW:
+            # The kernel consumed the word and bailed before the clock
+            # update; replay the draw bitwise and apply the update the way
+            # the reference loop does, then resume at the candidate draw.
+            # The sampler size is unchanged — flips land only after the
+            # whole round's draws.
+            wait = streams._replay_exponential(replica)
+            size = int(self._counts[replica + self._sampler_offset])
+            engine._times[replica] += (1.0 / size) * wait
+            engine._n_steps[replica] += 1
+            return kernels.PHASE_CANDIDATE
+        streams._refill_until_ready(replica)
+        if status == kernels.STATUS_REFILL_START:
+            return kernels.PHASE_START
+        return kernels.PHASE_CANDIDATE
+
     def step_round(self, candidates: np.ndarray) -> np.ndarray:
         self._refresh()
         engine = self.engine
-        streams = engine._streams
-        cand = np.ascontiguousarray(candidates, dtype=np.int64)
-        event = self._event
+        n_candidates = candidates.size
+        self._candidates[:n_candidates] = candidates
         index = 0
         phase = kernels.PHASE_START
         collected = 0
         while True:
-            status = self._invoke_step(cand, index, phase, collected)
+            status = self._invoke_step(n_candidates, index, phase, collected)
+            index = int(self._event[1])
+            collected = int(self._event[2])
             if status == kernels.STATUS_DONE:
-                collected = int(event[2])
                 break
-            replica = int(event[0])
-            index = int(event[1])
-            collected = int(event[2])
-            if status == kernels.STATUS_ZIGGURAT_SLOW:
-                # The kernel consumed the word and bailed before the clock
-                # update; replay the draw bitwise and apply the update the
-                # way the reference loop does, then resume at the candidate
-                # draw.  The sampler size is unchanged — flips land only
-                # after the whole round's draws.
-                wait = streams._replay_exponential(replica)
-                size = int(self._counts[replica + self._sampler_offset])
-                engine._times[replica] += (1.0 / size) * wait
-                engine._n_steps[replica] += 1
-                phase = kernels.PHASE_CANDIDATE
-            else:
-                streams._refill_until_ready(replica)
-                phase = (
-                    kernels.PHASE_START
-                    if status == kernels.STATUS_REFILL_START
-                    else kernels.PHASE_CANDIDATE
-                )
+            phase = self._service_event(status)
         if collected == 0:
             return np.empty(0, dtype=np.int64)
         reps = self._out_reps[:collected].copy()

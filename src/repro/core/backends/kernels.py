@@ -18,9 +18,9 @@ these functions statement for statement.
 Bitwise-exactness rules the kernels obey:
 
 * RNG words are consumed in exactly the order of
-  :meth:`repro.rng.BlockedReplicaStreams.draw_step`'s scalar loop — the
-  fourth implementation of that word-consumption protocol (see the NOTE
-  there); the cross-backend boundary tests pin this copy too.
+  :meth:`repro.rng.BlockedReplicaStreams.draw_step`'s scalar loop — one of
+  the five sites of that word-consumption protocol listed in the NOTE
+  there; the cross-backend boundary tests pin this copy too.
 * The rare slow paths (block refill, ziggurat slow path) are *not*
   reimplemented: the step kernel returns a status code and the Python
   wrapper (:class:`~repro.core.backends.kernel_backend.KernelLoopBackend`)

@@ -57,6 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.core.backends.registry import create_backend
 from repro.core.config import ModelConfig
 from repro.core.dynamics import Trajectory
@@ -808,8 +809,10 @@ class EnsembleDynamics:
         Budgets apply per replica, with the scalar engine's semantics: a
         replica stops stepping once its flip/step count within this call
         reaches the budget or its clock passes ``max_time``; the others keep
-        going.  The active set is recomputed per round as a handful of array
-        comparisons.
+        going.  The rounds themselves run in the attached backend's
+        :meth:`~repro.core.backends.base.FlipLoopBackend.run_rounds` — the
+        Python round loop, or one native call per segment for backends that
+        compile it.
 
         ``record_trajectory`` samples every replica's incremental counters
         into an :class:`EnsembleTrajectory` every ``record_every`` lockstep
@@ -825,28 +828,17 @@ class EnsembleDynamics:
             trajectory.record(self)
         start_flips = self._n_flips.copy()
         start_steps = np.array(self._n_steps, dtype=np.int64)
-        rounds = 0
+        budget = RunBudget(start_flips, start_steps, max_flips, max_steps, max_time)
+        segment = record_every if trajectory is not None else None
         # Runs that never read the energy/magnetization counters defer their
         # per-flip updates; the first post-run read flushes exact values.
         previous_tracking = self._track_counters
         self._track_counters = record_trajectory and previous_tracking
         try:
-            while True:
-                active_mask = self._termination_counts() != 0
-                if max_flips is not None:
-                    active_mask &= (self._n_flips - start_flips) < max_flips
-                if max_steps is not None:
-                    steps = np.asarray(self._n_steps, dtype=np.int64)
-                    active_mask &= (steps - start_steps) < max_steps
-                if max_time is not None:
-                    active_mask &= np.asarray(self._times) < max_time
-                active = np.flatnonzero(active_mask)
-                if active.size == 0:
-                    break
-                self.step_all(active)
-                rounds += 1
-                if trajectory is not None and rounds % record_every == 0:
-                    trajectory.record(self)
+            # Unsegmented runs make one call; a segmented call that ran all
+            # its rounds stopped on a record_every boundary.
+            while self._backend.run_rounds(budget, segment) == segment:
+                trajectory.record(self)
         finally:
             self._track_counters = previous_tracking
         if trajectory is not None and not (
@@ -879,13 +871,17 @@ class ReferenceEnsembleDynamics(EnsembleDynamics):
     """
 
     def _init_backend(self, backend: Optional[str]) -> None:
-        """The reference engine is its own hot path; no backend attaches.
+        """The reference engine is its own hot path; it borrows only the loop.
 
         The retained pre-fusion structures (list-backed samplers, per-flip
         ``Generator`` calls) are not backend-shaped, and the point of this
-        engine is to *not* share code with what it verifies.
+        engine is to *not* share round code with what it verifies.  The
+        protocol's default :meth:`FlipLoopBackend.run_rounds` — the shared
+        Python round loop, which calls this engine's own :meth:`step_all` —
+        is attached so ``run`` stays inherited.
         """
-        self._backend = None
+        self._backend = FlipLoopBackend()
+        self._backend.attach(self)
         self.backend_name = "reference"
 
     def _build_runtime(self, rng_block_words: int) -> None:

@@ -530,13 +530,23 @@ class BlockedReplicaStreams:
         Small batches run a scalar loop over the block buffers; large ones
         take the vectorized path.  Both are bitwise identical.
 
-        NOTE: the scalar loop below is deliberately re-inlined (without the
-        filtering/clock work) by ``EnsembleDynamics._step_all_scalar`` —
-        three sites implement the word-consumption protocol (here scalar,
-        here vectorized via the split methods, and the engine's inline
-        copy).  Any change to the protocol must touch all three; the
-        boundary tests in ``test_rng.py`` / ``test_core_ensemble.py`` pin
-        each copy to live ``Generator`` draws, so a missed site fails fast.
+        NOTE: the word-consumption protocol is implemented at five sites:
+
+        * here, scalar (the loop below);
+        * here, vectorized (:meth:`standard_exponential` /
+          :meth:`bounded_integers`);
+        * ``NumpyBackend.step_round``, which inlines the scalar loop with
+          the round's filtering and clock work;
+        * ``kernels.step_round_kernel``, run interpreted or by numba;
+        * ``repro_step_round``, its C mirror in ``cffi_backend.py``, which
+          the C round loop ``repro_run_rounds`` drives between slow-path
+          events.
+
+        Any change to the protocol must touch all five.  The boundary tests
+        in ``test_rng.py`` / ``test_core_ensemble.py`` pin the scalar and
+        vectorized paths to live ``Generator`` draws, and the cross-backend
+        suite in ``test_backends.py`` pins the rest to the numpy backend,
+        so a missed site fails fast.
         """
         if replicas.size > self.SCALAR_PATH_MAX:
             values = (

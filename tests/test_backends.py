@@ -1,15 +1,20 @@
 """The flip-loop backend seam: registry, selection, bitwise identity, provenance.
 
-Four layers are pinned here:
+Five layers are pinned here:
 
 * **Registry** — capability probing, the CLI > env > spec > auto selection
-  precedence, the single-warning numpy fallback for unavailable backends,
-  and the hard error for unknown names.
+  precedence, the single-warning numpy fallback for unavailable backends
+  (including a C backend whose kernel cache directory is not private), and
+  the hard error for unknown names.
 * **Bitwise identity** — every available backend advances the ensemble
   engine *bit for bit* like the numpy reference: spins, clocks, step/flip
   counters, energies and the samplers' packed layouts, across the base,
   two-sided and asymmetric rules, with a tiny RNG block size so the refill
   and ziggurat slow paths (the event-servicing seam) fire constantly.
+* **Runs** — ``run()`` returns identical results and leaves identical
+  state under every backend: flip/step/time budgets, trajectory segments,
+  both flip rules and schedulers, R above the scalar-path limit, and a run
+  continued after a budgeted one.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
@@ -21,13 +26,16 @@ Numba-only paths skip with a reason on hosts without numba — they must
 never fail.
 """
 
+import dataclasses
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.backends import kernels
+from repro.core.backends import cffi_backend, kernels
 from repro.core.backends.numba_backend import numba_available
 from repro.core.backends.registry import (
     AUTO_PREFERENCE,
@@ -40,11 +48,18 @@ from repro.core.backends.registry import (
 )
 from repro.core.backends import registry as registry_module
 from repro.core.config import ModelConfig
-from repro.core.ensemble import EnsembleDynamics, ReferenceEnsembleDynamics
+from repro.core.ensemble import (
+    EnsembleDynamics,
+    EnsembleRunResult,
+    EnsembleTrajectory,
+    ReferenceEnsembleDynamics,
+)
 from repro.core.variants import AsymmetricEnsemble, TwoSidedEnsemble
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment, run_sweep
 from repro.experiments.spec import ExperimentSpec, SweepSpec
+from repro.rng import BlockedReplicaStreams
+from repro.types import FlipRule, SchedulerKind
 
 BACKENDS = available_backends()
 SMALL = ModelConfig.square(side=16, horizon=1, tau=0.45)
@@ -225,24 +240,6 @@ class TestBitwiseIdentity:
             ),
         )
 
-    def test_run_to_termination(self, backend_name):
-        reference = EnsembleDynamics(
-            SMALL, n_replicas=2, seed=5, backend="numpy"
-        )
-        actual = EnsembleDynamics(
-            SMALL, n_replicas=2, seed=5, backend=backend_name
-        )
-        ref_result = reference.run()
-        act_result = actual.run()
-        np.testing.assert_array_equal(
-            ref_result.final_spins, act_result.final_spins
-        )
-        np.testing.assert_array_equal(ref_result.n_flips, act_result.n_flips)
-        np.testing.assert_array_equal(
-            ref_result.final_time, act_result.final_time
-        )
-        assert ref_result.all_terminated and act_result.all_terminated
-
     def test_experiment_rows_are_backend_invariant(self, backend_name):
         spec = ExperimentSpec(
             name="cell", config=SMALL, n_replicates=3, seed=21
@@ -257,6 +254,137 @@ class TestBitwiseIdentity:
                 if key == "wall_clock_seconds":
                     continue
                 assert act_row[key] == value, f"{key} differs"
+
+
+def _assert_results_equal(reference, actual):
+    """Every ``EnsembleRunResult`` field equal, trajectory arrays included."""
+    for field in dataclasses.fields(EnsembleRunResult):
+        ref = getattr(reference, field.name)
+        act = getattr(actual, field.name)
+        if field.name != "trajectory":
+            np.testing.assert_array_equal(ref, act, err_msg=field.name)
+            continue
+        assert (ref is None) == (act is None)
+        if ref is not None:
+            for name, _ in EnsembleTrajectory._FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(ref, name), getattr(act, name), err_msg=name
+                )
+
+
+def _ensemble(config=SMALL, n_replicas=3, seed=17, **kwargs):
+    return lambda backend: EnsembleDynamics(
+        config, n_replicas=n_replicas, seed=seed, backend=backend, **kwargs
+    )
+
+
+#: At tau=0.6 some unhappy agents stay unhappy after a flip, so the
+#: only-if-happy samplers and the discrete refusal gate both matter.
+_ONLY_IF_HAPPY = {
+    "config": ModelConfig.square(side=16, horizon=1, tau=0.6),
+    "flip_rule": FlipRule.ONLY_IF_HAPPY,
+}
+
+#: ``id -> (engine factory, run() keyword arguments)``.
+RUN_CASES = {
+    "to_termination": (_ensemble(n_replicas=2, seed=5), {}),
+    "max_flips": (_ensemble(), {"max_flips": 40}),
+    "max_steps": (_ensemble(), {"max_steps": 55}),
+    "max_time": (_ensemble(), {"max_time": 0.4}),
+    "record_every_1": (
+        _ensemble(),
+        {"record_trajectory": True, "record_every": 1, "max_flips": 60},
+    ),
+    "record_every_7": (
+        _ensemble(), {"record_trajectory": True, "record_every": 7}
+    ),
+    "block_words_1": (_ensemble(rng_block_words=1), {}),
+    "block_words_7": (_ensemble(rng_block_words=7), {"max_steps": 90}),
+    "discrete_only_if_happy": (
+        _ensemble(scheduler=SchedulerKind.DISCRETE, **_ONLY_IF_HAPPY),
+        {"max_steps": 300},
+    ),
+    "continuous_only_if_happy": (
+        _ensemble(rng_block_words=7, **_ONLY_IF_HAPPY), {"max_steps": 300}
+    ),
+    "two_sided": (
+        lambda backend: TwoSidedEnsemble(
+            SMALL, tau_high=0.8, n_replicas=3, seed=11,
+            rng_block_words=7, backend=backend,
+        ),
+        {"max_steps": 150},
+    ),
+    "asymmetric": (
+        lambda backend: AsymmetricEnsemble(
+            SMALL, tau_minus=0.35, n_replicas=3, seed=13,
+            rng_block_words=7, backend=backend,
+        ),
+        {"max_steps": 150},
+    ),
+    "r40_vectorized_reference": (_ensemble(n_replicas=40, seed=23), {}),
+}
+
+
+@pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+class TestRunIdentity:
+    """``run()`` — budgets, trajectories, resumption — matches numpy exactly.
+
+    Backends with a native round loop run every round outside
+    ``step_all``, so budgets, trajectory segments and the active-set build
+    are pinned here, not only the per-round kernels.
+    """
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_run_matches_numpy(self, backend_name, case):
+        factory, kwargs = RUN_CASES[case]
+        reference = factory("numpy")
+        actual = factory(backend_name)
+        if case.startswith("r40"):
+            assert reference.n_replicas > BlockedReplicaStreams.SCALAR_PATH_MAX
+        _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+
+    def test_budgeted_run_then_continuation(self, backend_name):
+        reference = _ensemble(rng_block_words=16)("numpy")
+        actual = _ensemble(rng_block_words=16)(backend_name)
+        for kwargs in ({"max_flips": 13}, {"record_trajectory": True, "record_every": 5}):
+            _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
+            _assert_states_equal(_engine_state(reference), _engine_state(actual))
+        assert actual.all_terminated
+
+
+class TestCompiledKernelCache:
+    """The C backend loads its library only from a private cache directory."""
+
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch, tmp_path):
+        pytest.importorskip("cffi")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(cffi_backend, "_CACHE", {})
+        monkeypatch.setattr(cffi_backend, "_UNAVAILABLE_REASON", None)
+        monkeypatch.setattr(registry_module, "_warned_fallbacks", set())
+        return tmp_path / f"repro-cffi-{os.getuid()}"
+
+    def _assert_refused(self, cache_dir):
+        assert not cffi_backend.cffi_available()
+        assert str(cache_dir) in cffi_backend.cffi_unavailable_reason()
+        assert "cffi" not in available_backends()
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
+            assert resolve_backend_name("cffi") == "numpy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend_name("cffi") == "numpy"
+
+    def test_world_writable_cache_dir_is_refused(self, fresh_cache):
+        fresh_cache.mkdir()
+        fresh_cache.chmod(0o777)
+        self._assert_refused(fresh_cache)
+
+    def test_symlinked_cache_dir_is_refused(self, fresh_cache, tmp_path):
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        fresh_cache.symlink_to(target)
+        self._assert_refused(fresh_cache)
 
 
 @pytest.mark.skipif(not numba_available(), reason="numba not installed")

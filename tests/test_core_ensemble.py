@@ -71,6 +71,24 @@ class TestScalarEquivalence:
             assert np.array_equal(reference.final_spins, result.final_spins[replica])
             assert reference.n_flips == result.n_flips[replica] <= 40
 
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_time_budget_matches_scalar_runs(self, scheduler):
+        config = ModelConfig.square(
+            side=20, horizon=2, tau=0.45, scheduler=scheduler
+        )
+        # Continuous clocks advance ~1/|unhappy| per step, discrete ones 1.
+        max_time = 0.3 if scheduler is SchedulerKind.CONTINUOUS else 25.0
+        ensemble = EnsembleDynamics(config, n_replicas=3, seed=5)
+        result = ensemble.run(max_time=max_time)
+        assert not result.all_terminated  # the clock, not termination, stopped it
+        for replica, seed in enumerate(ensemble.replica_seeds):
+            reference = Simulation(config, seed=seed).run(max_time=max_time)
+            assert np.array_equal(reference.final_spins, result.final_spins[replica])
+            assert reference.n_flips == result.n_flips[replica]
+            assert reference.n_steps == result.n_steps[replica]
+            assert reference.terminated == bool(result.terminated[replica])
+            assert reference.final_time == result.final_time[replica]
+
     def test_always_flip_rule_matches_scalar_runs(self):
         config = ModelConfig.square(
             side=16, horizon=1, tau=0.4, flip_rule=FlipRule.ALWAYS
@@ -463,7 +481,11 @@ class TestDispatchRegimes:
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.45, scheduler=scheduler
         )
-        ensemble = EnsembleDynamics(config, n_replicas=3, seed=19)
+        # numpy: its run() steps rounds through step_all, where the branch
+        # lives (a native round loop would bypass it).
+        ensemble = EnsembleDynamics(
+            config, n_replicas=3, seed=19, backend="numpy"
+        )
         result = ensemble.run(max_flips=60)
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed, max_flips=60)
@@ -480,7 +502,9 @@ class TestDispatchRegimes:
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.6, scheduler=SchedulerKind.DISCRETE
         )
-        ensemble = EnsembleDynamics(config, n_replicas=2, seed=3)
+        ensemble = EnsembleDynamics(
+            config, n_replicas=2, seed=3, backend="numpy"
+        )
         result = ensemble.run(max_steps=80)
         for replica, seed in enumerate(ensemble.replica_seeds):
             simulation = Simulation(config, seed=seed)
