@@ -3,11 +3,10 @@
 Every bench's quick mode (and full mode alike) emits one
 ``benchmarks/results/BENCH_<name>.json`` alongside its CSV: a timestamped
 record of the run's configuration and headline metrics (speedups,
-throughputs) plus the host name, the interpreter/numpy (and numba, when
-present) versions and the host's default flip-loop backend.  CI uploads
-these files as
-artifacts, so the perf trajectory of the hot paths is tracked PR over PR
-without scraping pytest output.
+throughputs) plus the host name, the interpreter/numpy versions and the
+host's default flip-loop backend.  CI uploads these files as artifacts, so
+the perf trajectory of the hot paths is tracked PR over PR without scraping
+pytest output.
 
 :func:`record_benchmark` is called automatically by the ``emit`` fixture in
 ``benchmarks/conftest.py`` — benchmarks only need to put their headline
@@ -79,12 +78,6 @@ def record_benchmark(
         # it in ``config``; this field records the host's capability.
         "backend": default_backend_name(),
     }
-    try:
-        import numba
-
-        payload["numba"] = numba.__version__
-    except ImportError:
-        pass
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
     descriptor, tmp = tempfile.mkstemp(dir=RESULTS_DIR, suffix=".json")

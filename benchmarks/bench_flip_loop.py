@@ -35,16 +35,14 @@ MIN_STEP_SPEEDUP = 1.6
 #: Replica counts to profile; the R = 8 row carries the assertion.
 REPLICA_COUNTS = (4, 8, 16)
 
-#: Flips/sec floor a compiled flip-loop backend (numba or cffi) must clear
-#: over the numpy backend at R = 8 on the 128x128 grid.  Asserted whenever a
+#: Flips/sec floor the compiled flip-loop backend (cffi) must clear over
+#: the numpy backend at R = 8 on the 128x128 grid.  Asserted whenever the
 #: compiled backend is available — including in quick mode, where the round
 #: budget is trimmed but the ratio is stable.
 MIN_COMPILED_STEP_SPEEDUP = 3.0
 
-#: Backends whose kernels are compiled (vs interpreted); the ``python``
-#: backend is excluded from the bench outright — it exists as numba's
-#: oracle, not as an execution engine anyone would time.
-COMPILED_BACKENDS = ("numba", "cffi")
+#: Backends whose flip loop is compiled, held to the floor above.
+COMPILED_BACKENDS = ("cffi",)
 
 
 def flip_loop_parameters() -> dict[str, int]:
@@ -141,10 +139,10 @@ def bench_flip_loop_backends(benchmark, emit):
     flips/sec and microseconds per lockstep round, so a per-round
     regression can be traced to its path.  All backends advance
     bitwise-identical dynamics (asserted by the cross-backend test suite), so
-    flips/sec is a work-for-work comparison.  Whenever a compiled backend
-    (numba or cffi) is available, its ``step_all`` speedup over the numpy
-    backend must clear :data:`MIN_COMPILED_STEP_SPEEDUP`; on numpy-only
-    hosts the bench records the numpy rates and asserts nothing.
+    flips/sec is a work-for-work comparison.  Whenever the compiled backend
+    (cffi) is available, its ``step_all`` speedup over the numpy backend
+    must clear :data:`MIN_COMPILED_STEP_SPEEDUP`; on numpy-only hosts the
+    bench records the numpy rates and asserts nothing.
     """
     params = flip_loop_parameters()
     config = ModelConfig.square(
@@ -152,7 +150,7 @@ def bench_flip_loop_backends(benchmark, emit):
     )
     n_replicas = 8
     ziggurat_exponential_tables()  # one-time calibration outside the timing
-    backends = [name for name in available_backends() if name != "python"]
+    backends = available_backends()
 
     def run() -> ResultTable:
         table = ResultTable()
@@ -163,7 +161,7 @@ def bench_flip_loop_backends(benchmark, emit):
                     engine = EnsembleDynamics(
                         config, n_replicas=n_replicas, seed=11, backend=name
                     )
-                    engine.step_all()  # warm-up: JIT/compile + capture
+                    engine.step_all()  # warm-up: compile + capture
                     if path == "run":
                         rates = _run_rates(engine, params["run_steps"])
                     else:

@@ -272,7 +272,7 @@ def _add_backend_argument(subparser: argparse.ArgumentParser) -> None:
     (CLI > ``REPRO_BACKEND`` env > spec > auto); every backend is pinned
     bitwise identical, so the choice affects throughput only.  Requesting a
     backend that is not available on this host falls back to ``numpy`` with
-    a single warning rather than failing.
+    a single warning rather than failing; an unknown name is an error.
     """
     subparser.add_argument(
         "--backend",
@@ -282,6 +282,22 @@ def _add_backend_argument(subparser: argparse.ArgumentParser) -> None:
         "— the fastest available); all backends produce bitwise-identical "
         "results",
     )
+
+
+def _resolve_backend_request(args: argparse.Namespace) -> Optional[tuple[str, str]]:
+    """``(request, resolved name)`` for ``--backend`` > ``REPRO_BACKEND`` > auto.
+
+    argparse already rejects an unknown ``--backend``; an unknown
+    ``REPRO_BACKEND`` reaches the registry instead, so its error (which
+    names the known backends) is printed here and ``None`` returned, making
+    both channels fail with exit 2 rather than a traceback.
+    """
+    request = select_backend_name(args.backend, None)
+    try:
+        return request, resolve_backend_name(request)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _add_store_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -455,6 +471,10 @@ def _command_info(args: argparse.Namespace, out) -> int:
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
     """Run one seeded simulation (under any variant) and print before/after metrics."""
+    backend = _resolve_backend_request(args)
+    if backend is None:
+        return 2
+    backend_request, backend_name = backend
     if args.max_steps is not None and args.max_steps <= 0:
         print("error: --max-steps must be positive", file=sys.stderr)
         return 2
@@ -469,12 +489,10 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
         # No Lyapunov guarantee: cap the run so the command always returns.
         max_steps = _default_step_budget(config)
     print(f"Model: {config.describe()} variant={variant.describe()}", file=out)
-    backend_request = select_backend_name(args.backend, None)
     if backend_request != "auto":
         # An explicit backend (flag or REPRO_BACKEND) routes the run through
         # a single-replica ensemble — the scalar engine has no backend seam.
         # Backends are bitwise-pinned, so the outcome matches the scalar run.
-        backend_name = resolve_backend_name(backend_request)
         ensemble = variant.make_ensemble(
             config, replica_seeds=[args.seed], backend=backend_name
         )
@@ -527,6 +545,10 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
 
 def _command_sweep(args: argparse.Namespace, out) -> int:
     """Sweep the intolerance axis and print/write the aggregated table."""
+    backend = _resolve_backend_request(args)
+    if backend is None:
+        return 2
+    backend_request = backend[0]
     if args.taus:
         try:
             taus = [float(part) for part in args.taus.split(",") if part.strip()]
@@ -569,10 +591,10 @@ def _command_sweep(args: argparse.Namespace, out) -> int:
         f"{side}x{side} torus with w={args.horizon} "
         f"(variant={variant.describe()}, workers={args.workers}, "
         f"ensemble={args.ensemble}, "
-        f"backend={select_backend_name(args.backend, None)})",
+        f"backend={backend_request})",
         file=out,
     )
-    if select_backend_name(args.backend, None) != "auto" and args.ensemble == 1:
+    if backend_request != "auto" and args.ensemble == 1:
         print(
             "note: --backend selects the vectorized engine's flip loop; "
             "pass --ensemble > 1 to engage it (the scalar engine has no "

@@ -2,21 +2,15 @@
 
 The engine's innermost layer — the scalar round control plane, the fused
 window update, and the coded-op sampler maintenance — runs behind the
-:class:`~repro.core.backends.base.FlipLoopBackend` seam.  Four
-implementations ship: ``numpy`` (the always-available reference),
-``numba`` (JIT of the single-source kernels), ``cffi`` (the same kernels
-as compiled C) and ``python`` (the kernels interpreted, for testing the
-compiled dialect without a compiler).  All are pinned bitwise identical;
-see :mod:`repro.core.backends.registry` for probing and selection.
+:class:`~repro.core.backends.base.FlipLoopBackend` seam.  Two
+implementations ship: ``numpy`` (the always-available reference) and
+``cffi`` (the flip loop as compiled C, round loop included).  Both are
+pinned bitwise identical; see :mod:`repro.core.backends.registry` for
+probing and selection.
 """
 
 from repro.core.backends.base import FlipLoopBackend
 from repro.core.backends.cffi_backend import CffiBackend, cffi_available
-from repro.core.backends.kernel_backend import (
-    KernelLoopBackend,
-    PythonKernelBackend,
-)
-from repro.core.backends.numba_backend import NumbaBackend, numba_available
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.backends.registry import (
     AUTO_PREFERENCE,
@@ -35,15 +29,11 @@ __all__ = [
     "KNOWN_BACKENDS",
     "CffiBackend",
     "FlipLoopBackend",
-    "KernelLoopBackend",
-    "NumbaBackend",
     "NumpyBackend",
-    "PythonKernelBackend",
     "available_backends",
     "cffi_available",
     "create_backend",
     "default_backend_name",
-    "numba_available",
     "resolve_backend_name",
     "select_backend_name",
 ]

@@ -1,26 +1,32 @@
-"""Ahead-of-time C flip-loop backend (``cffi`` ABI mode + the system cc).
+"""The compiled flip-loop backend (``cffi`` ABI mode + the system cc).
 
-The container this project targets ships a C toolchain but not numba, so
-the compiled-backend acceptance bar is carried by a small C translation
-unit that mirrors :mod:`repro.core.backends.kernels` statement for
-statement (same draw order, same IEEE-754 double expressions, no
-``-ffast-math``).  At first use the source is compiled with the system C
-compiler into a shared object cached under a per-user temp directory keyed
-by the source hash — so the compile cost is paid once per machine, not per
-process — and loaded through ``cffi``'s ABI-mode ``dlopen``.  A cache
-directory that is not private to the current user is refused, since
-``dlopen`` runs the library's load-time code.
+A small C translation unit carries the flip loop: the round's scalar
+control plane (``repro_step_round``), the fused window update
+(``repro_apply_flips``), the coded-op sampler maintenance
+(``repro_coded_ops``) and the engine's whole round loop
+(``repro_run_rounds``).  It follows the numpy reference draw for draw, with
+the same IEEE-754 double expressions and no ``-ffast-math``.  At first use
+the source is compiled with the system C compiler into a shared object
+cached under a per-user temp directory keyed by the source hash, so the
+compile cost is paid once per machine, not per process.  It is loaded
+through ``cffi``'s ABI-mode ``dlopen``.  A cache directory that is not
+private to the current user is refused, since ``dlopen`` runs the library's
+load-time code.
 
 The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
-~30 array arguments through cffi per call would swamp the kernel) is solved
+~30 array arguments through cffi per call would swamp the C code) is solved
 with a pointer-capture struct: :class:`CffiBackend` fills a ``repro_state``
 struct with raw pointers into the engine's arrays once per runtime
 generation, and each call passes that single struct pointer.  The struct is
-rebuilt by the :class:`~repro.core.backends.kernel_backend.KernelLoopBackend`
-capture hook whenever the engine bumps ``_runtime_generation``, which is
-what makes holding raw pointers safe.  Beyond the kernel mirror, the C unit
-carries ``repro_run_rounds``, the engine's whole round loop, so a run costs
-one native call per RNG slow-path event rather than three per round.
+rebuilt whenever the engine bumps ``_runtime_generation``, which is what
+makes holding raw pointers safe.  A run costs one native call per RNG
+slow-path event rather than three per round.
+
+The rare slow paths (block refill, ziggurat slow path) are *not*
+reimplemented in C: the step function returns a status code and the host
+services the event through the stream's own methods, then resumes the C
+call at the exact phase it left.  Fast paths therefore never diverge from
+numpy's own bit streams.
 """
 
 from __future__ import annotations
@@ -32,14 +38,28 @@ import shutil
 import stat
 import subprocess
 import tempfile
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends import kernels
-from repro.core.backends.base import RunBudget
-from repro.core.backends.kernel_backend import KernelLoopBackend
+from repro.core.backends.base import FlipLoopBackend, RunBudget
+from repro.errors import StateError
+from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
+
+# Step-function status codes (the C ``STATUS_*`` defines): why it returned.
+STATUS_DONE = 0
+#: Block exhausted before the waiting-time word; nothing consumed yet.
+STATUS_REFILL_START = 1
+#: Ziggurat fast test failed; the word is consumed, the host replays the
+#: draw through the scratch generator and applies the clock update itself.
+STATUS_ZIGGURAT_SLOW = 2
+#: Block exhausted inside the candidate draw; clock already updated.
+STATUS_REFILL_CANDIDATE = 3
+
+# Resume phases: where to re-enter the interrupted replica.
+PHASE_START = 0
+PHASE_CANDIDATE = 1
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -117,8 +137,8 @@ void repro_coded_ops(const int64_t *rows, const int64_t *indices,
 int64_t repro_selfcheck(void);
 """
 
-# The C mirror of kernels.py.  Any change here must change kernels.py too
-# (and vice versa) — the cross-backend bitwise suite is the enforcement.
+# The compiled flip loop.  It must advance the engine bit for bit like the
+# numpy backend; the cross-backend bitwise suite is the enforcement.
 _SOURCE = (
     "#include <stdint.h>\n"
     + _CDEF
@@ -554,24 +574,81 @@ def cffi_unavailable_reason() -> Optional[str]:
     return _UNAVAILABLE_REASON
 
 
-class CffiBackend(KernelLoopBackend):
-    """The flip-loop kernels as compiled C behind a pointer-capture struct."""
+class CffiBackend(FlipLoopBackend):
+    """The flip loop as compiled C behind a pointer-capture struct.
+
+    The slow-path event servicing (the part that must stay bit-for-bit
+    shared with the reference) lives in :meth:`_service_event`, which both
+    :meth:`step_round` and the native round loop of :meth:`run_rounds`
+    call.
+    """
 
     name = "cffi"
 
-    def _get_kernels(self) -> tuple[Callable, Callable, Callable]:
-        """The C entry points replace the kernel trio; nothing to bind."""
-        return (None, None, None)
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        r = engine.n_replicas
+        area = engine._window_area
+        self._candidates = np.empty(r, dtype=np.int64)
+        self._out_reps = np.empty(r, dtype=np.int64)
+        self._out_flats = np.empty(r, dtype=np.int64)
+        self._event = np.empty(3, dtype=np.int64)
+        self._win_buf = np.empty(area, dtype=np.int64)
+        self._spin_buf = np.empty(area, dtype=np.int8)
+        self._same_buf = np.empty(area, dtype=np.int64)
+        self._old_code_buf = np.empty(area, dtype=np.int8)
+        self._new_code_buf = np.empty(area, dtype=np.int8)
+        self._op_rows = np.empty(r * area, dtype=np.int64)
+        self._op_indices = np.empty(r * area, dtype=np.int64)
+        self._op_toggled = np.empty(r * area, dtype=np.int64)
+        self._op_members = np.empty(r * area, dtype=np.int64)
+        # The run's start counters, filled by each run_rounds call.
+        self._start_flips = np.zeros(r, dtype=np.int64)
+        self._start_steps = np.zeros(r, dtype=np.int64)
+        only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
+        self._continuous = engine.scheduler is SchedulerKind.CONTINUOUS
+        self._discrete_gate = only_if_happy and not self._continuous
+        self._term_offset = r if only_if_happy else 0
+        self._sampler_offset = r if (only_if_happy and self._continuous) else 0
+        self._capture()
 
     def _capture(self) -> None:
-        super()._capture()
+        """(Re)bind the ``repro_state`` struct to the engine's arrays.
+
+        Most of the engine's buffers are allocated once and mutated in
+        place, but ``recompute_all`` rebuilds the classification LUT, so the
+        capture re-runs whenever the engine bumps its runtime generation.
+        Every array the struct points into stays referenced by ``self`` or
+        by the engine, so no pointer outlives its buffer.
+        """
+        engine = self.engine
+        streams = engine._streams
+        self._members_flat, self._positions_flat, self._counts = (
+            engine._sets.storage()
+        )
+        self._words_flat = streams._words.reshape(-1)
+        if engine._code_lut is None:  # pragma: no cover - no shipped rule
+            raise StateError(
+                "the compiled flip-loop backend requires an elementwise "
+                "classification rule (code LUT); this variant must use the "
+                "numpy backend"
+            )
+        # Contiguous copy: recompute_all rebinds the LUT, and the C code
+        # wants one stable 2-row table either way.
+        self._code_lut2 = np.ascontiguousarray(engine._code_lut, dtype=np.int8)
+        if engine._window_lut is not None:
+            full_lut = 1
+            self._window_lut_flat = engine._window_lut.reshape(-1)
+            self._row_lut_flat = np.zeros(1, dtype=np.int64)
+            self._col_lut_flat = np.zeros(1, dtype=np.int64)
+        else:
+            full_lut = 0
+            self._window_lut_flat = np.zeros(1, dtype=np.int32)
+            self._row_lut_flat = engine._row_lut.reshape(-1)
+            self._col_lut_flat = engine._col_lut.reshape(-1)
         ffi, lib = _load_library()
         self._ffi = ffi
         self._lib = lib
-        engine = self.engine
-        # The run's start counters, filled by each run_rounds call.
-        self._start_flips = np.zeros(engine.n_replicas, dtype=np.int64)
-        self._start_steps = np.zeros(engine.n_replicas, dtype=np.int64)
         st = ffi.new("repro_state *")
         ptr = self._ptr
         st.counts = ptr("int64_t *", self._counts)
@@ -581,12 +658,12 @@ class CffiBackend(KernelLoopBackend):
         st.steps = ptr("int64_t *", engine._n_steps)
         st.code = ptr("int8_t *", engine._code_flat)
         st.words = ptr("uint64_t *", self._words_flat)
-        st.pos = ptr("int64_t *", self._pos)
-        st.has32 = ptr("uint8_t *", self._has32)
-        st.buf32 = ptr("uint64_t *", self._buf32)
-        st.ke = ptr("uint64_t *", self._ke)
-        st.we = ptr("double *", self._we)
-        st.block = engine._streams.block_words
+        st.pos = ptr("int64_t *", streams._pos)
+        st.has32 = ptr("uint8_t *", streams._has32)
+        st.buf32 = ptr("uint64_t *", streams._buf32)
+        st.ke = ptr("uint64_t *", streams._ke)
+        st.we = ptr("double *", streams._we)
+        st.block = streams.block_words
         st.n_sites = engine._n_sites
         st.n_replicas = engine.n_replicas
         st.term_offset = self._term_offset
@@ -598,12 +675,12 @@ class CffiBackend(KernelLoopBackend):
         st.event = ptr("int64_t *", self._event)
         st.spins = ptr("int8_t *", engine._spins_flat)
         st.same = ptr("int64_t *", engine._same_flat)
-        st.full_lut = self._full_lut
+        st.full_lut = full_lut
         st.window_lut = ptr("int32_t *", self._window_lut_flat)
         st.row_lut = ptr("int64_t *", self._row_lut_flat)
         st.col_lut = ptr("int64_t *", self._col_lut_flat)
         st.n_cols = engine.config.n_cols
-        st.window_side = self._window_side
+        st.window_side = 2 * engine.config.horizon + 1
         st.window_area = engine._window_area
         st.center_col = engine._center_col
         st.total = engine.config.neighborhood_agents
@@ -628,24 +705,75 @@ class CffiBackend(KernelLoopBackend):
         self._step_fn = lib.repro_step_round
         self._flips_fn = lib.repro_apply_flips
         self._run_fn = lib.repro_run_rounds
+        self._captured_generation = engine._runtime_generation
 
     def _ptr(self, ctype: str, array: np.ndarray):
         """Raw pointer into ``array``'s buffer (writable, zero-copy)."""
         return self._ffi.cast(ctype, self._ffi.from_buffer(array))
 
-    def _invoke_step(
-        self, n_candidates: int, index: int, phase: int, collected: int
-    ) -> int:
+    def _refresh(self) -> None:
+        if self._captured_generation != self.engine._runtime_generation:
+            self._capture()
+
+    def _service_event(self, status: int) -> int:
+        """Service one slow-path event the step function returned.
+
+        ``self._event`` names the interrupted replica.  Returns the phase to
+        resume that replica at; the caller resumes at the event's candidate
+        index and collected-flip count.
+        """
+        engine = self.engine
+        streams = engine._streams
+        replica = int(self._event[0])
+        if status == STATUS_ZIGGURAT_SLOW:
+            # The C code consumed the word and bailed before the clock
+            # update; replay the draw bitwise and apply the update the way
+            # the reference loop does, then resume at the candidate draw.
+            # The sampler size is unchanged — flips land only after the
+            # whole round's draws.
+            wait = streams._replay_exponential(replica)
+            size = int(self._counts[replica + self._sampler_offset])
+            engine._times[replica] += (1.0 / size) * wait
+            engine._n_steps[replica] += 1
+            return PHASE_CANDIDATE
+        streams._refill_until_ready(replica)
+        if status == STATUS_REFILL_START:
+            return PHASE_START
+        return PHASE_CANDIDATE
+
+    def step_round(self, candidates: np.ndarray) -> np.ndarray:
+        self._refresh()
+        engine = self.engine
         st = self._state
-        return self._step_fn(st, st.candidates, n_candidates, index, phase, collected)
+        n_candidates = candidates.size
+        self._candidates[:n_candidates] = candidates
+        index = 0
+        phase = PHASE_START
+        collected = 0
+        while True:
+            status = self._step_fn(
+                st, st.candidates, n_candidates, index, phase, collected
+            )
+            index = int(self._event[1])
+            collected = int(self._event[2])
+            if status == STATUS_DONE:
+                break
+            phase = self._service_event(status)
+        if collected == 0:
+            return np.empty(0, dtype=np.int64)
+        reps = self._out_reps[:collected].copy()
+        flats = self._out_flats[:collected]
+        self._apply_flips_captured(reps, flats)
+        engine._n_flips[reps] += 1
+        return reps
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """The whole round loop in one native call per slow-path event.
 
         ``repro_run_rounds`` builds each round's active set from the budget,
         steps it and applies its flips without returning; RNG block refills
-        and ziggurat slow paths come back as step-kernel events, serviced by
-        the shared :meth:`_service_event` before the call resumes mid-round.
+        and ziggurat slow paths come back as step-function events, serviced
+        by the shared :meth:`_service_event` before the call resumes mid-round.
         """
         self._refresh()
         engine = self.engine
@@ -659,41 +787,55 @@ class CffiBackend(KernelLoopBackend):
         st.n_active = 0
         st.rounds = 0
         limit = _INT64_MAX if max_rounds is None else max_rounds
-        phase = kernels.PHASE_START
+        phase = PHASE_START
         while True:
             status = self._run_fn(st, limit, phase)
-            if status == kernels.STATUS_DONE:
+            if status == STATUS_DONE:
                 break
             phase = self._service_event(status)
         if st.rounds and not engine._track_counters:
             engine._counters_stale = True
         return st.rounds
 
-    def _invoke_flips(self, reps: np.ndarray, flats: np.ndarray) -> int:
+    def apply_flips(
+        self,
+        reps: np.ndarray,
+        flats: np.ndarray,
+        bases: Optional[np.ndarray] = None,
+    ) -> None:
+        self._refresh()
+        self._apply_flips_captured(
+            np.ascontiguousarray(reps, dtype=np.int64),
+            np.ascontiguousarray(flats, dtype=np.int64),
+        )
+
+    def _apply_flips_captured(self, reps: np.ndarray, flats: np.ndarray) -> None:
+        """The window update, then its streamed coded ops on the samplers."""
+        engine = self.engine
         ffi = self._ffi
-        return self._flips_fn(
-            self._state,
+        st = self._state
+        n_ops = self._flips_fn(
+            st,
             ffi.cast("const int64_t *", ffi.from_buffer(reps)),
             ffi.cast("const int64_t *", ffi.from_buffer(flats)),
             reps.size,
-            1 if self.engine._track_counters else 0,
+            1 if engine._track_counters else 0,
         )
-
-    def _invoke_ops(self, n_ops: int) -> None:
-        ffi = self._ffi
-        engine = self.engine
-        self._lib.repro_coded_ops(
-            self._state.op_rows,
-            self._state.op_indices,
-            self._state.op_toggled,
-            self._state.op_members,
-            n_ops,
-            self._state.members,
-            self._state.positions,
-            self._state.counts,
-            engine._n_sites,
-            engine.n_replicas,
-        )
+        if not engine._track_counters:
+            engine._counters_stale = True
+        if n_ops:
+            self._lib.repro_coded_ops(
+                st.op_rows,
+                st.op_indices,
+                st.op_toggled,
+                st.op_members,
+                n_ops,
+                st.members,
+                st.positions,
+                st.counts,
+                engine._n_sites,
+                engine.n_replicas,
+            )
 
     def apply_coded_ops(
         self,

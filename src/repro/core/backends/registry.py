@@ -3,21 +3,18 @@
 The registry is the single decision point for which
 :class:`~repro.core.backends.base.FlipLoopBackend` a run uses:
 
-* :func:`available_backends` probes what this host can actually run —
-  ``numpy`` and ``python`` always, ``numba`` when the package imports,
-  ``cffi`` when a C compiler can build and load the kernel library.
+* :func:`available_backends` probes what this host can actually run:
+  ``numpy`` always, ``cffi`` when a C compiler can build and load the
+  kernel library.
 * :func:`select_backend_name` applies the selection precedence
   **CLI > environment (``REPRO_BACKEND``) > spec > auto** and returns the
   winning *request*.
 * :func:`resolve_backend_name` turns a request into a concrete available
-  backend: ``auto`` prefers compiled backends (``numba`` then ``cffi``)
-  and otherwise takes ``numpy``; a known-but-unavailable request degrades
-  to ``numpy`` with a single warning per process per name — never an
-  exception — while an unknown name is a hard
-  :class:`~repro.errors.ConfigurationError` (typo, not capability).
-
-``python`` is deliberately excluded from ``auto``: it exists to execute
-the numba kernel source interpreted (testability), not to win races.
+  backend: ``auto`` takes ``cffi`` when it loads and otherwise ``numpy``;
+  a known-but-unavailable request degrades to ``numpy`` with a single
+  warning per process per name — never an exception — while an unknown
+  name is a hard :class:`~repro.errors.ConfigurationError` (typo, not
+  capability).
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from typing import Optional
 
 from repro.core.backends.base import FlipLoopBackend
 from repro.core.backends.cffi_backend import CffiBackend, cffi_available
-from repro.core.backends.kernel_backend import PythonKernelBackend
-from repro.core.backends.numba_backend import NumbaBackend, numba_available
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.errors import ConfigurationError
 
@@ -37,16 +32,14 @@ from repro.errors import ConfigurationError
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Every name the registry understands, in documentation order.
-KNOWN_BACKENDS = ("auto", "numpy", "numba", "cffi", "python")
+KNOWN_BACKENDS = ("auto", "numpy", "cffi")
 
 #: ``auto``'s preference order among available backends.
-AUTO_PREFERENCE = ("numba", "cffi", "numpy")
+AUTO_PREFERENCE = ("cffi", "numpy")
 
 _BACKEND_CLASSES = {
     "numpy": NumpyBackend,
-    "numba": NumbaBackend,
     "cffi": CffiBackend,
-    "python": PythonKernelBackend,
 }
 
 _warned_fallbacks: set[str] = set()
@@ -55,11 +48,8 @@ _warned_fallbacks: set[str] = set()
 def available_backends() -> tuple[str, ...]:
     """Names of the backends this host can run, in registry order."""
     names = ["numpy"]
-    if numba_available():
-        names.append("numba")
     if cffi_available():
         names.append("cffi")
-    names.append("python")
     return tuple(names)
 
 

@@ -329,8 +329,8 @@ class EnsembleDynamics:
         knob: results are bitwise independent of it, which the boundary
         property tests assert down to one-word blocks.
     backend:
-        Flip-loop backend request (``"auto"``, ``"numpy"``, ``"numba"``,
-        ``"cffi"``, ``"python"`` or ``None``), resolved through
+        Flip-loop backend request (``"auto"``, ``"numpy"``, ``"cffi"`` or
+        ``None``), resolved through
         :mod:`repro.core.backends.registry`: the hot path — the scalar
         round control plane, the fused window update and the coded-op
         sampler maintenance — executes behind the

@@ -530,19 +530,18 @@ class BlockedReplicaStreams:
         Small batches run a scalar loop over the block buffers; large ones
         take the vectorized path.  Both are bitwise identical.
 
-        NOTE: the word-consumption protocol is implemented at five sites:
+        NOTE: the word-consumption protocol is implemented at four sites:
 
         * here, scalar (the loop below);
         * here, vectorized (:meth:`standard_exponential` /
           :meth:`bounded_integers`);
         * ``NumpyBackend.step_round``, which inlines the scalar loop with
           the round's filtering and clock work;
-        * ``kernels.step_round_kernel``, run interpreted or by numba;
-        * ``repro_step_round``, its C mirror in ``cffi_backend.py``, which
-          the C round loop ``repro_run_rounds`` drives between slow-path
-          events.
+        * ``repro_step_round``, the C step function in ``cffi_backend.py``,
+          which the C round loop ``repro_run_rounds`` drives between
+          slow-path events.
 
-        Any change to the protocol must touch all five.  The boundary tests
+        Any change to the protocol must touch all four.  The boundary tests
         in ``test_rng.py`` / ``test_core_ensemble.py`` pin the scalar and
         vectorized paths to live ``Generator`` draws, and the cross-backend
         suite in ``test_backends.py`` pins the rest to the numpy backend,

@@ -1,15 +1,16 @@
 """Hypothesis tests of the backends' ``apply_coded_ops`` ports.
 
 Every flip-loop backend carries its own implementation of
-:meth:`~repro.utils.indexset.BatchedIndexSet.apply_coded_ops` — interpreted
-kernel, njit kernel, or C — and each must mutate the three storage arrays
-*identically* to the reference method: same packed member order, same
-position back-pointers, same counts.  The suite drives the reference and a
-backend port over identical families and asserts the full storage state
-matches element for element, across random op streams and the three edge
-regimes the engine actually produces: an empty op stream (a round with no
-flips), an all-sites-unhappy round (every site inserted into both families),
-and a set-emptying round (every member removed).
+:meth:`~repro.utils.indexset.BatchedIndexSet.apply_coded_ops` — numpy's
+delegates to the reference, ``cffi``'s is C — and each must mutate the
+three storage arrays *identically* to the reference method: same packed
+member order, same position back-pointers, same counts.  The suite drives
+the reference and a backend port over identical families and asserts the
+full storage state matches element for element, across random op streams
+and the three edge regimes the engine actually produces: an empty op
+stream (a round with no flips), an all-sites-unhappy round (every site
+inserted into both families), and a set-emptying round (every member
+removed).
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ COMMON_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Every backend importable on this host, including the interpreted one.
+#: Every backend this host can run: numpy, plus cffi where it builds.
 BACKENDS = available_backends()
 
 #: Rows per family half (the engine's replica count analogue).

@@ -3,27 +3,28 @@
 Five layers are pinned here:
 
 * **Registry** — capability probing, the CLI > env > spec > auto selection
-  precedence, the single-warning numpy fallback for unavailable backends
-  (including a C backend whose kernel cache directory is not private), and
-  the hard error for unknown names.
-* **Bitwise identity** — every available backend advances the ensemble
-  engine *bit for bit* like the numpy reference: spins, clocks, step/flip
-  counters, energies and the samplers' packed layouts, across the base,
-  two-sided and asymmetric rules, with a tiny RNG block size so the refill
-  and ziggurat slow paths (the event-servicing seam) fire constantly.
+  precedence, the single-warning numpy fallback for an unavailable backend
+  (a C backend whose kernel cache directory is not private), and the hard
+  error for unknown names, removed backends included.
+* **Bitwise identity** — the compiled ``cffi`` backend, when the host can
+  build it, advances the ensemble engine *bit for bit* like the numpy
+  reference: spins, clocks, step/flip counters, energies and the samplers'
+  packed layouts, across the base, two-sided and asymmetric rules, with a
+  tiny RNG block size so the refill and ziggurat slow paths (the
+  event-servicing seam) fire constantly.
 * **Runs** — ``run()`` returns identical results and leaves identical
   state under every backend: flip/step/time budgets, trajectory segments,
-  both flip rules and schedulers, R above the scalar-path limit, and a run
-  continued after a budgeted one.
+  both flip rules and schedulers, wider horizons, rectangular tori and
+  windows as wide as the torus, the large-grid row/column window lookups,
+  R above the scalar-path limit, and a run continued after a budgeted one
+  (also across a ``recompute_all``, which makes the C backend re-capture
+  its pointers).
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
   manifest and each record, and ``reproduce_store`` turns a row mismatch
   whose record names a *different* backend into the ``backend-drift``
   diagnostic instead of a bare ``mismatch``.
-
-Numba-only paths skip with a reason on hosts without numba — they must
-never fail.
 """
 
 import dataclasses
@@ -35,8 +36,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.backends import cffi_backend, kernels
-from repro.core.backends.numba_backend import numba_available
+from repro.core.backends import cffi_backend
 from repro.core.backends.registry import (
     AUTO_PREFERENCE,
     KNOWN_BACKENDS,
@@ -47,6 +47,7 @@ from repro.core.backends.registry import (
     select_backend_name,
 )
 from repro.core.backends import registry as registry_module
+from repro.core import ensemble as ensemble_module
 from repro.core.config import ModelConfig
 from repro.core.ensemble import (
     EnsembleDynamics,
@@ -98,30 +99,27 @@ def _run_rounds(engine, rounds=120):
 
 
 class TestRegistry:
-    def test_numpy_and_python_always_available(self):
+    def test_numpy_always_available(self):
         assert BACKENDS[0] == "numpy"
-        assert BACKENDS[-1] == "python"
         assert set(BACKENDS) <= set(KNOWN_BACKENDS)
+        assert KNOWN_BACKENDS == ("auto", "numpy", "cffi")
 
-    def test_default_backend_is_available_and_never_python(self):
-        default = default_backend_name()
-        assert default in BACKENDS
-        assert default != "python"
+    def test_default_backend_is_available(self):
+        assert default_backend_name() in BACKENDS
 
     def test_auto_prefers_compiled_backends(self):
-        # The fastest available backend in preference order wins auto.
-        expected = next(
-            (name for name in AUTO_PREFERENCE if name in BACKENDS), "numpy"
-        )
+        # auto takes cffi whenever it loads, and numpy otherwise.
+        assert AUTO_PREFERENCE == ("cffi", "numpy")
+        expected = "cffi" if "cffi" in BACKENDS else "numpy"
         assert default_backend_name() == expected
 
     def test_selection_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert select_backend_name(None, None) == "auto"
-        assert select_backend_name(None, "python") == "python"
+        assert select_backend_name(None, "cffi") == "cffi"
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert select_backend_name(None, "python") == "numpy"
-        assert select_backend_name("cffi", "python") == "cffi"
+        assert select_backend_name(None, "cffi") == "numpy"
+        assert select_backend_name("cffi", "numpy") == "cffi"
         # Empty strings count as unset at every level.
         monkeypatch.setenv("REPRO_BACKEND", "")
         assert select_backend_name("", "") == "auto"
@@ -130,42 +128,17 @@ class TestRegistry:
         assert resolve_backend_name(None) == default_backend_name()
         assert resolve_backend_name("auto") == default_backend_name()
         assert resolve_backend_name("numpy") == "numpy"
-        assert resolve_backend_name("python") == "python"
 
-    def test_unknown_backend_is_a_hard_error(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_backend_name("fortran")
-
-    def test_unavailable_backend_degrades_with_one_warning(self, monkeypatch):
-        unavailable = [
-            name
-            for name in ("numba", "cffi")
-            if name not in BACKENDS
-        ]
-        if not unavailable:
-            pytest.skip("every known backend is available on this host")
-        name = unavailable[0]
-        monkeypatch.setattr(registry_module, "_warned_fallbacks", set())
-        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
-            assert resolve_backend_name(name) == "numpy"
-        # Second request: same fallback, no second warning.
+    @pytest.mark.parametrize("name", ["fortran", "numba", "python"])
+    def test_unknown_backend_is_a_hard_error(self, name):
+        # numba and python were backends once; they are typos now, not
+        # capabilities to fall back from.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend_name(name) == "numpy"
-
-    def test_requesting_numba_never_raises(self, monkeypatch):
-        """--backend numba on a numba-less host degrades, never explodes."""
-        monkeypatch.setattr(registry_module, "_warned_fallbacks", set())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            resolved = resolve_backend_name("numba")
-        assert resolved in ("numba", "numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            engine = EnsembleDynamics(
-                SMALL, n_replicas=2, seed=0, backend="numba"
-            )
-        assert engine.backend_name in ("numba", "numpy")
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                resolve_backend_name(name)
+            with pytest.raises(ConfigurationError, match="auto, numpy, cffi"):
+                EnsembleDynamics(SMALL, n_replicas=2, seed=0, backend=name)
 
     def test_create_backend_returns_fresh_instances(self):
         first = create_backend("numpy")
@@ -240,6 +213,19 @@ class TestBitwiseIdentity:
             ),
         )
 
+    def test_active_subsets(self, backend_name):
+        # Replicas left out of a round keep their clocks and RNG positions.
+        factory = _ensemble(n_replicas=4, seed=31, rng_block_words=7)
+        reference = factory("numpy")
+        actual = factory(backend_name)
+        subsets = ([0, 2], [1, 3], [3], [0, 1, 2, 3], [2, 0])
+        for index in range(150):
+            active = subsets[index % len(subsets)]
+            np.testing.assert_array_equal(
+                reference.step_all(active), actual.step_all(active)
+            )
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+
     def test_experiment_rows_are_backend_invariant(self, backend_name):
         spec = ExperimentSpec(
             name="cell", config=SMALL, n_replicates=3, seed=21
@@ -285,6 +271,13 @@ _ONLY_IF_HAPPY = {
     "flip_rule": FlipRule.ONLY_IF_HAPPY,
 }
 
+#: The always-flip rule at the same tau: flips can leave agents unhappy, so
+#: the unhappy set is both sampler and termination set and runs need budgets.
+_ALWAYS = {
+    "config": ModelConfig.square(side=16, horizon=1, tau=0.6),
+    "flip_rule": FlipRule.ALWAYS,
+}
+
 #: ``id -> (engine factory, run() keyword arguments)``.
 RUN_CASES = {
     "to_termination": (_ensemble(n_replicas=2, seed=5), {}),
@@ -322,7 +315,87 @@ RUN_CASES = {
         {"max_steps": 150},
     ),
     "r40_vectorized_reference": (_ensemble(n_replicas=40, seed=23), {}),
+    "always_continuous": (
+        _ensemble(rng_block_words=7, **_ALWAYS), {"max_steps": 200}
+    ),
+    "always_discrete": (
+        _ensemble(scheduler=SchedulerKind.DISCRETE, **_ALWAYS),
+        {"max_steps": 200},
+    ),
+    "horizon_2": (
+        _ensemble(ModelConfig.square(side=14, horizon=2, tau=0.45), seed=37),
+        {},
+    ),
+    "horizon_3": (
+        _ensemble(ModelConfig.square(side=15, horizon=3, tau=0.45), seed=41),
+        {},
+    ),
+    # Non-square tori pin the kernel's row-major flat-index arithmetic.
+    "rectangular": (
+        _ensemble(ModelConfig(n_rows=12, n_cols=20, horizon=1, tau=0.45), seed=43),
+        {},
+    ),
+    "rectangular_horizon_2": (
+        _ensemble(ModelConfig(n_rows=21, n_cols=10, horizon=2, tau=0.45), seed=47),
+        {},
+    ),
+    # Windows as wide as the torus: every flip touches a wrapped window
+    # that covers whole rows (or the whole grid).
+    "window_spans_torus": (
+        _ensemble(ModelConfig.square(side=5, horizon=2, tau=0.45), seed=53),
+        {},
+    ),
+    "window_spans_rows": (
+        _ensemble(ModelConfig(n_rows=3, n_cols=11, horizon=1, tau=0.45), seed=59),
+        {},
+    ),
+    "density_0_3": (
+        _ensemble(
+            ModelConfig.square(side=16, horizon=1, tau=0.45, density=0.3),
+            seed=61,
+        ),
+        {},
+    ),
+    # tau=0 makes every agent happy: both samplers start empty.
+    "everyone_happy": (
+        _ensemble(ModelConfig.square(side=16, horizon=1, tau=0.0)), {}
+    ),
+    "max_flips_0": (_ensemble(), {"max_flips": 0}),
+    "two_sided_discrete": (
+        lambda backend: TwoSidedEnsemble(
+            SMALL, tau_high=0.8, n_replicas=3, seed=11,
+            scheduler=SchedulerKind.DISCRETE, rng_block_words=7,
+            backend=backend,
+        ),
+        {"max_steps": 150},
+    ),
+    "asymmetric_always": (
+        lambda backend: AsymmetricEnsemble(
+            SMALL, tau_minus=0.35, n_replicas=3, seed=13,
+            flip_rule=FlipRule.ALWAYS, rng_block_words=7, backend=backend,
+        ),
+        {"max_steps": 150},
+    ),
+    "r40_discrete_only_if_happy": (
+        _ensemble(
+            n_replicas=40, seed=29, scheduler=SchedulerKind.DISCRETE,
+            **_ONLY_IF_HAPPY,
+        ),
+        {"max_steps": 300},
+    ),
+    "r40_always": (
+        _ensemble(n_replicas=40, seed=31, **_ALWAYS), {"max_steps": 120}
+    ),
 }
+
+
+def _assert_runs_match(factory, kwargs, backend_name):
+    """``run(**kwargs)`` returns and leaves the same under numpy and the backend."""
+    reference = factory("numpy")
+    actual = factory(backend_name)
+    _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
+    _assert_states_equal(_engine_state(reference), _engine_state(actual))
+    return reference, actual
 
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
@@ -337,20 +410,44 @@ class TestRunIdentity:
     @pytest.mark.parametrize("case", sorted(RUN_CASES))
     def test_run_matches_numpy(self, backend_name, case):
         factory, kwargs = RUN_CASES[case]
-        reference = factory("numpy")
-        actual = factory(backend_name)
+        reference, _ = _assert_runs_match(factory, kwargs, backend_name)
         if case.startswith("r40"):
             assert reference.n_replicas > BlockedReplicaStreams.SCALAR_PATH_MAX
-        _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
-        _assert_states_equal(_engine_state(reference), _engine_state(actual))
 
-    def test_budgeted_run_then_continuation(self, backend_name):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "to_termination",
+            "horizon_2",
+            "rectangular",
+            "two_sided",
+            "r40_vectorized_reference",
+        ],
+    )
+    def test_row_col_lut_fallback_matches_numpy(
+        self, backend_name, case, monkeypatch
+    ):
+        """Large grids gather windows from row/column tables, not one LUT."""
+        monkeypatch.setattr(ensemble_module, "_FULL_WINDOW_LUT_MAX_ENTRIES", 0)
+        factory, kwargs = RUN_CASES[case]
+        _, actual = _assert_runs_match(factory, kwargs, backend_name)
+        assert actual._window_lut is None  # the fallback is actually active
+
+    @pytest.mark.parametrize("recompute", [False, True], ids=["plain", "recompute_all"])
+    def test_budgeted_run_then_continuation(self, backend_name, recompute):
         reference = _ensemble(rng_block_words=16)("numpy")
         actual = _ensemble(rng_block_words=16)(backend_name)
-        for kwargs in ({"max_flips": 13}, {"record_trajectory": True, "record_every": 5}):
+        budgets = ({"max_flips": 13}, {"record_trajectory": True, "record_every": 5})
+        for index, kwargs in enumerate(budgets):
+            if recompute and index:
+                # A public rebuild bumps the runtime generation, so the C
+                # backend must re-capture its pointers before continuing.
+                reference.recompute_all()
+                actual.recompute_all()
             _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
             _assert_states_equal(_engine_state(reference), _engine_state(actual))
         assert actual.all_terminated
+        assert actual._backend._captured_generation == actual._runtime_generation
 
 
 class TestCompiledKernelCache:
@@ -387,27 +484,13 @@ class TestCompiledKernelCache:
         self._assert_refused(fresh_cache)
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-class TestNumbaBackend:
-    """Compiled-kernel checks that only run where numba is importable."""
-
-    def test_compiled_kernels_are_memoized(self):
-        from repro.core.backends.numba_backend import compiled_kernels
-
-        assert compiled_kernels() is compiled_kernels()
-
-    def test_numba_listed_and_preferred(self):
-        assert "numba" in BACKENDS
-        assert default_backend_name() == "numba"
-
-
 class TestKernelConstants:
     def test_status_codes_are_distinct(self):
         codes = {
-            kernels.STATUS_DONE,
-            kernels.STATUS_REFILL_START,
-            kernels.STATUS_ZIGGURAT_SLOW,
-            kernels.STATUS_REFILL_CANDIDATE,
+            cffi_backend.STATUS_DONE,
+            cffi_backend.STATUS_REFILL_START,
+            cffi_backend.STATUS_ZIGGURAT_SLOW,
+            cffi_backend.STATUS_REFILL_CANDIDATE,
         }
         assert len(codes) == 4
 
@@ -483,8 +566,12 @@ class TestReproduceBackendDrift:
             backend=backend,
         )
 
-    def _tamper_rows(self, tmp_path):
-        """Corrupt one recorded metric, re-encoding the CRC so it loads."""
+    def _tamper_rows(self, tmp_path, backend=None):
+        """Corrupt one recorded metric, re-encoding the CRC so it loads.
+
+        ``backend`` also rewrites the record's backend provenance, as if a
+        different backend had recorded the corrupted row.
+        """
         from repro.experiments.checkpoint import encode_record_line
 
         metrics = tmp_path / "metrics.jsonl"
@@ -492,6 +579,8 @@ class TestReproduceBackendDrift:
         record = json.loads(lines[0])
         record.pop("crc32")
         record["rows"][0]["n_flips"] = int(record["rows"][0]["n_flips"]) + 1
+        if backend is not None:
+            record["backend"] = backend
         lines[0] = encode_record_line(record).decode("utf-8").rstrip("\n")
         metrics.write_text("\n".join(lines) + "\n")
 
@@ -508,14 +597,14 @@ class TestReproduceBackendDrift:
     def test_mismatch_with_different_backend_is_named_drift(self, tmp_path):
         from repro.serving.store import reproduce_store
 
-        self._store(tmp_path, backend="python")
-        self._tamper_rows(tmp_path)
+        self._store(tmp_path, backend="numpy")
+        self._tamper_rows(tmp_path, backend="cffi")
         report = reproduce_store(tmp_path, ensemble_size=2, backend="numpy")
         assert not report.ok
         assert report.counts() == {"backend-drift": 1}
         result = report.results[0]
         assert result.damaged
-        assert "'python'" in result.detail and "'numpy'" in result.detail
+        assert "'cffi'" in result.detail and "'numpy'" in result.detail
 
     def test_mismatch_with_same_backend_stays_plain_mismatch(self, tmp_path):
         from repro.serving.store import reproduce_store

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.backends.registry import resolve_backend_name
 
 
 def run_cli(args: list[str]) -> tuple[int, str]:
@@ -215,6 +216,73 @@ class TestSweep:
             ["sweep", "--taus", "0.4", "--horizon", "1", "--side", "20", "--workers", "0"]
         )
         assert code == 2
+
+
+class TestBackendSelection:
+    """An unknown backend fails cleanly, whether named by flag or env var."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--side", "10", "--horizon", "1"],
+        "sweep": [
+            "sweep", "--side", "10", "--horizon", "1", "--taus", "0.4",
+            "--replicates", "1", "--ensemble", "2",
+        ],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unknown_env_backend_exits_two(self, command, monkeypatch, capsys):
+        # numba was a backend once; the registry no longer knows the name.
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        code, output = run_cli(self.COMMANDS[command])
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert "error: unknown backend 'numba'" in err
+        assert "known backends: auto, numpy, cffi" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unknown_backend_flag_rejected_by_parser(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(self.COMMANDS[command] + ["--backend", "numba"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    def test_known_env_backend_runs(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        code, output = run_cli(self.COMMANDS["simulate"])
+        assert code == 0
+        assert f"Backend: {resolve_backend_name(backend)}" in output
+
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    def test_pinned_simulate_matches_scalar_run(self, backend):
+        # A pinned backend routes simulate through a one-replica ensemble;
+        # apart from naming the backend, its report is the scalar run's.
+        args = self.COMMANDS["simulate"] + ["--seed", "5"]
+        code, scalar = run_cli(args)
+        assert code == 0
+        code, pinned = run_cli(args + ["--backend", backend])
+        assert code == 0
+        lines = pinned.splitlines()
+        assert f"Backend: {resolve_backend_name(backend)}" in lines
+        lines.remove(f"Backend: {resolve_backend_name(backend)}")
+        assert lines == scalar.splitlines()
+
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    def test_pinned_sweep_csv_matches_scalar_sweep(self, backend, tmp_path):
+        args = [
+            "sweep", "--side", "10", "--horizon", "1", "--taus", "0.4,0.45",
+            "--replicates", "3", "--seed", "4",
+        ]
+        scalar_csv = tmp_path / "scalar.csv"
+        pinned_csv = tmp_path / "pinned.csv"
+        code, _ = run_cli(args + ["--csv", str(scalar_csv)])
+        assert code == 0
+        code, _ = run_cli(
+            args
+            + ["--ensemble", "3", "--backend", backend, "--csv", str(pinned_csv)]
+        )
+        assert code == 0
+        assert pinned_csv.read_bytes() == scalar_csv.read_bytes()
 
 
 class TestSweepTrajectory:
