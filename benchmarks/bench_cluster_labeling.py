@@ -10,7 +10,8 @@ Two headline numbers back the measurement-pipeline claims:
   cluster-reporting benchmark.
 * **speedup vs reference** — on a 512x512 mask at ``p = 0.6`` with periodic
   boundaries the vectorized labeller must be at least 10x faster than
-  ``_label_clusters_reference`` (the scalar union/find loop it replaced),
+  ``label_clusters_reference`` in ``tests/oracles.py`` (the scalar
+  union/find loop it replaced),
   with bitwise-identical label arrays.
 
 ``REPRO_BENCH_QUICK=1`` drops the 1024^2 masks and shrinks the repeat count
@@ -23,9 +24,10 @@ import time
 
 import numpy as np
 
+from oracles import label_clusters_reference
 from repro.experiments.results import ResultTable
 from repro.experiments.workloads import bench_quick_mode as quick_mode
-from repro.percolation.cluster import _label_clusters_reference, label_clusters
+from repro.percolation.cluster import label_clusters
 
 #: Acceptance floor for the vectorized labeller on the 512^2 / p=0.6 mask.
 MIN_LABELING_SPEEDUP = 10.0
@@ -92,7 +94,7 @@ def bench_vectorized_vs_reference_speedup(benchmark, emit):
 
     def run() -> ResultTable:
         start = time.perf_counter()
-        reference_labels = _label_clusters_reference(mask, periodic=True)
+        reference_labels = label_clusters_reference(mask, periodic=True)
         reference_seconds = time.perf_counter() - start
         vectorized_seconds = _time_labeling(mask, True, params["repeats"])
         vectorized_labels = label_clusters(mask, periodic=True)

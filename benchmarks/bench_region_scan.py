@@ -1,23 +1,26 @@
-"""Throughput benchmarks for the batched region scans.
+"""Throughput benchmarks for the region scans and the measurement bundle.
 
-Two headline numbers back the batched-analysis claims of the measurement
-pipeline:
+Three headline numbers back the measurement-pipeline claims:
 
 * **speedup vs reference** — on a 256^2 torus scanned up to ``limit = 32``
-  the top-down active-set sweep of
+  the dense lookup-table scan of
   :func:`repro.analysis.regions.almost_monochromatic_radius_map` must be at
-  least 4x faster than ``_almost_monochromatic_radius_map_reference`` (the
-  per-radius ``minority_ratio_map`` loop it replaced) on a segregated
-  configuration — wide monochromatic domains with sparse defects, the shape
-  every terminated run produces and exactly where Theorem 2's ``E[M']``
-  estimate spends its time.  Mixed (blocky) and fully random grids are
-  reported alongside as the unfavourable cases.  Radius maps must match the
+  least 4x faster than ``almost_monochromatic_radius_map_reference`` in
+  ``tests/oracles.py`` (the per-radius ``minority_ratio_map`` loop) on a
+  segregated configuration — wide monochromatic domains with sparse
+  defects, the shape every terminated run produces and exactly where
+  Theorem 2's ``E[M']`` estimate spends its time.  Mixed (blocky) and fully
+  random grids are reported alongside.  Radius maps must match the
   reference bitwise on every grid.
 * **sites/sec** — joint throughput of the monochromatic + almost
   monochromatic scans sharing one summed-area table via
   :func:`repro.analysis.regions.region_scan_table`, across grid sizes and
-  grid structures.  This is the measurement path every sweep row pays twice
-  (initial and final configuration).
+  grid structures.
+* **ms/replica** — :func:`repro.analysis.segregation.segregation_metrics_batch`
+  on the initial and the terminated stack of one 256^2, w = 3, R = 8
+  ensemble: the whole bundle every sweep row pays twice.  Replica 0 must
+  match the oracle bundle of ``tests/oracles.py`` bit for bit; there is no
+  time floor.
 
 ``REPRO_BENCH_QUICK=1`` drops the 512^2 grids and shrinks the repeat count
 (same 256^2 acceptance grid, same assertions) so the file finishes well
@@ -26,16 +29,20 @@ under 30 seconds.
 
 from __future__ import annotations
 
+import struct
 import time
 
 import numpy as np
 
+from oracles import almost_monochromatic_radius_map_reference, segregation_metrics_oracle
 from repro.analysis.regions import (
-    _almost_monochromatic_radius_map_reference,
     almost_monochromatic_radius_map,
     monochromatic_radius_map,
     region_scan_table,
 )
+from repro.analysis.segregation import default_region_radius, segregation_metrics_batch
+from repro.core.config import ModelConfig
+from repro.core.ensemble import EnsembleDynamics
 from repro.experiments.results import ResultTable
 from repro.experiments.workloads import bench_quick_mode as quick_mode
 
@@ -99,7 +106,7 @@ def _best_seconds(func, repeats: int):
 
 
 def bench_almost_scan_speedup(benchmark, emit):
-    """Batched almost-mono scan vs the linear reference: identical maps, >= 4x."""
+    """Dense almost-mono scan vs the linear reference: identical maps, >= 4x."""
     params = scan_parameters()
     rng = np.random.default_rng(7)
     grids = scan_grids(256, rng)
@@ -111,7 +118,7 @@ def bench_almost_scan_speedup(benchmark, emit):
             # protocol so the speedup gate compares like with like; the
             # warm-up calls double as the correctness runs.
             reference_seconds, reference = _best_seconds(
-                lambda spins=spins: _almost_monochromatic_radius_map_reference(
+                lambda spins=spins: almost_monochromatic_radius_map_reference(
                     spins, RATIO_THRESHOLD, max_radius=SCAN_LIMIT
                 ),
                 params["repeats"],
@@ -123,7 +130,7 @@ def bench_almost_scan_speedup(benchmark, emit):
                 params["repeats"],
             )
             assert np.array_equal(reference, batched), (
-                f"batched almost-mono map diverges from the reference on "
+                f"dense almost-mono map diverges from the reference on "
                 f"the {structure} grid"
             )
             table.add_row(
@@ -182,3 +189,42 @@ def bench_region_scan_throughput(benchmark, emit):
     benchmark.extra_info["min_sites_per_second"] = float(min(rates))
     benchmark.extra_info["quick_mode"] = quick_mode()
     assert min(rates) > 0
+
+
+def bench_measurement_bundle(benchmark, emit):
+    """ms/replica of the metrics bundle on an initial and a terminated stack."""
+    params = scan_parameters()
+    config = ModelConfig.square(side=256, horizon=3, tau=0.45)
+    cap = default_region_radius(config)
+    engine = EnsembleDynamics(config, n_replicas=8, seed=11)
+    stacks = {"initial": engine.initial_spins(), "terminated": engine.run().final_spins}
+
+    def run() -> ResultTable:
+        table = ResultTable()
+        for stage, stack in stacks.items():
+            seconds, bundle = _best_seconds(
+                lambda stack=stack: segregation_metrics_batch(
+                    stack, config, max_region_radius=cap
+                ),
+                params["repeats"],
+            )
+            oracle = segregation_metrics_oracle(stack[0], config, max_region_radius=cap)
+            assert [struct.pack("<d", value) for value in bundle[0].as_dict().values()] == [
+                struct.pack("<d", value) for value in oracle.as_dict().values()
+            ], f"measurement bundle diverges from the oracle on the {stage} stack"
+            table.add_row(
+                stage=stage,
+                side=256,
+                horizon=3,
+                replicas=len(stack),
+                limit=cap,
+                ms_per_replica=seconds * 1e3 / len(stack),
+            )
+        return table
+
+    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    emit("PERF_measurement_bundle", table, benchmark)
+    per_replica = dict(zip(table.column("stage"), table.numeric_column("ms_per_replica")))
+    benchmark.extra_info["initial_ms_per_replica"] = float(per_replica["initial"])
+    benchmark.extra_info["terminated_ms_per_replica"] = float(per_replica["terminated"])
+    benchmark.extra_info["quick_mode"] = quick_mode()

@@ -9,6 +9,7 @@ comparison is visible in the pytest output, and (b) persist them as CSV under
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,10 @@ from _record import record_benchmark
 from repro.experiments.results import ResultTable
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The slow reference implementations the benches check against live with
+# the tests (``tests/oracles.py``), not in the package.
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 
 def emit_table(name: str, table: ResultTable, benchmark=None) -> Path:

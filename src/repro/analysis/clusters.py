@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import AnalysisError
-from repro.percolation.cluster import cluster_sizes, label_clusters
+from repro.percolation.cluster import _union_runs, cluster_sizes, label_clusters
 from repro.types import AgentType
 from repro.utils.validation import require_spin_array
 
@@ -107,11 +106,28 @@ def is_completely_segregated(spins: np.ndarray) -> bool:
     return bool(np.all(spins == spins.flat[0]))
 
 
+def _same_type_joins(spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same-type relation on the torus's edges: ``(right, down)``.
+
+    ``right[i, j]`` says whether site ``(i, j)`` has the type of its right
+    neighbour (wrapping around), ``down[i, j]`` whether it has the type of
+    the neighbour below.
+    """
+    return spins == np.roll(spins, -1, axis=1), spins == np.roll(spins, -1, axis=0)
+
+
+def _largest_same_type_cluster(right: np.ndarray, down: np.ndarray) -> int:
+    """Size of the largest same-type 4-connected cluster on the torus.
+
+    One labelling of the same-type relation (:func:`_same_type_joins`) covers
+    both types at once, since a join never crosses types.  Every site is in
+    some run, so a cluster's size is the sum of its runs' lengths.
+    """
+    _, starts, roots = _union_runs(right, down)
+    return int(np.bincount(roots, weights=np.diff(starts, append=right.size)).max())
+
+
 def largest_monochromatic_cluster_fraction(spins: np.ndarray) -> float:
     """Largest same-type cluster size divided by the grid size."""
-    stats = both_type_statistics(spins)
-    largest = max(stats[AgentType.PLUS].largest_cluster, stats[AgentType.MINUS].largest_cluster)
     spins = require_spin_array(spins)
-    if spins.size == 0:
-        raise AnalysisError("configuration is empty")
-    return largest / spins.size
+    return _largest_same_type_cluster(*_same_type_joins(spins)) / spins.size

@@ -19,12 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.neighborhood import (
-    neighborhood_size,
-    window_sums,
-    wrapped_summed_area_table,
-    wrapped_summed_area_table_batch,
-)
+from repro.core.neighborhood import neighborhood_size, window_sums
 from repro.errors import AnalysisError
 from repro.utils.validation import require_spin_array
 
@@ -39,43 +34,36 @@ def _max_usable_radius(shape: tuple[int, int], max_radius: Optional[int]) -> int
     return min(max_radius, limit)
 
 
+def _scan_table(plus: np.ndarray, pad: int) -> np.ndarray:
+    """Summed-area table of the plus indicator, torus-padded by ``pad``.
+
+    The values are those of
+    :func:`~repro.core.neighborhood.wrapped_summed_area_table` (leading zero
+    row and column, exact integer sums).  No entry exceeds the padded area,
+    so the table is ``int32`` whenever that area fits, which halves the
+    memory traffic of every window count read off it.
+    """
+    padded = np.pad(plus, pad, mode="wrap")
+    dtype = np.int32 if padded.size < 2**31 else np.int64
+    table = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=dtype)
+    body = table[1:, 1:]
+    np.cumsum(padded, axis=1, dtype=dtype, out=body)
+    np.cumsum(body, axis=0, out=body)
+    return table
+
+
 def region_scan_table(spins: np.ndarray, max_radius: Optional[int] = None) -> np.ndarray:
     """Shared summed-area table for the region scans of one configuration.
 
     Both :func:`monochromatic_radius_map` and
-    :func:`almost_monochromatic_radius_map` resolve window counts from a
-    limit-padded :func:`~repro.core.neighborhood.wrapped_summed_area_table`
-    of the plus indicator.  Building the table once and passing it to both
-    scans (as :func:`repro.analysis.segregation.segregation_metrics` does)
-    halves the table-construction cost without changing a single bit of the
-    results.
+    :func:`almost_monochromatic_radius_map` read window counts from a
+    summed-area table of the plus indicator, torus-padded by the scan
+    limit.  Building the table once and passing it to both scans halves the
+    table-construction cost without changing a single bit of the results.
     """
     spins = require_spin_array(spins)
     limit = _max_usable_radius(spins.shape, max_radius)
-    return wrapped_summed_area_table(spins == 1, max(limit, 0))
-
-
-def region_scan_table_batch(
-    spins_stack: np.ndarray, max_radius: Optional[int] = None
-) -> np.ndarray:
-    """Scan tables for a whole ``(R, n, m)`` replica stack, built in one pass.
-
-    Slice ``r`` is bitwise identical to ``region_scan_table(spins_stack[r],
-    max_radius)`` — exact integer summed-area tables — but the torus padding
-    and the two cumulative sums run once over the stack instead of once per
-    replica, which is how
-    :func:`repro.analysis.segregation.segregation_metrics_batch` shares one
-    table build across an ensemble batch's equal-shape replicas.
-    """
-    stack = np.asarray(spins_stack)
-    if stack.ndim != 3:
-        raise AnalysisError(
-            f"spins_stack must be a (R, n, m) array, got shape {stack.shape}"
-        )
-    for replica in stack:
-        require_spin_array(replica)
-    limit = _max_usable_radius(stack.shape[1:], max_radius)
-    return wrapped_summed_area_table_batch(stack == 1, max(limit, 0))
+    return _scan_table(spins == 1, max(limit, 0))
 
 
 def _resolve_scan_table(
@@ -83,13 +71,13 @@ def _resolve_scan_table(
 ) -> tuple[np.ndarray, int]:
     """Build or validate the scan table for one radius map; returns (table, pad).
 
-    A caller-supplied table must be a ``wrapped_summed_area_table`` of the
-    configuration's plus indicator with padding at least ``limit`` so that
-    every window of every usable radius lies inside it; ``None`` builds a
-    fresh ``limit``-padded one.
+    A caller-supplied table must be a :func:`region_scan_table` of the
+    configuration with padding at least ``limit`` so that every window of
+    every usable radius lies inside it; ``None`` builds a fresh
+    ``limit``-padded one.
     """
     if table is None:
-        return wrapped_summed_area_table(spins == 1, limit), limit
+        return _scan_table(spins == 1, limit), limit
     n_rows, n_cols = spins.shape
     pad = (table.shape[0] - 1 - n_rows) // 2
     expected = (n_rows + 2 * pad + 1, n_cols + 2 * pad + 1)
@@ -99,6 +87,93 @@ def _resolve_scan_table(
             f"{spins.shape} up to radius {limit}"
         )
     return table, pad
+
+
+def _window_counts(
+    table: np.ndarray, pad: int, shape: tuple[int, int], radius: int
+) -> np.ndarray:
+    """Every site's plus count in its radius-``radius`` window, densely.
+
+    Four shifted slices of a ``pad``-padded scan table (``radius <= pad``):
+    the window of site ``(i, j)`` spans table rows ``i + pad - radius`` to
+    ``i + pad + radius + 1``, and likewise for columns.
+    """
+    n_rows, n_cols = shape
+    lo = pad - radius
+    hi = pad + radius + 1
+    counts = table[hi : hi + n_rows, hi : hi + n_cols] - table[lo : lo + n_rows, hi : hi + n_cols]
+    counts -= table[hi : hi + n_rows, lo : lo + n_cols]
+    counts += table[lo : lo + n_rows, lo : lo + n_cols]
+    return counts
+
+
+def _check_ratio_threshold(ratio_threshold: float) -> None:
+    """Reject almost-monochromatic thresholds outside ``[0, 1]``."""
+    if not 0.0 <= ratio_threshold <= 1.0:
+        raise AnalysisError(
+            f"ratio_threshold must lie in [0, 1], got {ratio_threshold}"
+        )
+
+
+def _qualification_luts(ratio_threshold: float, limit: int) -> list[np.ndarray]:
+    """Per-radius almost-monochromatic decision over every possible plus count.
+
+    Entry ``r`` (``1 <= r <= limit``) is a boolean array over the plus count
+    ``p in [0, (2r + 1)^2]`` holding :func:`minority_ratio_map`'s exact float
+    expression ``min(p, N - p) / max(p, N - p) <= ratio_threshold``.  A
+    site's count indexes it, so every decision is bitwise the one the
+    per-site expression makes.  Entry 0 is unused.
+    """
+    luts = [np.zeros(0, dtype=bool)]
+    for radius in range(1, limit + 1):
+        total = neighborhood_size(radius)
+        plus = np.arange(total + 1)
+        minus = total - plus
+        minority = np.minimum(plus, minus).astype(float)
+        majority = np.maximum(plus, minus).astype(float)
+        luts.append(minority / majority <= ratio_threshold)
+    return luts
+
+
+def _radius_scans(
+    table: np.ndarray,
+    pad: int,
+    shape: tuple[int, int],
+    limit: int,
+    luts: Optional[list[np.ndarray]] = None,
+    monochromatic: bool = True,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Both radius maps of one configuration from one dense pass over the levels.
+
+    Level ``r = 1 .. limit`` reads every site's window count once
+    (:func:`_window_counts`) and feeds both scans:
+
+    * monochromatic windows are monotone in the radius, so the scan keeps
+      ``alive &= count in {0, (2r + 1)^2}`` and a site's radius is the number
+      of levels it stays alive; the scan ends once no site is alive;
+    * the almost-monochromatic property is not monotone, so that scan keeps
+      the largest level whose ``luts`` entry (:func:`_qualification_luts`)
+      accepts the count, over every level.
+
+    Returns ``(mono, almost)``, with ``None`` for a map not asked for
+    (``monochromatic=False`` / ``luts=None``).
+    """
+    mono = np.zeros(shape, dtype=np.int64) if monochromatic else None
+    alive = np.ones(shape, dtype=bool) if monochromatic else None
+    almost = np.zeros(shape, dtype=np.int64) if luts is not None else None
+    for radius in range(1, limit + 1):
+        if alive is None and almost is None:
+            break
+        counts = _window_counts(table, pad, shape, radius)
+        if alive is not None:
+            alive &= (counts == 0) | (counts == neighborhood_size(radius))
+            if alive.any():
+                mono += alive
+            else:
+                alive = None
+        if almost is not None:
+            np.copyto(almost, radius, where=luts[radius].take(counts))
+    return mono, almost
 
 
 def monochromatic_radius_map(
@@ -115,102 +190,21 @@ def monochromatic_radius_map(
     agent itself qualifies).  The scan stops at ``max_radius`` or at the
     largest radius that fits on the torus, whichever is smaller.
 
-    Window monochromaticity is monotone in the radius (a sub-window of a
-    uniform window is uniform), so instead of the linear per-radius
-    ``window_sums`` scan — a full O(grid) pass per radius, O(limit) passes
-    total — the search builds *one* summed-area table padded by ``limit``
-    (window sums at any per-site radius are then four table gathers) and runs
-    a doubling/bisection schedule over radius levels on the alive set:
-    doubling probes ``1, 2, 4, ...`` bracket each surviving site's radius,
-    and a per-site parallel bisection pins it exactly.  Total work is
-    O(grid * log limit) gathers plus the O((grid side + 2 limit)^2) table
-    build, versus O(grid * limit) for the scan.  Bitwise identical to
-    :func:`_monochromatic_radius_map_reference` (the retained linear scan),
-    which the equivalence tests assert.
+    The scan is the monochromatic half of :func:`_radius_scans`: one
+    summed-area table padded by the limit, then one dense pass per radius
+    level over the whole grid while any site is still alive.  Bitwise
+    identical to the linear ``window_sums`` scan the equivalence tests hold
+    it to.
 
     ``table`` optionally supplies a precomputed :func:`region_scan_table` so
     several scans of the same configuration share one build.
     """
     spins = require_spin_array(spins)
     limit = _max_usable_radius(spins.shape, max_radius)
-    n_rows, n_cols = spins.shape
-    radii = np.zeros(spins.shape, dtype=np.int64)
     if limit < 1:
-        return radii
-
-    # One summed-area table over the torus-padded indicator; the window of
-    # any radius <= limit around any site lies inside it, so per-site counts
-    # are four gathers instead of a grid pass.
+        return np.zeros(spins.shape, dtype=np.int64)
     table, pad = _resolve_scan_table(spins, limit, table)
-
-    all_rows, all_cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
-
-    def is_mono(sites: np.ndarray, radius) -> np.ndarray:
-        """Whether each site's window of its ``radius`` (scalar or per-site)
-        is single-type: the plus count is 0 or the full window population."""
-        top = all_rows[sites] - radius + pad
-        bottom = all_rows[sites] + radius + pad + 1
-        left = all_cols[sites] - radius + pad
-        right = all_cols[sites] + radius + pad + 1
-        counts = (
-            table[bottom, right]
-            - table[top, right]
-            - table[bottom, left]
-            + table[top, left]
-        )
-        return (counts == (2 * radius + 1) ** 2) | (counts == 0)
-
-    # Doubling phase on the alive set: lo holds the largest probed radius
-    # each site is known to satisfy, hi the smallest it is known to fail
-    # (sentinel limit + 1 = "never failed"); only sites alive at the previous
-    # level are probed again.
-    lo = np.zeros(n_rows * n_cols, dtype=np.int64)
-    hi = np.full(n_rows * n_cols, limit + 1, dtype=np.int64)
-    alive = np.arange(n_rows * n_cols)
-    radius = 1
-    while alive.size and radius <= limit:
-        mono = is_mono(alive, radius)
-        lo[alive[mono]] = radius
-        hi[alive[~mono]] = radius
-        alive = alive[mono]
-        radius *= 2
-
-    # Per-site parallel bisection: every unresolved bracket halves per round,
-    # each site probing its own midpoint in the same vectorized gather.
-    unresolved = np.flatnonzero(hi - lo > 1)
-    while unresolved.size:
-        mid = (lo[unresolved] + hi[unresolved]) // 2
-        mono = is_mono(unresolved, mid)
-        lo[unresolved[mono]] = mid[mono]
-        hi[unresolved[~mono]] = mid[~mono]
-        unresolved = unresolved[hi[unresolved] - lo[unresolved] > 1]
-    radii[...] = lo.reshape(n_rows, n_cols)
-    return radii
-
-
-def _monochromatic_radius_map_reference(
-    spins: np.ndarray, max_radius: Optional[int] = None
-) -> np.ndarray:
-    """Linear per-radius scan — the reference :func:`monochromatic_radius_map`.
-
-    Retained for the equivalence tests (and as the easiest statement of the
-    semantics): one ``window_sums`` pass per radius over the whole grid,
-    stopping once no site is alive.
-    """
-    spins = require_spin_array(spins)
-    limit = _max_usable_radius(spins.shape, max_radius)
-    radii = np.zeros(spins.shape, dtype=np.int64)
-    plus_indicator = (spins == 1).astype(np.int64)
-    alive = np.ones(spins.shape, dtype=bool)
-    for radius in range(1, limit + 1):
-        counts = window_sums(plus_indicator, radius)
-        total = neighborhood_size(radius)
-        mono = (counts == total) | (counts == 0)
-        alive &= mono
-        if not alive.any():
-            break
-        radii[alive] = radius
-    return radii
+    return _radius_scans(table, pad, spins.shape, limit)[0]
 
 
 def monochromatic_radius(
@@ -280,96 +274,25 @@ def almost_monochromatic_radius_map(
 
     Unlike the strictly monochromatic case the property is not monotone in the
     radius (a window can re-qualify after a mixed intermediate shell), so the
-    doubling/bisection bracket of :func:`monochromatic_radius_map` does not
-    apply.  The *largest-qualifying-radius* formulation does: the answer for a
-    site is the largest level of a top-down sweep at which its window
-    qualifies, so the scan walks the radius levels from ``limit`` down to 1
-    with an active set from which each site leaves at its first (largest)
-    qualifying radius.  Window counts come from per-site four-corner gathers
-    on one limit-padded summed-area table instead of the full
-    ``minority_ratio_map`` grid pass (table build included) the reference
-    performs per level, and sites in segregated patches — where all the
-    Theorem 2 signal lives — leave the active set near ``limit``, so the
-    sweep touches a rapidly shrinking population.  Bitwise identical to
-    :func:`_almost_monochromatic_radius_map_reference` (the retained linear
-    scan), which the equivalence tests assert.
+    answer for a site is the largest radius level at which its window
+    qualifies.  The scan is the almost-monochromatic half of
+    :func:`_radius_scans`: one summed-area table padded by the limit, then
+    one dense pass per level whose qualification is a lookup of the window's
+    plus count in a per-radius table of :func:`minority_ratio_map`'s exact
+    float decision.  Bitwise identical to the per-level
+    ``minority_ratio_map`` scan the equivalence tests hold it to.
 
     ``table`` optionally supplies a precomputed :func:`region_scan_table` so
     several scans of the same configuration share one build.
     """
-    if not 0.0 <= ratio_threshold <= 1.0:
-        raise AnalysisError(
-            f"ratio_threshold must lie in [0, 1], got {ratio_threshold}"
-        )
+    _check_ratio_threshold(ratio_threshold)
     spins = require_spin_array(spins)
     limit = _max_usable_radius(spins.shape, max_radius)
-    n_rows, n_cols = spins.shape
-    radii = np.zeros(spins.shape, dtype=np.int64)
     if limit < 1:
-        return radii
-
+        return np.zeros(spins.shape, dtype=np.int64)
     table, pad = _resolve_scan_table(spins, limit, table)
-
-    # Flat view of the table plus a per-site base index: at a fixed radius
-    # level every window corner sits at one scalar offset from the base, so
-    # each level costs four flat gathers on the active set — no per-site
-    # index arithmetic beyond a single add.
-    flat_table = table.ravel()
-    width = table.shape[1]
-    flat_radii = radii.ravel()
-    all_rows, all_cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    base = (all_rows + pad) * width + (all_cols + pad)
-    active = np.arange(n_rows * n_cols)
-    for radius in range(limit, 0, -1):
-        below = (radius + 1) * width
-        above = radius * width
-        plus = (
-            flat_table.take(base + (below + radius + 1))
-            - flat_table.take(base - (above - radius - 1))
-            - flat_table.take(base + (below - radius))
-            + flat_table.take(base - (above + radius))
-        )
-        minus = neighborhood_size(radius) - plus
-        # The exact float expression of minority_ratio_map, applied to the
-        # active sites only: identical integer counts, identical IEEE
-        # division, hence bitwise-identical qualification decisions.
-        minority = np.minimum(plus, minus).astype(float)
-        majority = np.maximum(plus, minus).astype(float)
-        qualifies = minority / majority <= ratio_threshold
-        flat_radii[active[qualifies]] = radius
-        keep = ~qualifies
-        active = active[keep]
-        if not active.size:
-            break
-        base = base[keep]
-    return radii
-
-
-def _almost_monochromatic_radius_map_reference(
-    spins: np.ndarray,
-    ratio_threshold: float,
-    max_radius: Optional[int] = None,
-) -> np.ndarray:
-    """Linear per-radius scan — the reference for
-    :func:`almost_monochromatic_radius_map`.
-
-    One full :func:`minority_ratio_map` grid pass per radius, recording the
-    largest qualifying radius per site.  Retained as the equivalence oracle
-    for the property tests and the region-scan benchmark; production code
-    should always call :func:`almost_monochromatic_radius_map`.
-    """
-    if not 0.0 <= ratio_threshold <= 1.0:
-        raise AnalysisError(
-            f"ratio_threshold must lie in [0, 1], got {ratio_threshold}"
-        )
-    spins = require_spin_array(spins)
-    limit = _max_usable_radius(spins.shape, max_radius)
-    radii = np.zeros(spins.shape, dtype=np.int64)
-    for radius in range(1, limit + 1):
-        ratios = minority_ratio_map(spins, radius)
-        qualifies = ratios <= ratio_threshold
-        radii[qualifies] = radius
-    return radii
+    luts = _qualification_luts(ratio_threshold, limit)
+    return _radius_scans(table, pad, spins.shape, limit, luts, monochromatic=False)[1]
 
 
 def paper_ratio_threshold(neighborhood_agents: int, epsilon: float = 0.05) -> float:

@@ -15,18 +15,21 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.clusters import dominant_type_fraction, largest_monochromatic_cluster_fraction
+from repro.analysis.clusters import _largest_same_type_cluster, _same_type_joins
 from repro.analysis.regions import (
-    almost_monochromatic_radius_map,
+    _check_ratio_threshold,
+    _max_usable_radius,
+    _qualification_luts,
+    _radius_scans,
+    _scan_table,
+    _window_counts,
     expected_region_size,
-    monochromatic_radius_map,
     paper_ratio_threshold,
-    region_scan_table,
-    region_scan_table_batch,
     region_sizes_from_radii,
 )
 from repro.core.config import ModelConfig
-from repro.core.lyapunov import lyapunov_energy, same_type_count_field
+from repro.core.lyapunov import same_type_count_field
+from repro.core.neighborhood import require_window_fits
 from repro.errors import AnalysisError
 from repro.utils.validation import require_spin_array
 
@@ -65,9 +68,15 @@ def interface_density(spins: np.ndarray) -> float:
     1.0 for a perfect checkerboard.
     """
     spins = require_spin_array(spins)
-    horizontal = spins != np.roll(spins, -1, axis=1)
-    vertical = spins != np.roll(spins, -1, axis=0)
-    return float((horizontal.mean() + vertical.mean()) / 2.0)
+    return _interface_density(*_same_type_joins(spins))
+
+
+def _interface_density(right: np.ndarray, down: np.ndarray) -> float:
+    """:func:`interface_density` from the same-type joins of the grid's edges."""
+    n_sites = right.size
+    horizontal = (n_sites - int(np.count_nonzero(right))) / n_sites
+    vertical = (n_sites - int(np.count_nonzero(down))) / n_sites
+    return (horizontal + vertical) / 2.0
 
 
 @dataclass(frozen=True)
@@ -99,50 +108,86 @@ class SegregationMetrics:
         }
 
 
+def _measurement_plan(
+    shape: tuple[int, int],
+    config: ModelConfig,
+    max_region_radius: Optional[int],
+    ratio_threshold: Optional[float],
+) -> tuple[int, int, list[np.ndarray]]:
+    """Validate the measurement arguments for one grid shape.
+
+    Returns ``(limit, pad, luts)``: the region-scan limit, the padding of the
+    one scan table that serves both the scans and the horizon window (so
+    ``max(limit, w)``), and the almost-monochromatic qualification tables.
+    """
+    if ratio_threshold is None:
+        ratio_threshold = paper_ratio_threshold(config.neighborhood_agents)
+    limit = _max_usable_radius(shape, max_region_radius)
+    _check_ratio_threshold(ratio_threshold)
+    require_window_fits(shape, config.horizon)
+    return limit, max(limit, config.horizon), _qualification_luts(ratio_threshold, limit)
+
+
+def _measure(
+    spins: np.ndarray,
+    config: ModelConfig,
+    limit: int,
+    pad: int,
+    luts: list[np.ndarray],
+) -> SegregationMetrics:
+    """The metrics bundle of one validated configuration.
+
+    One scan table padded by ``pad`` serves every window count: the dense
+    region scans of both radius maps and the horizon window behind the
+    unhappy fraction, the homogeneity and the energy.  One labelling of the
+    same-type relation gives the largest cluster of either type, and its
+    edge joins give the interface density.  Scalar fields come from integer
+    counts; integer sums are exact in float64, so ``count / n_sites`` is
+    bitwise the ``np.mean`` of the per-site formula.
+    """
+    n_sites = spins.size
+    plus = spins == 1
+    table = _scan_table(plus, pad)
+    radii, almost_radii = _radius_scans(table, pad, spins.shape, limit, luts)
+    plus_counts = _window_counts(table, pad, spins.shape, config.horizon)
+    same = np.where(plus, plus_counts, config.neighborhood_agents - plus_counts)
+    energy = int(same.sum(dtype=np.int64))
+    right, down = _same_type_joins(spins)
+    n_plus = int(np.count_nonzero(plus))
+    n_unhappy = int(np.count_nonzero(same < config.happiness_threshold))
+    return SegregationMetrics(
+        unhappy_fraction=n_unhappy / n_sites,
+        # same.mean() / N, in that order of operations.
+        local_homogeneity=energy / n_sites / config.neighborhood_agents,
+        interface_density=_interface_density(right, down),
+        mean_monochromatic_size=int(region_sizes_from_radii(radii).sum()) / n_sites,
+        mean_almost_monochromatic_size=(
+            int(region_sizes_from_radii(almost_radii).sum()) / n_sites
+        ),
+        max_monochromatic_radius=int(radii.max()),
+        largest_cluster_fraction=_largest_same_type_cluster(right, down) / n_sites,
+        dominant_type_fraction=max(n_plus, n_sites - n_plus) / n_sites,
+        energy=energy,
+    )
+
+
 def segregation_metrics(
     spins: np.ndarray,
     config: ModelConfig,
     max_region_radius: Optional[int] = None,
     ratio_threshold: Optional[float] = None,
-    *,
-    table: Optional[np.ndarray] = None,
 ) -> SegregationMetrics:
     """Compute the full :class:`SegregationMetrics` bundle for one configuration.
 
     ``max_region_radius`` caps the (quadratic-in-radius) region scans; the
     sweep harness sets it to a few multiples of the horizon, which is where
     all of the finite-size signal lives.  ``ratio_threshold`` defaults to the
-    paper's ``e^{-eps N}`` with the package default ``eps``.  ``table``
-    optionally supplies this configuration's precomputed
-    :func:`~repro.analysis.regions.region_scan_table` (the batch path hands
-    each replica its slice of one stack-wide build); omitted, it is built
-    here.
+    paper's ``e^{-eps N}`` with the package default ``eps``.  This is the
+    one-replica case of :func:`segregation_metrics_batch`.
     """
     spins = require_spin_array(spins)
-    if ratio_threshold is None:
-        ratio_threshold = paper_ratio_threshold(config.neighborhood_agents)
-    # The two region scans read window counts from the same limit-padded
-    # summed-area table, so build it once and hand it to both.
-    if table is None:
-        table = region_scan_table(spins, max_radius=max_region_radius)
-    radii = monochromatic_radius_map(spins, max_radius=max_region_radius, table=table)
-    almost_radii = almost_monochromatic_radius_map(
-        spins, ratio_threshold, max_radius=max_region_radius, table=table
-    )
-    sizes = region_sizes_from_radii(radii)
-    return SegregationMetrics(
-        unhappy_fraction=unhappy_fraction(spins, config),
-        local_homogeneity=local_homogeneity(spins, config.horizon),
-        interface_density=interface_density(spins),
-        mean_monochromatic_size=float(sizes.mean()),
-        mean_almost_monochromatic_size=float(
-            region_sizes_from_radii(almost_radii).mean()
-        ),
-        max_monochromatic_radius=int(radii.max()),
-        largest_cluster_fraction=largest_monochromatic_cluster_fraction(spins),
-        dominant_type_fraction=dominant_type_fraction(spins),
-        energy=lyapunov_energy(spins, config.horizon),
-    )
+    plan = _measurement_plan(spins.shape, config, max_region_radius, ratio_threshold)
+    return _measure(spins, config, *plan)
 
 
 def segregation_metrics_batch(
@@ -153,35 +198,29 @@ def segregation_metrics_batch(
 ) -> list[SegregationMetrics]:
     """Compute :func:`segregation_metrics` for a whole ``(R, n, n)`` stack.
 
-    This is the measurement back end of the ensemble runner: one call maps
-    the full metrics bundle over every replica of a lockstep batch.  The
-    region-scan tables of *all* replicas come from one batched summed-area
-    build (:func:`~repro.analysis.regions.region_scan_table_batch` — one
-    padding and cumsum pass over the stack, each replica's two scans reading
-    its slice) and the paper's ratio threshold is resolved once for the
-    whole stack, so the bundle costs one stacked table build plus the
-    batched scans and cheap scalar metrics per replica.  Entry ``r`` is
-    bitwise identical to ``segregation_metrics(spins_stack[r], ...)`` — the
+    This is the measurement back end of the ensemble runner.  The stack is
+    validated in one pass and the arguments once (scan limit, threshold
+    tables), then one kernel measures each replica in turn.  Replicas are
+    measured one at a time on purpose: the kernel's temporaries are sized
+    to one grid, and the same kernel run over the whole stack at once was
+    both slower and R times larger in peak memory.  Entry ``r`` is bitwise
+    identical to ``segregation_metrics(spins_stack[r], ...)``, the
     engine-independence contract the runner's regression tests lock down.
+    An empty stack measures to ``[]``.
     """
     stack = np.asarray(spins_stack)
     if stack.ndim != 3:
         raise AnalysisError(
             f"spins_stack must be a (R, n, n) array, got shape {stack.shape}"
         )
-    if ratio_threshold is None:
-        ratio_threshold = paper_ratio_threshold(config.neighborhood_agents)
-    tables = region_scan_table_batch(stack, max_radius=max_region_radius)
-    return [
-        segregation_metrics(
-            replica,
-            config,
-            max_region_radius=max_region_radius,
-            ratio_threshold=ratio_threshold,
-            table=tables[index],
-        )
-        for index, replica in enumerate(stack)
-    ]
+    if not len(stack):
+        return []
+    n_replicas, n_rows, n_cols = stack.shape
+    stack = require_spin_array(stack.reshape(n_replicas * n_rows, n_cols)).reshape(
+        stack.shape
+    )
+    plan = _measurement_plan((n_rows, n_cols), config, max_region_radius, ratio_threshold)
+    return [_measure(replica, config, *plan) for replica in stack]
 
 
 def segregation_gain(

@@ -22,6 +22,7 @@ for every backend the host can run.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -71,6 +72,11 @@ class FlipLoopBackend:
     will mutate in place.  A backend instance serves exactly one engine.
     The base class itself is only ever attached for its :meth:`run_rounds`
     loop (the reference engine steps rounds on its own).
+
+    The engine owns its backend, so the backend holds the engine only
+    weakly: a strong back-reference would make the pair a reference cycle,
+    and a finished engine's arrays would then wait for a full garbage
+    collection instead of being freed when the last reference goes.
     """
 
     #: Registry name; subclasses override.
@@ -78,7 +84,15 @@ class FlipLoopBackend:
 
     def attach(self, engine: "EnsembleDynamics") -> None:
         """Bind this backend to ``engine``'s runtime arrays."""
-        self.engine = engine
+        self._engine_ref = weakref.ref(engine)
+
+    @property
+    def engine(self) -> "EnsembleDynamics":
+        """The attached engine (raises ``ReferenceError`` once it is gone)."""
+        engine = self._engine_ref()
+        if engine is None:
+            raise ReferenceError("the engine this backend served no longer exists")
+        return engine
 
     def step_round(self, candidates: np.ndarray) -> np.ndarray:
         """Advance every candidate replica by one scheduler step.

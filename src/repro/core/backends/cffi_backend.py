@@ -619,7 +619,9 @@ class CffiBackend(FlipLoopBackend):
         place, but ``recompute_all`` rebuilds the classification LUT, so the
         capture re-runs whenever the engine bumps its runtime generation.
         Every array the struct points into stays referenced by ``self`` or
-        by the engine, so no pointer outlives its buffer.
+        by the engine, and every entry point reads ``self.engine`` (which
+        raises once the weakly held engine is gone) before calling into C,
+        so no pointer outlives its buffer.
         """
         engine = self.engine
         streams = engine._streams

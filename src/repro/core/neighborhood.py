@@ -103,15 +103,22 @@ def torus_euclidean_distance(
     return float(np.hypot(dr, dc))
 
 
+def require_window_fits(shape: tuple[int, int], radius: int) -> None:
+    """Reject a radius whose ``(2 radius + 1)``-sided window exceeds the grid."""
+    if 2 * radius + 1 > min(shape):
+        raise ConfigurationError(
+            f"window side {2 * radius + 1} exceeds grid side {min(shape)}"
+        )
+
+
 def wrapped_summed_area_table(arr: np.ndarray, pad: int) -> np.ndarray:
     """Summed-area table of ``arr`` torus-padded by ``pad`` on every side.
 
     The table has a leading zero row/column, so the sum of the padded array
     over ``[r0, r1) x [c0, c1)`` is ``T[r1, c1] - T[r0, c1] - T[r1, c0] +
     T[r0, c0]``.  Shared by :func:`window_sums` (one fixed radius for the
-    whole grid) and the per-site doubling/bisection search of
-    :func:`repro.analysis.regions.monochromatic_radius_map` (one table, many
-    radii).
+    whole grid); the region scans of :mod:`repro.analysis.regions` read
+    many radii off one table of the same layout.
     """
     padded = np.pad(np.asarray(arr, dtype=np.int64), pad, mode="wrap")
     table = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
@@ -125,9 +132,9 @@ def wrapped_summed_area_table_batch(arrs: np.ndarray, pad: int) -> np.ndarray:
     Batched :func:`wrapped_summed_area_table`: slice ``r`` of the result is
     bitwise identical to ``wrapped_summed_area_table(arrs[r], pad)`` (exact
     integer sums), but the padding and the two cumulative sums run once over
-    the whole stack instead of once per replica.  This is what lets
-    :func:`repro.analysis.regions.region_scan_table_batch` and the ensemble
-    engine's rebuild share one table build across equal-shape replicas.
+    the whole stack instead of once per replica, which is how
+    :func:`window_sums_batch` shares one table build across equal-shape
+    replicas.
     """
     stack = np.asarray(arrs, dtype=np.int64)
     if stack.ndim != 3:
@@ -156,10 +163,7 @@ def window_sums_batch(indicators: np.ndarray, radius: int) -> np.ndarray:
     n_rows, n_cols = stack.shape[1], stack.shape[2]
     if radius < 0:
         raise ConfigurationError(f"radius must be non-negative, got {radius}")
-    if 2 * radius + 1 > min(n_rows, n_cols):
-        raise ConfigurationError(
-            f"window side {2 * radius + 1} exceeds grid side {min(n_rows, n_cols)}"
-        )
+    require_window_fits((n_rows, n_cols), radius)
     if radius == 0:
         return stack.copy()
     table = wrapped_summed_area_table_batch(stack, radius)
@@ -193,10 +197,7 @@ def window_sums(indicator: np.ndarray, radius: int) -> np.ndarray:
     if radius < 0:
         raise ConfigurationError(f"radius must be non-negative, got {radius}")
     n_rows, n_cols = arr.shape
-    if 2 * radius + 1 > min(n_rows, n_cols):
-        raise ConfigurationError(
-            f"window side {2 * radius + 1} exceeds grid side {min(n_rows, n_cols)}"
-        )
+    require_window_fits(arr.shape, radius)
     if radius == 0:
         return arr.copy()
     table = wrapped_summed_area_table(arr, radius)

@@ -13,12 +13,16 @@ and every cluster-reporting benchmark — and is fully batched:
   walk plus path halving).  Scalar and batched calls compose on one
   structure; component counts and sizes stay exact either way.
 * :func:`~repro.percolation.cluster.label_clusters` labels 4-connected
-  components with zero Python-per-edge/per-site work: horizontal runs are
-  collapsed with a running max, run-level edges go through one
-  ``union_many`` call and labels come from one ``find_many`` pass.  Output
-  is bitwise identical to the scalar reference implementation (kept as
-  ``_label_clusters_reference`` and property-tested against it), at >= 10x
-  its speed on 512x512 masks (``benchmarks/bench_cluster_labeling.py``).
+  components with zero Python-per-edge/per-site work: only horizontal run
+  starts enter the union-find, vertical joins that repeat their left
+  neighbour's pair of runs are skipped, the rest go through one
+  ``union_many`` call and labels come from one ``find_many`` pass.  The
+  same run-level union-find labels the same-type relation of a whole
+  configuration in one pass for the segregation metrics.  Output is
+  bitwise identical to the scalar reference implementation
+  (``label_clusters_reference`` in ``tests/oracles.py``, property-tested
+  against it), at >= 10x its speed on 512x512 masks
+  (``benchmarks/bench_cluster_labeling.py``).
 """
 
 from repro.percolation.chemical import (

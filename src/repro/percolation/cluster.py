@@ -14,12 +14,53 @@ toroidal wrap-around because the model lives on a torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import PercolationError
 from repro.percolation.union_find import UnionFind
 from repro.rng import SeedLike, make_rng
+
+
+def _union_runs(
+    right: np.ndarray, down: np.ndarray, open_mask: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union-find over the horizontal runs of a 4-neighbour relation.
+
+    ``right[i, j]`` joins site ``(i, j)`` to ``(i, (j + 1) % n_cols)`` and
+    ``down[i, j]`` joins it to ``((i + 1) % n_rows, j)``; a ``False`` last
+    column / row leaves that boundary open.  ``open_mask`` marks the sites
+    that take part (``None``: all of them).  A run is a maximal horizontal
+    stretch of sites joined left to right; only run starts enter the
+    union-find.  Its unions come from the column seam (``right[:, -1]``) and
+    the vertical joins, minus every vertical join that repeats its left
+    neighbour's pair of runs.
+
+    Returns ``(run_ids, starts, roots)``: every open site's row-major run
+    index, the flat index of every run's first site, and every run's root,
+    which is the smallest run index of its component (batched unions link
+    towards the smaller index).  Run order is flat-index order, so ranking
+    roots by run index ranks clusters by first row-major appearance.
+    """
+    n_sites = right.size
+    n_cols = right.shape[1]
+    is_start = np.ones(right.shape, dtype=bool) if open_mask is None else open_mask.copy()
+    is_start[:, 1:] &= ~right[:, :-1]
+    run_ids = np.cumsum(is_start.ravel()) - 1
+    starts = np.flatnonzero(is_start)
+
+    below_start = np.roll(is_start, -1, axis=0)
+    vertical = down.copy()
+    vertical[:, 1:] &= ~(down[:, :-1] & ~is_start[:, 1:] & ~below_start[:, 1:])
+    upper = np.flatnonzero(vertical)
+    seam = np.flatnonzero(right[:, -1]) * n_cols
+    uf = UnionFind(starts.size)
+    uf.union_many(
+        np.concatenate((run_ids[seam + n_cols - 1], run_ids[upper])),
+        np.concatenate((run_ids[seam], run_ids[(upper + n_cols) % n_sites])),
+    )
+    return run_ids.reshape(right.shape), starts, uf.labels()
 
 
 def label_clusters(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
@@ -29,103 +70,28 @@ def label_clusters(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
     component id in ``0 .. n_components - 1`` inside, ids ordered by first
     (row-major) appearance.
 
-    All per-edge and per-site work is batched: open lattice edges are merged
-    with one :meth:`~repro.percolation.union_find.UnionFind.union_many` call
-    and open sites are resolved with one
-    :meth:`~repro.percolation.union_find.UnionFind.find_many` call, so the
+    Two open neighbours are joined; :func:`_union_runs` collapses each
+    horizontal run to its start and merges runs with one
+    :meth:`~repro.percolation.union_find.UnionFind.union_many` call, so the
     labelling cost is a handful of array passes regardless of the mask.  The
-    label arrays are bitwise identical to :func:`_label_clusters_reference`.
+    label arrays are bitwise identical to the scalar union/find oracle the
+    property tests hold it to.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise PercolationError(f"mask must be 2-D, got shape {mask.shape}")
-    n_rows, n_cols = mask.shape
     labels = np.full(mask.shape, -1, dtype=np.int64)
-    open_indices = np.flatnonzero(mask.ravel())
-    if open_indices.size == 0:
+    if not mask.any():
         return labels
-
-    index = np.arange(mask.size, dtype=np.int64).reshape(mask.shape)
-    # Horizontal runs first: a running max of run-start indices gives every
-    # open cell the flat index of the leftmost cell of its run, so each run
-    # collapses in a single union pass (depth-1 trees rooted at the run
-    # start) and the remaining edges only connect run starts.
-    left_open = np.zeros_like(mask)
-    left_open[:, 1:] = mask[:, :-1]
-    is_start = mask & ~left_open
-    run_start = np.maximum.accumulate(np.where(is_start, index, -1), axis=1)
-
-    sources: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    in_run = mask & left_open
-    sources.append(run_start[in_run])
-    targets.append(index[in_run])
-    vertical = mask[:-1, :] & mask[1:, :]
-    sources.append(run_start[:-1, :][vertical])
-    targets.append(run_start[1:, :][vertical])
-    if periodic:
-        wrap_cols = mask[:, -1] & mask[:, 0]
-        sources.append(run_start[:, -1][wrap_cols])
-        targets.append(run_start[:, 0][wrap_cols])
-        wrap_rows = mask[-1, :] & mask[0, :]
-        sources.append(run_start[-1, :][wrap_rows])
-        targets.append(run_start[0, :][wrap_rows])
-
-    uf = UnionFind(mask.size)
-    uf.union_many(np.concatenate(sources), np.concatenate(targets))
-    roots = uf.find_many(open_indices)
-    # Batched unions on a fresh structure make each cluster's representative
-    # its minimum flat index, so ranking the distinct roots in index order is
-    # exactly the reference loop's first-row-major-appearance ordering.
-    is_root = np.zeros(mask.size, dtype=bool)
-    is_root[roots] = True
+    right = mask & np.roll(mask, -1, axis=1)
+    down = mask & np.roll(mask, -1, axis=0)
+    if not periodic:
+        right[:, -1] = False
+        down[-1, :] = False
+    run_ids, _, roots = _union_runs(right, down, mask)
+    is_root = roots == np.arange(roots.size)
     appearance_rank = np.cumsum(is_root) - 1
-    labels.ravel()[open_indices] = appearance_rank[roots]
-    return labels
-
-
-def _label_clusters_reference(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """Scalar reference implementation of :func:`label_clusters`.
-
-    One Python-level union per open edge and one find per open site.  Kept as
-    the equivalence oracle for the property tests and the labelling benchmark;
-    production code should always call :func:`label_clusters`.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise PercolationError(f"mask must be 2-D, got shape {mask.shape}")
-    n_rows, n_cols = mask.shape
-    uf = UnionFind(mask.size)
-    flat = mask.ravel()
-
-    def merge(a_rows, a_cols, b_rows, b_cols) -> None:
-        a_idx = (a_rows * n_cols + a_cols).ravel()
-        b_idx = (b_rows * n_cols + b_cols).ravel()
-        both = flat[a_idx] & flat[b_idx]
-        for a, b in zip(a_idx[both], b_idx[both]):
-            uf.union(int(a), int(b))
-
-    rows = np.arange(n_rows)
-    cols = np.arange(n_cols)
-    grid_rows, grid_cols = np.meshgrid(rows, cols, indexing="ij")
-    # Horizontal edges.
-    merge(grid_rows[:, :-1], grid_cols[:, :-1], grid_rows[:, 1:], grid_cols[:, 1:])
-    # Vertical edges.
-    merge(grid_rows[:-1, :], grid_cols[:-1, :], grid_rows[1:, :], grid_cols[1:, :])
-    if periodic:
-        merge(grid_rows[:, -1:], grid_cols[:, -1:], grid_rows[:, :1], grid_cols[:, :1])
-        merge(grid_rows[-1:, :], grid_cols[-1:, :], grid_rows[:1, :], grid_cols[:1, :])
-
-    labels = np.full(mask.shape, -1, dtype=np.int64)
-    next_label = 0
-    root_to_label: dict[int, int] = {}
-    open_indices = np.flatnonzero(flat)
-    for index in open_indices:
-        root = uf.find(int(index))
-        if root not in root_to_label:
-            root_to_label[root] = next_label
-            next_label += 1
-        labels.ravel()[index] = root_to_label[root]
+    labels[mask] = appearance_rank[roots][run_ids[mask]]
     return labels
 
 
@@ -339,8 +305,8 @@ def estimate_radius_tail(
     (so clusters cannot bridge them), and one :func:`cluster_radii`
     reduction for every origin cluster at once.  The chunk size caps memory
     at a few megabytes however large ``n_trials`` is.  Bitwise identical to
-    the retained per-trial loop :func:`_estimate_radius_tail_reference`
-    under a fixed seed.
+    a per-trial loop (one draw, labelling and :func:`cluster_radius` query
+    per trial) under a fixed seed, which the property tests assert.
     """
     if not 0.0 <= p_open <= 1.0:
         raise PercolationError(f"p_open must lie in [0, 1], got {p_open}")
@@ -372,42 +338,6 @@ def estimate_radius_tail(
         centers[origin_labels, 1] = box_radius
         origin_radii = cluster_radii(labels, centers)[origin_labels]
         hits += (origin_radii[:, None] >= radii_arr[None, :]).sum(axis=0)
-    return RadiusTailEstimate(
-        p_open=p_open,
-        radii=radii_arr,
-        probabilities=hits / max(n_trials, 1),
-        n_trials=max(n_trials, 0),
-    )
-
-
-def _estimate_radius_tail_reference(
-    p_open: float,
-    radii: list[int],
-    box_radius: int,
-    n_trials: int,
-    seed: SeedLike = None,
-) -> RadiusTailEstimate:
-    """Per-trial loop — the reference for :func:`estimate_radius_tail`.
-
-    One mask draw, labelling pass and origin :func:`cluster_radius` query per
-    trial.  Retained as the equivalence oracle for the property tests;
-    production code should always call the batched estimator.
-    """
-    if not 0.0 <= p_open <= 1.0:
-        raise PercolationError(f"p_open must lie in [0, 1], got {p_open}")
-    if any(k > box_radius for k in radii):
-        raise PercolationError("requested radii exceed the simulation box radius")
-    rng = make_rng(seed)
-    side = 2 * box_radius + 1
-    origin = (box_radius, box_radius)
-    radii_arr = np.asarray(sorted(radii), dtype=int)
-    hits = np.zeros(radii_arr.size, dtype=np.int64)
-    for _ in range(n_trials):
-        mask = rng.random((side, side)) < p_open
-        mask[origin] = True  # condition on the origin being open
-        labels = label_clusters(mask)
-        radius = cluster_radius(labels, origin)
-        hits += radius >= radii_arr
     return RadiusTailEstimate(
         p_open=p_open,
         radii=radii_arr,

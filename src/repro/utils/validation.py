@@ -78,6 +78,8 @@ def require_spin_array(array: Any, name: str = "configuration") -> np.ndarray:
 
     The analysis and dynamics code assumes configurations are square or
     rectangular 2-D arrays whose entries are exactly ``+1`` or ``-1``.
+    Membership is one vectorized pass; the sorted distinct values are only
+    computed to name the offenders in the error message.
     """
     arr = np.asarray(array)
     if arr.ndim != 2:
@@ -86,8 +88,8 @@ def require_spin_array(array: Any, name: str = "configuration") -> np.ndarray:
         )
     if arr.size == 0:
         raise ConfigurationError(f"{name} must be non-empty")
-    values = np.unique(arr)
-    if not np.all(np.isin(values, (-1, 1))):
+    if not ((arr == 1) | (arr == -1)).all():
+        values = np.unique(arr)
         raise ConfigurationError(
             f"{name} entries must all be +1 or -1, found values {values[:8]}"
         )

@@ -1,0 +1,203 @@
+"""Slow, obviously correct oracles for the measurement kernels.
+
+Each function restates one measurement the library computes with a fast
+kernel, in the most direct form: a full-grid pass per radius, one Python
+union per lattice edge, one trial at a time.  The property tests and the
+measurement benchmarks hold the library to these bit for bit.  They live
+here rather than in the package because only tests need them.
+
+:func:`segregation_metrics_oracle` composes them into the whole
+:class:`~repro.analysis.segregation.SegregationMetrics` bundle without
+touching the library's measurement kernels, so comparing it with
+``segregation_metrics_batch`` is not a comparison of a kernel with itself.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.analysis.regions import (
+    _max_usable_radius,
+    minority_ratio_map,
+    paper_ratio_threshold,
+)
+from repro.analysis.segregation import SegregationMetrics
+from repro.core.config import ModelConfig
+from repro.core.neighborhood import neighborhood_size, window_sums
+from repro.errors import AnalysisError, PercolationError
+from repro.percolation.cluster import RadiusTailEstimate, cluster_radius, label_clusters
+from repro.percolation.union_find import UnionFind
+from repro.rng import SeedLike, make_rng
+from repro.utils.validation import require_spin_array
+
+
+def monochromatic_radius_map_reference(
+    spins: np.ndarray, max_radius: Optional[int] = None
+) -> np.ndarray:
+    """Linear per-radius scan: the oracle for ``monochromatic_radius_map``.
+
+    One ``window_sums`` pass per radius over the whole grid, stopping once
+    no site is alive.
+    """
+    spins = require_spin_array(spins)
+    limit = _max_usable_radius(spins.shape, max_radius)
+    radii = np.zeros(spins.shape, dtype=np.int64)
+    plus_indicator = (spins == 1).astype(np.int64)
+    alive = np.ones(spins.shape, dtype=bool)
+    for radius in range(1, limit + 1):
+        counts = window_sums(plus_indicator, radius)
+        total = neighborhood_size(radius)
+        mono = (counts == total) | (counts == 0)
+        alive &= mono
+        if not alive.any():
+            break
+        radii[alive] = radius
+    return radii
+
+
+def almost_monochromatic_radius_map_reference(
+    spins: np.ndarray,
+    ratio_threshold: float,
+    max_radius: Optional[int] = None,
+) -> np.ndarray:
+    """Linear per-radius scan: the oracle for ``almost_monochromatic_radius_map``.
+
+    One full ``minority_ratio_map`` grid pass per radius, recording the
+    largest qualifying radius per site.
+    """
+    if not 0.0 <= ratio_threshold <= 1.0:
+        raise AnalysisError(
+            f"ratio_threshold must lie in [0, 1], got {ratio_threshold}"
+        )
+    spins = require_spin_array(spins)
+    limit = _max_usable_radius(spins.shape, max_radius)
+    radii = np.zeros(spins.shape, dtype=np.int64)
+    for radius in range(1, limit + 1):
+        ratios = minority_ratio_map(spins, radius)
+        qualifies = ratios <= ratio_threshold
+        radii[qualifies] = radius
+    return radii
+
+
+def label_clusters_reference(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
+    """Scalar union/find labelling: the oracle for ``label_clusters``.
+
+    One Python-level union per open edge and one find per open site.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise PercolationError(f"mask must be 2-D, got shape {mask.shape}")
+    n_rows, n_cols = mask.shape
+    uf = UnionFind(mask.size)
+    flat = mask.ravel()
+
+    def merge(a_rows, a_cols, b_rows, b_cols) -> None:
+        a_idx = (a_rows * n_cols + a_cols).ravel()
+        b_idx = (b_rows * n_cols + b_cols).ravel()
+        both = flat[a_idx] & flat[b_idx]
+        for a, b in zip(a_idx[both], b_idx[both]):
+            uf.union(int(a), int(b))
+
+    rows = np.arange(n_rows)
+    cols = np.arange(n_cols)
+    grid_rows, grid_cols = np.meshgrid(rows, cols, indexing="ij")
+    # Horizontal edges.
+    merge(grid_rows[:, :-1], grid_cols[:, :-1], grid_rows[:, 1:], grid_cols[:, 1:])
+    # Vertical edges.
+    merge(grid_rows[:-1, :], grid_cols[:-1, :], grid_rows[1:, :], grid_cols[1:, :])
+    if periodic:
+        merge(grid_rows[:, -1:], grid_cols[:, -1:], grid_rows[:, :1], grid_cols[:, :1])
+        merge(grid_rows[-1:, :], grid_cols[-1:, :], grid_rows[:1, :], grid_cols[:1, :])
+
+    labels = np.full(mask.shape, -1, dtype=np.int64)
+    next_label = 0
+    root_to_label: dict[int, int] = {}
+    open_indices = np.flatnonzero(flat)
+    for index in open_indices:
+        root = uf.find(int(index))
+        if root not in root_to_label:
+            root_to_label[root] = next_label
+            next_label += 1
+        labels.ravel()[index] = root_to_label[root]
+    return labels
+
+
+def estimate_radius_tail_reference(
+    p_open: float,
+    radii: list[int],
+    box_radius: int,
+    n_trials: int,
+    seed: SeedLike = None,
+) -> RadiusTailEstimate:
+    """Per-trial loop: the oracle for ``estimate_radius_tail``.
+
+    One mask draw, labelling pass and origin ``cluster_radius`` query per
+    trial.
+    """
+    if not 0.0 <= p_open <= 1.0:
+        raise PercolationError(f"p_open must lie in [0, 1], got {p_open}")
+    if any(k > box_radius for k in radii):
+        raise PercolationError("requested radii exceed the simulation box radius")
+    rng = make_rng(seed)
+    side = 2 * box_radius + 1
+    origin = (box_radius, box_radius)
+    radii_arr = np.asarray(sorted(radii), dtype=int)
+    hits = np.zeros(radii_arr.size, dtype=np.int64)
+    for _ in range(n_trials):
+        mask = rng.random((side, side)) < p_open
+        mask[origin] = True  # condition on the origin being open
+        labels = label_clusters(mask)
+        radius = cluster_radius(labels, origin)
+        hits += radius >= radii_arr
+    return RadiusTailEstimate(
+        p_open=p_open,
+        radii=radii_arr,
+        probabilities=hits / max(n_trials, 1),
+        n_trials=max(n_trials, 0),
+    )
+
+
+def segregation_metrics_oracle(
+    spins: np.ndarray,
+    config: ModelConfig,
+    max_region_radius: Optional[int] = None,
+    ratio_threshold: Optional[float] = None,
+) -> SegregationMetrics:
+    """The whole metrics bundle from the oracles and the per-field formulas.
+
+    Region radii come from the two linear scans, the largest cluster from
+    :func:`label_clusters_reference` on each type's mask, and every scalar
+    field from the formula the library used before its measurement kernel:
+    ``np.mean`` over the horizon's same-type field, ``np.roll`` interfaces
+    and the ``same.sum()`` energy.
+    """
+    spins = require_spin_array(spins)
+    if ratio_threshold is None:
+        ratio_threshold = paper_ratio_threshold(config.neighborhood_agents)
+    radii = monochromatic_radius_map_reference(spins, max_radius=max_region_radius)
+    almost_radii = almost_monochromatic_radius_map_reference(
+        spins, ratio_threshold, max_radius=max_region_radius
+    )
+    plus_counts = window_sums((spins == 1).astype(np.int64), config.horizon)
+    same = np.where(spins == 1, plus_counts, config.neighborhood_agents - plus_counts)
+    horizontal = spins != np.roll(spins, -1, axis=1)
+    vertical = spins != np.roll(spins, -1, axis=0)
+    largest = 0
+    for agent_type in (1, -1):
+        labels = label_clusters_reference(spins == agent_type, periodic=True)
+        if (labels >= 0).any():
+            largest = max(largest, int(np.bincount(labels[labels >= 0]).max()))
+    n_plus = np.count_nonzero(spins == 1)
+    return SegregationMetrics(
+        unhappy_fraction=float(np.mean(same < config.happiness_threshold)),
+        local_homogeneity=float(same.mean() / (2 * config.horizon + 1) ** 2),
+        interface_density=float((horizontal.mean() + vertical.mean()) / 2.0),
+        mean_monochromatic_size=float(((2 * radii + 1) ** 2).mean()),
+        mean_almost_monochromatic_size=float(((2 * almost_radii + 1) ** 2).mean()),
+        max_monochromatic_radius=int(radii.max()),
+        largest_cluster_fraction=largest / spins.size,
+        dominant_type_fraction=max(n_plus, spins.size - n_plus) / spins.size,
+        energy=int(same.sum()),
+    )

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    almost_monochromatic_radius_map_reference,
+    monochromatic_radius_map_reference,
+)
 from repro.analysis.regions import (
-    _almost_monochromatic_radius_map_reference,
-    _monochromatic_radius_map_reference,
     almost_monochromatic_radius_map,
     expected_almost_region_size,
     expected_region_size,
@@ -214,7 +216,7 @@ class TestDoublingSearchEquivalence:
 
 
 class TestRadiusMapEquivalence:
-    """The SAT doubling/bisection map must equal the linear-scan reference."""
+    """The dense per-level map must equal the linear-scan reference."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -231,7 +233,7 @@ class TestRadiusMapEquivalence:
         spins = np.where(rng.random((n_rows, n_cols)) < density, 1, -1).astype(np.int8)
         assert np.array_equal(
             monochromatic_radius_map(spins, max_radius=max_radius),
-            _monochromatic_radius_map_reference(spins, max_radius=max_radius),
+            monochromatic_radius_map_reference(spins, max_radius=max_radius),
         )
 
     def test_matches_reference_on_uniform_grid(self):
@@ -239,7 +241,7 @@ class TestRadiusMapEquivalence:
         for max_radius in (None, 3, 11):
             assert np.array_equal(
                 monochromatic_radius_map(spins, max_radius=max_radius),
-                _monochromatic_radius_map_reference(spins, max_radius=max_radius),
+                monochromatic_radius_map_reference(spins, max_radius=max_radius),
             )
 
     def test_matches_reference_on_planted_structures(self):
@@ -252,7 +254,7 @@ class TestRadiusMapEquivalence:
             spins = spins.astype(np.int8)
             assert np.array_equal(
                 monochromatic_radius_map(spins),
-                _monochromatic_radius_map_reference(spins),
+                monochromatic_radius_map_reference(spins),
             )
 
     def test_matches_reference_on_rectangular_torus(self):
@@ -260,7 +262,7 @@ class TestRadiusMapEquivalence:
         spins = np.where(rng.random((11, 31)) < 0.4, 1, -1).astype(np.int8)
         assert np.array_equal(
             monochromatic_radius_map(spins),
-            _monochromatic_radius_map_reference(spins),
+            monochromatic_radius_map_reference(spins),
         )
 
     def test_zero_limit_returns_zeros(self):
@@ -269,7 +271,7 @@ class TestRadiusMapEquivalence:
 
 
 class TestAlmostRadiusMapEquivalence:
-    """The top-down active-set sweep must equal the linear-scan reference."""
+    """The dense lookup-table scan must equal the linear-scan reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -292,7 +294,7 @@ class TestAlmostRadiusMapEquivalence:
             almost_monochromatic_radius_map(
                 spins, ratio_threshold, max_radius=max_radius
             ),
-            _almost_monochromatic_radius_map_reference(
+            almost_monochromatic_radius_map_reference(
                 spins, ratio_threshold, max_radius=max_radius
             ),
         )
@@ -305,7 +307,7 @@ class TestAlmostRadiusMapEquivalence:
         for spins in (planted_square(41, 13), checkerboard, defected):
             assert np.array_equal(
                 almost_monochromatic_radius_map(spins, ratio_threshold),
-                _almost_monochromatic_radius_map_reference(spins, ratio_threshold),
+                almost_monochromatic_radius_map_reference(spins, ratio_threshold),
             )
 
     def test_matches_reference_on_rectangular_torus(self):
@@ -314,7 +316,7 @@ class TestAlmostRadiusMapEquivalence:
         for ratio_threshold in (0.0, 0.25, 1.0):
             assert np.array_equal(
                 almost_monochromatic_radius_map(spins, ratio_threshold),
-                _almost_monochromatic_radius_map_reference(spins, ratio_threshold),
+                almost_monochromatic_radius_map_reference(spins, ratio_threshold),
             )
 
     def test_max_radius_edge_cases(self):
@@ -322,7 +324,7 @@ class TestAlmostRadiusMapEquivalence:
         for max_radius in (0, 1, 10, 100, None):
             assert np.array_equal(
                 almost_monochromatic_radius_map(spins, 0.1, max_radius=max_radius),
-                _almost_monochromatic_radius_map_reference(
+                almost_monochromatic_radius_map_reference(
                     spins, 0.1, max_radius=max_radius
                 ),
             )
@@ -331,12 +333,12 @@ class TestAlmostRadiusMapEquivalence:
         rng = np.random.default_rng(3)
         spins = np.where(rng.random((17, 17)) < 0.5, 1, -1).astype(np.int8)
         strict = almost_monochromatic_radius_map(spins, 0.0, max_radius=4)
-        reference = _almost_monochromatic_radius_map_reference(spins, 0.0, max_radius=4)
+        reference = almost_monochromatic_radius_map_reference(spins, 0.0, max_radius=4)
         assert np.array_equal(strict, reference)
 
     def test_reference_rejects_invalid_threshold(self):
         with pytest.raises(AnalysisError):
-            _almost_monochromatic_radius_map_reference(
+            almost_monochromatic_radius_map_reference(
                 np.ones((5, 5), dtype=np.int8), -0.1
             )
 
@@ -379,27 +381,3 @@ class TestSharedScanTable:
             monochromatic_radius_map(spins, max_radius=6, table=small)
         with pytest.raises(AnalysisError):
             almost_monochromatic_radius_map(spins, 0.1, max_radius=6, table=small)
-
-
-class TestRegionScanTableBatch:
-    def test_slices_match_per_replica_tables(self):
-        import numpy as np
-
-        from repro.analysis.regions import region_scan_table, region_scan_table_batch
-
-        rng = np.random.default_rng(3)
-        stack = np.where(rng.random((4, 18, 18)) < 0.5, 1, -1).astype(np.int8)
-        tables = region_scan_table_batch(stack, max_radius=5)
-        for replica in range(stack.shape[0]):
-            expected = region_scan_table(stack[replica], max_radius=5)
-            assert np.array_equal(tables[replica], expected)
-
-    def test_rejects_non_stack_input(self):
-        import numpy as np
-        import pytest
-
-        from repro.analysis.regions import region_scan_table_batch
-        from repro.errors import AnalysisError
-
-        with pytest.raises(AnalysisError):
-            region_scan_table_batch(np.ones((5, 5), dtype=np.int8))

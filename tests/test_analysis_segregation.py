@@ -1,8 +1,14 @@
 """Tests for the whole-configuration segregation metrics."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import segregation_metrics_oracle
 from repro.analysis.segregation import (
     default_region_radius,
     interface_density,
@@ -12,8 +18,9 @@ from repro.analysis.segregation import (
     segregation_metrics_batch,
     unhappy_fraction,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.core.config import ModelConfig
+from repro.core.ensemble import EnsembleDynamics
 from repro.core.initializer import (
     checkerboard_configuration,
     random_configuration,
@@ -150,3 +157,92 @@ class TestMetricsBatch:
     def test_empty_stack_allowed(self, config):
         stack = np.ones((0, config.n_rows, config.n_cols), dtype=np.int8)
         assert segregation_metrics_batch(stack, config) == []
+
+
+def _float_bytes(metrics) -> dict[str, bytes]:
+    """Every ``as_dict`` value as its IEEE-754 bytes."""
+    return {key: struct.pack("<d", value) for key, value in metrics.as_dict().items()}
+
+
+def _assert_matches_oracle(batch, expected) -> None:
+    """Same float bytes replica by replica, and plain Python field values."""
+    assert [_float_bytes(metrics) for metrics in batch] == [
+        _float_bytes(metrics) for metrics in expected
+    ]
+    for metrics in batch:
+        for field in dataclasses.fields(metrics):
+            assert type(getattr(metrics, field.name)).__name__ == field.type
+
+
+DENSITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestOracleBundle:
+    """The measurement kernel against the oracle bundle in ``tests/oracles.py``.
+
+    The oracle builds every field from the linear reference scans, the
+    scalar labeller on each type's mask and the per-field formulas, so the
+    comparison does not run the kernel against itself.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_replicas=st.sampled_from([0, 1, 3]),
+        n_rows=st.integers(min_value=1, max_value=14),
+        n_cols=st.integers(min_value=1, max_value=14),
+        horizon=st.integers(min_value=1, max_value=3),
+        tau=st.floats(min_value=0.0, max_value=1.0),
+        densities=st.lists(DENSITY, min_size=3, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        cap=st.sampled_from([None, 0, 1, "default"]),
+        ratio_threshold=st.sampled_from([0.0, None, 1.0]),
+    )
+    def test_batch_matches_oracle(
+        self, n_replicas, n_rows, n_cols, horizon, tau, densities, seed, cap, ratio_threshold
+    ):
+        rng = np.random.default_rng(seed)
+        stack = np.array(
+            [
+                np.where(rng.random((n_rows, n_cols)) < density, 1, -1)
+                for density in densities[:n_replicas]
+            ],
+            dtype=np.int8,
+        ).reshape(n_replicas, n_rows, n_cols)
+        fits = 2 * horizon + 1 <= min(n_rows, n_cols)
+        # A grid too small for the horizon is measured against a config that
+        # fits the window elsewhere; both sides must then refuse it alike.
+        config = (
+            ModelConfig(n_rows=n_rows, n_cols=n_cols, horizon=horizon, tau=tau)
+            if fits
+            else ModelConfig.square(side=2 * horizon + 1, horizon=horizon, tau=tau)
+        )
+        if cap == "default":
+            cap = default_region_radius(config)
+        if n_replicas and not fits:
+            with pytest.raises(ConfigurationError) as kernel_error:
+                segregation_metrics_batch(stack, config, cap, ratio_threshold)
+            with pytest.raises(ConfigurationError) as oracle_error:
+                segregation_metrics_oracle(stack[0], config, cap, ratio_threshold)
+            assert str(kernel_error.value) == str(oracle_error.value)
+            return
+        batch = segregation_metrics_batch(stack, config, cap, ratio_threshold)
+        expected = [
+            segregation_metrics_oracle(replica, config, cap, ratio_threshold)
+            for replica in stack
+        ]
+        _assert_matches_oracle(batch, expected)
+
+    @pytest.mark.parametrize("which", ["initial", "terminated"])
+    def test_64x64_stack_where_the_cap_binds(self, which):
+        config = ModelConfig.square(side=64, horizon=3, tau=0.45)
+        engine = EnsembleDynamics(config, n_replicas=4, seed=2)
+        stack = engine.initial_spins() if which == "initial" else engine.run().final_spins
+        cap = default_region_radius(config)
+        batch = segregation_metrics_batch(stack, config, max_region_radius=cap)
+        if which == "terminated":
+            assert all(metrics.max_monochromatic_radius == cap for metrics in batch)
+        expected = [
+            segregation_metrics_oracle(replica, config, max_region_radius=cap)
+            for replica in stack
+        ]
+        _assert_matches_oracle(batch, expected)

@@ -28,10 +28,12 @@ Five layers are pinned here:
 """
 
 import dataclasses
+import gc
 import json
 import os
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +161,31 @@ class TestEngineSeam:
     def test_reference_engine_has_no_backend(self):
         engine = ReferenceEnsembleDynamics(SMALL, n_replicas=2, seed=0)
         assert engine.backend_name == "reference"
+
+    @pytest.mark.parametrize("engine_kind", [*BACKENDS, "reference"])
+    def test_finished_engine_freed_without_gc(self, engine_kind):
+        # The engine owns its backend and the backend holds it only weakly,
+        # so the last reference going away frees the engine (and its arrays)
+        # by refcounting alone, with the cycle collector switched off.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if engine_kind == "reference":
+                engine = ReferenceEnsembleDynamics(SMALL, n_replicas=3, seed=1)
+            else:
+                engine = EnsembleDynamics(
+                    SMALL, n_replicas=3, seed=1, backend=engine_kind
+                )
+            engine.run()
+            backend = engine._backend
+            engine_ref = weakref.ref(engine)
+            del engine
+            assert engine_ref() is None
+            with pytest.raises(ReferenceError):
+                backend.engine
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import estimate_radius_tail_reference, label_clusters_reference
 from repro.errors import PercolationError
 from repro.percolation.cluster import (
-    _estimate_radius_tail_reference,
-    _label_clusters_reference,
     cluster_bounding_stats,
     cluster_containing,
     cluster_radii,
@@ -158,7 +157,7 @@ class TestRadiusTail:
         batched = estimate_radius_tail(
             p_open, radii, box_radius=box_radius, n_trials=n_trials, seed=seed
         )
-        loop = _estimate_radius_tail_reference(
+        loop = estimate_radius_tail_reference(
             p_open, radii, box_radius=box_radius, n_trials=n_trials, seed=seed
         )
         assert np.array_equal(batched.probabilities, loop.probabilities)
@@ -172,7 +171,7 @@ class TestRadiusTail:
 
         monkeypatch.setattr(cluster_module, "_RADIUS_TAIL_CHUNK_CELLS", 200)
         chunked = estimate_radius_tail(0.45, [1, 2, 3], box_radius=4, n_trials=57, seed=9)
-        loop = _estimate_radius_tail_reference(
+        loop = estimate_radius_tail_reference(
             0.45, [1, 2, 3], box_radius=4, n_trials=57, seed=9
         )
         assert np.array_equal(chunked.probabilities, loop.probabilities)
@@ -285,7 +284,7 @@ class TestLabelingEquivalence:
     )
     def test_matches_reference_on_random_masks(self, n_rows, n_cols, density, seed, periodic):
         mask = np.random.default_rng(seed).random((n_rows, n_cols)) < density
-        expected = _label_clusters_reference(mask, periodic=periodic)
+        expected = label_clusters_reference(mask, periodic=periodic)
         actual = label_clusters(mask, periodic=periodic)
         assert np.array_equal(actual, expected)
 
@@ -304,7 +303,7 @@ class TestLabelingEquivalence:
         ids=["empty", "full", "single-row", "single-col", "alt-row", "alt-col", "1x1"],
     )
     def test_matches_reference_on_edge_cases(self, mask, periodic):
-        expected = _label_clusters_reference(mask, periodic=periodic)
+        expected = label_clusters_reference(mask, periodic=periodic)
         actual = label_clusters(mask, periodic=periodic)
         assert np.array_equal(actual, expected)
 
@@ -323,4 +322,4 @@ class TestLabelingEquivalence:
 
     def test_reference_rejects_non_2d(self):
         with pytest.raises(PercolationError):
-            _label_clusters_reference(np.zeros(4, dtype=bool))
+            label_clusters_reference(np.zeros(4, dtype=bool))

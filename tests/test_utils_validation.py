@@ -122,3 +122,34 @@ class TestRequireSpinArray:
         original = np.array([[1, -1], [1, 1]], dtype=np.int64)
         arr = require_spin_array(original)
         assert np.array_equal(arr, original)
+
+    def test_message_lists_offending_values(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^configuration entries must all be \+1 or -1, found values \[-1  0  1  2\]$",
+        ):
+            require_spin_array([[1, 0], [-1, 2]])
+
+    def test_message_lists_at_most_eight_values(self):
+        with pytest.raises(ConfigurationError, match=r"found values \[-5 -4 -3 -2 -1  0  1  2\]$"):
+            require_spin_array(np.arange(-5, 20).reshape(5, 5), "spins")
+
+    def test_all_true_bool_array_is_all_plus(self):
+        arr = require_spin_array(np.ones((2, 3), dtype=bool))
+        assert arr.dtype == np.int8
+        assert arr.tolist() == [[1, 1, 1], [1, 1, 1]]
+
+    def test_bool_array_with_false_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"found values \[False  True\]"):
+            require_spin_array(np.array([[True, False]]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"found values \[ 1\. nan\]"):
+            require_spin_array(np.array([[np.nan, 1.0]]))
+
+    def test_float_spins(self):
+        arr = require_spin_array(np.array([[1.0, -1.0]]))
+        assert arr.dtype == np.int8
+        assert arr.tolist() == [[1, -1]]
+        with pytest.raises(ConfigurationError, match=r"found values \[-1\.   1\.5\]"):
+            require_spin_array(np.array([[1.5, -1.0]]))
