@@ -19,7 +19,7 @@ a recurrence:
 
 ``REPRO_BENCH_QUICK=1`` shrinks the per-cell work, not the worker grid; the
 emitted ``BENCH_PERF_parallel_sweep_scaling.json`` always states the worker
-counts, the effective CPU count and the transfer mode that produced it.
+counts and the effective CPU count that produced it.
 """
 
 from __future__ import annotations

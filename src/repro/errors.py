@@ -118,9 +118,8 @@ class ServingDegradationWarning(UserWarning):
 class SweepDegradationWarning(UserWarning):
     """The sweep supervisor degraded gracefully instead of failing.
 
-    Emitted once per degradation step — a hung worker pool killed and
-    respawned, the shared-memory transport demoted to pickle after repeated
-    failures, or the respawn budget exhausted and the sweep finished
+    Emitted once per degradation step — a hung or broken worker pool killed
+    and respawned, or the respawn budget exhausted and the sweep finished
     serially — so a long run leaves an auditable trail explaining why it ran
     slower than configured instead of dying.
     """

@@ -29,11 +29,10 @@ Three execution strategies compose freely on top of that seeding scheme:
   for compute-bound sweeps (the default is affinity-aware,
   :func:`default_worker_count`); cells are independent, so efficiency is
   near linear once each worker gets a handful of cells.  Results travel
-  back through shared memory where the host supports it (pickle fallback,
-  identical rows), and ``checkpoint_dir=`` adds crash-durable
-  checkpoint/resume via :class:`SweepCheckpoint` — a killed sweep rerun
-  against the same directory skips recorded cells and reproduces the
-  uninterrupted table.
+  back pickled through the pool's result queue, and ``checkpoint_dir=``
+  adds crash-durable checkpoint/resume via :class:`SweepCheckpoint` — a
+  killed sweep rerun against the same directory skips recorded cells and
+  reproduces the uninterrupted table.
 
 The two levers multiply: ``workers=N, ensemble_size=R`` runs N cells
 concurrently, each advancing R replicas per vectorized step.
@@ -97,7 +96,6 @@ from repro.experiments.parallel import (
     default_worker_count,
     run_sweep_parallel,
 )
-from repro.experiments.shm import segment_ledger
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
     aggregate_sweep,
@@ -173,7 +171,6 @@ __all__ = [
     "save_manifest",
     "save_table",
     "scaling_horizons",
-    "segment_ledger",
     "spec_hash",
     "sweep_config",
     "symmetry_experiment",

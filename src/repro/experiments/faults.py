@@ -1,7 +1,7 @@
 """Deterministic fault injection for the distributed sweep path.
 
 The fault-tolerance layer of :func:`~repro.experiments.parallel.run_sweep_parallel`
-(retry/backoff, hang detection, pool respawn, transport demotion, store
+(retry/backoff, hang detection, pool respawn, serial fallback, store
 repair) is only trustworthy if every failure mode it guards against can be
 reproduced on demand.  This module provides that reproducibility: a
 :class:`FaultPlan` is a frozen, picklable schedule of faults keyed by *cell
@@ -24,10 +24,6 @@ Supported fault kinds:
     ``SIGKILL`` the executing process.  In a pool worker this produces a
     ``BrokenProcessPool`` in the parent; on the inline (``workers=1``) path
     it kills the whole run — the substrate for the SIGKILL/resume matrix.
-``corrupt-shm``
-    After the worker encodes its chunk into a shared-memory segment,
-    overwrite the segment's directory bytes so the parent's decode fails,
-    exercising transport retry and the shm→pickle demotion ladder.
 ``torn-record``
     When the parent flushes the cell to the checkpoint, write only a prefix
     of the record line (no terminating newline) — the on-disk footprint of a
@@ -47,7 +43,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -57,7 +53,6 @@ FAULT_KINDS = (
     "memory-error",
     "hang",
     "kill",
-    "corrupt-shm",
     "torn-record",
 )
 
@@ -127,7 +122,7 @@ class FaultPlan:
     Build plans fluently — each builder returns a new plan with the fault
     appended, so a plan literal reads like the scenario it encodes::
 
-        plan = FaultPlan().crash(2).hang(5, seconds=10.0).corrupt_shm(1)
+        plan = FaultPlan().crash(2).hang(5, seconds=10.0).kill(1)
 
     The plan travels to workers by pickle alongside the chunk; all firing
     decisions are pure functions of ``(cell_index, attempt)``, so a plan is
@@ -161,10 +156,6 @@ class FaultPlan:
     def kill(self, cell_index: int, attempts: int = 1) -> "FaultPlan":
         """SIGKILL the executing process on the cell's first ``attempts`` runs."""
         return self._with(FaultSpec("kill", cell_index, attempts=attempts))
-
-    def corrupt_shm(self, cell_index: int, attempts: int = 1) -> "FaultPlan":
-        """Corrupt the shm segment of chunks carrying the cell's first runs."""
-        return self._with(FaultSpec("corrupt-shm", cell_index, attempts=attempts))
 
     def torn_record(
         self, cell_index: int, keep_bytes: int = 40, kill: bool = False
@@ -204,16 +195,6 @@ class FaultPlan:
                 )
             _kill_self()
 
-    def corrupts_chunk(
-        self, cell_indices: Sequence[int], attempts: Sequence[int]
-    ) -> bool:
-        """Whether a chunk's shm segment should be corrupted after encoding."""
-        return any(
-            spec.kind == "corrupt-shm" and spec.fires(index, attempt)
-            for spec in self.faults
-            for index, attempt in zip(cell_indices, attempts)
-        )
-
     def torn_record_fault(self, cell_index: int) -> Optional[FaultSpec]:
         """The ``torn-record`` fault programmed for ``cell_index``, if any."""
         for spec in self.faults:
@@ -225,27 +206,6 @@ class FaultPlan:
 def _kill_self() -> None:
     """Terminate the current process the way ``kill -9`` would."""
     os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
-
-
-def corrupt_segment(name: str, size: int) -> None:
-    """Overwrite a shared-memory chunk's directory bytes with garbage.
-
-    Attaches to the worker-encoded segment and fills the directory region
-    (everything after the 8-byte size header, up to 64 bytes) with ``0xFF``,
-    which is never a valid pickle stream — so the parent's
-    :func:`~repro.experiments.shm.decode_chunk` deterministically raises.
-    The segment is left linked: the parent's decode path unlinks it before
-    parsing, exactly as for a healthy chunk, so injection does not perturb
-    the leak accounting it is used to test.
-    """
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        end = min(size, 64)
-        segment.buf[8:end] = b"\xff" * (end - 8)
-    finally:
-        segment.close()
 
 
 def write_torn_record(checkpoint, index: int, cell, rows, spec: FaultSpec) -> None:

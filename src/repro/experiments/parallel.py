@@ -21,14 +21,11 @@ parallel table interchangeable with the serial one:
 * **Columnar result transfer** — a cell's rows share one schema (the spec
   fixes the columns), so workers ship each cell as one packed batch: the key
   tuple once plus per-key value columns, instead of ``n_replicates``
-  separate dicts each repeating every key string.  With
-  ``transfer="shm"``/``"auto"`` the packed chunk additionally bypasses the
-  executor's result queue: the worker writes it into one
-  :mod:`multiprocessing.shared_memory` segment (numeric columns as raw
-  arrays, object columns pickled — see :mod:`repro.experiments.shm`) and
-  only the segment name travels through the queue.  The classic pickled
-  transfer is retained as the fallback and the two transports produce
-  identical rows, so the parent's in-order flush is transport-oblivious.
+  separate dicts each repeating every key string.  A chunk's batches travel
+  back pickled through the executor's result queue as a plain
+  ``[(index, batch), ...]`` list.  That is the only transport: rows are a
+  few dozen scalars per replicate, and a shared-memory alternative measured
+  no faster end to end.
 * **Checkpoint/resume** — with ``checkpoint_dir=`` every completed cell is
   streamed to a self-verifying ``metrics.jsonl`` record keyed by the cell's
   content hash (:func:`~repro.experiments.spec.spec_hash`) next to a
@@ -62,12 +59,11 @@ common case:
   marks the pool hung: the supervisor kills the worker processes, respawns
   the pool, reschedules only unfinished cells, and counts the hang as a
   failure of the hung chunk's cells.
-* **Graceful degradation** — a ``BrokenProcessPool`` or repeated
-  shared-memory decode failure demotes the transfer to pickle, and each
-  pool kill/breakage consumes one unit of ``respawn_budget``; past the
-  budget the sweep *finishes serially in the parent* instead of dying.
-  Every demotion emits a :class:`~repro.errors.SweepDegradationWarning`, so
-  the run leaves a trail explaining why it ran slower than configured.
+* **Graceful degradation** — each pool kill/breakage consumes one unit of
+  ``respawn_budget``; past the budget the sweep *finishes serially in the
+  parent* instead of dying.  Every respawn and demotion emits a
+  :class:`~repro.errors.SweepDegradationWarning`, so the run leaves a trail
+  explaining why it ran slower than configured.
 * **Deterministic fault injection** — every failure mode above is
   reproducible via :class:`~repro.experiments.faults.FaultPlan`, threaded
   into the worker entry points behind a zero-overhead ``None`` check.
@@ -98,14 +94,8 @@ from repro.errors import ExperimentError, SweepDegradationWarning
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 
-#: Accepted values for ``run_sweep_parallel``'s ``transfer`` parameter.
-TRANSFER_MODES = ("auto", "shm", "pickle")
-
 #: Accepted values for ``run_sweep_parallel``'s ``on_error`` parameter.
 ON_ERROR_MODES = ("raise", "retry", "skip")
-
-#: Shared-memory decode failures tolerated before demoting to pickle.
-SHM_DEMOTE_AFTER = 2
 
 
 class SweepCellError(ExperimentError):
@@ -288,25 +278,21 @@ def _run_cell(
 def _run_chunk(
     chunk: list[tuple[int, ExperimentSpec]],
     ensemble_size: Optional[int],
-    transfer: str = "pickle",
     fault_plan=None,
     attempts: Optional[list[int]] = None,
     breadcrumb_dir: Optional[str] = None,
     backend: Optional[str] = None,
-) -> tuple:
-    """Worker entry point: run a chunk of cells, return a tagged payload.
+) -> list[tuple[int, dict[str, object]]]:
+    """Worker entry point: run a chunk of cells, return ``[(index, batch)]``.
 
-    Each cell's rows travel as one :func:`pack_rows` columnar batch.  The
-    payload is ``("shm", name, size)`` when the chunk was written into a
-    shared-memory segment, or ``("pickle", [(index, batch), ...])`` when it
-    rides the executor's result queue — including whenever shared memory is
-    requested but unusable on this host, the retained fallback.
-    ``attempts`` aligns with ``chunk`` and carries each cell's execution
-    count for deterministic fault keying; omitted means first attempts.
+    Each cell's rows travel as one :func:`pack_rows` columnar batch, pickled
+    through the executor's result queue.  ``attempts`` aligns with ``chunk``
+    and carries each cell's execution count for deterministic fault keying;
+    omitted means first attempts.
     """
     if attempts is None:
         attempts = [0] * len(chunk)
-    results = [
+    return [
         (
             index,
             pack_rows(
@@ -323,88 +309,6 @@ def _run_chunk(
         )
         for (index, spec), attempt in zip(chunk, attempts)
     ]
-    if transfer == "shm":
-        try:
-            from repro.experiments import shm as shm_transfer
-
-            name, size = shm_transfer.encode_chunk(results)
-            if fault_plan is not None and fault_plan.corrupts_chunk(
-                [index for index, _ in chunk], attempts
-            ):
-                from repro.experiments import faults as faults_module
-
-                faults_module.corrupt_segment(name, size)
-            return ("shm", name, size)
-        except (ImportError, OSError):
-            pass
-    return ("pickle", results)
-
-
-def _register_payload(payload: tuple) -> None:
-    """Track a shared-memory payload's segment in the leak ledger."""
-    if payload[0] == "shm":
-        from repro.experiments import shm as shm_transfer
-
-        shm_transfer.segment_ledger().track(payload[1])
-
-
-def _payload_batches(payload: tuple) -> list[tuple[int, dict[str, object]]]:
-    """Decode a worker payload into its ``(index, packed_batch)`` pairs."""
-    if payload[0] == "shm":
-        from repro.experiments import shm as shm_transfer
-
-        return shm_transfer.decode_chunk(payload[1], payload[2])
-    return payload[1]
-
-
-def _harvest_completed(futures, collected) -> None:
-    """Move successfully finished futures' batches into ``collected``.
-
-    Called on the error path after the pool has shut down: chunks that were
-    already in flight when a sibling failed have run to completion, and their
-    rows belong to the completed prefix.  Futures that failed or were
-    cancelled stay in ``futures``; best effort — harvesting must not mask the
-    original failure.
-    """
-    for future in list(futures):
-        if not future.done() or future.cancelled():
-            continue
-        try:
-            payload = future.result()
-        except BaseException:
-            continue
-        futures.discard(future)
-        _register_payload(payload)
-        try:
-            for index, packed in _payload_batches(payload):
-                collected[index] = unpack_rows(packed)
-        except Exception:
-            continue
-
-
-def _discard_unread(futures) -> None:
-    """Release shared-memory segments held by never-consumed futures.
-
-    Called on the error path after the pool has shut down: any chunk that
-    finished but was never decoded may still own a segment, which would
-    otherwise outlive the sweep.  Best effort — cleanup must not mask the
-    original failure.
-    """
-    for future in futures:
-        if not future.done() or future.cancelled():
-            continue
-        try:
-            payload = future.result()
-        except BaseException:
-            continue
-        if payload[0] == "shm":
-            try:
-                from repro.experiments import shm as shm_transfer
-
-                shm_transfer.segment_ledger().track(payload[1])
-                shm_transfer.discard_chunk(payload[1])
-            except (ImportError, OSError):
-                pass
 
 
 def _degradation_warning(message: str) -> None:
@@ -449,7 +353,6 @@ class _SweepSupervisor:
         checkpoint,
         progress,
         ensemble_size: Optional[int],
-        transfer: str,
         retries: int,
         backoff: float,
         cell_timeout: Optional[float],
@@ -467,7 +370,6 @@ class _SweepSupervisor:
         self.progress = progress
         self.ensemble_size = ensemble_size
         self.backend = backend
-        self.transfer = transfer
         self.retries = retries
         self.backoff = backoff
         self.cell_timeout = cell_timeout
@@ -489,8 +391,7 @@ class _SweepSupervisor:
         self.table = ResultTable()
         self.next_index = 0
         self.respawns = 0
-        self.shm_failures = 0
-        #: Futures whose payloads were never consumed (abort-path cleanup).
+        #: Futures whose payloads were never consumed (harvested on abort).
         self.unconsumed: set[Future] = set()
         #: Worker-activity marker directory, created by :meth:`run_pool`.
         self.breadcrumb_dir: Optional[str] = None
@@ -659,7 +560,6 @@ class _SweepSupervisor:
             _run_chunk,
             chunk,
             self.ensemble_size,
-            self.transfer,
             self.fault_plan,
             attempts,
             self.breadcrumb_dir,
@@ -675,16 +575,28 @@ class _SweepSupervisor:
             if index in self.unfinished:
                 ready.append((due, [index]))
 
-    def _consume_payload(self, ready, payload, info) -> None:
-        """Decode one successful payload; collect rows or handle transport loss."""
-        _register_payload(payload)
-        try:
-            batches = _payload_batches(payload)
-        except Exception as exc:
-            self._on_decode_failure(ready, info, exc)
-            return
-        for index, packed in batches:
+    def _consume_payload(self, payload) -> None:
+        """Collect the rows of one successful chunk's ``[(index, batch)]``."""
+        for index, packed in payload:
             self._mark_collected(index, unpack_rows(packed))
+
+    def _harvest_completed(self) -> None:
+        """Collect every unconsumed chunk that finished successfully.
+
+        Called on the error path after the pool has shut down: chunks that
+        were already in flight when a sibling failed have run to completion,
+        and their rows belong to the completed prefix.  Futures that failed
+        or were cancelled are skipped; best effort — harvesting must not
+        mask the original failure.
+        """
+        for future in self.unconsumed:
+            if not future.done() or future.cancelled():
+                continue
+            try:
+                payload = future.result()
+            except BaseException:
+                continue
+            self._consume_payload(payload)
 
     def _on_cell_failure(self, ready, info, error: SweepCellError) -> None:
         """One chunk raised: retry/quarantine the named cell, requeue the rest."""
@@ -696,34 +608,6 @@ class _SweepSupervisor:
         delay = self._count_failure(failing, error)  # may raise (abort)
         if delay is not None:
             self._reschedule(ready, [failing], delay)
-
-    def _on_decode_failure(self, ready, info, exc: Exception) -> None:
-        """A chunk's shm payload would not decode: count, maybe demote, retry."""
-        self.shm_failures += 1
-        _degradation_warning(
-            f"shared-memory payload of cells {info.indices} failed to decode "
-            f"({type(exc).__name__}: {exc}); rescheduling "
-            f"({self.shm_failures} decode failure(s) so far)"
-        )
-        if self.shm_failures >= SHM_DEMOTE_AFTER and self.transfer == "shm":
-            self.transfer = "pickle"
-            _degradation_warning(
-                f"demoting result transfer to pickle after {self.shm_failures} "
-                "shared-memory decode failures"
-            )
-        for index in info.indices:
-            if index not in self.unfinished:
-                continue
-            error = SweepCellError(
-                f"sweep cell {index} ({self.cells[index].name!r}) lost to a "
-                f"shared-memory decode failure: {type(exc).__name__}: {exc}",
-                cell_index=index,
-                cell_name=self.cells[index].name,
-                traceback_text=traceback_module.format_exc(),
-            )
-            delay = self._count_failure(index, error)  # may raise (abort)
-            if delay is not None:
-                self._reschedule(ready, [index], delay)
 
     def _spend_respawn(self, reason: str) -> bool:
         """Consume one respawn; return ``False`` when the budget is exhausted."""
@@ -825,7 +709,7 @@ class _SweepSupervisor:
                 except BaseException:
                     payload = None
             if payload is not None:
-                self._consume_payload(ready, payload, info)
+                self._consume_payload(payload)
             elif cell_error is not None:
                 self._on_cell_failure(ready, info, cell_error)  # may raise
             elif future in hung:
@@ -925,18 +809,12 @@ class _SweepSupervisor:
                         pool_broken = True
                         break
                     self.unconsumed.discard(future)
-                    self._consume_payload(ready, payload, info)
+                    self._consume_payload(payload)
                 if pool_broken:
                     self._drain_inflight(
                         ready, inflight, hung=set(), charge_breakage=True
                     )
                     self._kill_pool(pool)
-                    if self.transfer == "shm":
-                        self.transfer = "pickle"
-                        _degradation_warning(
-                            "demoting result transfer to pickle after the "
-                            "process pool broke (worker died mid-chunk)"
-                        )
                     if not self._spend_respawn("worker pool broke"):
                         return False
                     pool = self._new_pool()
@@ -969,19 +847,15 @@ class _SweepSupervisor:
         except BaseException:
             # A failing cell must not discard finished work or leave the
             # rest of the sweep running: cancel queued chunks (the shutdown
-            # waits for in-flight ones to finish), harvest their results,
+            # waits for in-flight ones to finish), harvest their results and
             # flush the completed contiguous prefix (recoverable via
-            # checkpoint/resume), and release unread shared-memory segments
-            # before re-raising the attributed error.
+            # checkpoint/resume) before re-raising the attributed error.
             pool.shutdown(cancel_futures=True)
             try:
-                _harvest_completed(self.unconsumed, self.collected)
-                for index in list(self.collected):
-                    self.unfinished.discard(index)
+                self._harvest_completed()
                 self.flush_prefix()
             except Exception:
                 pass  # never mask the original failure with flush errors
-            _discard_unread(self.unconsumed)
             raise
         finally:
             shutil.rmtree(self.breadcrumb_dir, ignore_errors=True)
@@ -994,7 +868,6 @@ def run_sweep_parallel(
     progress: Optional[Callable[[ExperimentSpec], None]] = None,
     chunk_size: Optional[int] = None,
     ensemble_size: Optional[int] = None,
-    transfer: str = "auto",
     checkpoint_dir: Optional[Union[str, Path]] = None,
     retries: int = 0,
     backoff: float = 0.05,
@@ -1025,13 +898,6 @@ def run_sweep_parallel(
         When > 1, workers run each cell's replicates through the vectorized
         :class:`~repro.core.ensemble.EnsembleDynamics` engine in batches of
         this size.
-    transfer:
-        Result transport: ``"shm"`` ships packed chunks through shared
-        memory, ``"pickle"`` through the executor's result queue, and
-        ``"auto"`` (default) picks shared memory when the host supports it.
-        Both transports produce identical rows.  Repeated shared-memory
-        decode failures or a broken pool demote the transport to pickle for
-        the rest of the run, with a warning.
     checkpoint_dir:
         Artifact directory for checkpoint/resume
         (:class:`~repro.experiments.checkpoint.SweepCheckpoint`).  Completed
@@ -1087,10 +953,6 @@ def run_sweep_parallel(
         raise ExperimentError(f"workers must be positive, got {workers}")
     if chunk_size is not None and chunk_size <= 0:
         raise ExperimentError(f"chunk_size must be positive, got {chunk_size}")
-    if transfer not in TRANSFER_MODES:
-        raise ExperimentError(
-            f"transfer must be one of {TRANSFER_MODES}, got {transfer!r}"
-        )
     if on_error not in ON_ERROR_MODES:
         raise ExperimentError(
             f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
@@ -1132,24 +994,12 @@ def run_sweep_parallel(
     workers = workers if workers is not None else default_worker_count()
     workers = min(workers, len(cells) - len(resumed)) or 1
 
-    if transfer in ("shm", "auto") and workers > 1:
-        from repro.experiments import shm as shm_transfer
-
-        # The availability probe runs before the pool forks on purpose: it
-        # starts the parent's multiprocessing resource tracker, which the
-        # workers then inherit, so worker-side segment registrations and the
-        # parent's unlinks reach the same tracker (no spurious leak warnings
-        # at worker shutdown).  Hosts without usable shared memory fall back
-        # to the retained pickle transfer.
-        transfer = "shm" if shm_transfer.shm_available() else "pickle"
-
     supervisor = _SweepSupervisor(
         cells=cells,
         resumed=resumed,
         checkpoint=checkpoint,
         progress=progress,
         ensemble_size=ensemble_size,
-        transfer=transfer,
         retries=retries,
         backoff=backoff,
         cell_timeout=cell_timeout,

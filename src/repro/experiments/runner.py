@@ -42,6 +42,7 @@ from repro.core.backends.registry import select_backend_name
 from repro.core.config import ModelConfig
 from repro.core.dynamics import Trajectory
 from repro.core.simulation import Simulation
+from repro.errors import ExperimentError
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.rng import replicate_seeds
@@ -267,6 +268,8 @@ def run_sweep(
     ``backend`` requests a flip-loop backend for ensemble execution (see
     :func:`run_experiment`), propagated to pool workers unchanged.
     """
+    if workers is not None and workers <= 0:
+        raise ExperimentError(f"workers must be positive, got {workers}")
     supervised = retries != 0 or cell_timeout is not None or on_error != "raise"
     if (workers is not None and workers > 1) or checkpoint_dir is not None or supervised:
         # Imported here: parallel builds on this module's cell runner.

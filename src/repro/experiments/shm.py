@@ -1,29 +1,31 @@
-"""Shared-memory transfer of packed sweep results.
+"""Shared-memory codec for packed sweep results, kept for the benchmark.
 
-The process-pool sweep ships each cell's rows as one columnar
-:func:`~repro.experiments.parallel.pack_rows` batch.  By default that batch is
-pickled through the executor's result queue; for wide sweeps the queue becomes
-the bottleneck — every numeric column is re-encoded by pickle and copied
-through a pipe.  This module gives workers a second transport: the whole chunk
-is written once into a :mod:`multiprocessing.shared_memory` segment and only
-the segment's *name* travels through the result queue.  The parent attaches,
-decodes and unlinks the segment.
+No sweep path uses this module: :func:`~repro.experiments.parallel.run_sweep_parallel`
+returns each chunk's :func:`~repro.experiments.parallel.pack_rows` batches
+pickled through the executor's result queue.  Shared memory was measured
+against that queue at realistic row volumes (a few dozen scalars per
+replicate) and won nothing end to end, so the transport was removed.
 
-The wire format keeps the columnar shape:
+The codec stays only because the benchmark's traced per-layer pass times
+one :func:`encode_chunk` / :func:`decode_chunk` round trip per pool chunk
+(its ``experiments.transfer`` span) next to a pickle round trip of the same
+chunk.  Once that span is gone, so is this module.
+
+:func:`encode_chunk` writes a chunk of ``(cell_index, packed_batch)`` pairs
+into one :mod:`multiprocessing.shared_memory` segment and
+:func:`decode_chunk` reads it back and unlinks the segment.  The wire
+format keeps the columnar shape:
 
 * **Numeric columns** (all-``bool``, all-``int`` fitting 64 bits, or
   all-``float``) are written as raw little-endian arrays — no per-value
-  encoding at all; the parent rebuilds exact Python scalars via
+  encoding at all; the decoder rebuilds exact Python scalars via
   ``ndarray.tolist()`` (``float64``/``int64``/``bool`` round-trip bitwise).
 * **Object columns** (strings, mixed types) are pickled per column.
 * **Non-uniform batches** (the ``pack_rows`` fallback) are pickled whole.
 
 A segment holds one pickled *directory* (per-cell key lists and column
-descriptors) followed by the raw data region.  Encoding never changes row
-content — :func:`decode_chunk` returns batches that unpack to rows identical
-to what the pickle transport delivers — so the transports are interchangeable
-and :func:`~repro.experiments.parallel.run_sweep_parallel` treats shared
-memory as an optimisation with pickle retained as the fallback.
+descriptors) followed by the raw data region.  Decoding returns batches
+that unpack to rows identical to the ones that were encoded.
 """
 
 from __future__ import annotations
@@ -34,71 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ExperimentError
-
 #: 64-bit signed range check for raw-int64 column encoding.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-class SegmentLedger:
-    """Parent-side accounting of worker-produced shared-memory segments.
-
-    Workers create segments; the parent unlinks them — a split that used to
-    rely on every error path's discard loop being exhaustive.  The ledger
-    makes both failure modes of that split *loud*: a segment name is
-    :meth:`track`-ed the moment its payload reaches the parent, marked
-    released when :func:`decode_chunk` / :func:`discard_chunk` unlink it,
-    and
-
-    * a second release of the same name raises :class:`ExperimentError`
-      (double free), and
-    * :meth:`pending` exposes every tracked-but-never-released name, so
-      tests assert leak-freedom exactly (``pending() == []``) instead of
-      hoping ``/dev/shm`` looks clean.
-
-    Names recycled by the OS across sweeps are handled by :meth:`track`
-    overwriting the old state.  The ledger is per-process bookkeeping, not
-    a lock-protected registry: the sweep parent consumes payloads from one
-    thread.
-    """
-
-    def __init__(self) -> None:
-        self._states: dict[str, str] = {}
-
-    def track(self, name: str) -> None:
-        """Register a segment name received from a worker payload."""
-        self._states[name] = "pending"
-
-    def check_not_released(self, name: str) -> None:
-        """Raise loudly if ``name`` was already unlinked through the ledger."""
-        if self._states.get(name) == "released":
-            raise ExperimentError(
-                f"shared-memory segment {name!r} was already released "
-                "(double free)"
-            )
-
-    def mark_released(self, name: str) -> None:
-        """Record that ``name`` was unlinked (idempotence is an error)."""
-        self.check_not_released(name)
-        self._states[name] = "released"
-
-    def pending(self) -> list[str]:
-        """Tracked segment names that were never released — i.e. leaks."""
-        return [
-            name for name, state in self._states.items() if state == "pending"
-        ]
-
-    def reset(self) -> None:
-        """Forget all state (test isolation)."""
-        self._states.clear()
-
-
-_LEDGER = SegmentLedger()
-
-
-def segment_ledger() -> SegmentLedger:
-    """The process-wide :class:`SegmentLedger` instance."""
-    return _LEDGER
 
 #: Little-endian dtypes used for raw columns, keyed by a short tag.
 _RAW_DTYPES = {
@@ -106,27 +45,6 @@ _RAW_DTYPES = {
     "int64": np.dtype("<i8"),
     "float64": np.dtype("<f8"),
 }
-
-
-def shm_available() -> bool:
-    """Whether :mod:`multiprocessing.shared_memory` is usable on this host.
-
-    Creating a segment can fail even when the module imports (no ``/dev/shm``
-    mount, seccomp policies), so availability is probed with a tiny segment.
-    The probe has a deliberate side effect the sweep runner relies on: it
-    starts this process's multiprocessing resource tracker, so pool workers
-    forked afterwards share it and segment bookkeeping stays balanced across
-    the worker-creates/parent-unlinks split.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        probe = shared_memory.SharedMemory(create=True, size=1)
-    except (ImportError, OSError):
-        return False
-    probe.close()
-    probe.unlink()
-    return True
 
 
 def _raw_column_tag(values: list[object]) -> Optional[str]:
@@ -179,11 +97,10 @@ def _encode_batch(packed: dict[str, object], blobs: list[bytes]) -> dict[str, ob
 def encode_chunk(results: list[tuple[int, dict[str, object]]]) -> tuple[str, int]:
     """Write ``(cell_index, packed_batch)`` pairs into a new shared segment.
 
-    Returns ``(segment_name, segment_size)`` — the only payload that then has
-    to travel through the executor's result queue.  The caller (a pool
-    worker) closes its mapping; the parent, after decoding, unlinks the
-    segment.  Raises ``OSError``/``ImportError`` when shared memory is not
-    usable, which the caller treats as a cue to fall back to pickle.
+    Returns ``(segment_name, segment_size)``, the arguments
+    :func:`decode_chunk` needs.  This function closes its own mapping and
+    leaves the segment linked until it is decoded.  Raises
+    ``OSError``/``ImportError`` when shared memory is not usable on this host.
     """
     from multiprocessing import shared_memory
 
@@ -221,20 +138,18 @@ def decode_chunk(name: str, size: int) -> list[tuple[int, dict[str, object]]]:
     """Read back what :func:`encode_chunk` wrote, then unlink the segment.
 
     Returns the ``(cell_index, packed_batch)`` pairs with batches equal to the
-    ones the worker packed — raw columns come back as exact Python scalars
+    ones that were encoded — raw columns come back as exact Python scalars
     via ``ndarray.tolist()``, pickled payloads verbatim — ready for
     :func:`~repro.experiments.parallel.unpack_rows`.
     """
     from multiprocessing import shared_memory
 
-    _LEDGER.check_not_released(name)
     segment = shared_memory.SharedMemory(name=name)
     try:
         buffer = bytes(segment.buf[:size])
     finally:
         segment.close()
         segment.unlink()
-        _LEDGER.mark_released(name)
     (directory_size,) = struct.unpack("<Q", buffer[:8])
     directory = pickle.loads(buffer[8 : 8 + directory_size])
     offsets = []
@@ -269,21 +184,3 @@ def decode_chunk(name: str, size: int) -> list[tuple[int, dict[str, object]]]:
         )
     return results
 
-
-def discard_chunk(name: str) -> None:
-    """Unlink a segment without decoding it (error-path cleanup).
-
-    A name the ledger already saw released raises loudly (double free); a
-    name that simply does not exist (never created, or cleaned by the OS)
-    stays silent, since discarding is best-effort cleanup.
-    """
-    from multiprocessing import shared_memory
-
-    _LEDGER.check_not_released(name)
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (OSError, FileNotFoundError):
-        return
-    segment.close()
-    segment.unlink()
-    _LEDGER.mark_released(name)

@@ -5,12 +5,14 @@ both ways: under ``on_error="retry"`` the sweep must converge to rows
 bitwise identical to the fault-free run (timings aside), and under
 ``on_error="skip"`` the faulty cell must end up quarantined — with its
 identity, attempt count and worker traceback — while every other cell
-completes.  The degradation ladder (pool respawn, shm→pickle demotion,
-serial fallback) and the seeded backoff schedule are pinned here too.
+completes.  The degradation ladder (pool respawn, serial fallback) and the
+seeded backoff schedule are pinned here too.
 """
 
+import json
 import time
 import warnings
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,7 +22,6 @@ from repro.errors import (
     ExperimentError,
     SweepDegradationWarning,
 )
-from repro.experiments import shm
 from repro.experiments.faults import (
     CELL_FAULT_KINDS,
     FAULT_KINDS,
@@ -30,7 +31,9 @@ from repro.experiments.faults import (
 )
 from repro.experiments.parallel import (
     SweepCellError,
+    _InflightChunk,
     backoff_delay,
+    pack_rows,
     run_sweep_parallel,
 )
 from repro.experiments.spec import SweepSpec
@@ -75,11 +78,11 @@ def quiet_sweep(*args, **kwargs):
 
 class TestFaultPlanConstruction:
     def test_builders_accumulate_specs(self):
-        plan = FaultPlan().crash(0).hang(1, seconds=2.0).corrupt_shm(2)
+        plan = FaultPlan().crash(0).hang(1, seconds=2.0).kill(2)
         assert [spec.kind for spec in plan.faults] == [
             "crash",
             "hang",
-            "corrupt-shm",
+            "kill",
         ]
 
     def test_unknown_kind_rejected(self):
@@ -113,7 +116,6 @@ class TestFaultPlanConstruction:
             "memory-error",
             "hang",
             "kill",
-            "corrupt-shm",
             "torn-record",
         }
         assert set(CELL_FAULT_KINDS) <= set(FAULT_KINDS)
@@ -140,7 +142,6 @@ class TestCrashFault:
             retries=2,
             on_error="retry",
             backoff=0.0,
-            transfer="pickle",
         )
         assert comparable_rows(table) == baseline
 
@@ -152,7 +153,6 @@ class TestCrashFault:
             retries=1,
             on_error="skip",
             backoff=0.0,
-            transfer="pickle",
         )
         cells = list(sweep.cells())
         assert [f["cell_index"] for f in table.failures] == [2]
@@ -189,6 +189,50 @@ class TestCrashFault:
                 backoff=0.0,
             )
 
+    @pytest.mark.parametrize("on_error", ["retry", "skip"])
+    def test_failed_chunk_reschedules_its_siblings(self, sweep, baseline, on_error):
+        # Cell 1 fails inside the chunk [0, 1]: cell 0's rows die with the
+        # chunk, so it must be rerun, or the table comes back short.
+        table = run_sweep_parallel(
+            sweep,
+            workers=2,
+            fault_plan=FaultPlan().crash(1),
+            retries=1,
+            on_error=on_error,
+            backoff=0.0,
+            chunk_size=2,
+        )
+        assert comparable_rows(table) == baseline
+        assert table.failures == []
+
+    @pytest.mark.parametrize(
+        "policy",
+        [{"on_error": "raise"}, {"on_error": "retry", "retries": 0}],
+        ids=["raise", "retry-exhausted"],
+    )
+    def test_abort_checkpoints_chunks_that_finish_after_the_failure(
+        self, sweep, tmp_path, policy
+    ):
+        # Cell 2 crashes while cell 1 is still running on the other worker.
+        # Cell 1 finishes during the abort's pool shutdown; only the abort
+        # path's harvest can put it into the checkpointed prefix.
+        with pytest.raises(SweepCellError) as excinfo:
+            run_sweep_parallel(
+                sweep,
+                workers=2,
+                chunk_size=1,
+                checkpoint_dir=tmp_path,
+                fault_plan=FaultPlan().hang(1, seconds=1.0).crash(2),
+                backoff=0.0,
+                **policy,
+            )
+        assert excinfo.value.cell_index == 2
+        recorded = [
+            json.loads(line)["cell_index"]
+            for line in (tmp_path / "metrics.jsonl").read_text().splitlines()
+        ]
+        assert recorded == [0, 1]
+
 
 class TestMemoryErrorFault:
     def test_retry_recovers_identical_rows(self, sweep, baseline):
@@ -199,7 +243,6 @@ class TestMemoryErrorFault:
             retries=1,
             on_error="retry",
             backoff=0.0,
-            transfer="pickle",
         )
         assert comparable_rows(table) == baseline
 
@@ -229,7 +272,6 @@ class TestHangFault:
                 retries=2,
                 on_error="retry",
                 backoff=0.0,
-                transfer="pickle",
                 chunk_size=1,
             )
         # Recovery must come from the deadline, not from waiting out the hang.
@@ -258,7 +300,6 @@ class TestHangFault:
                 fault_plan=slow,
                 cell_timeout=2.5,
                 on_error="raise",
-                transfer="pickle",
                 chunk_size=1,
             )
         assert comparable_rows(table) == baseline
@@ -278,7 +319,6 @@ class TestHangFault:
             retries=0,
             on_error="skip",
             backoff=0.0,
-            transfer="pickle",
             chunk_size=1,
         )
         assert [f["cell_index"] for f in table.failures] == [1]
@@ -296,7 +336,6 @@ def make_supervisor(sweep, **overrides):
         checkpoint=None,
         progress=None,
         ensemble_size=None,
-        transfer="pickle",
         retries=0,
         backoff=0.0,
         cell_timeout=None,
@@ -313,10 +352,6 @@ def make_supervisor(sweep, **overrides):
 
 def failed_chunk_future(index: int, name: str):
     """A settled future/chunk pair carrying a genuine cell failure."""
-    from concurrent.futures import Future
-
-    from repro.experiments.parallel import _InflightChunk
-
     future = Future()
     future.set_exception(
         SweepCellError(
@@ -364,6 +399,47 @@ class TestDrainInflight:
                 [], {future: info}, hung=set(), charge_breakage=True
             )
 
+    @pytest.mark.parametrize(
+        "case, charged, rescheduled",
+        [
+            ("completed", 0, []),
+            ("cell-error", 1, [[0]]),
+            ("hung", 1, [[0]]),
+            ("victim", 0, [[0]]),
+        ],
+        ids=["completed", "cell-error", "hung", "victim"],
+    )
+    def test_drain_settles_every_kind_of_chunk(
+        self, sweep, case, charged, rescheduled
+    ):
+        # Rows a chunk finished before the kill are collected; a failed or
+        # hung chunk is charged; a victim without a started breadcrumb is
+        # rescheduled for free.
+        supervisor = make_supervisor(sweep, on_error="retry", retries=2)
+        rows = [{"experiment": "drained", "replicate": 0, "n_flips": 3}]
+        future = Future()
+        if case == "completed":
+            future.set_result([(0, pack_rows(rows))])
+        elif case == "cell-error":
+            future, _ = failed_chunk_future(0, sweep.name)
+        inflight = {future: _InflightChunk([0], [0])}
+        ready = []
+        supervisor._drain_inflight(
+            ready,
+            inflight,
+            hung={future} if case == "hung" else set(),
+            charge_breakage=case == "victim",
+        )
+        assert inflight == {}
+        assert supervisor.failures.get(0, 0) == charged
+        assert [indices for _, indices in ready] == rescheduled
+        if case == "completed":
+            assert supervisor.collected[0] == rows
+            assert 0 not in supervisor.unfinished
+        else:
+            assert 0 not in supervisor.collected
+            assert 0 in supervisor.unfinished
+
 
 class TestKillFault:
     def test_worker_kill_respawns_and_recovers(self, sweep, baseline):
@@ -376,7 +452,6 @@ class TestKillFault:
                 retries=1,
                 on_error="retry",
                 backoff=0.0,
-                transfer="pickle",
                 chunk_size=1,
             )
         assert comparable_rows(table) == baseline
@@ -404,62 +479,11 @@ class TestKillFault:
             retries=0,
             on_error="skip",
             backoff=0.0,
-            transfer="pickle",
             chunk_size=2,
         )
         assert [f["cell_index"] for f in table.failures] == [1]
         assert "pool broke" in table.failures[0]["error"]
         assert comparable_rows(table) == expected[:2]
-
-
-class TestCorruptShmFault:
-    def test_decode_failure_retried_to_identical_rows(self, sweep, baseline):
-        table = quiet_sweep(
-            sweep,
-            workers=2,
-            fault_plan=FaultPlan().corrupt_shm(0),
-            retries=2,
-            on_error="retry",
-            backoff=0.0,
-            transfer="shm",
-            chunk_size=2,
-        )
-        assert comparable_rows(table) == baseline
-        assert shm.segment_ledger().pending() == []
-
-    def test_persistent_corruption_quarantines(self, sweep):
-        table = quiet_sweep(
-            sweep,
-            workers=2,
-            fault_plan=FaultPlan().corrupt_shm(1, attempts=99),
-            retries=1,
-            on_error="skip",
-            backoff=0.0,
-            transfer="shm",
-            chunk_size=1,
-        )
-        assert [f["cell_index"] for f in table.failures] == [1]
-        assert "decode" in table.failures[0]["error"]
-        assert len(table) == 6
-
-    def test_repeated_failures_demote_transfer_to_pickle(self, sweep, baseline):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            table = run_sweep_parallel(
-                sweep,
-                workers=2,
-                fault_plan=FaultPlan().corrupt_shm(0, attempts=99),
-                retries=5,
-                on_error="retry",
-                backoff=0.0,
-                transfer="shm",
-                chunk_size=1,
-            )
-        # After demotion the chunk rides pickle, the fault no longer applies
-        # (it only corrupts shm segments) and the sweep completes fully.
-        assert comparable_rows(table) == baseline
-        messages = [str(w.message) for w in caught]
-        assert any("demoting result transfer to pickle" in m for m in messages)
 
 
 class TestSerialFallback:
@@ -474,7 +498,6 @@ class TestSerialFallback:
                 on_error="retry",
                 backoff=0.0,
                 respawn_budget=1,
-                transfer="pickle",
                 chunk_size=1,
             )
         assert comparable_rows(table) == baseline
@@ -497,34 +520,6 @@ class TestBackoffSchedule:
     def test_zero_base_disables_waiting(self):
         assert backoff_delay(7, 3, 5, 0.0) == 0.0
         assert backoff_delay(7, 3, 0, 0.05) == 0.0
-
-
-class TestSegmentLedger:
-    def test_double_free_raises(self):
-        ledger = shm.SegmentLedger()
-        ledger.track("psm_test_segment")
-        ledger.mark_released("psm_test_segment")
-        with pytest.raises(ExperimentError, match="double free"):
-            ledger.mark_released("psm_test_segment")
-
-    def test_pending_reports_leaks(self):
-        ledger = shm.SegmentLedger()
-        ledger.track("psm_a")
-        ledger.track("psm_b")
-        ledger.mark_released("psm_a")
-        assert ledger.pending() == ["psm_b"]
-
-    def test_recycled_name_is_trackable_again(self):
-        ledger = shm.SegmentLedger()
-        ledger.track("psm_a")
-        ledger.mark_released("psm_a")
-        ledger.track("psm_a")  # the OS recycled the name for a new segment
-        ledger.mark_released("psm_a")
-
-    def test_fault_free_shm_sweep_leaves_no_pending_segments(self, sweep):
-        table = run_sweep_parallel(sweep, workers=2, transfer="shm")
-        assert len(table) == 8
-        assert shm.segment_ledger().pending() == []
 
 
 class TestSupervisorParameterValidation:

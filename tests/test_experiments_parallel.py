@@ -93,6 +93,16 @@ class TestValidationAndDefaults:
         with pytest.raises(ExperimentError):
             run_sweep_parallel(small_sweep, workers=0)
 
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["plain", "checkpointed"])
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_run_sweep_rejects_nonpositive_workers(
+        self, small_sweep, tmp_path, workers, checkpointed
+    ):
+        # The serial path must not run a sweep the pool path would refuse.
+        checkpoint_dir = tmp_path if checkpointed else None
+        with pytest.raises(ExperimentError, match=f"workers must be positive, got {workers}"):
+            run_sweep(small_sweep, workers=workers, checkpoint_dir=checkpoint_dir)
+
     def test_rejects_nonpositive_chunk_size(self, small_sweep):
         with pytest.raises(ExperimentError):
             run_sweep_parallel(small_sweep, workers=2, chunk_size=0)
@@ -136,6 +146,19 @@ class TestPackedRowTransfer:
         packed_size = len(pickle.dumps(pack_rows(rows)))
         raw_size = len(pickle.dumps(rows))
         assert packed_size < raw_size / 2
+
+    @pytest.mark.parametrize("ensemble_size", [None, 2])
+    def test_worker_entry_point_returns_plain_pairs(self, small_sweep, ensemble_size):
+        chunk = list(enumerate(small_sweep.cells()))[1:3]
+        payload = _run_chunk(chunk, ensemble_size)
+        assert isinstance(payload, list)
+        assert [index for index, _ in payload] == [1, 2]
+        strip = lambda rows: [
+            {k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows
+        ]
+        for (_, batch), (_, cell) in zip(payload, chunk):
+            expected = run_experiment(cell, ensemble_size=ensemble_size).rows
+            assert strip(unpack_rows(batch)) == strip(expected)
 
 
 class TestWorkerCount:
@@ -245,7 +268,6 @@ class TestSharedMemoryCodec:
         assert shm._raw_column_tag([2**63, 0]) is None  # overflows int64
         assert shm._raw_column_tag([]) is None
 
-    @pytest.mark.skipif(not shm.shm_available(), reason="no usable shared memory")
     def test_roundtrip_preserves_values_and_types(self):
         rows = [
             {"name": "cell-a", "seed": 7, "rate": 0.1, "ok": True},
@@ -267,33 +289,3 @@ class TestSharedMemoryCodec:
             assert type(row["name"]) is str
         assert unpack_rows(decoded[5]) == []
         assert unpack_rows(decoded[6]) == [{"a": 1}, {"b": 2}]
-
-    @pytest.mark.skipif(not shm.shm_available(), reason="no usable shared memory")
-    def test_worker_entry_point_uses_shared_memory(self, small_sweep):
-        chunk = list(enumerate(small_sweep.cells()))[:1]
-        payload = _run_chunk(chunk, None, transfer="shm")
-        assert payload[0] == "shm"
-        via_shm = dict(shm.decode_chunk(payload[1], payload[2]))
-        via_pickle = dict(_run_chunk(chunk, None, transfer="pickle")[1])
-        strip = lambda packed: [
-            {k: v for k, v in row.items() if k != "wall_clock_seconds"}
-            for row in unpack_rows(packed)
-        ]
-        assert strip(via_shm[0]) == strip(via_pickle[0])
-
-    def test_discard_unknown_segment_is_silent(self):
-        shm.discard_chunk("psm_no_such_segment_abcdef")
-
-
-class TestTransferEquivalence:
-    """Both transports (and auto) must produce bitwise-identical tables."""
-
-    @pytest.mark.parametrize("transfer", ["shm", "pickle", "auto"])
-    def test_transfer_matches_serial(self, small_sweep, transfer):
-        serial = run_sweep(small_sweep)
-        parallel = run_sweep_parallel(small_sweep, workers=2, transfer=transfer)
-        assert comparable_rows(parallel) == comparable_rows(serial)
-
-    def test_invalid_transfer_rejected(self, small_sweep):
-        with pytest.raises(ExperimentError):
-            run_sweep_parallel(small_sweep, workers=2, transfer="carrier-pigeon")

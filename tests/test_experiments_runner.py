@@ -186,22 +186,17 @@ class TestGoldenRows:
 
     @pytest.mark.parametrize(
         "run_kwargs",
-        [{}, {"ensemble_size": 2}, {"workers": 2, "ensemble_size": 2}],
-        ids=["serial", "ensemble", "parallel"],
+        [
+            {},
+            {"ensemble_size": 2},
+            {"workers": 2},
+            {"workers": 2, "ensemble_size": 2},
+        ],
+        ids=["serial", "ensemble", "parallel-scalar", "parallel"],
     )
     def test_rows_match_pre_batching_capture(self, run_kwargs):
         golden = json.loads(self.GOLDEN_PATH.read_text())
         table = run_sweep(self._sweep(), **run_kwargs)
-        assert self._normalized_rows(table) == golden
-
-    def test_shared_memory_transfer_matches_capture(self):
-        from repro.experiments import shm
-        from repro.experiments.parallel import run_sweep_parallel
-
-        if not shm.shm_available():
-            pytest.skip("no usable shared memory on this host")
-        golden = json.loads(self.GOLDEN_PATH.read_text())
-        table = run_sweep_parallel(self._sweep(), workers=2, transfer="shm")
         assert self._normalized_rows(table) == golden
 
     def test_retried_rows_match_capture_bitwise(self):
@@ -219,7 +214,6 @@ class TestGoldenRows:
             retries=2,
             on_error="retry",
             backoff=0.0,
-            transfer="pickle",
             chunk_size=1,
         )
         assert table.failures == []
