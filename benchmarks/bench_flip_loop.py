@@ -15,13 +15,23 @@ the round budget only; results land in ``PERF_flip_loop.csv`` and the
 machine-readable ``BENCH_PERF_flip_loop.json``.  The per-backend bench
 times ``run`` next to ``step_all``, since a backend may drive the whole
 round loop natively.
+
+The per-flip cost bench records what a flip loop with no Python in it
+should deliver: µs/flip of one ``run()`` at 64², 256² and 512² (a flip
+touches the same 49-site window at every size, so growth is memory
+traffic), and the 256² run's slowdown with a busy Python thread alongside,
+next to a busy *process* as the control for plain CPU contention.  It
+asserts only that each compiled ``run()`` was exactly one native call.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import threading
 import time
 
-from repro.core.backends.registry import available_backends
+from repro.core.backends.registry import available_backends, default_backend_name
 from repro.core.config import ModelConfig
 from repro.core.ensemble import EnsembleDynamics, ReferenceEnsembleDynamics
 from repro.experiments.results import ResultTable
@@ -45,6 +55,13 @@ MIN_COMPILED_STEP_SPEEDUP = 3.0
 COMPILED_BACKENDS = ("cffi",)
 
 
+#: Grid sides of the per-flip cost rows (w = 3, R = 8, tau = 0.45).
+SCALING_SIDES = (64, 256, 512)
+
+#: The side at which the busy-thread and busy-process ratios are taken.
+CONTENTION_SIDE = 256
+
+
 def flip_loop_parameters() -> dict[str, int]:
     """Grid/budget parameters, honouring ``REPRO_BENCH_QUICK``."""
     return {
@@ -52,6 +69,9 @@ def flip_loop_parameters() -> dict[str, int]:
         "horizon": 3,
         "rounds": 400 if quick_mode() else 4000,
         "run_steps": 4000 if quick_mode() else 20000,
+        # Per-replica step budget of the per-flip cost runs; full mode
+        # runs every grid to termination.
+        "scaling_steps": 20000 if quick_mode() else None,
     }
 
 
@@ -203,4 +223,140 @@ def bench_flip_loop_backends(benchmark, emit):
         assert speedup >= MIN_COMPILED_STEP_SPEEDUP, (
             f"{name} backend {speedup:.2f}x below the "
             f"{MIN_COMPILED_STEP_SPEEDUP}x step_all flips/sec floor over numpy"
+        )
+
+
+def _counted_run(engine, max_steps) -> tuple[float, int, int]:
+    """Time one ``run``: ``(seconds, flips, native calls)``.
+
+    A backend with a native round loop exposes it as ``_run_fn``; the
+    count wraps it, so a run that returned to Python between rounds shows
+    up as more than one call.  Backends without one report zero calls.
+    """
+    backend = engine._backend
+    calls = [0]
+    native = getattr(backend, "_run_fn", None)
+    if native is not None:
+        def counted(*args):
+            calls[0] += 1
+            return native(*args)
+
+        backend._run_fn = counted
+    start = time.perf_counter()
+    result = engine.run(max_steps=max_steps)
+    elapsed = time.perf_counter() - start
+    if native is not None:
+        backend._run_fn = native
+    return elapsed, result.total_flips, calls[0]
+
+
+def _contended_run(config, max_steps, load: str) -> tuple[float, int, int]:
+    """One fresh R = 8 run with ``load`` ("quiet", "thread", "process")."""
+    engine = EnsembleDynamics(config, n_replicas=8, seed=11)
+    stop = threading.Event()
+    worker = None
+    process = None
+    if load == "thread":
+        def spin() -> None:
+            while not stop.is_set():
+                pass
+
+        worker = threading.Thread(target=spin, daemon=True)
+        worker.start()
+    elif load == "process":
+        process = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+        time.sleep(0.2)  # let the interpreter start spinning
+    try:
+        return _counted_run(engine, max_steps)
+    finally:
+        stop.set()
+        if worker is not None:
+            worker.join()
+        if process is not None:
+            process.kill()
+            process.wait()
+
+
+def bench_flip_loop_per_flip_cost(benchmark, emit):
+    """µs/flip of ``run()`` across grid sides, and the busy-thread ratio.
+
+    Uses the default backend (cffi when it loads).  Rows: one per grid side
+    (64², 256², 512²; w = 3, R = 8, tau = 0.45) with µs/flip and the native
+    call count, then the 256² run quiet, beside a busy Python thread and
+    beside a busy process.  The thread ratio measures what the GIL still
+    costs a run; the process ratio is the same host's CPU contention with
+    no GIL involved, so their quotient isolates the GIL.  Only the native
+    call count is asserted (exactly one per compiled run); the timings and
+    ratios go into the record.
+    """
+    params = flip_loop_parameters()
+    max_steps = params["scaling_steps"]
+    ziggurat_exponential_tables()  # one-time calibration outside the timing
+    configs = {
+        side: ModelConfig.square(side=side, horizon=3, tau=0.45)
+        for side in SCALING_SIDES
+    }
+    EnsembleDynamics(configs[SCALING_SIDES[0]], n_replicas=8, seed=11).run(
+        max_steps=1
+    )  # warm-up: compile + capture
+    native_calls: list[int] = []
+
+    def run() -> ResultTable:
+        table = ResultTable()
+        for side, config in configs.items():
+            engine = EnsembleDynamics(config, n_replicas=8, seed=11)
+            elapsed, flips, calls = _counted_run(engine, max_steps)
+            native_calls.append(calls)
+            table.add_row(
+                grid=f"{side}x{side}",
+                load="quiet",
+                flips=flips,
+                seconds=elapsed,
+                us_per_flip=1e6 * elapsed / flips,
+                native_calls=calls,
+            )
+        for load in ("quiet", "thread", "process"):
+            elapsed, flips, calls = _contended_run(
+                configs[CONTENTION_SIDE], max_steps, load
+            )
+            native_calls.append(calls)
+            table.add_row(
+                grid=f"{CONTENTION_SIDE}x{CONTENTION_SIDE}",
+                load=f"contention:{load}",
+                flips=flips,
+                seconds=elapsed,
+                us_per_flip=1e6 * elapsed / flips,
+                native_calls=calls,
+            )
+        return table
+
+    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    cost = {
+        row["grid"]: row["us_per_flip"]
+        for row in table.rows
+        if row["load"] == "quiet"
+    }
+    contention = {
+        row["load"].split(":")[1]: row["seconds"]
+        for row in table.rows
+        if row["load"].startswith("contention:")
+    }
+    engine_backend = default_backend_name()
+    benchmark.extra_info["quick_mode"] = quick_mode()
+    benchmark.extra_info["backend"] = engine_backend
+    for grid, us in cost.items():
+        benchmark.extra_info[f"us_per_flip_{grid}"] = float(us)
+    benchmark.extra_info["us_per_flip_ratio_512_over_64"] = float(
+        cost["512x512"] / cost["64x64"]
+    )
+    benchmark.extra_info["busy_thread_ratio"] = float(
+        contention["thread"] / contention["quiet"]
+    )
+    benchmark.extra_info["busy_process_ratio"] = float(
+        contention["process"] / contention["quiet"]
+    )
+    emit("PERF_flip_loop_per_flip_cost", table, benchmark)
+    if engine_backend in COMPILED_BACKENDS:
+        assert native_calls == [1] * len(native_calls), (
+            f"compiled run() returned to Python mid-run: {native_calls} native calls"
         )

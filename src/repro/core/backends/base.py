@@ -117,6 +117,9 @@ class FlipLoopBackend:
 
         This default is the engine's Python round loop, used by every
         backend without a native round loop and by the reference engine.
+        A backend that compiles the loop must run the whole call natively,
+        RNG block refills and sampler slow paths included, and return only
+        at those same stopping points: one native call per ``run_rounds``.
         """
         engine = self.engine
         rounds = 0

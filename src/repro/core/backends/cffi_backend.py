@@ -7,11 +7,11 @@ control plane (``repro_step_round``), the fused window update
 (``repro_run_rounds``).  It follows the numpy reference draw for draw, with
 the same IEEE-754 double expressions and no ``-ffast-math``.  At first use
 the source is compiled with the system C compiler into a shared object
-cached under a per-user temp directory keyed by the source hash, so the
-compile cost is paid once per machine, not per process.  It is loaded
-through ``cffi``'s ABI-mode ``dlopen``.  A cache directory that is not
-private to the current user is refused, since ``dlopen`` runs the library's
-load-time code.
+cached under a per-user temp directory, keyed by the source, numpy's
+version and the bytes of the numpy archive it links, so the compile cost is
+paid once per machine, not per process.  It is loaded through ``cffi``'s
+ABI-mode ``dlopen``.  A cache directory that is not private to the current
+user is refused, since ``dlopen`` runs the library's load-time code.
 
 The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
 ~30 array arguments through cffi per call would swamp the C code) is solved
@@ -19,14 +19,17 @@ with a pointer-capture struct: :class:`CffiBackend` fills a ``repro_state``
 struct with raw pointers into the engine's arrays once per runtime
 generation, and each call passes that single struct pointer.  The struct is
 rebuilt whenever the engine bumps ``_runtime_generation``, which is what
-makes holding raw pointers safe.  A run costs one native call per RNG
-slow-path event rather than three per round.
+makes holding raw pointers safe.  A run is one native call (one per
+trajectory segment), and cffi releases the GIL for its whole length.
 
-The rare slow paths (block refill, ziggurat slow path) are *not*
-reimplemented in C: the step function returns a status code and the host
-services the event through the stream's own methods, then resumes the C
-call at the exact phase it left.  Fast paths therefore never diverge from
-numpy's own bit streams.
+Every RNG word the kernel reads comes through one C reader over the
+replica's pre-drawn block.  At the block end the reader refills the block
+in place by stepping the replica's PCG64 state itself (128-bit LCG, XSL-RR
+output of the post-step state), and updates the same state and block-base
+arrays the Python refill uses.  Exponential waiting times are numpy's own
+``random_standard_exponential``, linked from the ``libnpyrandom.a`` archive
+numpy ships, run on a ``bitgen_t`` whose words come from that reader: the
+ziggurat's fast and slow paths are numpy's code, not a port of it.
 """
 
 from __future__ import annotations
@@ -44,30 +47,23 @@ import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.errors import StateError
+from repro.rng import PCG64_MULTIPLIER
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
-# Step-function status codes (the C ``STATUS_*`` defines): why it returned.
-STATUS_DONE = 0
-#: Block exhausted before the waiting-time word; nothing consumed yet.
-STATUS_REFILL_START = 1
-#: Ziggurat fast test failed; the word is consumed, the host replays the
-#: draw through the scratch generator and applies the clock update itself.
-STATUS_ZIGGURAT_SLOW = 2
-#: Block exhausted inside the candidate draw; clock already updated.
-STATUS_REFILL_CANDIDATE = 3
-
-# Resume phases: where to re-enter the interrupted replica.
-PHASE_START = 0
-PHASE_CANDIDATE = 1
-
 _INT64_MAX = (1 << 63) - 1
+
+#: numpy's prebuilt sampler library (``numpy/random/lib``), linked into the
+#: kernel for ``random_standard_exponential``.
+_NPYRANDOM_ARCHIVE = os.path.join(
+    os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a"
+)
 
 _CDEF = """
 typedef struct {
     int64_t *counts;
-    int64_t *members;
-    int64_t *positions;
+    int32_t *members;
+    int32_t *positions;
     double *times;
     int64_t *steps;
     int8_t *code;
@@ -75,8 +71,9 @@ typedef struct {
     int64_t *pos;
     uint8_t *has32;
     uint64_t *buf32;
-    uint64_t *ke;
-    double *we;
+    uint64_t *pcg_state;
+    uint64_t *pcg_inc;
+    uint64_t *pcg_base;
     int64_t block;
     int64_t n_sites;
     int64_t n_replicas;
@@ -86,11 +83,8 @@ typedef struct {
     int64_t discrete_gate;
     int64_t *out_reps;
     int64_t *out_flats;
-    int64_t *event;
     int8_t *spins;
-    int64_t *same;
-    int64_t full_lut;
-    int32_t *window_lut;
+    int16_t *same;
     int64_t *row_lut;
     int64_t *col_lut;
     int64_t n_cols;
@@ -119,21 +113,19 @@ typedef struct {
     int64_t max_steps;
     double max_time;
     int64_t track;
-    int64_t n_active;
-    int64_t rounds;
 } repro_state;
 
 int64_t repro_step_round(repro_state *st, const int64_t *candidates,
-                         int64_t n_candidates, int64_t start, int64_t phase,
-                         int64_t n_out);
-int64_t repro_run_rounds(repro_state *st, int64_t max_rounds, int64_t phase);
+                         int64_t n_candidates);
+int64_t repro_run_rounds(repro_state *st, int64_t max_rounds);
 int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
                           const int64_t *flats, int64_t n_flips,
                           int64_t track);
 void repro_coded_ops(const int64_t *rows, const int64_t *indices,
                      const int64_t *toggled, const int64_t *member_codes,
-                     int64_t n_ops, int64_t *members, int64_t *positions,
+                     int64_t n_ops, int32_t *members, int32_t *positions,
                      int64_t *counts, int64_t capacity, int64_t row_offset);
+double repro_standard_exponential(repro_state *st, int64_t replica);
 int64_t repro_selfcheck(void);
 """
 
@@ -141,120 +133,150 @@ int64_t repro_selfcheck(void);
 # numpy backend; the cross-backend bitwise suite is the enforcement.
 _SOURCE = (
     "#include <stdint.h>\n"
+    '#include "numpy/random/bitgen.h"\n'
     + _CDEF
+    + f"""
+#define PCG64_MULT_HI 0x{PCG64_MULTIPLIER >> 64:016x}ULL
+#define PCG64_MULT_LO 0x{PCG64_MULTIPLIER & ((1 << 64) - 1):016x}ULL
+"""
     + r"""
-#define STATUS_DONE 0
-#define STATUS_REFILL_START 1
-#define STATUS_ZIGGURAT_SLOW 2
-#define STATUS_REFILL_CANDIDATE 3
-#define PHASE_START 0
+/* numpy's ziggurat exponential, linked from libnpyrandom.a (declared in
+   numpy/random/distributions.h, which needs Python.h to include). */
+extern double random_standard_exponential(bitgen_t *bitgen_state);
+
+static void refill_block(repro_state *st, int64_t replica)
+{
+    /* The replica's next block, as numpy's PCG64 emits it: step the 128-bit
+       LCG, output the XSL-RR mix of the post-step state.  A position past
+       the block end (a draw that ran over) carries into the new block. */
+    uint64_t *state = st->pcg_state + 2 * replica;
+    const uint64_t *inc = st->pcg_inc + 2 * replica;
+    uint64_t *base = st->pcg_base + 2 * replica;
+    uint64_t *words = st->words + replica * st->block;
+    __uint128_t s = ((__uint128_t)state[1] << 64) | state[0];
+    __uint128_t plus = ((__uint128_t)inc[1] << 64) | inc[0];
+    __uint128_t mult = ((__uint128_t)PCG64_MULT_HI << 64) | PCG64_MULT_LO;
+    base[0] = state[0];
+    base[1] = state[1];
+    for (int64_t k = 0; k < st->block; k++) {
+        s = s * mult + plus;
+        uint64_t hi = (uint64_t)(s >> 64);
+        uint64_t x = hi ^ (uint64_t)s;
+        unsigned rot = (unsigned)(hi >> 58);
+        words[k] = (x >> rot) | (x << ((64u - rot) & 63u));
+    }
+    state[0] = (uint64_t)s;
+    state[1] = (uint64_t)(s >> 64);
+    st->pos[replica] -= st->block;
+}
+
+static inline uint64_t next_word(repro_state *st, int64_t replica)
+{
+    /* The one word reader: waiting times, candidates and the sampler's
+       slow path all consume the replica's stream through it. */
+    int64_t position = st->pos[replica];
+    while (position >= st->block) {
+        refill_block(st, replica);
+        position = st->pos[replica];
+    }
+    st->pos[replica] = position + 1;
+    return st->words[replica * st->block + position];
+}
+
+static inline uint64_t next_half_word(repro_state *st, int64_t replica)
+{
+    /* PCG64's next_uint32: the low half of a fresh word, its high half
+       buffered for the next call. */
+    if (st->has32[replica]) {
+        st->has32[replica] = 0;
+        return st->buf32[replica];
+    }
+    uint64_t word = next_word(st, replica);
+    st->buf32[replica] = word >> 32;
+    st->has32[replica] = 1;
+    return word & 0xFFFFFFFFULL;
+}
+
+typedef struct {
+    repro_state *st;
+    int64_t replica;
+} word_source;
+
+static uint64_t source_next_uint64(void *source)
+{
+    word_source *src = (word_source *)source;
+    return next_word(src->st, src->replica);
+}
+
+static uint32_t source_next_uint32(void *source)
+{
+    word_source *src = (word_source *)source;
+    return (uint32_t)next_half_word(src->st, src->replica);
+}
+
+static double source_next_double(void *source)
+{
+    /* PCG64's next_double, bit for bit. */
+    return (double)(source_next_uint64(source) >> 11)
+           * (1.0 / 9007199254740992.0);
+}
+
+double repro_standard_exponential(repro_state *st, int64_t replica)
+{
+    word_source source = {st, replica};
+    bitgen_t bitgen = {&source, source_next_uint64, source_next_uint32,
+                       source_next_double, source_next_uint64};
+    return random_standard_exponential(&bitgen);
+}
 
 int64_t repro_step_round(repro_state *st, const int64_t *candidates,
-                         int64_t n_candidates, int64_t start, int64_t phase,
-                         int64_t n_out)
+                         int64_t n_candidates)
 {
-    int64_t i = start;
-    while (i < n_candidates) {
+    /* One step per listed replica; returns the number of flips collected
+       in out_reps/out_flats. */
+    int64_t n_out = 0;
+    for (int64_t i = 0; i < n_candidates; i++) {
         int64_t replica = candidates[i];
-        if (st->counts[replica + st->term_offset] == 0) {
-            i += 1;
-            phase = PHASE_START;
+        if (st->counts[replica + st->term_offset] == 0)
             continue;
-        }
         int64_t sampler_row = replica + st->sampler_offset;
         int64_t size = st->counts[sampler_row];
-        if (size == 0) {
-            i += 1;
-            phase = PHASE_START;
+        if (size == 0)
             continue;
+        /* Waiting time first (continuous scheduler), then candidate. */
+        if (st->continuous != 0) {
+            double wait = repro_standard_exponential(st, replica);
+            st->times[replica] += (1.0 / (double)size) * wait;
+        } else {
+            st->times[replica] += 1.0;
         }
-        int64_t word_base = replica * st->block;
-        if (phase == PHASE_START) {
-            /* Waiting time first (continuous scheduler), then candidate. */
-            if (st->continuous != 0) {
-                int64_t position = st->pos[replica];
-                if (position >= st->block) {
-                    st->event[0] = replica;
-                    st->event[1] = i;
-                    st->event[2] = n_out;
-                    return STATUS_REFILL_START;
-                }
-                uint64_t word = st->words[word_base + position];
-                st->pos[replica] = position + 1;
-                uint64_t significand = word >> 11;
-                uint64_t layer = (word >> 3) & 0xFFu;
-                double wait;
-                if (significand < st->ke[layer]) {
-                    wait = (double)significand * st->we[layer];
-                } else {
-                    st->event[0] = replica;
-                    st->event[1] = i;
-                    st->event[2] = n_out;
-                    return STATUS_ZIGGURAT_SLOW;
-                }
-                st->times[replica] += (1.0 / (double)size) * wait;
-            } else {
-                st->times[replica] += 1.0;
-            }
-            st->steps[replica] += 1;
-        }
-        phase = PHASE_START;
-        int64_t draw;
+        st->steps[replica] += 1;
+        int64_t draw = 0;
         if (size > 1) {
+            /* numpy's integers(0, size): Lemire over the 32-bit stream. */
             uint64_t usize = (uint64_t)size;
-            uint64_t scaled = 0;
-            uint64_t threshold = 0;
-            int threshold_ready = 0;
-            for (;;) {
-                uint64_t cand32;
-                if (st->has32[replica]) {
-                    cand32 = st->buf32[replica];
-                    st->has32[replica] = 0;
-                } else {
-                    int64_t position = st->pos[replica];
-                    if (position >= st->block) {
-                        st->event[0] = replica;
-                        st->event[1] = i;
-                        st->event[2] = n_out;
-                        return STATUS_REFILL_CANDIDATE;
-                    }
-                    uint64_t word = st->words[word_base + position];
-                    st->pos[replica] = position + 1;
-                    cand32 = word & 0xFFFFFFFFULL;
-                    st->buf32[replica] = word >> 32;
-                    st->has32[replica] = 1;
+            uint64_t scaled = next_half_word(st, replica) * usize;
+            uint64_t leftover = scaled & 0xFFFFFFFFULL;
+            if (leftover < usize) {
+                uint64_t threshold = (0x100000000ULL - usize) % usize;
+                while (leftover < threshold) {
+                    scaled = next_half_word(st, replica) * usize;
+                    leftover = scaled & 0xFFFFFFFFULL;
                 }
-                scaled = cand32 * usize;
-                uint64_t leftover = scaled & 0xFFFFFFFFULL;
-                if (!threshold_ready) {
-                    if (leftover >= usize)
-                        break;
-                    threshold = (0x100000000ULL - usize) % usize;
-                    threshold_ready = 1;
-                }
-                if (leftover >= threshold)
-                    break;
             }
             draw = (int64_t)(scaled >> 32);
-        } else {
-            draw = 0;
         }
         int64_t flat = st->members[sampler_row * st->n_sites + draw];
         if (st->discrete_gate != 0
             && (st->code[replica * st->n_sites + flat] & 2) == 0) {
             /* Discrete scheduler samples unhappy agents; may refuse. */
-            i += 1;
             continue;
         }
         st->out_reps[n_out] = replica;
         st->out_flats[n_out] = flat;
         n_out += 1;
-        i += 1;
     }
-    st->event[0] = -1;
-    st->event[1] = n_candidates;
-    st->event[2] = n_out;
-    return STATUS_DONE;
+    return n_out;
 }
 
 int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
@@ -269,21 +291,14 @@ int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
         int64_t center = base + flat;
         int8_t new_value = (int8_t)(-st->spins[center]);
         st->spins[center] = new_value;
-        if (st->full_lut != 0) {
-            int64_t wbase = flat * st->window_area;
-            for (int64_t j = 0; j < st->window_area; j++)
-                st->win_buf[j] = st->window_lut[wbase + j];
-        } else {
-            int64_t row = flat / st->n_cols;
-            int64_t col = flat - row * st->n_cols;
-            int64_t rbase = row * st->window_side;
-            int64_t cbase = col * st->window_side;
-            for (int64_t a = 0; a < st->window_side; a++) {
-                int64_t roff = st->row_lut[rbase + a];
-                int64_t abase = a * st->window_side;
-                for (int64_t b = 0; b < st->window_side; b++)
-                    st->win_buf[abase + b] = roff + st->col_lut[cbase + b];
-            }
+        int64_t row = flat / st->n_cols;
+        int64_t col = flat - row * st->n_cols;
+        const int64_t *row_offsets = st->row_lut + row * st->window_side;
+        const int64_t *col_offsets = st->col_lut + col * st->window_side;
+        for (int64_t a = 0; a < st->window_side; a++) {
+            int64_t abase = a * st->window_side;
+            for (int64_t b = 0; b < st->window_side; b++)
+                st->win_buf[abase + b] = row_offsets[a] + col_offsets[b];
         }
         int64_t dv = (int64_t)new_value;
         int64_t spin_sum = 0;
@@ -305,7 +320,7 @@ int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
         st->same_buf[st->center_col] = st->total + 1 - old_center;
         for (int64_t j = 0; j < st->window_area; j++) {
             int64_t g = base + st->win_buf[j];
-            st->same[g] = st->same_buf[j];
+            st->same[g] = (int16_t)st->same_buf[j];
             int64_t spin_row = st->spin_buf[j] > 0 ? 1 : 0;
             int8_t new_code =
                 st->code_lut[spin_row * st->lut_stride + st->same_buf[j]];
@@ -330,7 +345,7 @@ int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
 
 void repro_coded_ops(const int64_t *rows, const int64_t *indices,
                      const int64_t *toggled, const int64_t *member_codes,
-                     int64_t n_ops, int64_t *members, int64_t *positions,
+                     int64_t n_ops, int32_t *members, int32_t *positions,
                      int64_t *counts, int64_t capacity, int64_t row_offset)
 {
     int64_t offset_base = row_offset * capacity;
@@ -346,16 +361,16 @@ void repro_coded_ops(const int64_t *rows, const int64_t *indices,
             if (member & 1) {
                 if (position < 0) {
                     int64_t count = counts[row];
-                    members[base + count] = index;
-                    positions[target] = count;
+                    members[base + count] = (int32_t)index;
+                    positions[target] = (int32_t)count;
                     counts[row] = count + 1;
                 }
             } else if (position >= 0) {
                 int64_t count = counts[row] - 1;
                 counts[row] = count;
                 int64_t last = members[base + count];
-                members[base + position] = last;
-                positions[base + last] = position;
+                members[base + position] = (int32_t)last;
+                positions[base + last] = (int32_t)position;
                 positions[target] = -1;
             }
         }
@@ -367,58 +382,43 @@ void repro_coded_ops(const int64_t *rows, const int64_t *indices,
             if (member & 2) {
                 if (position < 0) {
                     int64_t count = counts[pair_row];
-                    members[pair_base + count] = index;
-                    positions[target] = count;
+                    members[pair_base + count] = (int32_t)index;
+                    positions[target] = (int32_t)count;
                     counts[pair_row] = count + 1;
                 }
             } else if (position >= 0) {
                 int64_t count = counts[pair_row] - 1;
                 counts[pair_row] = count;
                 int64_t last = members[pair_base + count];
-                members[pair_base + position] = last;
-                positions[pair_base + last] = position;
+                members[pair_base + position] = (int32_t)last;
+                positions[pair_base + last] = (int32_t)position;
                 positions[target] = -1;
             }
         }
     }
 }
 
-int64_t repro_run_rounds(repro_state *st, int64_t max_rounds, int64_t phase)
+int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
 {
     /* The engine's round loop (FlipLoopBackend.run_rounds) in one call:
-       build the active set, step it, apply the round's flips.  A slow-path
-       event returns its status with n_active still set; the next call
-       resumes that round at the event's candidate index and flip count,
-       entering the interrupted replica at `phase`. */
-    for (;;) {
-        int64_t start = 0;
-        int64_t n_out = 0;
-        if (st->n_active > 0) {
-            start = st->event[1];
-            n_out = st->event[2];
-        } else {
-            if (st->rounds >= max_rounds)
-                return STATUS_DONE;
-            int64_t n_active = 0;
-            for (int64_t r = 0; r < st->n_replicas; r++) {
-                if (st->counts[r + st->term_offset] == 0
-                    || st->flips[r] - st->start_flips[r] >= st->max_flips
-                    || st->steps[r] - st->start_steps[r] >= st->max_steps
-                    || !(st->times[r] < st->max_time))
-                    continue;
-                st->candidates[n_active] = r;
-                n_active += 1;
-            }
-            if (n_active == 0)
-                return STATUS_DONE;
-            st->n_active = n_active;
-            phase = PHASE_START;
+       build the active set, step it, apply the round's flips.  Returns the
+       number of rounds run, at termination, at the budget or after
+       max_rounds (a trajectory-sample boundary). */
+    int64_t rounds = 0;
+    while (rounds < max_rounds) {
+        int64_t n_active = 0;
+        for (int64_t r = 0; r < st->n_replicas; r++) {
+            if (st->counts[r + st->term_offset] == 0
+                || st->flips[r] - st->start_flips[r] >= st->max_flips
+                || st->steps[r] - st->start_steps[r] >= st->max_steps
+                || !(st->times[r] < st->max_time))
+                continue;
+            st->candidates[n_active] = r;
+            n_active += 1;
         }
-        int64_t status = repro_step_round(st, st->candidates, st->n_active,
-                                          start, phase, n_out);
-        if (status != STATUS_DONE)
-            return status;
-        n_out = st->event[2];
+        if (n_active == 0)
+            break;
+        int64_t n_out = repro_step_round(st, st->candidates, n_active);
         if (n_out > 0) {
             int64_t n_ops = repro_apply_flips(st, st->out_reps, st->out_flats,
                                               n_out, st->track);
@@ -429,9 +429,9 @@ int64_t repro_run_rounds(repro_state *st, int64_t max_rounds, int64_t phase)
             for (int64_t k = 0; k < n_out; k++)
                 st->flips[st->out_reps[k]] += 1;
         }
-        st->n_active = 0;
-        st->rounds += 1;
+        rounds += 1;
     }
+    return rounds;
 }
 
 int64_t repro_selfcheck(void)
@@ -470,8 +470,23 @@ def _find_compiler() -> Optional[str]:
 
 
 def _library_path() -> str:
-    """Per-user cache path for the compiled shared object, hash-keyed."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    """Per-user cache path for the compiled shared object, hash-keyed.
+
+    The key covers everything the object is built from: the C source,
+    numpy's version and the bytes of the numpy archive it links.
+    """
+    try:
+        with open(_NPYRANDOM_ARCHIVE, "rb") as handle:
+            archive_digest = hashlib.sha256(handle.read()).digest()
+    except OSError as exc:
+        raise RuntimeError(
+            f"numpy's sampler archive {_NPYRANDOM_ARCHIVE} is not readable "
+            f"({exc.strerror or exc}); the C kernel links it"
+        ) from exc
+    key = hashlib.sha256(_SOURCE.encode())
+    key.update(np.__version__.encode())
+    key.update(archive_digest)
+    digest = key.hexdigest()[:16]
     try:
         uid = os.getuid()
     except AttributeError:  # pragma: no cover - non-posix
@@ -533,14 +548,19 @@ def _load_library():
                 handle.write(_SOURCE)
             tmp_so = os.path.join(build_dir, "libreproflip.so")
             proc = subprocess.run(
-                [compiler, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
+                [
+                    compiler, "-O2", "-fPIC", "-shared",
+                    "-I", np.get_include(),
+                    "-o", tmp_so, c_path, _NPYRANDOM_ARCHIVE, "-lm",
+                ],
                 capture_output=True,
                 text=True,
                 timeout=120,
             )
             if proc.returncode != 0:
                 raise RuntimeError(
-                    f"C compile failed ({compiler}): {proc.stderr.strip()[:500]}"
+                    f"C compile failed ({compiler}, linking "
+                    f"{_NPYRANDOM_ARCHIVE}): {proc.stderr.strip()[:500]}"
                 )
             # Atomic publish so concurrent sweep workers race benignly.
             os.replace(tmp_so, so_path)
@@ -575,13 +595,7 @@ def cffi_unavailable_reason() -> Optional[str]:
 
 
 class CffiBackend(FlipLoopBackend):
-    """The flip loop as compiled C behind a pointer-capture struct.
-
-    The slow-path event servicing (the part that must stay bit-for-bit
-    shared with the reference) lives in :meth:`_service_event`, which both
-    :meth:`step_round` and the native round loop of :meth:`run_rounds`
-    call.
-    """
+    """The flip loop as compiled C behind a pointer-capture struct."""
 
     name = "cffi"
 
@@ -592,7 +606,6 @@ class CffiBackend(FlipLoopBackend):
         self._candidates = np.empty(r, dtype=np.int64)
         self._out_reps = np.empty(r, dtype=np.int64)
         self._out_flats = np.empty(r, dtype=np.int64)
-        self._event = np.empty(3, dtype=np.int64)
         self._win_buf = np.empty(area, dtype=np.int64)
         self._spin_buf = np.empty(area, dtype=np.int8)
         self._same_buf = np.empty(area, dtype=np.int64)
@@ -638,24 +651,14 @@ class CffiBackend(FlipLoopBackend):
         # Contiguous copy: recompute_all rebinds the LUT, and the C code
         # wants one stable 2-row table either way.
         self._code_lut2 = np.ascontiguousarray(engine._code_lut, dtype=np.int8)
-        if engine._window_lut is not None:
-            full_lut = 1
-            self._window_lut_flat = engine._window_lut.reshape(-1)
-            self._row_lut_flat = np.zeros(1, dtype=np.int64)
-            self._col_lut_flat = np.zeros(1, dtype=np.int64)
-        else:
-            full_lut = 0
-            self._window_lut_flat = np.zeros(1, dtype=np.int32)
-            self._row_lut_flat = engine._row_lut.reshape(-1)
-            self._col_lut_flat = engine._col_lut.reshape(-1)
         ffi, lib = _load_library()
         self._ffi = ffi
         self._lib = lib
         st = ffi.new("repro_state *")
         ptr = self._ptr
         st.counts = ptr("int64_t *", self._counts)
-        st.members = ptr("int64_t *", self._members_flat)
-        st.positions = ptr("int64_t *", self._positions_flat)
+        st.members = ptr("int32_t *", self._members_flat)
+        st.positions = ptr("int32_t *", self._positions_flat)
         st.times = ptr("double *", engine._times)
         st.steps = ptr("int64_t *", engine._n_steps)
         st.code = ptr("int8_t *", engine._code_flat)
@@ -663,8 +666,9 @@ class CffiBackend(FlipLoopBackend):
         st.pos = ptr("int64_t *", streams._pos)
         st.has32 = ptr("uint8_t *", streams._has32)
         st.buf32 = ptr("uint64_t *", streams._buf32)
-        st.ke = ptr("uint64_t *", streams._ke)
-        st.we = ptr("double *", streams._we)
+        st.pcg_state = ptr("uint64_t *", streams._state)
+        st.pcg_inc = ptr("uint64_t *", streams._inc)
+        st.pcg_base = ptr("uint64_t *", streams._base)
         st.block = streams.block_words
         st.n_sites = engine._n_sites
         st.n_replicas = engine.n_replicas
@@ -674,13 +678,10 @@ class CffiBackend(FlipLoopBackend):
         st.discrete_gate = 1 if self._discrete_gate else 0
         st.out_reps = ptr("int64_t *", self._out_reps)
         st.out_flats = ptr("int64_t *", self._out_flats)
-        st.event = ptr("int64_t *", self._event)
         st.spins = ptr("int8_t *", engine._spins_flat)
-        st.same = ptr("int64_t *", engine._same_flat)
-        st.full_lut = full_lut
-        st.window_lut = ptr("int32_t *", self._window_lut_flat)
-        st.row_lut = ptr("int64_t *", self._row_lut_flat)
-        st.col_lut = ptr("int64_t *", self._col_lut_flat)
+        st.same = ptr("int16_t *", engine._same_flat)
+        st.row_lut = ptr("int64_t *", engine._row_lut)
+        st.col_lut = ptr("int64_t *", engine._col_lut)
         st.n_cols = engine.config.n_cols
         st.window_side = 2 * engine.config.horizon + 1
         st.window_area = engine._window_area
@@ -710,38 +711,23 @@ class CffiBackend(FlipLoopBackend):
         self._captured_generation = engine._runtime_generation
 
     def _ptr(self, ctype: str, array: np.ndarray):
-        """Raw pointer into ``array``'s buffer (writable, zero-copy)."""
+        """Raw pointer into ``array``'s buffer (writable, zero-copy).
+
+        The element width must match the C type: an array narrowed or
+        widened on the Python side fails here instead of being misread.
+        """
+        element = ctype[: -len(" *")]
+        if array.itemsize != self._ffi.sizeof(element) or not array.flags.c_contiguous:
+            raise StateError(
+                f"the C kernel reads {element} here, got a "
+                f"{'' if array.flags.c_contiguous else 'non-contiguous '}"
+                f"{array.dtype} array"
+            )
         return self._ffi.cast(ctype, self._ffi.from_buffer(array))
 
     def _refresh(self) -> None:
         if self._captured_generation != self.engine._runtime_generation:
             self._capture()
-
-    def _service_event(self, status: int) -> int:
-        """Service one slow-path event the step function returned.
-
-        ``self._event`` names the interrupted replica.  Returns the phase to
-        resume that replica at; the caller resumes at the event's candidate
-        index and collected-flip count.
-        """
-        engine = self.engine
-        streams = engine._streams
-        replica = int(self._event[0])
-        if status == STATUS_ZIGGURAT_SLOW:
-            # The C code consumed the word and bailed before the clock
-            # update; replay the draw bitwise and apply the update the way
-            # the reference loop does, then resume at the candidate draw.
-            # The sampler size is unchanged — flips land only after the
-            # whole round's draws.
-            wait = streams._replay_exponential(replica)
-            size = int(self._counts[replica + self._sampler_offset])
-            engine._times[replica] += (1.0 / size) * wait
-            engine._n_steps[replica] += 1
-            return PHASE_CANDIDATE
-        streams._refill_until_ready(replica)
-        if status == STATUS_REFILL_START:
-            return PHASE_START
-        return PHASE_CANDIDATE
 
     def step_round(self, candidates: np.ndarray) -> np.ndarray:
         self._refresh()
@@ -749,18 +735,7 @@ class CffiBackend(FlipLoopBackend):
         st = self._state
         n_candidates = candidates.size
         self._candidates[:n_candidates] = candidates
-        index = 0
-        phase = PHASE_START
-        collected = 0
-        while True:
-            status = self._step_fn(
-                st, st.candidates, n_candidates, index, phase, collected
-            )
-            index = int(self._event[1])
-            collected = int(self._event[2])
-            if status == STATUS_DONE:
-                break
-            phase = self._service_event(status)
+        collected = self._step_fn(st, st.candidates, n_candidates)
         if collected == 0:
             return np.empty(0, dtype=np.int64)
         reps = self._out_reps[:collected].copy()
@@ -770,12 +745,12 @@ class CffiBackend(FlipLoopBackend):
         return reps
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
-        """The whole round loop in one native call per slow-path event.
+        """The whole round loop as one native call.
 
         ``repro_run_rounds`` builds each round's active set from the budget,
-        steps it and applies its flips without returning; RNG block refills
-        and ziggurat slow paths come back as step-function events, serviced
-        by the shared :meth:`_service_event` before the call resumes mid-round.
+        steps it and applies its flips, and returns only at termination, at
+        the budget or after ``max_rounds`` rounds.  RNG block refills and
+        the sampler's slow paths run inside it.
         """
         self._refresh()
         engine = self.engine
@@ -786,18 +761,11 @@ class CffiBackend(FlipLoopBackend):
         st.max_steps = _int64_budget(budget.max_steps)
         st.max_time = math.inf if budget.max_time is None else budget.max_time
         st.track = 1 if engine._track_counters else 0
-        st.n_active = 0
-        st.rounds = 0
         limit = _INT64_MAX if max_rounds is None else max_rounds
-        phase = PHASE_START
-        while True:
-            status = self._run_fn(st, limit, phase)
-            if status == STATUS_DONE:
-                break
-            phase = self._service_event(status)
-        if st.rounds and not engine._track_counters:
+        rounds = self._run_fn(st, limit)
+        if rounds and not engine._track_counters:
             engine._counters_stale = True
-        return st.rounds
+        return rounds
 
     def apply_flips(
         self,
@@ -860,8 +828,8 @@ class CffiBackend(FlipLoopBackend):
             ffi.cast("const int64_t *", ffi.from_buffer(tog_arr)),
             ffi.cast("const int64_t *", ffi.from_buffer(mem_arr)),
             len(row_arr),
-            ffi.cast("int64_t *", ffi.from_buffer(members_flat)),
-            ffi.cast("int64_t *", ffi.from_buffer(positions_flat)),
+            ffi.cast("int32_t *", ffi.from_buffer(members_flat)),
+            ffi.cast("int32_t *", ffi.from_buffer(positions_flat)),
             ffi.cast("int64_t *", ffi.from_buffer(counts)),
             sets.capacity,
             row_offset,

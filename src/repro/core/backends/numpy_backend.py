@@ -149,22 +149,19 @@ class NumpyBackend(FlipLoopBackend):
         new_values = -spins_flat[centers]
         spins_flat[centers] = new_values
 
-        if engine._window_lut is not None:
-            win = engine._window_lut[flats]
-        else:
-            n_cols = config.n_cols
-            rows = flats // n_cols
-            cols = flats - rows * n_cols
-            win = (
-                engine._row_lut[rows][:, :, None]
-                + engine._col_lut[cols][:, None, :]
-            ).reshape(reps.size, engine._window_area)
-        gwin = win + bases[:, None]
+        # Flat engine indices of each flip's window: the replica base folds
+        # into the (flips, side) row offsets before the outer sum.
+        rows, cols = np.divmod(flats, config.n_cols)
+        gwin = (
+            (engine._row_lut[rows] + bases[:, None])[:, :, None]
+            + engine._col_lut[cols][:, None, :]
+        ).reshape(reps.size, engine._window_area)
 
         sub_spins = spins_flat[gwin]
         sub_same = engine._same_flat[gwin]
         center = engine._center_col
-        old_same_center = sub_same[:, center]
+        # Widened: the energy delta doubles it, which int16 may not hold.
+        old_same_center = sub_same[:, center].astype(np.int64)
         # Incremental per-replica counters, mirroring the O(1) delta of
         # ModelState.apply_flip: every *other* window agent moves by
         # spin * delta and the flipped agent is re-scored under its new type
@@ -210,7 +207,7 @@ class NumpyBackend(FlipLoopBackend):
         code = new_code[flip_slot, window_slot]
         engine._sets.apply_coded_ops(
             reps[flip_slot].tolist(),
-            win[flip_slot, window_slot].tolist(),
+            (gwin[flip_slot, window_slot] - bases[flip_slot]).tolist(),
             (old_code[flip_slot, window_slot] ^ code).tolist(),
             (code ^ 1).tolist(),
             engine.n_replicas,

@@ -12,12 +12,14 @@ sampler membership bookkeeping — is batched across the replica axis:
   vectorized batches, consuming each stream exactly as the per-call scalar
   path would.
 * The unhappy/flippable samplers of all replicas live in one array-backed
-  :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica),
-  bulk-built at rebuild time and sampled with one gather per round.
+  :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
+  int32 members and positions), bulk-built at rebuild time and sampled with
+  one gather per round.
 * The post-flip window update is one fused gather–classify–scatter kernel
-  over all flipping replicas: flat window indices come from a precomputed
-  lookup table, same-type counts are updated in place, and one classification
-  call (the variant hook, see below) refreshes every touched window.
+  over all flipping replicas: flat window indices come from precomputed
+  wrapped row/column lookups, int16 same-type counts are updated in place,
+  and one classification call (the variant hook, see below) refreshes every
+  touched window.
 
 Equivalence with the scalar engine is exact, not approximate: replica ``r``
 consumes its own PCG64 stream in the same order and quantity as a scalar
@@ -69,10 +71,9 @@ from repro.rng import BlockedReplicaStreams, SeedLike, replicate_seeds, spawn_rn
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
-#: Largest full per-site window lookup table the engine will precompute
-#: (entries = n_sites * window_area; int32 entries, so 16M entries = 64 MB).
-#: Bigger grids fall back to the two-gather row/column lookup path.
-_FULL_WINDOW_LUT_MAX_ENTRIES = 1 << 24
+#: Largest same-type count (N + 1, the code LUT's last column) the int16
+#: count arrays hold: N = (2w + 1)**2 stays below it up to w = 90.
+_SAME_COUNT_MAX = int(np.iinfo(np.int16).max)
 
 
 class _ReplicaIndexSet:
@@ -416,13 +417,19 @@ class EnsembleDynamics:
                 "the fused engine indexes sites with 32-bit draws; "
                 f"{n_sites} sites exceed that (use smaller grids)"
             )
+        if config.neighborhood_agents + 1 > _SAME_COUNT_MAX:
+            raise ConfigurationError(
+                "the fused engine keeps same-type counts as int16; "
+                f"N = {config.neighborhood_agents} (w = {config.horizon}) "
+                "exceeds that (w <= 90)"
+            )
         self._n_sites = n_sites
         self._times = np.zeros(r, dtype=np.float64)
         self._n_steps = np.zeros(r, dtype=np.int64)
         self._replica_ids = np.arange(r, dtype=np.int64)
         self._spins_flat = self._spins.reshape(-1)
         #: Incrementally maintained same-type counts, one flat row per replica.
-        self._same_flat = np.zeros(r * n_sites, dtype=np.int64)
+        self._same_flat = np.zeros(r * n_sites, dtype=np.int16)
         #: Packed happy/flippable bits per site: bit 0 happy, bit 1 flippable.
         self._code_flat = np.zeros(r * n_sites, dtype=np.int8)
         #: Rows [0, R) hold unhappy members, rows [R, 2R) flippable members.
@@ -460,13 +467,12 @@ class EnsembleDynamics:
         self._backend.attach(self)
 
     def _build_window_luts(self) -> None:
-        """Precompute flat window-index lookups for the fused flip kernel.
+        """Precompute the wrapped row/column lookups of the flip kernel.
 
-        Small grids get the full ``(n_sites, window_area)`` table — the
-        per-flip window indices are then a single gather.  Large grids fall
-        back to separate wrapped row/column lookups (two gathers and an
-        outer add), which cost a couple extra array ops but only
-        O(grid side * window side) memory.
+        A flip's flat window indices are ``row_lut[row][:, None] +
+        col_lut[col][None, :]``: the torus wrap is folded into two
+        O(grid side * window side) tables (row offsets already scaled by
+        ``n_cols``), shared by both backends.
         """
         config = self.config
         n_rows, n_cols = config.shape
@@ -475,24 +481,12 @@ class EnsembleDynamics:
         offsets = np.arange(-w, w + 1)
         self._window_area = side * side
         self._center_col = (self._window_area - 1) // 2
-        if config.n_sites * self._window_area <= _FULL_WINDOW_LUT_MAX_ENTRIES:
-            rows = np.arange(config.n_sites) // n_cols
-            cols = np.arange(config.n_sites) % n_cols
-            wrapped_rows = (rows[:, None] + offsets[None, :]) % n_rows
-            wrapped_cols = (cols[:, None] + offsets[None, :]) % n_cols
-            self._window_lut: Optional[np.ndarray] = (
-                wrapped_rows[:, :, None] * n_cols + wrapped_cols[:, None, :]
-            ).reshape(config.n_sites, self._window_area).astype(np.int32)
-            self._row_lut = None
-            self._col_lut = None
-        else:
-            self._window_lut = None
-            self._row_lut = (
-                ((np.arange(n_rows)[:, None] + offsets[None, :]) % n_rows) * n_cols
-            ).astype(np.int64)
-            self._col_lut = (
-                (np.arange(n_cols)[:, None] + offsets[None, :]) % n_cols
-            ).astype(np.int64)
+        self._row_lut = (
+            ((np.arange(n_rows)[:, None] + offsets[None, :]) % n_rows) * n_cols
+        ).astype(np.int64)
+        self._col_lut = (
+            (np.arange(n_cols)[:, None] + offsets[None, :]) % n_cols
+        ).astype(np.int64)
 
     # ------------------------------------------------------------- rebuilding
 

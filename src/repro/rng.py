@@ -125,7 +125,18 @@ PCG64_MULTIPLIER = 47026247687942121848144207491837523525
 _PCG64_MASK = (1 << 128) - 1
 _PCG64_MULT_INV = pow(PCG64_MULTIPLIER, -1, 1 << 128)
 _U32_MASK = 0xFFFFFFFF
+_U64_MASK = (1 << 64) - 1
 _ZIG_RI_BITS = 53  #: ziggurat significand width: word >> 11
+
+
+def _pcg64_pair(value: int) -> tuple[int, int]:
+    """A 128-bit PCG64 quantity as its ``(low, high)`` 64-bit words."""
+    return value & _U64_MASK, value >> 64
+
+
+def _pcg64_value(pair: np.ndarray) -> int:
+    """The 128-bit PCG64 quantity stored as a ``(low, high)`` uint64 pair."""
+    return int(pair[0]) | (int(pair[1]) << 64)
 
 
 def pcg64_state_after(state: int, inc: int, delta: int) -> int:
@@ -308,15 +319,27 @@ def _verify_ziggurat_tables(tables: tuple[np.ndarray, np.ndarray]) -> bool:
 class BlockedReplicaStreams:
     """Blocked, bitwise-exact consumption of per-replica PCG64 streams.
 
-    Wraps one :class:`numpy.random.Generator` per replica and serves the two
-    scalar draw kinds the dynamics engines perform — ``standard_exponential``
-    and ``integers(0, high)`` — from pre-drawn raw-word blocks, vectorized
-    across replicas.  Each replica's bit stream is consumed in exactly the
-    order and quantity the scalar calls would consume it (ziggurat fast path
-    re-derived from the block; rare slow paths replayed through a scratch
-    generator positioned at the exact stream offset; Lemire-32 bounded
-    integers including the half-word buffer), so every value returned is
-    bitwise identical to the corresponding scalar ``Generator`` call.
+    Takes over one :class:`numpy.random.Generator` per replica and serves the
+    two scalar draw kinds the dynamics engines perform —
+    ``standard_exponential`` and ``integers(0, high)`` — from pre-drawn
+    raw-word blocks, vectorized across replicas.  Each replica's bit stream
+    is consumed in exactly the order and quantity the scalar calls would
+    consume it (ziggurat fast path re-derived from the block; rare slow paths
+    replayed through a scratch generator positioned at the exact stream
+    offset; Lemire-32 bounded integers including the half-word buffer), so
+    every value returned is bitwise identical to the corresponding scalar
+    ``Generator`` call.
+
+    Each replica's PCG64 position lives in three ``(n_streams, 2)`` uint64
+    arrays of ``(low, high)`` words, the one authority for it: ``_state``
+    (the LCG state after the last pre-drawn word), ``_inc`` (the stream
+    increment) and ``_base`` (the state the current block started from).
+    The generators handed in are read once, at construction, and never
+    advanced.  Two writers refill blocks from these arrays and store back
+    to them: :meth:`_refill` here, through a scratch generator, and the
+    compiled flip loop (``core/backends/cffi_backend.py``), which steps
+    PCG64 itself and runs numpy's own sampler on the block words.  Either
+    leaves the arrays exactly as the other would.
 
     ``block_words`` tunes the refill granularity; correctness does not depend
     on it (the boundary property tests run it down to one word per block).
@@ -339,28 +362,29 @@ class BlockedReplicaStreams:
     ) -> None:
         if block_words <= 0:
             raise ValueError(f"block_words must be positive, got {block_words}")
-        self._rngs = list(rngs)
-        n_streams = len(self._rngs)
+        n_streams = len(rngs)
         if n_streams == 0:
             raise ValueError("BlockedReplicaStreams needs at least one generator")
         self._block_words = int(block_words)
         self._words = np.zeros((n_streams, self._block_words), dtype=np.uint64)
         #: Next unconsumed word per replica; == block_words means exhausted.
         self._pos = np.full(n_streams, self._block_words, dtype=np.int64)
-        self._base: list[Optional[int]] = [None] * n_streams
-        self._inc: list[int] = []
+        self._state = np.zeros((n_streams, 2), dtype=np.uint64)
+        self._inc = np.zeros((n_streams, 2), dtype=np.uint64)
         self._has32 = np.zeros(n_streams, dtype=bool)
         self._buf32 = np.zeros(n_streams, dtype=np.uint64)
-        for index, rng in enumerate(self._rngs):
+        for index, rng in enumerate(rngs):
             state = rng.bit_generator.state
             if state.get("bit_generator") != "PCG64":
                 raise ValueError(
                     "BlockedReplicaStreams requires PCG64 generators, got "
                     f"{state.get('bit_generator')!r}"
                 )
-            self._inc.append(state["state"]["inc"])
+            self._state[index] = _pcg64_pair(state["state"]["state"])
+            self._inc[index] = _pcg64_pair(state["state"]["inc"])
             self._has32[index] = bool(state["has_uint32"])
             self._buf32[index] = state["uinteger"]
+        self._base = self._state.copy()
         self._scratch = np.random.Generator(np.random.PCG64(0))
         self._we, self._ke = ziggurat_exponential_tables()
         # Scalar-path mirrors: memoryviews over the same buffers (list-speed
@@ -375,7 +399,7 @@ class BlockedReplicaStreams:
     @property
     def n_streams(self) -> int:
         """Number of wrapped per-replica streams."""
-        return len(self._rngs)
+        return self._pos.size
 
     @property
     def block_words(self) -> int:
@@ -385,19 +409,33 @@ class BlockedReplicaStreams:
     # ---------------------------------------------------------------- refills
 
     def _refill(self, replica: int) -> None:
-        """Draw the next word block for ``replica`` from its generator.
+        """Draw the next word block for ``replica`` from its PCG64 state.
 
-        ``pos`` beyond the block end (a slow-path replay that ran past the
-        buffer) carries over: those words were already consumed logically, so
-        the new block starts with them skipped.
+        The scratch generator is loaded from the state arrays, draws the
+        block and its end state is stored back, so the arrays stay the one
+        authority.  ``pos`` beyond the block end (a slow-path replay that ran
+        past the buffer) carries over: those words were already consumed
+        logically, so the new block starts with them skipped.
         """
         overrun = int(self._pos[replica]) - self._block_words
-        rng = self._rngs[replica]
-        self._base[replica] = rng.bit_generator.state["state"]["state"]
-        self._words[replica] = rng.integers(
+        self._load_scratch(_pcg64_value(self._state[replica]), replica)
+        self._words[replica] = self._scratch.integers(
             0, 2**64, size=self._block_words, dtype=np.uint64
         )
+        self._base[replica] = self._state[replica]
+        self._state[replica] = _pcg64_pair(
+            self._scratch.bit_generator.state["state"]["state"]
+        )
         self._pos[replica] = overrun
+
+    def _load_scratch(self, state: int, replica: int) -> None:
+        """Put the scratch generator at LCG ``state`` on ``replica``'s stream."""
+        self._scratch.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": _pcg64_value(self._inc[replica])},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def _ensure(self, replicas: np.ndarray) -> None:
         """Refill every listed replica whose block is exhausted.
@@ -446,16 +484,9 @@ class BlockedReplicaStreams:
         past the end of the pre-drawn block.
         """
         start = int(self._pos[replica]) - 1
-        inc = self._inc[replica]
-        base = self._base[replica]
-        assert base is not None
-        before = pcg64_state_after(base, inc, start)
-        self._scratch.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": before, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        inc = _pcg64_value(self._inc[replica])
+        before = pcg64_state_after(_pcg64_value(self._base[replica]), inc, start)
+        self._load_scratch(before, replica)
         value = float(self._scratch.standard_exponential())
         after = self._scratch.bit_generator.state["state"]["state"]
         consumed, rolling = 0, before
@@ -537,15 +568,17 @@ class BlockedReplicaStreams:
           :meth:`bounded_integers`);
         * ``NumpyBackend.step_round``, which inlines the scalar loop with
           the round's filtering and clock work;
-        * ``repro_step_round``, the C step function in ``cffi_backend.py``,
-          which the C round loop ``repro_run_rounds`` drives between
-          slow-path events.
+        * the C word reader in ``cffi_backend.py`` (``next_word``), which
+          owns its own block refills and feeds numpy's compiled
+          ``random_standard_exponential`` for the waiting time, so its slow
+          path is numpy's code rather than a replay.
 
         Any change to the protocol must touch all four.  The boundary tests
         in ``test_rng.py`` / ``test_core_ensemble.py`` pin the scalar and
         vectorized paths to live ``Generator`` draws, and the cross-backend
-        suite in ``test_backends.py`` pins the rest to the numpy backend,
-        so a missed site fails fast.
+        suite in ``test_backends.py`` pins the rest to the numpy backend
+        (stream arrays and PCG64 states included), so a missed site fails
+        fast.
         """
         if replicas.size > self.SCALAR_PATH_MAX:
             values = (

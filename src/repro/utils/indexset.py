@@ -91,8 +91,9 @@ class IndexSampler:
 class BatchedIndexSet:
     """A family of randomised index sets backed by three shared arrays.
 
-    One row per set: a packed ``(n_sets, capacity)`` member array, a
-    ``(n_sets, capacity)`` position table and an ``(n_sets,)`` count vector —
+    One row per set: a packed ``(n_sets, capacity)`` int32 member array, a
+    ``(n_sets, capacity)`` int32 position table (so ``capacity`` is at most
+    ``2**31``) and an ``(n_sets,)`` int64 count vector —
     the array-backed analogue of ``n_sets`` independent :class:`IndexSampler`
     objects, laid out for the vectorized ensemble engine.  The swap-remove
     algorithm (and therefore the member ordering every RNG draw depends on) is
@@ -134,10 +135,15 @@ class BatchedIndexSet:
             raise ValueError(f"n_sets must be positive, got {n_sets}")
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        if capacity > 2**31:
+            raise ValueError(
+                f"capacity {capacity} exceeds 2**31: members and positions "
+                "are int32"
+            )
         self._n_sets = int(n_sets)
         self._capacity = int(capacity)
-        self._members = np.zeros((n_sets, capacity), dtype=np.int64)
-        self._positions = np.full((n_sets, capacity), -1, dtype=np.int64)
+        self._members = np.zeros((n_sets, capacity), dtype=np.int32)
+        self._positions = np.full((n_sets, capacity), -1, dtype=np.int32)
         self._counts = np.zeros(n_sets, dtype=np.int64)
         # Flat scalar views for the sequential update loop; ~60% cheaper per
         # element access than ndarray scalar indexing.

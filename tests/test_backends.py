@@ -8,17 +8,20 @@ Five layers are pinned here:
   error for unknown names, removed backends included.
 * **Bitwise identity** — the compiled ``cffi`` backend, when the host can
   build it, advances the ensemble engine *bit for bit* like the numpy
-  reference: spins, clocks, step/flip counters, energies and the samplers'
-  packed layouts, across the base, two-sided and asymmetric rules, with a
-  tiny RNG block size so the refill and ziggurat slow paths (the
-  event-servicing seam) fire constantly.
+  reference: spins, clocks, step/flip counters, energies, the samplers'
+  packed layouts and the RNG streams (block words, positions, half-word
+  buffers, each replica's PCG64 state and block base), across the base,
+  two-sided and asymmetric rules, with a tiny RNG block size so the C
+  block refills fire constantly.  The C exponential draw is also fed
+  steered words, so numpy's slow paths (layer-0 tail, wedge accept and
+  the rejecting recursion) run across block ends.
 * **Runs** — ``run()`` returns identical results and leaves identical
   state under every backend: flip/step/time budgets, trajectory segments,
   both flip rules and schedulers, wider horizons, rectangular tori and
-  windows as wide as the torus, the large-grid row/column window lookups,
-  R above the scalar-path limit, and a run continued after a budgeted one
-  (also across a ``recompute_all``, which makes the C backend re-capture
-  its pointers).
+  windows as wide as the torus, R above the scalar-path limit, and a run
+  continued after a budgeted one (also across a ``recompute_all``, which
+  makes the C backend re-capture its pointers).  A compiled ``run()`` is
+  one native call, or one per trajectory segment.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
@@ -38,6 +41,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import rng as rng_module
 from repro.core.backends import cffi_backend
 from repro.core.backends.registry import (
     AUTO_PREFERENCE,
@@ -49,7 +53,6 @@ from repro.core.backends.registry import (
     select_backend_name,
 )
 from repro.core.backends import registry as registry_module
-from repro.core import ensemble as ensemble_module
 from repro.core.config import ModelConfig
 from repro.core.ensemble import (
     EnsembleDynamics,
@@ -70,6 +73,7 @@ SMALL = ModelConfig.square(side=16, horizon=1, tau=0.45)
 
 def _engine_state(engine):
     """Everything a backend could corrupt, as one comparable bundle."""
+    streams = engine._streams
     layouts = [
         engine._sets.packed_members(row)
         for row in range(2 * engine.n_replicas)
@@ -82,6 +86,14 @@ def _engine_state(engine):
         engine.energies(),
         engine.unhappy_counts(),
         engine.flippable_counts(),
+        # The RNG streams: a refill that leaves the block base or the PCG64
+        # state stale fails here, not only on a later replay.
+        streams._words,
+        streams._pos,
+        streams._has32,
+        streams._buf32,
+        streams._state,
+        streams._base,
         layouts,
     )
 
@@ -201,8 +213,8 @@ class TestBitwiseIdentity:
 
     @pytest.mark.parametrize("block_words", [1, 7, 4096])
     def test_base_rule(self, backend_name, block_words):
-        # block_words=1 forces a refill on every word and exercises the
-        # event-servicing resume protocol on essentially every draw.
+        # block_words=1 makes every word a refill, so the C refill and the
+        # numpy one must leave the same words, base and state each time.
         self._compare(
             backend_name,
             lambda backend: EnsembleDynamics(
@@ -441,24 +453,32 @@ class TestRunIdentity:
         if case.startswith("r40"):
             assert reference.n_replicas > BlockedReplicaStreams.SCALAR_PATH_MAX
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "to_termination",
-            "horizon_2",
-            "rectangular",
-            "two_sided",
-            "r40_vectorized_reference",
-        ],
-    )
-    def test_row_col_lut_fallback_matches_numpy(
-        self, backend_name, case, monkeypatch
-    ):
-        """Large grids gather windows from row/column tables, not one LUT."""
-        monkeypatch.setattr(ensemble_module, "_FULL_WINDOW_LUT_MAX_ENTRIES", 0)
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_run_is_one_native_call(self, backend_name, case, monkeypatch):
+        """No Python between rounds: one C call per run, or per segment."""
         factory, kwargs = RUN_CASES[case]
-        _, actual = _assert_runs_match(factory, kwargs, backend_name)
-        assert actual._window_lut is None  # the fallback is actually active
+        engine = factory(backend_name)
+        backend = engine._backend
+        native_fn = backend._run_fn
+        run_rounds = backend.run_rounds
+        calls = {"native": 0, "segments": 0}
+
+        def counted_native(*args):
+            calls["native"] += 1
+            return native_fn(*args)
+
+        def counted_segment(*args):
+            calls["segments"] += 1
+            return run_rounds(*args)
+
+        monkeypatch.setattr(backend, "_run_fn", counted_native)
+        monkeypatch.setattr(backend, "run_rounds", counted_segment)
+        engine.run(**kwargs)
+        if kwargs.get("record_trajectory"):
+            assert calls["segments"] > 1
+            assert calls["native"] == calls["segments"]
+        else:
+            assert calls == {"native": 1, "segments": 1}
 
     @pytest.mark.parametrize("recompute", [False, True], ids=["plain", "recompute_all"])
     def test_budgeted_run_then_continuation(self, backend_name, recompute):
@@ -510,16 +530,142 @@ class TestCompiledKernelCache:
         fresh_cache.symlink_to(target)
         self._assert_refused(fresh_cache)
 
+    @pytest.mark.parametrize("content", [None, b"not an archive"], ids=["missing", "unlinkable"])
+    def test_bad_sampler_archive_is_named(
+        self, fresh_cache, tmp_path, monkeypatch, content
+    ):
+        # The kernel links numpy's libnpyrandom.a; without a usable archive
+        # the backend is unavailable, and the reason names the file.
+        archive = tmp_path / "libnpyrandom.a"
+        if content is not None:
+            archive.write_bytes(content)
+        monkeypatch.setattr(cffi_backend, "_NPYRANDOM_ARCHIVE", str(archive))
+        self._assert_refused(archive)
 
-class TestKernelConstants:
-    def test_status_codes_are_distinct(self):
-        codes = {
-            cffi_backend.STATUS_DONE,
-            cffi_backend.STATUS_REFILL_START,
-            cffi_backend.STATUS_ZIGGURAT_SLOW,
-            cffi_backend.STATUS_REFILL_CANDIDATE,
+    def test_cache_key_covers_numpy(self, fresh_cache, monkeypatch):
+        path = cffi_backend._library_path()
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        assert cffi_backend._library_path() != path
+
+
+@pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+class TestCompiledSampler:
+    """The C exponential draw is numpy's sampler on the replica's words.
+
+    Random runs rarely reach layer 0's tail or the wedge's rejecting
+    recursion, so each case steers the replica's PCG64 stream to a word
+    that takes it, then compares value and words consumed against
+    ``Generator.standard_exponential`` fed the same word.  The word sits
+    at the block's last slot for the small blocks, so every slow path
+    crosses the block end into a C refill.
+    """
+
+    CASES = ("fast", "tail", "wedge_accept", "wedge_reject")
+
+    @staticmethod
+    def _classify(word, consumed):
+        layer = (word >> 3) & 0xFF
+        if consumed == 1:
+            return "fast"
+        if layer == 0:
+            return "tail"
+        return "wedge_accept" if consumed == 2 else "wedge_reject"
+
+    def _steered_word(self, probe, case):
+        """A word whose draw on ``probe``'s stream takes the ``case`` path."""
+        _, ke = rng_module.ziggurat_exponential_tables()
+        top = (1 << 53) - 1
+        for layer in range(256):
+            slow_from = min(int(ke[layer]), top)
+            for significand in (0, (slow_from + top) // 2):
+                for low in range(8):
+                    word = (significand << 11) | (layer << 3) | low
+                    _, consumed = rng_module._probe_draw(probe, word)
+                    if self._classify(word, consumed) == case:
+                        return word
+        raise AssertionError(f"no steerable word takes the {case} path")
+
+    def _steer(self, engine, case, slot):
+        """Put ``case``'s word at ``slot`` of replica 1's freshly drawn block.
+
+        Returns ``(replica, inc, probe)`` with ``probe`` a generator on the
+        same stream, positioned to emit that word next.
+        """
+        streams = engine._streams
+        replica = 1
+        inc = rng_module._pcg64_value(streams._inc[replica])
+        probe = np.random.Generator(np.random.PCG64(0))
+        probe.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": 0, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
         }
-        assert len(codes) == 4
+        word = self._steered_word(probe, case)
+        rng_module._probe_generator_for_word(probe, word)
+        start = probe.bit_generator.state["state"]["state"]
+        # Draw the block through the Python refill, then park at ``slot``.
+        streams._state[replica] = rng_module._pcg64_pair(
+            rng_module.pcg64_state_after(start, inc, (1 << 128) - slot)
+        )
+        streams._pos[replica] = streams.block_words
+        streams._refill_until_ready(replica)
+        streams._pos[replica] = slot
+        assert int(streams._words[replica, slot]) == word
+        return replica, inc, probe
+
+    @staticmethod
+    def _logical_state(streams, replica, inc):
+        """The PCG64 state after the words the stream has consumed."""
+        return rng_module.pcg64_state_after(
+            rng_module._pcg64_value(streams._base[replica]),
+            inc,
+            int(streams._pos[replica]),
+        )
+
+    @pytest.mark.parametrize("block_words", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_numpy_on_steered_words(self, backend_name, case, block_words):
+        engine = EnsembleDynamics(
+            SMALL, n_replicas=2, seed=5, rng_block_words=block_words,
+            backend=backend_name,
+        )
+        streams = engine._streams
+        # The word sits in the block's last slot, so a slow path crosses
+        # the block end into a C refill (4096-word blocks: the first slot).
+        slot = block_words - 1 if block_words < 4096 else 0
+        replica, inc, probe = self._steer(engine, case, slot)
+        python_base = rng_module._pcg64_value(streams._base[replica])
+        backend = engine._backend
+        value = backend._lib.repro_standard_exponential(backend._state, replica)
+        assert value == probe.standard_exponential()
+        assert self._logical_state(streams, replica, inc) == (
+            probe.bit_generator.state["state"]["state"]
+        )
+        crossed = rng_module._pcg64_value(streams._base[replica]) != python_base
+        assert crossed == (case != "fast" and block_words < 4096)
+        # The other replica's stream is untouched.
+        assert streams._pos[0] == block_words
+
+    @pytest.mark.parametrize("block_words", [1, 2, 3])
+    @pytest.mark.parametrize("case", CASES[1:])
+    def test_carries_a_python_overrun(self, backend_name, case, block_words):
+        """A Python replay past the block end hands C an overrun position."""
+        engine = EnsembleDynamics(
+            SMALL, n_replicas=2, seed=5, rng_block_words=block_words,
+            backend=backend_name,
+        )
+        streams = engine._streams
+        replica, inc, probe = self._steer(engine, case, block_words - 1)
+        rows = np.array([replica])
+        assert streams.standard_exponential(rows)[0] == probe.standard_exponential()
+        assert streams._pos[replica] > block_words
+        backend = engine._backend
+        value = backend._lib.repro_standard_exponential(backend._state, replica)
+        assert value == probe.standard_exponential()
+        assert self._logical_state(streams, replica, inc) == (
+            probe.bit_generator.state["state"]["state"]
+        )
 
 
 class TestSweepProvenance:

@@ -12,6 +12,7 @@ between engines freely.
 import numpy as np
 import pytest
 
+from repro.core.backends.registry import available_backends
 from repro.core.config import ModelConfig
 from repro.core.dynamics import GlauberDynamics
 from repro.core.ensemble import EnsembleDynamics, run_ensemble
@@ -211,6 +212,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             EnsembleDynamics(config, seed=1)
 
+    def test_rejects_windows_beyond_int16_counts(self):
+        # Same-type counts are int16, which holds N + 1 only up to w = 90.
+        config = ModelConfig.square(side=183, horizon=91, tau=0.45)
+        with pytest.raises(ConfigurationError, match="int16"):
+            EnsembleDynamics(config, n_replicas=1, seed=1)
+
     def test_rejects_empty_replica_seeds(self):
         config = ModelConfig.square(side=12, horizon=1, tau=0.4)
         with pytest.raises(ConfigurationError):
@@ -234,6 +241,24 @@ class TestValidation:
 
 class TestIncrementalEnergies:
     """energies()/magnetizations() are incremental counters kept exact per flip."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_widest_window_fits_int16_counts(self, backend):
+        # w = 90 is the widest window whose counts (up to N + 1 = 32762)
+        # fit int16.  Under the always-flip rule at tau = 0.6 agents with
+        # more than 2**14 same-type neighbours flip, and twice their count
+        # wraps in int16, so the energy delta must widen it.
+        config = ModelConfig.square(side=181, horizon=90, tau=0.6)
+        ensemble = EnsembleDynamics(
+            config, n_replicas=2, seed=5, flip_rule=FlipRule.ALWAYS,
+            backend=backend,
+        )
+        assert ensemble._same_flat.dtype == np.int16
+        for _ in range(20):
+            ensemble.step_all()
+        assert ensemble.n_flips.tolist() == [20, 20]
+        assert np.array_equal(ensemble.energies(), ensemble._energies_full())
+        assert int(ensemble._same_flat.max()) <= config.neighborhood_agents
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("tau", TAUS)
@@ -515,16 +540,14 @@ class TestDispatchRegimes:
             assert reference.n_steps == result.n_steps[replica]
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_row_col_lut_fallback_matches_scalar(self, monkeypatch, scheduler):
-        """Force the large-grid window-LUT fallback (two-gather path)."""
-        import repro.core.ensemble as ensemble_module
-
-        monkeypatch.setattr(ensemble_module, "_FULL_WINDOW_LUT_MAX_ENTRIES", 0)
+    def test_row_col_lut_fallback_matches_scalar(self, scheduler):
+        """The row/column window lookups (the one window path) at w = 2."""
         config = ModelConfig.square(
             side=14, horizon=2, tau=0.45, scheduler=scheduler
         )
         ensemble = EnsembleDynamics(config, n_replicas=2, seed=23)
-        assert ensemble._window_lut is None  # the fallback is actually active
+        assert ensemble._row_lut.shape == (14, 5)
+        assert ensemble._col_lut.shape == (14, 5)
         result = ensemble.run(max_flips=60)
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed, max_flips=60)

@@ -169,19 +169,44 @@ class TestBlockedReplicaStreams:
 
     def test_exact_exhaustion_boundary(self):
         """A block consumed exactly to its end refills with zero overrun."""
-        from repro.rng import BlockedReplicaStreams
+        from repro.rng import BlockedReplicaStreams, _pcg64_value, pcg64_state_after
 
         streams = BlockedReplicaStreams(
             [np.random.default_rng(1)], block_words=4
         )
         reference = np.random.default_rng(1)
         rows = np.array([0])
+        bases = set()
+
+        def draw():
+            got = int(streams.bounded_integers(rows, np.array([2**31]))[0])
+            assert got == int(reference.integers(0, 2**31))
+            bases.add(_pcg64_value(streams._base[0]))
+
         # high=2**32 would leave the 32-bit path; large highs below it
         # consume exactly one 32-bit half-word per draw -> 8 draws per block.
         for _ in range(16):
-            got = int(streams.bounded_integers(rows, np.array([2**31]))[0])
-            assert got == int(reference.integers(0, 2**31))
-        assert streams._pos[0] in (0, 4) or streams._pos[0] < 4
+            draw()
+        # 8 words: exactly two 4-word blocks, the second used to its last
+        # word, no half-word left over, and the stream where the scalar
+        # generator's is.
+        expected = reference.bit_generator.state
+        assert streams._pos[0] == 4
+        assert not streams._has32[0]
+        assert not expected["has_uint32"]
+        assert len(bases) == 2
+        assert _pcg64_value(streams._state[0]) == expected["state"]["state"]
+        # One more draw opens a third block and takes its first word.
+        draw()
+        assert streams._pos[0] == 1
+        assert len(bases) == 3
+        assert _pcg64_value(streams._base[0]) == expected["state"]["state"]
+        logical = pcg64_state_after(
+            _pcg64_value(streams._base[0]),
+            _pcg64_value(streams._inc[0]),
+            int(streams._pos[0]),
+        )
+        assert logical == reference.bit_generator.state["state"]["state"]
 
     def test_draw_step_matches_split_calls(self):
         """The fused step draw equals exponential-then-integers, both regimes."""

@@ -132,6 +132,17 @@ class TestBatchedIndexSetBasics:
         with pytest.raises(ValueError):
             BatchedIndexSet(2, 5).fill_from_masks(np.zeros((3, 5), dtype=bool))
 
+    def test_capacity_is_bounded_by_int32_storage(self):
+        from repro.utils.indexset import BatchedIndexSet
+
+        # Members and positions are int32: checked before anything is
+        # allocated, so the oversized request costs nothing.
+        with pytest.raises(ValueError, match="int32"):
+            BatchedIndexSet(1, 2**31 + 1)
+        batched = BatchedIndexSet(1, 4)
+        assert batched.storage()[0].dtype == np.int32
+        assert batched.storage()[1].dtype == np.int32
+
     def test_fill_from_masks_builds_sorted_rows(self):
         from repro.utils.indexset import BatchedIndexSet
 
