@@ -1,15 +1,11 @@
-"""Throughput benchmarks for the vectorized ensemble and parallel runners.
+"""Throughput benchmarks for the ensemble engine and parallel runners.
 
-Three headline numbers back the execution-engine claims:
+Two headline numbers back the execution-engine claims:
 
-* **flips/sec, fused vs pre-fusion ensemble** — the fused flip loop
-  (blocked RNG, batched index sets, fused window kernel) must deliver at
-  least 2x the flip throughput of the retained
-  :class:`~repro.core.ensemble.ReferenceEnsembleDynamics` at ``R = 8`` on a
-  128x128 torus.  Both engines are bitwise equivalent to the same scalar
-  runs, so the comparison is work-for-work by construction.
-* **flips/sec, ensemble vs scalar** — the fused engine against 8 sequential
-  scalar runs of the *same seeds* (flip counts asserted equal).
+* **flips/sec, ensemble vs scalar** — the fused engine at ``R = 8`` on a
+  128x128 torus against 8 sequential scalar runs of the *same seeds* (flip
+  counts asserted equal).  The per-backend flip-loop rates, with the numpy
+  backend as their baseline, live in ``bench_flip_loop.py``.
 * **cells/sec, serial vs parallel** — ``run_sweep_parallel`` must produce a
   row-for-row identical table to the serial runner; the cells/sec of both
   paths is recorded so pool overheads stay visible in the report.
@@ -28,7 +24,7 @@ from typing import Optional
 import pytest
 
 from repro.core.config import ModelConfig
-from repro.core.ensemble import EnsembleDynamics, ReferenceEnsembleDynamics
+from repro.core.ensemble import EnsembleDynamics
 from repro.core.simulation import Simulation
 from repro.experiments.parallel import default_worker_count, run_sweep_parallel
 from repro.experiments.results import ResultTable
@@ -37,9 +33,6 @@ from repro.experiments.spec import SweepSpec
 from repro.experiments.workloads import bench_quick_mode as quick_mode
 from repro.rng import ziggurat_exponential_tables
 
-#: Acceptance floor for the fused engine over the retained pre-fusion
-#: engine (flips/sec ratio at R = 8) — the PR 5 tentpole claim.
-MIN_FUSED_SPEEDUP = 2.0
 #: Acceptance floor for the fused engine over sequential scalar runs.
 MIN_ENSEMBLE_SPEEDUP = 3.0
 #: Conservative floor for the process-pool sweep over the serial runner at
@@ -59,69 +52,6 @@ def throughput_parameters() -> dict[str, Optional[int]]:
         "n_replicas": 8,
         "max_flips": 4000 if quick_mode() else None,
     }
-
-
-def _engine_rate(engine_cls, config, n_replicas, max_flips, seed=7):
-    """Best-of-3 flips/sec of one engine class (and its total flip count).
-
-    A short throwaway run warms caches and lazy one-time setup (RNG blocks,
-    lookup tables) before anything is timed; the quick-mode best-of-3 then
-    absorbs scheduler noise on shared CI machines.
-    """
-    engine_cls(config, n_replicas=n_replicas, seed=seed).run(max_flips=200)
-    best = 0.0
-    flips = None
-    for _ in range(3 if quick_mode() else 1):
-        engine = engine_cls(config, n_replicas=n_replicas, seed=seed)
-        start = time.perf_counter()
-        result = engine.run(max_flips=max_flips)
-        elapsed = time.perf_counter() - start
-        if flips is None:
-            flips = result.total_flips
-        assert flips == result.total_flips
-        best = max(best, result.total_flips / elapsed)
-    return best, flips
-
-
-def bench_fused_vs_reference_flips_per_second(benchmark, emit):
-    """Fused flip loop vs the retained pre-fusion engine, same seeds."""
-    params = throughput_parameters()
-    config = ModelConfig.square(
-        side=params["side"], horizon=params["horizon"], tau=0.45
-    )
-    n_replicas = params["n_replicas"]
-    max_flips = params["max_flips"]
-    ziggurat_exponential_tables()  # one-time calibration outside the timing
-
-    def run() -> ResultTable:
-        reference_rate, reference_flips = _engine_rate(
-            ReferenceEnsembleDynamics, config, n_replicas, max_flips
-        )
-        fused_rate, fused_flips = _engine_rate(
-            EnsembleDynamics, config, n_replicas, max_flips
-        )
-        assert reference_flips == fused_flips, "engines disagree on total flips"
-        table = ResultTable()
-        table.add_row(
-            engine="reference R=8",
-            flips=reference_flips,
-            flips_per_second=reference_rate,
-        )
-        table.add_row(
-            engine="fused R=8", flips=fused_flips, flips_per_second=fused_rate
-        )
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-    rates = table.numeric_column("flips_per_second")
-    speedup = rates[1] / rates[0]
-    benchmark.extra_info["fused_speedup"] = float(speedup)
-    benchmark.extra_info["quick_mode"] = quick_mode()
-    benchmark.extra_info["n_replicas"] = throughput_parameters()["n_replicas"]
-    emit("PERF_fused_flip_loop", table, benchmark)
-    assert speedup >= MIN_FUSED_SPEEDUP, (
-        f"fused speedup {speedup:.2f}x below the {MIN_FUSED_SPEEDUP}x floor"
-    )
 
 
 def bench_ensemble_vs_scalar_flips_per_second(benchmark, emit):

@@ -1,23 +1,24 @@
 """The flip-loop backend protocol.
 
-The ensemble engine's innermost layer — one round's scalar control plane
+The ensemble engine's innermost layer — each round's control plane
 (termination/sampler filtering, blocked RNG draws, clock updates, candidate
 gathers), the fused gather-classify-scatter window kernel, and the coded-op
 membership updates on :class:`~repro.utils.indexset.BatchedIndexSet`
-storage — is pluggable.  A :class:`FlipLoopBackend` implements those three
-operations over the engine's batched arrays, plus :meth:`run_rounds`, which
-strings rounds together until a :class:`RunBudget` stops every replica.  Its
-default is the engine's one Python round loop; a compiled backend may run
-the whole loop natively.  Everything above it (seeding, trajectories, the
-public result surface) is shared, so backends can only differ in *how*
-rounds execute, never in what a round means.
+storage — is pluggable.  A :class:`FlipLoopBackend` implements one
+operation over the engine's batched arrays, :meth:`~FlipLoopBackend.run_rounds`,
+which strings rounds together until a :class:`RunBudget` stops every
+replica; it is the only way a round runs.  The numpy backend runs it as a
+Python loop, the compiled backend as one native call.  Everything above it
+(seeding, trajectories, the public result surface) is shared, so backends
+can only differ in *how* rounds execute, never in what a round means.
 
 The contract is bitwise: every backend must consume the pre-drawn
-:class:`~repro.rng.BlockedReplicaStreams` words in exactly the reference
-order and produce bit-identical spins, clocks, counters and sampler layouts
-— the same guarantee `ReferenceEnsembleDynamics` pins for the fused engine
-itself.  The cross-backend suite in ``tests/test_backends.py`` enforces it
-for every backend the host can run.
+:class:`~repro.rng.BlockedReplicaStreams` words in exactly the scalar
+engine's order and produce bit-identical spins, clocks, counters and
+sampler layouts.  ``tests/test_core_ensemble.py`` pins every backend the
+host can run to the scalar :class:`~repro.core.dynamics.GlauberDynamics`,
+and the cross-backend suite in ``tests/test_backends.py`` pins their full
+state (RNG streams included) to each other.
 """
 
 from __future__ import annotations
@@ -55,23 +56,20 @@ class RunBudget:
         if self.max_flips is not None:
             mask &= (engine._n_flips - self.start_flips) < self.max_flips
         if self.max_steps is not None:
-            steps = np.asarray(engine._n_steps, dtype=np.int64)
-            mask &= (steps - self.start_steps) < self.max_steps
+            mask &= (engine._n_steps - self.start_steps) < self.max_steps
         if self.max_time is not None:
-            mask &= np.asarray(engine._times) < self.max_time
+            mask &= engine._times < self.max_time
         return np.flatnonzero(mask)
 
 
 class FlipLoopBackend:
-    """One execution strategy for the engine's per-round hot path.
+    """One execution strategy for the engine's round loop.
 
     Lifecycle: the registry constructs backends unattached (so capability
     probes and the standalone :meth:`apply_coded_ops` entry point need no
     engine), then :meth:`attach` binds one to a live
     :class:`~repro.core.ensemble.EnsembleDynamics` whose batched arrays it
     will mutate in place.  A backend instance serves exactly one engine.
-    The base class itself is only ever attached for its :meth:`run_rounds`
-    loop (the reference engine steps rounds on its own).
 
     The engine owns its backend, so the backend holds the engine only
     weakly: a strong back-reference would make the pair a reference cycle,
@@ -94,57 +92,19 @@ class FlipLoopBackend:
             raise ReferenceError("the engine this backend served no longer exists")
         return engine
 
-    def step_round(self, candidates: np.ndarray) -> np.ndarray:
-        """Advance every candidate replica by one scheduler step.
-
-        The scalar-regime round: per listed replica, termination and sampler
-        checks, the blocked RNG draws (waiting time under the continuous
-        scheduler, then the Lemire candidate), clock/step updates, the member
-        gather and the discrete-scheduler flip gate — then the fused window
-        update and per-flip bookkeeping for every replica that flips.
-        Returns the array of replica indices that flipped.
-        """
-        raise NotImplementedError
-
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """Advance lockstep rounds until ``budget`` stops every replica.
 
-        Each round steps the replicas ``budget.active`` selects, exactly as
-        ``engine.step_all(active)`` does; the call also returns after
-        ``max_rounds`` rounds (a trajectory-sample boundary).  Returns the
+        Each round steps the replicas ``budget.active`` selects: per replica,
+        termination and sampler checks, the blocked RNG draws (waiting time
+        under the continuous scheduler, then the Lemire candidate),
+        clock/step updates, the member gather and the discrete-scheduler
+        flip gate — then the fused window update, the samplers' coded-op
+        stream and the flip counters for every replica that flips.  The
+        call also returns after ``max_rounds`` rounds (a trajectory-sample
+        boundary, or the single round of ``engine.step_all``).  Returns the
         number of rounds run, so fewer than ``max_rounds`` means no replica
         may step any more.
-
-        This default is the engine's Python round loop, used by every
-        backend without a native round loop and by the reference engine.
-        A backend that compiles the loop must run the whole call natively,
-        RNG block refills and sampler slow paths included, and return only
-        at those same stopping points: one native call per ``run_rounds``.
-        """
-        engine = self.engine
-        rounds = 0
-        while max_rounds is None or rounds < max_rounds:
-            active = budget.active(engine)
-            if active.size == 0:
-                break
-            engine.step_all(active)
-            rounds += 1
-        return rounds
-
-    def apply_flips(
-        self,
-        reps: np.ndarray,
-        flats: np.ndarray,
-        bases: Optional[np.ndarray] = None,
-    ) -> None:
-        """Flip one site per listed replica — the fused window kernel.
-
-        Gather each flip's neighbourhood window, update the incremental
-        same-type counts, reclassify via the engine's code LUT, maintain the
-        deferred energy/magnetization counters, and stream the resulting
-        membership deltas into the samplers as coded operations.  Used both
-        by :meth:`step_round` and by the engine's vectorized large-round
-        path.
         """
         raise NotImplementedError
 

@@ -1,17 +1,17 @@
 """The compiled flip-loop backend (``cffi`` ABI mode + the system cc).
 
-A small C translation unit carries the flip loop: the round's scalar
-control plane (``repro_step_round``), the fused window update
-(``repro_apply_flips``), the coded-op sampler maintenance
-(``repro_coded_ops``) and the engine's whole round loop
-(``repro_run_rounds``).  It follows the numpy reference draw for draw, with
-the same IEEE-754 double expressions and no ``-ffast-math``.  At first use
-the source is compiled with the system C compiler into a shared object
-cached under a per-user temp directory, keyed by the source, numpy's
-version and the bytes of the numpy archive it links, so the compile cost is
-paid once per machine, not per process.  It is loaded through ``cffi``'s
-ABI-mode ``dlopen``.  A cache directory that is not private to the current
-user is refused, since ``dlopen`` runs the library's load-time code.
+A small C translation unit carries the engine's whole round loop
+(``repro_run_rounds``): each round's scalar control plane, the fused window
+update and the coded-op sampler maintenance (``repro_coded_ops``, also
+exported on its own for the edge-case suite).  It follows the scalar engine
+draw for draw, with the same IEEE-754 double expressions and no
+``-ffast-math``.  At first use the source is compiled with the system C
+compiler into a shared object cached under a per-user temp directory, keyed
+by the source, numpy's version and the bytes of the numpy archive it links,
+so the compile cost is paid once per machine, not per process.  It is
+loaded through ``cffi``'s ABI-mode ``dlopen``.  A cache directory that is
+not private to the current user is refused, since ``dlopen`` runs the
+library's load-time code.
 
 The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
 ~30 array arguments through cffi per call would swamp the C code) is solved
@@ -20,7 +20,8 @@ struct with raw pointers into the engine's arrays once per runtime
 generation, and each call passes that single struct pointer.  The struct is
 rebuilt whenever the engine bumps ``_runtime_generation``, which is what
 makes holding raw pointers safe.  A run is one native call (one per
-trajectory segment), and cffi releases the GIL for its whole length.
+trajectory segment, and ``step_all`` is one call of one round), and cffi
+releases the GIL for its whole length.
 
 Every RNG word the kernel reads comes through one C reader over the
 replica's pre-drawn block.  At the block end the reader refills the block
@@ -115,12 +116,7 @@ typedef struct {
     int64_t track;
 } repro_state;
 
-int64_t repro_step_round(repro_state *st, const int64_t *candidates,
-                         int64_t n_candidates);
 int64_t repro_run_rounds(repro_state *st, int64_t max_rounds);
-int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
-                          const int64_t *flats, int64_t n_flips,
-                          int64_t track);
 void repro_coded_ops(const int64_t *rows, const int64_t *indices,
                      const int64_t *toggled, const int64_t *member_codes,
                      int64_t n_ops, int32_t *members, int32_t *positions,
@@ -130,7 +126,8 @@ int64_t repro_selfcheck(void);
 """
 
 # The compiled flip loop.  It must advance the engine bit for bit like the
-# numpy backend; the cross-backend bitwise suite is the enforcement.
+# scalar engine and the numpy backend; the scalar-equivalence and
+# cross-backend bitwise suites are the enforcement.
 _SOURCE = (
     "#include <stdint.h>\n"
     '#include "numpy/random/bitgen.h"\n'
@@ -229,14 +226,13 @@ double repro_standard_exponential(repro_state *st, int64_t replica)
     return random_standard_exponential(&bitgen);
 }
 
-int64_t repro_step_round(repro_state *st, const int64_t *candidates,
-                         int64_t n_candidates)
+static int64_t repro_step_round(repro_state *st, int64_t n_candidates)
 {
-    /* One step per listed replica; returns the number of flips collected
-       in out_reps/out_flats. */
+    /* One step per replica in st->candidates; returns the number of flips
+       collected in out_reps/out_flats. */
     int64_t n_out = 0;
     for (int64_t i = 0; i < n_candidates; i++) {
-        int64_t replica = candidates[i];
+        int64_t replica = st->candidates[i];
         if (st->counts[replica + st->term_offset] == 0)
             continue;
         int64_t sampler_row = replica + st->sampler_offset;
@@ -279,14 +275,14 @@ int64_t repro_step_round(repro_state *st, const int64_t *candidates,
     return n_out;
 }
 
-int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
-                          const int64_t *flats, int64_t n_flips,
-                          int64_t track)
+static int64_t repro_apply_flips(repro_state *st, int64_t n_flips)
 {
+    /* The window update of the round's flips in out_reps/out_flats;
+       returns the number of coded ops written to the op buffers. */
     int64_t n_ops = 0;
     for (int64_t k = 0; k < n_flips; k++) {
-        int64_t rep = reps[k];
-        int64_t flat = flats[k];
+        int64_t rep = st->out_reps[k];
+        int64_t flat = st->out_flats[k];
         int64_t base = rep * st->n_sites;
         int64_t center = base + flat;
         int8_t new_value = (int8_t)(-st->spins[center]);
@@ -311,7 +307,7 @@ int64_t repro_apply_flips(repro_state *st, const int64_t *reps,
         }
         int64_t old_center = st->same_buf[st->center_col];
         /* Incremental counters from the pre-update centre count. */
-        if (track != 0) {
+        if (st->track != 0) {
             st->energies[rep] += dv * spin_sum + st->total - 2 * old_center;
             st->n_plus[rep] += dv;
         }
@@ -403,7 +399,7 @@ int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
     /* The engine's round loop (FlipLoopBackend.run_rounds) in one call:
        build the active set, step it, apply the round's flips.  Returns the
        number of rounds run, at termination, at the budget or after
-       max_rounds (a trajectory-sample boundary). */
+       max_rounds (a trajectory-sample boundary or step_all's one round). */
     int64_t rounds = 0;
     while (rounds < max_rounds) {
         int64_t n_active = 0;
@@ -418,10 +414,9 @@ int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
         }
         if (n_active == 0)
             break;
-        int64_t n_out = repro_step_round(st, st->candidates, n_active);
+        int64_t n_out = repro_step_round(st, n_active);
         if (n_out > 0) {
-            int64_t n_ops = repro_apply_flips(st, st->out_reps, st->out_flats,
-                                              n_out, st->track);
+            int64_t n_ops = repro_apply_flips(st, n_out);
             repro_coded_ops(st->op_rows, st->op_indices, st->op_toggled,
                             st->op_members, n_ops, st->members,
                             st->positions, st->counts, st->n_sites,
@@ -642,12 +637,6 @@ class CffiBackend(FlipLoopBackend):
             engine._sets.storage()
         )
         self._words_flat = streams._words.reshape(-1)
-        if engine._code_lut is None:  # pragma: no cover - no shipped rule
-            raise StateError(
-                "the compiled flip-loop backend requires an elementwise "
-                "classification rule (code LUT); this variant must use the "
-                "numpy backend"
-            )
         # Contiguous copy: recompute_all rebinds the LUT, and the C code
         # wants one stable 2-row table either way.
         self._code_lut2 = np.ascontiguousarray(engine._code_lut, dtype=np.int8)
@@ -705,8 +694,6 @@ class CffiBackend(FlipLoopBackend):
         st.start_flips = ptr("int64_t *", self._start_flips)
         st.start_steps = ptr("int64_t *", self._start_steps)
         self._state = st
-        self._step_fn = lib.repro_step_round
-        self._flips_fn = lib.repro_apply_flips
         self._run_fn = lib.repro_run_rounds
         self._captured_generation = engine._runtime_generation
 
@@ -725,25 +712,6 @@ class CffiBackend(FlipLoopBackend):
             )
         return self._ffi.cast(ctype, self._ffi.from_buffer(array))
 
-    def _refresh(self) -> None:
-        if self._captured_generation != self.engine._runtime_generation:
-            self._capture()
-
-    def step_round(self, candidates: np.ndarray) -> np.ndarray:
-        self._refresh()
-        engine = self.engine
-        st = self._state
-        n_candidates = candidates.size
-        self._candidates[:n_candidates] = candidates
-        collected = self._step_fn(st, st.candidates, n_candidates)
-        if collected == 0:
-            return np.empty(0, dtype=np.int64)
-        reps = self._out_reps[:collected].copy()
-        flats = self._out_flats[:collected]
-        self._apply_flips_captured(reps, flats)
-        engine._n_flips[reps] += 1
-        return reps
-
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """The whole round loop as one native call.
 
@@ -752,8 +720,9 @@ class CffiBackend(FlipLoopBackend):
         the budget or after ``max_rounds`` rounds.  RNG block refills and
         the sampler's slow paths run inside it.
         """
-        self._refresh()
         engine = self.engine
+        if self._captured_generation != engine._runtime_generation:
+            self._capture()
         st = self._state
         self._start_flips[:] = budget.start_flips
         self._start_steps[:] = budget.start_steps
@@ -766,46 +735,6 @@ class CffiBackend(FlipLoopBackend):
         if rounds and not engine._track_counters:
             engine._counters_stale = True
         return rounds
-
-    def apply_flips(
-        self,
-        reps: np.ndarray,
-        flats: np.ndarray,
-        bases: Optional[np.ndarray] = None,
-    ) -> None:
-        self._refresh()
-        self._apply_flips_captured(
-            np.ascontiguousarray(reps, dtype=np.int64),
-            np.ascontiguousarray(flats, dtype=np.int64),
-        )
-
-    def _apply_flips_captured(self, reps: np.ndarray, flats: np.ndarray) -> None:
-        """The window update, then its streamed coded ops on the samplers."""
-        engine = self.engine
-        ffi = self._ffi
-        st = self._state
-        n_ops = self._flips_fn(
-            st,
-            ffi.cast("const int64_t *", ffi.from_buffer(reps)),
-            ffi.cast("const int64_t *", ffi.from_buffer(flats)),
-            reps.size,
-            1 if engine._track_counters else 0,
-        )
-        if not engine._track_counters:
-            engine._counters_stale = True
-        if n_ops:
-            self._lib.repro_coded_ops(
-                st.op_rows,
-                st.op_indices,
-                st.op_toggled,
-                st.op_members,
-                n_ops,
-                st.members,
-                st.positions,
-                st.counts,
-                engine._n_sites,
-                engine.n_replicas,
-            )
 
     def apply_coded_ops(
         self,

@@ -1,12 +1,13 @@
 """The always-available pure-NumPy flip-loop backend.
 
-This is the reference implementation every other backend is pinned against,
-extracted verbatim from the pre-seam ``EnsembleDynamics._step_all_scalar`` /
-``_apply_flips`` hot path: a scalar round loop over memoryviews of the
-batched state (list-speed element access; the per-call dispatch of ~15 tiny
-array ops would dominate small rounds), the fused gather-classify-scatter
-window kernel as array code, and the sequential coded-op loop on
-:class:`~repro.utils.indexset.BatchedIndexSet`.
+The round loop in Python: each round's control plane is one scalar loop
+over memoryviews of the batched state (list-speed element access; the
+per-call dispatch of ~15 tiny array ops would dominate small rounds),
+drawing from :class:`~repro.rng.BlockedReplicaStreams`' scalar reader; the
+fused gather-classify-scatter window kernel runs as array code over the
+round's flips, and the sequential coded-op loop on
+:class:`~repro.utils.indexset.BatchedIndexSet` applies the membership
+deltas.
 """
 
 from __future__ import annotations
@@ -15,26 +16,44 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import FlipLoopBackend
+from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
 
 class NumpyBackend(FlipLoopBackend):
-    """Pure-NumPy execution of the flip-loop hot path (the reference)."""
+    """Pure-NumPy execution of the flip loop (the Python round loop)."""
 
     name = "numpy"
 
-    def step_round(self, candidates: np.ndarray) -> np.ndarray:
-        """One round's control plane as a single scalar loop (small batches).
+    def attach(self, engine) -> None:
+        """Bind to ``engine`` and take memoryviews of its round state."""
+        super().attach(engine)
+        # Scalar mirrors of the batched state: list-speed element access,
+        # same buffers (allocated once and mutated in place by the engine).
+        self._times_mv = memoryview(engine._times)
+        self._steps_mv = memoryview(engine._n_steps)
+        self._code_mv = memoryview(engine._code_flat)
 
-        Termination/sampler filtering, the blocked RNG draws (ziggurat fast
-        path and Lemire candidate, inlined from
-        :meth:`repro.rng.BlockedReplicaStreams.draw_step`), the clock updates
-        and the candidate gather all run in one Python loop over memoryviews
-        of the batched state.  Draw-for-draw identical to the engine's
-        vectorized path — both consume the same blocked buffers the same
-        way — so the regimes are interchangeable mid-run.
+    def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
+        """The engine's round loop in Python: one :meth:`step_round` a round."""
+        engine = self.engine
+        rounds = 0
+        while max_rounds is None or rounds < max_rounds:
+            active = budget.active(engine)
+            if active.size == 0:
+                break
+            self.step_round(active)
+            rounds += 1
+        return rounds
+
+    def step_round(self, candidates: np.ndarray) -> None:
+        """Advance every candidate replica by one scheduler step.
+
+        Termination/sampler filtering, the blocked RNG draws, the clock
+        updates and the candidate gather run in one Python loop over
+        memoryviews of the batched state; the replicas that flip then go
+        through :meth:`apply_flips` together.
         """
         engine = self.engine
         only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
@@ -44,13 +63,10 @@ class NumpyBackend(FlipLoopBackend):
         n_sites = engine._n_sites
         counts_mv = engine._sets.counts_view()
         members_mv = engine._sets.members_view()
-        times_mv = engine._times_mv
-        steps_mv = engine._steps_mv
-        code_mv = engine._code_mv
+        times_mv = self._times_mv
+        steps_mv = self._steps_mv
+        code_mv = self._code_mv
         streams = engine._streams
-        words_mv, pos_mv, has32_mv, buf32_mv = streams.scalar_views()
-        ke_list, we_list = streams.ziggurat_lists()
-        block = streams.block_words
         term_offset = n_rep if only_if_happy else 0
         sampler_offset = n_rep if (only_if_happy and continuous) else 0
         reps: list[int] = []
@@ -62,50 +78,16 @@ class NumpyBackend(FlipLoopBackend):
             size = counts_mv[sampler_row]
             if size == 0:
                 continue
-            word_base = replica * block
             # Same draw order as GlauberDynamics.step: waiting time first
             # (continuous scheduler only), then the candidate index.
             if continuous:
-                position = pos_mv[replica]
-                if position >= block:
-                    streams._refill_until_ready(replica)
-                    position = pos_mv[replica]
-                word = words_mv[word_base + position]
-                pos_mv[replica] = position + 1
-                significand = word >> 11
-                layer = (word >> 3) & 0xFF
-                if significand < ke_list[layer]:
-                    wait = significand * we_list[layer]
-                else:
-                    wait = streams._replay_exponential(replica)
-                times_mv[replica] += (1.0 / size) * wait
+                times_mv[replica] += (1.0 / size) * streams.standard_exponential(
+                    replica
+                )
             else:
                 times_mv[replica] += 1.0
             steps_mv[replica] += 1
-            if size > 1:
-                if has32_mv[replica]:
-                    candidate = buf32_mv[replica]
-                    has32_mv[replica] = False
-                else:
-                    position = pos_mv[replica]
-                    if position >= block:
-                        streams._refill_until_ready(replica)
-                        position = pos_mv[replica]
-                    word = words_mv[word_base + position]
-                    pos_mv[replica] = position + 1
-                    candidate = word & 0xFFFFFFFF
-                    buf32_mv[replica] = word >> 32
-                    has32_mv[replica] = True
-                scaled = candidate * size
-                leftover = scaled & 0xFFFFFFFF
-                if leftover < size:
-                    threshold = ((1 << 32) - size) % size
-                    while leftover < threshold:
-                        scaled = streams._next32_scalar(replica) * size
-                        leftover = scaled & 0xFFFFFFFF
-                draw = scaled >> 32
-            else:
-                draw = 0
+            draw = streams.bounded_integer(replica, size)
             flat = members_mv[sampler_row * n_sites + draw]
             if discrete_gate and not code_mv[replica * n_sites + flat] & 2:
                 # Discrete scheduler samples unhappy agents, which may
@@ -113,37 +95,29 @@ class NumpyBackend(FlipLoopBackend):
                 continue
             reps.append(replica)
             flats.append(flat)
-        if not reps:
-            return np.empty(0, dtype=np.int64)
-        rep_arr = np.asarray(reps, dtype=np.int64)
-        self.apply_flips(rep_arr, np.asarray(flats, dtype=np.int64))
-        engine._n_flips[rep_arr] += 1
-        return rep_arr
+        if reps:
+            rep_arr = np.asarray(reps, dtype=np.int64)
+            self.apply_flips(rep_arr, np.asarray(flats, dtype=np.int64))
+            engine._n_flips[rep_arr] += 1
 
-    def apply_flips(
-        self,
-        reps: np.ndarray,
-        flats: np.ndarray,
-        bases: Optional[np.ndarray] = None,
-    ) -> None:
+    def apply_flips(self, reps: np.ndarray, flats: np.ndarray) -> None:
         """Flip one site per listed replica — the fused window kernel.
 
         One gather–classify–scatter pass over all flipping replicas: flat
         window indices come from the precomputed lookup, the incremental
         same-type counts are updated in place (neighbours move by
         ``spin * delta``, the flipped agent is re-scored as
-        ``total + 1 - old``), the variant hook reclassifies every touched
-        window, and the packed happy/flippable bit codes turn the membership
-        delta into one coded operation stream for the batched samplers.
-        The (replica, site) pairs are distinct — one flip per replica — so
-        the in-place scatters never collide.
+        ``total + 1 - old``), the engine's code table reclassifies every
+        touched window, and the packed happy/flippable bit codes turn the
+        membership delta into one coded operation stream for the batched
+        samplers.  The (replica, site) pairs are distinct — one flip per
+        replica — so the in-place scatters never collide.
         """
         engine = self.engine
         config = engine.config
         total = config.neighborhood_agents
 
-        if bases is None:
-            bases = reps * engine._n_sites
+        bases = reps * engine._n_sites
         centers = bases + flats
         spins_flat = engine._spins_flat
         new_values = -spins_flat[centers]
@@ -184,12 +158,8 @@ class NumpyBackend(FlipLoopBackend):
 
         if engine._code_lut_flat is not None:
             new_code = engine._code_lut_flat[sub_same]
-        elif engine._code_lut is not None:
+        else:
             new_code = engine._code_lut[(sub_spins > 0).view(np.int8), sub_same]
-        else:  # pragma: no cover - non-elementwise subclass rules only
-            sub_happy, sub_flippable = engine._classify(sub_spins, sub_same)
-            new_code = sub_flippable.view(np.int8) << 1
-            new_code |= sub_happy.view(np.int8)
         old_code = engine._code_flat[gwin]
         changed = old_code != new_code
         engine._code_flat[gwin] = new_code

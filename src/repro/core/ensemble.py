@@ -8,18 +8,22 @@ sampler membership bookkeeping — is batched across the replica axis:
 
 * RNG draws come from :class:`~repro.rng.BlockedReplicaStreams`: each
   replica's PCG64 word stream is pre-drawn in blocks and the scalar
-  ``exponential`` / ``integers`` draws are re-derived from those words in
-  vectorized batches, consuming each stream exactly as the per-call scalar
-  path would.
+  ``exponential`` / ``integers`` draws are re-derived from those words,
+  consuming each stream exactly as the per-call scalar path would.
 * The unhappy/flippable samplers of all replicas live in one array-backed
   :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
-  int32 members and positions), bulk-built at rebuild time and sampled with
-  one gather per round.
+  int32 members and positions), bulk-built at rebuild time.
 * The post-flip window update is one fused gather–classify–scatter kernel
   over all flipping replicas: flat window indices come from precomputed
   wrapped row/column lookups, int16 same-type counts are updated in place,
-  and one classification call (the variant hook, see below) refreshes every
-  touched window.
+  and a code table derived from the classification hook (see below)
+  refreshes every touched window.
+
+The rounds themselves run in the attached flip-loop backend
+(:mod:`repro.core.backends`): its
+:meth:`~repro.core.backends.base.FlipLoopBackend.run_rounds` is the only
+way a round executes, whether :meth:`EnsembleDynamics.run` asks for a whole
+run or :meth:`EnsembleDynamics.step_all` for one round.
 
 Equivalence with the scalar engine is exact, not approximate: replica ``r``
 consumes its own PCG64 stream in the same order and quantity as a scalar
@@ -29,10 +33,8 @@ of the unhappy/flippable samplers are applied in the same window order as
 seeded with ``replica_seeds[r]`` reproduces the corresponding
 :class:`~repro.core.simulation.Simulation` run bit for bit — same final grid,
 same flip count, same termination flag, same final time — which is what
-``tests/test_core_ensemble.py`` locks down.  :class:`ReferenceEnsembleDynamics`
-retains the pre-fusion engine (Python-loop step, list-backed samplers,
-per-flip ``Generator`` calls) as the equivalence oracle and the baseline of
-``benchmarks/bench_flip_loop.py``.
+``tests/test_core_ensemble.py`` locks down under every backend.  The scalar
+engine is the oracle.
 
 Per-replica seeds are spawned from one master seed (via
 :func:`repro.rng.replicate_seeds`), so any single replica can be re-run in
@@ -42,7 +44,10 @@ isolation: ``EnsembleDynamics(config, replica_seeds=[s])`` or
 Every classification of agents — the initial rebuild and the per-flip window
 refresh — goes through the single overridable :meth:`EnsembleDynamics._classify`
 hook, mirroring :meth:`repro.core.state.ModelState._classify` on the scalar
-side.  The variant engines in :mod:`repro.core.variants`
+side: the per-flip refresh reads a code table tabulated from the hook, so a
+hook that is not elementwise in ``(spin, same)`` is a
+:class:`~repro.errors.ConfigurationError` at build time.  The variant
+engines in :mod:`repro.core.variants`
 (:class:`~repro.core.variants.TwoSidedEnsemble`,
 :class:`~repro.core.variants.AsymmetricEnsemble`) override that one hook with
 the same shared kernels as their scalar states, so variant ensembles inherit
@@ -59,12 +64,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import FlipLoopBackend, RunBudget
+from repro.core.backends.base import RunBudget
 from repro.core.backends.registry import create_backend
 from repro.core.config import ModelConfig
 from repro.core.dynamics import Trajectory
 from repro.core.initializer import random_configuration
-from repro.core.neighborhood import window_sums, window_sums_batch
+from repro.core.neighborhood import window_sums_batch
 from repro.core.state import classify_base
 from repro.errors import ConfigurationError, StateError
 from repro.rng import BlockedReplicaStreams, SeedLike, replicate_seeds, spawn_rngs
@@ -74,73 +79,6 @@ from repro.utils.indexset import BatchedIndexSet
 #: Largest same-type count (N + 1, the code LUT's last column) the int16
 #: count arrays hold: N = (2w + 1)**2 stays below it up to w = 90.
 _SAME_COUNT_MAX = int(np.iinfo(np.int16).max)
-
-
-class _ReplicaIndexSet:
-    """List-backed randomised set — the retained scalar-loop reference.
-
-    The pre-fusion engine (:class:`ReferenceEnsembleDynamics`) keeps one of
-    these per replica per kind; the fused engine replaced them with a single
-    :class:`~repro.utils.indexset.BatchedIndexSet`, whose layout-equivalence
-    hypothesis suite uses this class as the oracle.  The swap-remove
-    algorithm (and therefore the member ordering, which the RNG-draw
-    equivalence relies on) is exactly ``IndexSampler``'s, kept in plain
-    Python lists; ``sample`` consumes the generator identically too: one
-    ``rng.integers(0, size)`` call per draw.
-    """
-
-    __slots__ = ("_members", "_positions", "_size")
-
-    def __init__(self, capacity: int) -> None:
-        self._members = [0] * capacity
-        self._positions = [-1] * capacity
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, index: int) -> None:
-        """Insert ``index``; inserting an existing element is a no-op."""
-        if self._positions[index] >= 0:
-            return
-        self._members[self._size] = index
-        self._positions[index] = self._size
-        self._size += 1
-
-    def remove(self, index: int) -> None:
-        """Remove ``index``; removing a missing element is a no-op."""
-        pos = self._positions[index]
-        if pos < 0:
-            return
-        self._size -= 1
-        last = self._members[self._size]
-        self._members[pos] = last
-        self._positions[last] = pos
-        self._positions[index] = -1
-
-    def update_membership(self, index: int, member: bool) -> None:
-        """Add or remove ``index`` according to the boolean ``member``."""
-        if member:
-            self.add(index)
-        else:
-            self.remove(index)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Uniformly random member via one ``rng.integers(0, size)`` draw."""
-        if self._size == 0:
-            raise IndexError("cannot sample from an empty _ReplicaIndexSet")
-        pos = int(rng.integers(0, self._size))
-        return self._members[pos]
-
-    def clear(self) -> None:
-        """Remove every element."""
-        for index in self._members[: self._size]:
-            self._positions[index] = -1
-        self._size = 0
-
-    def to_array(self) -> np.ndarray:
-        """Sorted copy of the current members."""
-        return np.sort(np.asarray(self._members[: self._size], dtype=np.int64))
 
 
 class EnsembleTrajectory:
@@ -332,9 +270,9 @@ class EnsembleDynamics:
     backend:
         Flip-loop backend request (``"auto"``, ``"numpy"``, ``"cffi"`` or
         ``None``), resolved through
-        :mod:`repro.core.backends.registry`: the hot path — the scalar
-        round control plane, the fused window update and the coded-op
-        sampler maintenance — executes behind the
+        :mod:`repro.core.backends.registry`: every round — its control
+        plane, the fused window update and the coded-op sampler
+        maintenance — executes behind the
         :class:`~repro.core.backends.base.FlipLoopBackend` seam, and every
         backend is pinned bitwise identical, so this too is purely a
         performance knob.  The resolved name is exposed as
@@ -396,19 +334,16 @@ class EnsembleDynamics:
         self._n_plus = np.zeros(r, dtype=np.int64)
         self._build_runtime(rng_block_words)
         self.recompute_all()
-        self._init_backend(backend)
+        # Last: the backend captures the runtime tables built above.
+        self._backend = create_backend(backend)
+        #: The resolved (concrete) backend executing this engine's hot path.
+        self.backend_name = self._backend.name
+        self._backend.attach(self)
 
     # ---------------------------------------------------------------- runtime
 
     def _build_runtime(self, rng_block_words: int) -> None:
-        """Allocate the fused engine's batched runtime structures.
-
-        :class:`ReferenceEnsembleDynamics` overrides this (and the step
-        methods) with the retained pre-fusion structures; everything else —
-        seeding, spin initialisation, the run loop, the public result
-        surface — is shared, so the two engines can only differ in how they
-        execute a round, never in what a round means.
-        """
+        """Allocate the fused engine's batched runtime structures."""
         config = self.config
         r = self.n_replicas
         n_sites = config.n_sites
@@ -426,7 +361,6 @@ class EnsembleDynamics:
         self._n_sites = n_sites
         self._times = np.zeros(r, dtype=np.float64)
         self._n_steps = np.zeros(r, dtype=np.int64)
-        self._replica_ids = np.arange(r, dtype=np.int64)
         self._spins_flat = self._spins.reshape(-1)
         #: Incrementally maintained same-type counts, one flat row per replica.
         self._same_flat = np.zeros(r * n_sites, dtype=np.int16)
@@ -437,11 +371,6 @@ class EnsembleDynamics:
         self._streams = BlockedReplicaStreams(
             self._rngs, block_words=rng_block_words
         )
-        #: Scalar round-loop mirrors of the batched state (used by the numpy
-        #: backend's step_round): list-speed element access, same buffers.
-        self._times_mv = memoryview(self._times)
-        self._steps_mv = memoryview(self._n_steps)
-        self._code_mv = memoryview(self._code_flat)
         #: Incremental energy/magnetization tracking can be deferred while a
         #: run does not observe the counters (no trajectory recording); the
         #: stale flag triggers an exact O(R * grid) flush on the next read.
@@ -452,19 +381,6 @@ class EnsembleDynamics:
         #: against their captured generation and re-capture when it moved.
         self._runtime_generation = 0
         self._build_window_luts()
-
-    def _init_backend(self, backend: Optional[str]) -> None:
-        """Resolve, construct and attach this engine's flip-loop backend.
-
-        Called once at the end of ``__init__`` (the backend captures runtime
-        tables, so everything — including the first ``recompute_all`` — must
-        exist first).  :class:`ReferenceEnsembleDynamics` overrides this with
-        a no-op: its retained pre-fusion structures are not backend-shaped.
-        """
-        self._backend = create_backend(backend)
-        #: The resolved (concrete) backend executing this engine's hot path.
-        self.backend_name = self._backend.name
-        self._backend.attach(self)
 
     def _build_window_luts(self) -> None:
         """Precompute the wrapped row/column lookups of the flip kernel.
@@ -496,14 +412,15 @@ class EnsembleDynamics:
         """Batched happy/flippable classification — the engine's variant hook.
 
         Every classification in the engine — the O(R * grid) rebuild and the
-        fused per-flip window refresh — funnels through this one method,
-        exactly as :meth:`repro.core.state.ModelState._classify` does on the
-        scalar side.  Subclasses implement variant rules by overriding it
-        with the shared kernels from :mod:`repro.core.variants`; the base
-        implementation applies the paper's one-sided rule via
+        fused per-flip window refresh, through the code table
+        :meth:`_refresh_code_lut` tabulates from it — funnels through this
+        one method, exactly as :meth:`repro.core.state.ModelState._classify`
+        does on the scalar side.  Subclasses implement variant rules by
+        overriding it with the shared kernels from :mod:`repro.core.variants`;
+        the base implementation applies the paper's one-sided rule via
         :func:`repro.core.state.classify_base`.  The kernels are pure and
         shape-agnostic, which is what lets one hook serve both the
-        ``(R, n, n)`` rebuild and the ``(flips, window)`` refresh.
+        ``(R, n, n)`` rebuild and the tabulation over every same-count.
         """
         return classify_base(
             same, self.config.happiness_threshold, self.config.neighborhood_agents
@@ -554,9 +471,9 @@ class EnsembleDynamics:
         for spin-dependent rules, two) gathers instead of re-running the rule
         arrays.  The table is *derived from* :meth:`_classify` — the hook
         stays the single source of truth — and cross-checked here against the
-        hook's full-grid output: a hypothetical subclass whose rule is not
-        elementwise in ``(spin, same)`` fails the check and falls back to
-        calling the hook per flip.
+        hook's full-grid output: a subclass whose rule is not elementwise in
+        ``(spin, same)`` fails the check, which is a
+        :class:`~repro.errors.ConfigurationError` naming the hook.
         """
         total = self.config.neighborhood_agents
         axis = np.arange(total + 2, dtype=np.int64)
@@ -569,12 +486,15 @@ class EnsembleDynamics:
             lut[row] |= happy.view(np.int8)
         spin_pos = (self._spins > 0).reshape(self.n_replicas, self._n_sites)
         expected = lut[spin_pos.view(np.int8), same.reshape(same.shape[0], -1)]
-        if np.array_equal(expected, code):
-            self._code_lut = lut
-            self._code_lut_flat = None if (lut[0] != lut[1]).any() else lut[0]
-        else:  # pragma: no cover - no shipped rule hits this
-            self._code_lut = None
-            self._code_lut_flat = None
+        if not np.array_equal(expected, code):
+            hook = f"{type(self).__qualname__}._classify"
+            raise ConfigurationError(
+                f"{hook} is not elementwise in (spin, same-type count): the "
+                "flip loop classifies touched windows from a table of the "
+                "hook's values, which disagrees with the hook on this grid"
+            )
+        self._code_lut = lut
+        self._code_lut_flat = None if (lut[0] != lut[1]).any() else lut[0]
 
     # ------------------------------------------------------------- inspection
 
@@ -586,7 +506,7 @@ class EnsembleDynamics:
     @property
     def times(self) -> np.ndarray:
         """``(R,)`` per-replica simulation clocks (copy)."""
-        return np.array(self._times, dtype=np.float64)
+        return self._times.copy()
 
     @property
     def n_flips(self) -> np.ndarray:
@@ -596,7 +516,7 @@ class EnsembleDynamics:
     @property
     def n_steps(self) -> np.ndarray:
         """``(R,)`` per-replica scheduler step counts (copy)."""
-        return np.array(self._n_steps, dtype=np.int64)
+        return self._n_steps.copy()
 
     @property
     def spins(self) -> np.ndarray:
@@ -658,9 +578,10 @@ class EnsembleDynamics:
     def energies(self) -> np.ndarray:
         """``(R,)`` Lyapunov energies (total same-type neighbourhood count).
 
-        Maintained incrementally by :meth:`_apply_flips` — an O(1)-per-flip
-        window-free delta mirroring :meth:`repro.core.state.ModelState.apply_flip`
-        — so reading it (e.g. from trajectory recording) is O(R); the tests
+        Maintained incrementally by the backend's window kernel — an
+        O(1)-per-flip window-free delta mirroring
+        :meth:`repro.core.state.ModelState.apply_flip` — so reading it (e.g.
+        from trajectory recording) is O(R); the tests
         cross-check it against the full recompute in :meth:`_energies_full`.
         Runs that never observe the counters defer the deltas and flush the
         exact values here on first read.
@@ -703,92 +624,20 @@ class EnsembleDynamics:
 
     # ------------------------------------------------------------------ steps
 
-    def step_all(self, active: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Advance every active replica by one scheduler step.
+    def step_all(self) -> np.ndarray:
+        """Advance every replica by one round; return the replicas that flipped.
 
-        ``active`` restricts the round to the given replica indices (the
-        ``run`` loop uses it to exclude replicas that hit their budgets);
-        terminated replicas are always skipped.  Returns the array of replica
-        indices that actually flipped this round.
-
-        Large rounds run as array code: termination/sampler filtering, clock
-        advances, blocked RNG draws, candidate gathers and the fused window
-        refresh all operate on the surviving replica axis at once.  Small
-        rounds (where per-call numpy dispatch would dominate) go through the
-        attached :class:`~repro.core.backends.base.FlipLoopBackend`'s scalar
-        round instead; both regimes consume the blocked RNG buffers
-        identically, so they are interchangeable mid-run.  The per-replica
-        draw order (waiting time first under the continuous scheduler, then
-        the candidate index) matches
-        :meth:`repro.core.dynamics.GlauberDynamics.step` stream-exactly.
+        One :meth:`~repro.core.backends.base.FlipLoopBackend.run_rounds`
+        call of a single round with no budget, so terminated replicas are
+        skipped and everyone else takes one scheduler step (on a compiled
+        backend, one native call).  The per-replica draw order (waiting time
+        first under the continuous scheduler, then the candidate index)
+        matches :meth:`repro.core.dynamics.GlauberDynamics.step`
+        stream-exactly.  Energy/magnetization counters stay live.
         """
-        n_rep = self.n_replicas
-        if active is None:
-            candidates = self._replica_ids
-        else:
-            candidates = np.asarray(active, dtype=np.int64)
-        if candidates.size <= BlockedReplicaStreams.SCALAR_PATH_MAX:
-            return self._backend.step_round(candidates)
-        only_if_happy = self.flip_rule is FlipRule.ONLY_IF_HAPPY
-        continuous = self.scheduler is SchedulerKind.CONTINUOUS
-        counts = self._sets.counts
-        if only_if_happy:
-            term_sizes = counts[candidates + n_rep]
-        else:
-            term_sizes = counts[candidates]
-        alive = term_sizes > 0
-        if only_if_happy and continuous:
-            sampler_offset = n_rep
-            sampler_sizes = term_sizes
-        else:
-            sampler_offset = 0
-            sampler_sizes = counts[candidates]
-            alive &= sampler_sizes > 0
-        if alive.all():
-            reps = candidates
-            sizes = sampler_sizes
-        else:
-            reps = candidates[alive]
-            if reps.size == 0:
-                return np.empty(0, dtype=np.int64)
-            sizes = sampler_sizes[alive]
-        # Same draw order as GlauberDynamics.step: waiting time first
-        # (continuous scheduler only), then the candidate index.
-        waits, draws = self._streams.draw_step(reps, sizes, continuous)
-        if continuous:
-            self._times[reps] += (1.0 / sizes) * waits
-        else:
-            self._times[reps] += 1.0
-        self._n_steps[reps] += 1
-        flats = self._sets.sample_rows(reps + sampler_offset, draws)
-        bases = reps * self._n_sites
-        if only_if_happy and not continuous:
-            # Discrete scheduler samples unhappy agents, which may refuse to
-            # flip.  (The continuous sampler only contains flippable agents,
-            # so the gather would be all-True there.)
-            do_flip = (self._code_flat[bases + flats] & 2) != 0
-            reps = reps[do_flip]
-            flats = flats[do_flip]
-            bases = bases[do_flip]
-            if reps.size == 0:
-                return reps
-        self._apply_flips(reps, flats, bases)
-        self._n_flips[reps] += 1
-        return reps
-
-    def _apply_flips(
-        self, reps: np.ndarray, flats: np.ndarray, bases: Optional[np.ndarray] = None
-    ) -> None:
-        """Flip one site per listed replica via the attached backend.
-
-        The fused gather-classify-scatter window kernel lives behind the
-        :class:`~repro.core.backends.base.FlipLoopBackend` seam (see
-        :meth:`FlipLoopBackend.apply_flips
-        <repro.core.backends.base.FlipLoopBackend.apply_flips>` for the
-        semantics); this shim keeps the vectorized ``step_all`` path and the
-        subclass override point unchanged.
-        """
-        self._backend.apply_flips(reps, flats, bases)
+        start_flips = self._n_flips.copy()
+        self._backend.run_rounds(RunBudget(start_flips, self._n_steps.copy()), 1)
+        return np.flatnonzero(self._n_flips != start_flips)
 
     def run(
         self,
@@ -821,7 +670,7 @@ class EnsembleDynamics:
         if trajectory is not None:
             trajectory.record(self)
         start_flips = self._n_flips.copy()
-        start_steps = np.array(self._n_steps, dtype=np.int64)
+        start_steps = self._n_steps.copy()
         budget = RunBudget(start_flips, start_steps, max_flips, max_steps, max_time)
         segment = record_every if trajectory is not None else None
         # Runs that never read the energy/magnetization counters defer their
@@ -848,237 +697,6 @@ class EnsembleDynamics:
             final_spins=self._spins.copy(),
             trajectory=trajectory,
         )
-
-
-class ReferenceEnsembleDynamics(EnsembleDynamics):
-    """The pre-fusion ensemble engine, retained as oracle and baseline.
-
-    Semantically identical to :class:`EnsembleDynamics` — both are bitwise
-    equivalent to per-replica scalar runs — but executes a round the way the
-    engine did before the fused flip loop landed: a Python loop over replicas
-    with one ``Generator.exponential``/``integers`` call each, list-backed
-    :class:`_ReplicaIndexSet` samplers updated element by element, and
-    per-index insertion loops at rebuild time.  The equivalence property
-    tests pit the fused engine against this one, and
-    ``benchmarks/bench_flip_loop.py`` / ``bench_ensemble_throughput.py``
-    report the fused engine's speedup over it.
-    """
-
-    def _init_backend(self, backend: Optional[str]) -> None:
-        """The reference engine is its own hot path; it borrows only the loop.
-
-        The retained pre-fusion structures (list-backed samplers, per-flip
-        ``Generator`` calls) are not backend-shaped, and the point of this
-        engine is to *not* share round code with what it verifies.  The
-        protocol's default :meth:`FlipLoopBackend.run_rounds` — the shared
-        Python round loop, which calls this engine's own :meth:`step_all` —
-        is attached so ``run`` stays inherited.
-        """
-        self._backend = FlipLoopBackend()
-        self._backend.attach(self)
-        self.backend_name = "reference"
-
-    def _build_runtime(self, rng_block_words: int) -> None:
-        """Allocate the retained scalar-loop structures (no RNG blocks)."""
-        config = self.config
-        r = self.n_replicas
-        n_rows, n_cols = config.shape
-        self._plus_counts = np.empty((r, n_rows, n_cols), dtype=np.int64)
-        self._happy_mask = np.empty((r, n_rows, n_cols), dtype=bool)
-        self._flippable_mask = np.empty((r, n_rows, n_cols), dtype=bool)
-        self._unhappy = [_ReplicaIndexSet(config.n_sites) for _ in range(r)]
-        self._flippable = [_ReplicaIndexSet(config.n_sites) for _ in range(r)]
-        # Per-replica clocks/counters in plain lists: they are touched once
-        # per replica per round and Python-list access is cheaper than numpy
-        # scalar indexing on that path.
-        self._times = [0.0] * r
-        self._n_steps = [0] * r
-        self._offsets = np.arange(-config.horizon, config.horizon + 1)
-        # The reference engine always tracks its counters incrementally; the
-        # flags exist so the shared accessors (and run()) stay inherited.
-        self._track_counters = True
-        self._counters_stale = False
-
-    def recompute_all(self) -> None:
-        """Rebuild counts, masks and samplers the pre-fusion way."""
-        w = self.config.horizon
-        total = self.config.neighborhood_agents
-        for r in range(self.n_replicas):
-            self._plus_counts[r] = window_sums(
-                (self._spins[r] == 1).astype(np.int64), w
-            )
-        same = np.where(self._spins == 1, self._plus_counts, total - self._plus_counts)
-        self._energies = same.sum(axis=(1, 2), dtype=np.int64)
-        self._n_plus = np.count_nonzero(self._spins == 1, axis=(1, 2)).astype(np.int64)
-        self._happy_mask, self._flippable_mask = self._classify(self._spins, same)
-        for r in range(self.n_replicas):
-            self._unhappy[r].clear()
-            self._flippable[r].clear()
-            # Same insertion order as ModelState.recompute_all so that the
-            # samplers' internal layouts (and hence RNG-draw outcomes) match.
-            for index in np.flatnonzero(~self._happy_mask[r].ravel()):
-                self._unhappy[r].add(int(index))
-            for index in np.flatnonzero(self._flippable_mask[r].ravel()):
-                self._flippable[r].add(int(index))
-
-    # ------------------------------------------------------------- inspection
-
-    def unhappy_counts(self) -> np.ndarray:
-        """``(R,)`` current number of unhappy agents per replica."""
-        return np.array([len(s) for s in self._unhappy], dtype=np.int64)
-
-    def flippable_counts(self) -> np.ndarray:
-        """``(R,)`` current number of flippable agents per replica."""
-        return np.array([len(s) for s in self._flippable], dtype=np.int64)
-
-    def happy_mask(self, replica: int) -> np.ndarray:
-        """Boolean happy mask of one replica (copy)."""
-        return self._happy_mask[replica].copy()
-
-    def flippable_mask(self, replica: int) -> np.ndarray:
-        """Boolean flippable mask of one replica (copy)."""
-        return self._flippable_mask[replica].copy()
-
-    def unhappy_indices(self, replica: int) -> np.ndarray:
-        """Sorted flat indices of one replica's unhappy agents."""
-        return self._unhappy[replica].to_array()
-
-    def flippable_indices(self, replica: int) -> np.ndarray:
-        """Sorted flat indices of one replica's flippable agents."""
-        return self._flippable[replica].to_array()
-
-    def _energies_full(self) -> np.ndarray:
-        """``(R,)`` energies recomputed from the window counts."""
-        total = self.config.neighborhood_agents
-        same = np.where(self._spins == 1, self._plus_counts, total - self._plus_counts)
-        return same.sum(axis=(1, 2), dtype=np.int64)
-
-    def _termination_counts(self) -> np.ndarray:
-        """``(R,)`` sizes of the sets whose emptiness means termination."""
-        sets = (
-            self._flippable
-            if self.flip_rule is FlipRule.ONLY_IF_HAPPY
-            else self._unhappy
-        )
-        return np.fromiter((len(s) for s in sets), dtype=np.int64, count=len(sets))
-
-    # ------------------------------------------------------------------ steps
-
-    def step_all(self, active: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Advance every active replica by one step — the pre-fusion loop."""
-        if active is None:
-            candidates = range(self.n_replicas)
-        else:
-            candidates = active
-        only_if_happy = self.flip_rule is FlipRule.ONLY_IF_HAPPY
-        continuous = self.scheduler is SchedulerKind.CONTINUOUS
-        termination_sets = self._flippable if only_if_happy else self._unhappy
-        samplers = (
-            self._flippable if only_if_happy and continuous else self._unhappy
-        )
-        times = self._times
-        steps = self._n_steps
-        rngs = self._rngs
-        reps: list[int] = []
-        flats: list[int] = []
-        for r in candidates:
-            r = int(r)
-            if len(termination_sets[r]) == 0:
-                continue
-            sampler = samplers[r]
-            if len(sampler) == 0:
-                continue
-            rng = rngs[r]
-            # Same draw order as GlauberDynamics.step: waiting time first
-            # (continuous scheduler only), then the candidate index.
-            if continuous:
-                times[r] += float(rng.exponential(1.0 / len(sampler)))
-            else:
-                times[r] += 1.0
-            steps[r] += 1
-            reps.append(r)
-            flats.append(sampler.sample(rng))
-        if not reps:
-            return np.empty(0, dtype=np.int64)
-
-        n_rows, n_cols = self.config.shape
-        rep_arr = np.asarray(reps, dtype=np.int64)
-        flat_arr = np.asarray(flats, dtype=np.int64)
-        rows = flat_arr // n_cols
-        cols = flat_arr % n_cols
-        if only_if_happy and not continuous:
-            do_flip = self._flippable_mask[rep_arr, rows, cols]
-            rep_arr = rep_arr[do_flip]
-            rows = rows[do_flip]
-            cols = cols[do_flip]
-            if rep_arr.size == 0:
-                return rep_arr
-        self._apply_flips(rep_arr, rows, cols)
-        self._n_flips[rep_arr] += 1
-        return rep_arr
-
-    def _apply_flips(
-        self, reps: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> None:
-        """Flip one site per listed replica — the pre-fusion window update."""
-        config = self.config
-        n_rows, n_cols = config.shape
-        total = config.neighborhood_agents
-
-        new_values = -self._spins[reps, rows, cols]
-        self._spins[reps, rows, cols] = new_values
-        delta = new_values.astype(np.int64)
-
-        offsets = self._offsets
-        window_rows = (rows[:, None] + offsets[None, :]) % n_rows
-        window_cols = (cols[:, None] + offsets[None, :]) % n_cols
-        rep_index = reps[:, None, None]
-        row_index = window_rows[:, :, None]
-        col_index = window_cols[:, None, :]
-
-        sub_plus = self._plus_counts[rep_index, row_index, col_index]
-        center = config.horizon
-        old_plus_center = sub_plus[:, center, center].astype(np.int64)
-        old_spin = -delta
-        old_same_center = np.where(
-            old_spin == 1, old_plus_center, total - old_plus_center
-        )
-        new_plus_center = old_plus_center + delta
-        new_same_center = np.where(
-            delta == 1, new_plus_center, total - new_plus_center
-        )
-        self._energies[reps] += (
-            delta * (2 * old_plus_center - total - old_spin)
-            + new_same_center
-            - old_same_center
-        )
-        self._n_plus[reps] += delta
-        sub_plus += delta[:, None, None]
-        self._plus_counts[rep_index, row_index, col_index] = sub_plus
-        sub_spins = self._spins[rep_index, row_index, col_index]
-        sub_same = np.where(sub_spins == 1, sub_plus, total - sub_plus)
-        sub_happy, sub_flippable = self._classify(sub_spins, sub_same)
-
-        old_happy = self._happy_mask[rep_index, row_index, col_index]
-        old_flippable = self._flippable_mask[rep_index, row_index, col_index]
-        changed = (sub_happy != old_happy) | (sub_flippable != old_flippable)
-        self._happy_mask[rep_index, row_index, col_index] = sub_happy
-        self._flippable_mask[rep_index, row_index, col_index] = sub_flippable
-        if not changed.any():
-            return
-
-        flat = window_rows[:, :, None] * n_cols + window_cols[:, None, :]
-        changed_reps = np.broadcast_to(rep_index, changed.shape)[changed].tolist()
-        changed_flats = flat[changed].tolist()
-        changed_happy = sub_happy[changed].tolist()
-        changed_flippable = sub_flippable[changed].tolist()
-        unhappy_sets = self._unhappy
-        flippable_sets = self._flippable
-        for replica, index, happy, flippable in zip(
-            changed_reps, changed_flats, changed_happy, changed_flippable
-        ):
-            unhappy_sets[replica].update_membership(index, not happy)
-            flippable_sets[replica].update_membership(index, flippable)
 
 
 def run_ensemble(

@@ -4,16 +4,14 @@ Several arguments in the paper renormalise the ``n x n`` grid into square
 blocks (w-blocks of side ``w + 1`` built from neighbourhoods of radius
 ``w/2``, 2w^3- and 6w^3-blocks for the chemical firewall) and then reason
 about the block lattice as a new site process.  This module provides the
-generic machinery: partitioning a grid into blocks, aggregating per-block
-statistics, and exposing the block adjacency structure as a networkx graph
-for path arguments.
+generic machinery: partitioning a grid into blocks and aggregating
+per-block statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -103,27 +101,6 @@ class BlockGrid:
                 f"block_values shape {values.shape} does not match block lattice {self.shape}"
             )
         return np.repeat(np.repeat(values, self.block_side, axis=0), self.block_side, axis=1)
-
-    def adjacency_graph(self, periodic: bool = True) -> nx.Graph:
-        """4-neighbour adjacency graph of the block lattice.
-
-        The chemical-path arguments of Section IV.B are phrased in terms of
-        paths and cycles on this graph ("m-paths" and "m-cycles").
-        """
-        rows, cols = self.shape
-        graph = nx.Graph()
-        for row in range(rows):
-            for col in range(cols):
-                graph.add_node((row, col))
-        for row in range(rows):
-            for col in range(cols):
-                right = (row, (col + 1) % cols)
-                down = ((row + 1) % rows, col)
-                if periodic or col + 1 < cols:
-                    graph.add_edge((row, col), right)
-                if periodic or row + 1 < rows:
-                    graph.add_edge((row, col), down)
-        return graph
 
 
 def divisible_block_side(grid_side: int, target_side: int) -> int:

@@ -6,13 +6,12 @@ here normalise those inputs and derive independent child generators for
 replicate experiments so that replicates never share streams.
 
 The second half of the module is the *blocked* RNG substrate used by the
-vectorized ensemble engine: :class:`BlockedReplicaStreams` pre-draws each
-replica's PCG64 raw-word stream in blocks and re-derives numpy's scalar
-``Generator.exponential`` / ``Generator.integers`` draws from those words in
-vectorized batches, consuming the underlying bit stream *exactly* as the
-per-call scalar path would.  That exactness is what lets the ensemble engine
-amortise per-flip ``Generator`` call overhead across replicas while staying
-bitwise identical to scalar runs.
+ensemble engine: :class:`BlockedReplicaStreams` pre-draws each replica's
+PCG64 raw-word stream in blocks and re-derives numpy's scalar
+``Generator.exponential`` / ``Generator.integers`` draws from those words,
+consuming the underlying bit stream *exactly* as the per-call scalar path
+would.  That exactness is what lets the ensemble engine drop per-flip
+``Generator`` calls while staying bitwise identical to scalar runs.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def choice_without_replacement(
 #
 # Both reductions are exact, so a block of raw words pre-drawn from a
 # replica's generator can be turned into the same value sequence the scalar
-# calls would produce — across many replicas at once, with numpy array ops.
+# calls would produce.
 # The ziggurat tables are numpy internals; they are recovered *exactly* at
 # first use by steering a probe PCG64 through chosen output words (see
 # ``_calibrate_ziggurat_tables``), then cached on disk per numpy version.
@@ -321,14 +320,14 @@ class BlockedReplicaStreams:
 
     Takes over one :class:`numpy.random.Generator` per replica and serves the
     two scalar draw kinds the dynamics engines perform —
-    ``standard_exponential`` and ``integers(0, high)`` — from pre-drawn
-    raw-word blocks, vectorized across replicas.  Each replica's bit stream
-    is consumed in exactly the order and quantity the scalar calls would
-    consume it (ziggurat fast path re-derived from the block; rare slow paths
-    replayed through a scratch generator positioned at the exact stream
-    offset; Lemire-32 bounded integers including the half-word buffer), so
-    every value returned is bitwise identical to the corresponding scalar
-    ``Generator`` call.
+    :meth:`standard_exponential` and :meth:`bounded_integer` (numpy's
+    ``integers(0, high)``) — from pre-drawn raw-word blocks.  Each replica's
+    bit stream is consumed in exactly the order and quantity the scalar
+    calls would consume it (ziggurat fast path re-derived from the block;
+    rare slow paths replayed through a scratch generator positioned at the
+    exact stream offset; Lemire-32 bounded integers including the half-word
+    buffer), so every value returned is bitwise identical to the
+    corresponding scalar ``Generator`` call.
 
     Each replica's PCG64 position lives in three ``(n_streams, 2)`` uint64
     arrays of ``(low, high)`` words, the one authority for it: ``_state``
@@ -344,18 +343,22 @@ class BlockedReplicaStreams:
     ``block_words`` tunes the refill granularity; correctness does not depend
     on it (the boundary property tests run it down to one word per block).
 
-    Two execution regimes serve the same draws from the same buffers:
-    :meth:`draw_step` runs a tight scalar loop over memoryviews when few
-    replicas are active (array-op dispatch overhead would dominate) and the
-    vectorized :meth:`standard_exponential` / :meth:`bounded_integers` pair
-    otherwise.  Both consume the buffers identically, so the choice is purely
-    a per-round cost decision.
-    """
+    NOTE: the word-consumption protocol is implemented at two sites:
 
-    #: Active-replica count below which the scalar draw loop beats the
-    #: vectorized path (array-op dispatch costs ~1us per op; the scalar loop
-    #: costs ~1us per replica total).
-    SCALAR_PATH_MAX = 32
+    * here, :meth:`_next_word` and the draws built on it (the numpy
+      backend's round loop calls :meth:`standard_exponential` and
+      :meth:`bounded_integer`);
+    * the C word reader in ``cffi_backend.py`` (``next_word``), which owns
+      its own block refills and feeds numpy's compiled
+      ``random_standard_exponential`` for the waiting time, so its slow
+      path is numpy's code rather than a replay.
+
+    Any change to the protocol must touch both.  The boundary tests in
+    ``test_rng.py`` / ``test_core_ensemble.py`` pin this reader to live
+    ``Generator`` draws, and the cross-backend suite in ``test_backends.py``
+    pins the C reader to it (stream arrays and PCG64 states included), so a
+    missed site fails fast.
+    """
 
     def __init__(
         self, rngs: Sequence[np.random.Generator], block_words: int = 4096
@@ -386,15 +389,15 @@ class BlockedReplicaStreams:
             self._buf32[index] = state["uinteger"]
         self._base = self._state.copy()
         self._scratch = np.random.Generator(np.random.PCG64(0))
-        self._we, self._ke = ziggurat_exponential_tables()
-        # Scalar-path mirrors: memoryviews over the same buffers (list-speed
-        # element access) plus the tables as plain Python lists.
+        # Memoryviews over the same buffers (list-speed element access) and
+        # the ziggurat tables as plain Python lists, for the scalar draws.
         self._words_mv = memoryview(self._words.reshape(-1))
         self._pos_mv = memoryview(self._pos)
         self._has32_mv = memoryview(self._has32)
         self._buf32_mv = memoryview(self._buf32)
-        self._we_list = self._we.tolist()
-        self._ke_list = self._ke.tolist()
+        we, ke = ziggurat_exponential_tables()
+        self._we_list = we.tolist()
+        self._ke_list = ke.tolist()
 
     @property
     def n_streams(self) -> int:
@@ -437,42 +440,57 @@ class BlockedReplicaStreams:
             "uinteger": 0,
         }
 
-    def _ensure(self, replicas: np.ndarray) -> None:
-        """Refill every listed replica whose block is exhausted.
+    def _refill_until_ready(self, replica: int) -> None:
+        """Refill ``replica`` until its block position is inside the block.
 
         A slow-path replay can overrun the block by more than one whole block
-        length when ``block_words`` is tiny, hence the loop per replica.
+        length when ``block_words`` is tiny, hence the loop.
         """
-        exhausted = self._pos[replicas] >= self._block_words
-        if exhausted.any():
-            for replica in replicas[exhausted]:
-                while self._pos[replica] >= self._block_words:
-                    self._refill(int(replica))
+        while self._pos[replica] >= self._block_words:
+            self._refill(replica)
 
-    # ----------------------------------------------------------- exponentials
+    # ------------------------------------------------------------------ words
 
-    def standard_exponential(self, replicas: np.ndarray) -> np.ndarray:
-        """One ``Generator.standard_exponential()`` draw per listed replica.
+    def _next_word(self, replica: int) -> int:
+        """The replica's next 64-bit word — the one reader every draw uses."""
+        position = self._pos_mv[replica]
+        if position >= self._block_words:
+            self._refill_until_ready(replica)
+            position = self._pos_mv[replica]
+        self._pos_mv[replica] = position + 1
+        return self._words_mv[replica * self._block_words + position]
 
-        ``replicas`` must not contain duplicates (one draw each).  The
-        ziggurat fast path is computed vectorized from each replica's next
-        block word; slow-path draws (~2%) are replayed bitwise through a
-        scratch generator positioned at the exact stream offset.
+    def _next32(self, replica: int) -> int:
+        """PCG64's ``next_uint32`` on ``replica``'s stream.
+
+        The low half of a fresh word, its high half buffered for the next
+        call; the buffer survives interleaved 64-bit draws.
         """
-        replicas = np.asarray(replicas, dtype=np.int64)
-        if replicas.size == 0:
-            return np.empty(0, dtype=np.float64)
-        self._ensure(replicas)
-        words = self._words[replicas, self._pos[replicas]]
-        layer = ((words >> np.uint64(3)) & np.uint64(0xFF)).astype(np.int64)
-        significand = words >> np.uint64(11)
-        values = significand.astype(np.float64) * self._we[layer]
-        self._pos[replicas] += 1
-        fast = significand < self._ke[layer]
-        if not fast.all():
-            for slot in np.flatnonzero(~fast):
-                values[slot] = self._replay_exponential(int(replicas[slot]))
-        return values
+        if self._has32_mv[replica]:
+            self._has32_mv[replica] = False
+            return self._buf32_mv[replica]
+        word = self._next_word(replica)
+        self._buf32_mv[replica] = word >> 32
+        self._has32_mv[replica] = True
+        return word & _U32_MASK
+
+    # ------------------------------------------------------------------ draws
+
+    def standard_exponential(self, replica: int) -> float:
+        """One ``Generator.standard_exponential()`` draw on ``replica``'s stream.
+
+        The ziggurat fast path is computed from the next block word; the
+        slow path (~2% of draws) is replayed bitwise through a scratch
+        generator positioned at the exact stream offset.
+        """
+        word = self._next_word(replica)
+        significand = word >> 11
+        layer = (word >> 3) & 0xFF
+        if significand < self._ke_list[layer]:
+            # Python's int->float conversion is exact below 2**53 and the
+            # multiply is the same IEEE op as numpy's.
+            return significand * self._we_list[layer]
+        return self._replay_exponential(replica)
 
     def _replay_exponential(self, replica: int) -> float:
         """Replay one slow-path exponential draw bitwise via numpy itself.
@@ -496,188 +514,22 @@ class BlockedReplicaStreams:
         self._pos[replica] = start + consumed
         return value
 
-    # --------------------------------------------------------------- integers
+    def bounded_integer(self, replica: int, high: int) -> int:
+        """One ``Generator.integers(0, high)`` draw on ``replica``'s stream.
 
-    def bounded_integers(self, replicas: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """One ``Generator.integers(0, high)`` draw per listed replica.
-
-        ``replicas`` must not contain duplicates and every ``high`` must be a
-        positive bound below ``2**32`` (grids index their sites well inside
-        that).  Implements numpy's exact path for that range: Lemire bounded
-        sampling over the buffered 32-bit sub-stream, rejection loop included.
+        ``high`` must be a positive bound below ``2**32`` (grids index their
+        sites well inside that).  Implements numpy's exact path for that
+        range: Lemire bounded sampling over the buffered 32-bit sub-stream,
+        rejection loop included; ``high <= 1`` returns 0 without consuming
+        anything.
         """
-        replicas = np.asarray(replicas, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        results = np.zeros(replicas.shape, dtype=np.int64)
-        need = highs > 1  # high == 1 returns 0 without consuming anything
-        if not need.any():
-            return results
-        rows = replicas[need]
-        bounds = highs[need].astype(np.uint64)
-        candidates = np.empty(rows.shape, dtype=np.uint64)
-        from_buffer = self._has32[rows]
-        if from_buffer.any():
-            buffered = rows[from_buffer]
-            candidates[from_buffer] = self._buf32[buffered]
-            self._has32[buffered] = False
-        fresh = ~from_buffer
-        if fresh.any():
-            fresh_rows = rows[fresh]
-            self._ensure(fresh_rows)
-            words = self._words[fresh_rows, self._pos[fresh_rows]]
-            self._pos[fresh_rows] += 1
-            candidates[fresh] = words & np.uint64(_U32_MASK)
-            self._buf32[fresh_rows] = words >> np.uint64(32)
-            self._has32[fresh_rows] = True
-        # Lemire: scaled = candidate * bound fits u64 exactly (both < 2**32).
-        scaled = candidates * bounds
-        leftover = scaled & np.uint64(_U32_MASK)
-        maybe = leftover < bounds
-        if maybe.any():
-            thresholds = (np.uint64(1 << 32) - bounds[maybe]) % bounds[maybe]
-            rejected = leftover[maybe] < thresholds
-            if rejected.any():
-                slots = np.flatnonzero(maybe)[rejected]
-                for slot in slots:
-                    scaled[slot] = self._lemire32_rejection_loop(
-                        int(rows[slot]), int(bounds[slot])
-                    )
-        results[need] = (scaled >> np.uint64(32)).astype(np.int64)
-        return results
-
-    def draw_step(
-        self,
-        replicas: np.ndarray,
-        highs: np.ndarray,
-        exponentials: bool,
-    ) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """One dynamics step's draws per replica, picking the cheaper regime.
-
-        For each listed replica (no duplicates): one standard-exponential
-        draw (when ``exponentials`` — the continuous scheduler's waiting
-        time) followed by one ``integers(0, high)`` candidate draw, exactly
-        the scalar engine's per-step order.  Returns ``(exponentials,
-        candidates)`` with the first entry ``None`` when not requested.
-        Small batches run a scalar loop over the block buffers; large ones
-        take the vectorized path.  Both are bitwise identical.
-
-        NOTE: the word-consumption protocol is implemented at four sites:
-
-        * here, scalar (the loop below);
-        * here, vectorized (:meth:`standard_exponential` /
-          :meth:`bounded_integers`);
-        * ``NumpyBackend.step_round``, which inlines the scalar loop with
-          the round's filtering and clock work;
-        * the C word reader in ``cffi_backend.py`` (``next_word``), which
-          owns its own block refills and feeds numpy's compiled
-          ``random_standard_exponential`` for the waiting time, so its slow
-          path is numpy's code rather than a replay.
-
-        Any change to the protocol must touch all four.  The boundary tests
-        in ``test_rng.py`` / ``test_core_ensemble.py`` pin the scalar and
-        vectorized paths to live ``Generator`` draws, and the cross-backend
-        suite in ``test_backends.py`` pins the rest to the numpy backend
-        (stream arrays and PCG64 states included), so a missed site fails
-        fast.
-        """
-        if replicas.size > self.SCALAR_PATH_MAX:
-            values = (
-                self.standard_exponential(replicas) if exponentials else None
-            )
-            return values, self.bounded_integers(replicas, highs)
-        words_mv = self._words_mv
-        pos_mv = self._pos_mv
-        has32_mv = self._has32_mv
-        buf32_mv = self._buf32_mv
-        ke_list = self._ke_list
-        we_list = self._we_list
-        block = self._block_words
-        exp_values: Optional[list[float]] = [] if exponentials else None
-        candidates: list[int] = []
-        for replica, high in zip(replicas.tolist(), highs.tolist()):
-            word_base = replica * block
-            if exp_values is not None:
-                position = pos_mv[replica]
-                if position >= block:
-                    self._refill_until_ready(replica)
-                    position = pos_mv[replica]
-                word = words_mv[word_base + position]
-                pos_mv[replica] = position + 1
-                significand = word >> 11
-                layer = (word >> 3) & 0xFF
-                if significand < ke_list[layer]:
-                    # Python's int->float conversion is exact below 2**53 and
-                    # the multiply is the same IEEE op as numpy's.
-                    exp_values.append(significand * we_list[layer])
-                else:
-                    exp_values.append(self._replay_exponential(replica))
-            if high <= 1:
-                candidates.append(0)
-                continue
-            if has32_mv[replica]:
-                candidate = buf32_mv[replica]
-                has32_mv[replica] = False
-            else:
-                position = pos_mv[replica]
-                if position >= block:
-                    self._refill_until_ready(replica)
-                    position = pos_mv[replica]
-                word = words_mv[word_base + position]
-                pos_mv[replica] = position + 1
-                candidate = word & _U32_MASK
-                buf32_mv[replica] = word >> 32
-                has32_mv[replica] = True
-            scaled = candidate * high
-            leftover = scaled & _U32_MASK
-            if leftover < high:
-                threshold = ((1 << 32) - high) % high
-                while leftover < threshold:
-                    scaled = self._next32_scalar(replica) * high
-                    leftover = scaled & _U32_MASK
-            candidates.append(scaled >> 32)
-        return (
-            None if exp_values is None else np.asarray(exp_values, dtype=np.float64),
-            np.asarray(candidates, dtype=np.int64),
-        )
-
-    def _refill_until_ready(self, replica: int) -> None:
-        """Refill ``replica`` until its block position is inside the block."""
-        while self._pos[replica] >= self._block_words:
-            self._refill(replica)
-
-    def scalar_views(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
-        """The ``(words, pos, has32, buf32)`` memoryviews of the buffers.
-
-        The fused engine's scalar round loop inlines the fast paths of
-        :meth:`draw_step` against these live views (the same buffers the
-        vectorized methods use, so the regimes stay interchangeable).  On a
-        block miss or a ziggurat slow path the caller hands control back via
-        :meth:`_refill_until_ready` / :meth:`_replay_exponential` /
-        :meth:`_next32_scalar`.
-        """
-        return self._words_mv, self._pos_mv, self._has32_mv, self._buf32_mv
-
-    def ziggurat_lists(self) -> tuple[list, list]:
-        """The ``(KE, WE)`` ziggurat tables as plain lists (scalar contract)."""
-        return self._ke_list, self._we_list
-
-    def _next32_scalar(self, replica: int) -> int:
-        """The replica's next 32-bit sub-stream value (scalar fallback path)."""
-        if self._has32[replica]:
-            self._has32[replica] = False
-            return int(self._buf32[replica])
-        while self._pos[replica] >= self._block_words:
-            self._refill(replica)
-        word = int(self._words[replica, self._pos[replica]])
-        self._pos[replica] += 1
-        self._buf32[replica] = word >> 32
-        self._has32[replica] = True
-        return word & _U32_MASK
-
-    def _lemire32_rejection_loop(self, replica: int, bound: int) -> int:
-        """Continue a rejected Lemire draw until acceptance (rare path)."""
-        threshold = ((1 << 32) - bound) % bound
-        while True:
-            scaled = self._next32_scalar(replica) * bound
-            if (scaled & _U32_MASK) >= threshold:
-                return scaled
+        if high <= 1:
+            return 0
+        scaled = self._next32(replica) * high
+        leftover = scaled & _U32_MASK
+        if leftover < high:
+            threshold = ((1 << 32) - high) % high
+            while leftover < threshold:
+                scaled = self._next32(replica) * high
+                leftover = scaled & _U32_MASK
+        return scaled >> 32

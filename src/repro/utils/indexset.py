@@ -95,28 +95,25 @@ class BatchedIndexSet:
     ``(n_sets, capacity)`` int32 position table (so ``capacity`` is at most
     ``2**31``) and an ``(n_sets,)`` int64 count vector —
     the array-backed analogue of ``n_sets`` independent :class:`IndexSampler`
-    objects, laid out for the vectorized ensemble engine.  The swap-remove
+    objects, laid out for the ensemble engine.  The swap-remove
     algorithm (and therefore the member ordering every RNG draw depends on) is
     exactly :class:`IndexSampler`'s, so a row evolved through the same
     operation sequence holds the same packed layout bit for bit — the
     equivalence the hypothesis suite in ``tests/test_utils_indexset.py`` pins
-    against the scalar reference.
+    with :class:`IndexSampler` as the oracle.
 
-    Three access regimes coexist:
+    Two access regimes coexist:
 
     * **bulk build** (:meth:`fill_from_masks`) — the whole family initialised
       from boolean membership masks in a handful of array ops, replacing
       per-index insertion loops;
-    * **vectorized reads** (:meth:`counts`, :meth:`sample_rows`) — counts and
-      member lookups for many rows per numpy call, which is what the fused
-      flip loop consumes;
-    * **ordered updates** (:meth:`apply_ops`, :meth:`add_many`,
-      :meth:`remove_many`) — the per-flip membership deltas.  These are
-      inherently sequential *within* a row (every operation reads the count
-      and the packed tail its predecessors wrote), so they run as one tight
-      scalar loop over memoryviews of the backing arrays, which matches
-      Python-list speed while keeping the storage arrays shared with the
-      vectorized readers.
+    * **ordered updates** (:meth:`apply_coded_ops`) — the per-flip
+      membership deltas.  These are inherently sequential *within* a row
+      (every operation reads the count and the packed tail its predecessors
+      wrote), so they run as one tight scalar loop over memoryviews of the
+      backing arrays, which matches Python-list speed while keeping the
+      storage arrays shared with the backends' round loops (see
+      :meth:`storage`, :meth:`counts_view` and :meth:`members_view`).
     """
 
     __slots__ = (
@@ -173,14 +170,10 @@ class BatchedIndexSet:
         """
         return self._counts
 
-    def count(self, row: int) -> int:
-        """Number of elements currently in ``row``."""
-        return self._counts_mv[row]
-
     def counts_view(self) -> memoryview:
         """Memoryview over the per-row counts (scalar fast-path contract).
 
-        The fused engine's scalar round loop reads counts and members
+        The numpy backend's round loop reads counts and members
         element-wise; these views expose the live buffers at list speed.
         Callers must treat them as read-only.
         """
@@ -193,10 +186,6 @@ class BatchedIndexSet:
         position`` is the member a uniform draw of ``position`` selects.
         """
         return self._members_mv
-
-    def contains(self, row: int, index: int) -> bool:
-        """Whether ``index`` is currently a member of ``row``."""
-        return self._positions_mv[row * self._capacity + index] >= 0
 
     def storage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live backing arrays ``(members, positions, counts)``, flattened.
@@ -230,11 +219,6 @@ class BatchedIndexSet:
 
     # -------------------------------------------------------------- bulk build
 
-    def clear(self) -> None:
-        """Empty every row."""
-        self._positions.fill(-1)
-        self._counts.fill(0)
-
     def fill_from_masks(self, masks: np.ndarray) -> None:
         """Rebuild every row from an ``(n_sets, capacity)`` boolean mask.
 
@@ -258,87 +242,7 @@ class BatchedIndexSet:
         self._positions[rows, indices] = offsets
         self._counts[:] = counts
 
-    def add_many(self, rows: np.ndarray, indices: np.ndarray) -> None:
-        """Append ``indices[k]`` to ``rows[k]``, vectorized, in array order.
-
-        Pairs must be grouped by row (all of a row's additions contiguous, in
-        their insertion order) and must not repeat an index within a row;
-        already-present elements are skipped, exactly like repeated
-        :meth:`IndexSampler.add` calls.  Appends commute with nothing reading
-        the tail, so unlike removals they vectorize without losing the
-        sequential layout.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if rows.size == 0:
-            return
-        fresh = self._positions[rows, indices] < 0
-        rows, indices = rows[fresh], indices[fresh]
-        if rows.size == 0:
-            return
-        boundaries = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-        group_sizes = np.diff(np.concatenate((boundaries, [rows.size])))
-        ranks = np.arange(rows.size, dtype=np.int64) - np.repeat(
-            boundaries, group_sizes
-        )
-        offsets = self._counts[rows] + ranks
-        self._members[rows, offsets] = indices
-        self._positions[rows, indices] = offsets
-        self._counts[rows[boundaries]] += group_sizes
-
-    def remove_many(self, rows: np.ndarray, indices: np.ndarray) -> None:
-        """Remove ``indices[k]`` from ``rows[k]`` in array order.
-
-        Removals are order-entangled: each swap-remove reads the packed tail
-        its predecessors may have rewritten, so the exact scalar semantics run
-        in the sequential :meth:`apply_ops` loop.  Missing elements are
-        skipped, like :meth:`IndexSampler.remove`.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        self.apply_ops(
-            rows.tolist(),
-            np.asarray(indices, dtype=np.int64).tolist(),
-            [False] * rows.size,
-        )
-
     # ------------------------------------------------------------ ordered ops
-
-    def apply_ops(
-        self, rows: list, indices: list, member: list
-    ) -> None:
-        """Set membership of ``indices[k]`` in ``rows[k]``, strictly in order.
-
-        The engine's per-flip path: one interleaved stream of add/remove
-        decisions (``member[k]`` true adds, false removes; no-ops when the
-        membership already matches), applied in exactly the order given.  The
-        loop is scalar by necessity — operation ``k`` on a row reads state
-        written by operation ``k-1`` through the count and the packed tail —
-        but runs on memoryviews with no per-op method dispatch, which
-        profiles at list speed.
-        """
-        members_mv = self._members_mv
-        positions_mv = self._positions_mv
-        counts_mv = self._counts_mv
-        capacity = self._capacity
-        for row, index, add in zip(rows, indices, member):
-            base = row * capacity
-            position = positions_mv[base + index]
-            if add:
-                if position >= 0:
-                    continue
-                count = counts_mv[row]
-                members_mv[base + count] = index
-                positions_mv[base + index] = count
-                counts_mv[row] = count + 1
-            else:
-                if position < 0:
-                    continue
-                count = counts_mv[row] - 1
-                counts_mv[row] = count
-                last = members_mv[base + count]
-                members_mv[base + position] = last
-                positions_mv[base + last] = position
-                positions_mv[base + index] = -1
 
     def apply_coded_ops(
         self,
@@ -354,9 +258,10 @@ class BatchedIndexSet:
         of ``toggled[k]`` says whether the membership of ``indices[k]`` in
         row ``rows[k] + b * row_offset`` must be set to bit ``b`` of
         ``members[k]``.  Updates are applied in ``k`` order with bit 0 before
-        bit 1 — the same interleaving as two :meth:`apply_ops` streams zipped
-        per site — but one loop iteration handles both rows of a site, which
-        halves the per-operation dispatch cost.
+        bit 1 — the same interleaving as a pair of
+        :meth:`IndexSampler.update_membership` calls per site — but one loop
+        iteration handles both rows of a site, which halves the per-operation
+        dispatch cost.
         """
         members_mv = self._members_mv
         positions_mv = self._positions_mv
@@ -399,14 +304,3 @@ class BatchedIndexSet:
                     members_mv[pair_base + position] = last
                     positions_mv[pair_base + last] = position
                     positions_mv[target] = -1
-
-    # ---------------------------------------------------------------- sampling
-
-    def sample_rows(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Members at packed positions ``draws`` of ``rows`` (vectorized).
-
-        ``draws[k]`` must lie in ``[0, count(rows[k]))``; the caller supplies
-        the uniform draws (the engine gets them from its blocked RNG streams),
-        so this is a pure gather.
-        """
-        return self._members[rows, draws]

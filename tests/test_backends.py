@@ -8,7 +8,8 @@ Five layers are pinned here:
   error for unknown names, removed backends included.
 * **Bitwise identity** — the compiled ``cffi`` backend, when the host can
   build it, advances the ensemble engine *bit for bit* like the numpy
-  reference: spins, clocks, step/flip counters, energies, the samplers'
+  backend (both are pinned to the scalar engine in
+  ``tests/test_core_ensemble.py``): spins, clocks, step/flip counters, energies, the samplers'
   packed layouts and the RNG streams (block words, positions, half-word
   buffers, each replica's PCG64 state and block base), across the base,
   two-sided and asymmetric rules, with a tiny RNG block size so the C
@@ -18,10 +19,10 @@ Five layers are pinned here:
 * **Runs** — ``run()`` returns identical results and leaves identical
   state under every backend: flip/step/time budgets, trajectory segments,
   both flip rules and schedulers, wider horizons, rectangular tori and
-  windows as wide as the torus, R above the scalar-path limit, and a run
-  continued after a budgeted one (also across a ``recompute_all``, which
-  makes the C backend re-capture its pointers).  A compiled ``run()`` is
-  one native call, or one per trajectory segment.
+  windows as wide as the torus, R = 40, and a run continued after a
+  budgeted one (also across a ``recompute_all``, which makes the C backend
+  re-capture its pointers).  A compiled ``run()`` is one native call, or one
+  per trajectory segment, and a compiled ``step_all()`` is one native call.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
@@ -58,13 +59,11 @@ from repro.core.ensemble import (
     EnsembleDynamics,
     EnsembleRunResult,
     EnsembleTrajectory,
-    ReferenceEnsembleDynamics,
 )
 from repro.core.variants import AsymmetricEnsemble, TwoSidedEnsemble
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment, run_sweep
 from repro.experiments.spec import ExperimentSpec, SweepSpec
-from repro.rng import BlockedReplicaStreams
 from repro.types import FlipRule, SchedulerKind
 
 BACKENDS = available_backends()
@@ -170,11 +169,7 @@ class TestEngineSeam:
         )
         assert explicit.backend_name == "numpy"
 
-    def test_reference_engine_has_no_backend(self):
-        engine = ReferenceEnsembleDynamics(SMALL, n_replicas=2, seed=0)
-        assert engine.backend_name == "reference"
-
-    @pytest.mark.parametrize("engine_kind", [*BACKENDS, "reference"])
+    @pytest.mark.parametrize("engine_kind", BACKENDS)
     def test_finished_engine_freed_without_gc(self, engine_kind):
         # The engine owns its backend and the backend holds it only weakly,
         # so the last reference going away frees the engine (and its arrays)
@@ -182,12 +177,9 @@ class TestEngineSeam:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if engine_kind == "reference":
-                engine = ReferenceEnsembleDynamics(SMALL, n_replicas=3, seed=1)
-            else:
-                engine = EnsembleDynamics(
-                    SMALL, n_replicas=3, seed=1, backend=engine_kind
-                )
+            engine = EnsembleDynamics(
+                SMALL, n_replicas=3, seed=1, backend=engine_kind
+            )
             engine.run()
             backend = engine._backend
             engine_ref = weakref.ref(engine)
@@ -202,7 +194,7 @@ class TestEngineSeam:
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
 class TestBitwiseIdentity:
-    """Every backend must match the numpy reference bit for bit."""
+    """Every backend must match the numpy backend bit for bit, round by round."""
 
     def _compare(self, backend_name, factory, rounds=120):
         reference = factory(backend="numpy")
@@ -251,19 +243,6 @@ class TestBitwiseIdentity:
                 backend=backend,
             ),
         )
-
-    def test_active_subsets(self, backend_name):
-        # Replicas left out of a round keep their clocks and RNG positions.
-        factory = _ensemble(n_replicas=4, seed=31, rng_block_words=7)
-        reference = factory("numpy")
-        actual = factory(backend_name)
-        subsets = ([0, 2], [1, 3], [3], [0, 1, 2, 3], [2, 0])
-        for index in range(150):
-            active = subsets[index % len(subsets)]
-            np.testing.assert_array_equal(
-                reference.step_all(active), actual.step_all(active)
-            )
-        _assert_states_equal(_engine_state(reference), _engine_state(actual))
 
     def test_experiment_rows_are_backend_invariant(self, backend_name):
         spec = ExperimentSpec(
@@ -353,7 +332,7 @@ RUN_CASES = {
         ),
         {"max_steps": 150},
     ),
-    "r40_vectorized_reference": (_ensemble(n_replicas=40, seed=23), {}),
+    "r40": (_ensemble(n_replicas=40, seed=23), {}),
     "always_continuous": (
         _ensemble(rng_block_words=7, **_ALWAYS), {"max_steps": 200}
     ),
@@ -441,17 +420,14 @@ def _assert_runs_match(factory, kwargs, backend_name):
 class TestRunIdentity:
     """``run()`` — budgets, trajectories, resumption — matches numpy exactly.
 
-    Backends with a native round loop run every round outside
-    ``step_all``, so budgets, trajectory segments and the active-set build
-    are pinned here, not only the per-round kernels.
+    Whole runs drive each backend's round loop through its budgets,
+    trajectory segments and active-set build, not only single rounds.
     """
 
     @pytest.mark.parametrize("case", sorted(RUN_CASES))
     def test_run_matches_numpy(self, backend_name, case):
         factory, kwargs = RUN_CASES[case]
-        reference, _ = _assert_runs_match(factory, kwargs, backend_name)
-        if case.startswith("r40"):
-            assert reference.n_replicas > BlockedReplicaStreams.SCALAR_PATH_MAX
+        _assert_runs_match(factory, kwargs, backend_name)
 
     @pytest.mark.parametrize("case", sorted(RUN_CASES))
     def test_run_is_one_native_call(self, backend_name, case, monkeypatch):
@@ -479,6 +455,24 @@ class TestRunIdentity:
             assert calls["native"] == calls["segments"]
         else:
             assert calls == {"native": 1, "segments": 1}
+
+    def test_step_all_is_one_native_call(self, backend_name, monkeypatch):
+        """A compiled step_all is one round of the native loop, nothing else."""
+        engine = _ensemble()(backend_name)
+        backend = engine._backend
+        native_fn = backend._run_fn
+        max_rounds = []
+
+        def counted_native(state, limit):
+            max_rounds.append(limit)
+            return native_fn(state, limit)
+
+        monkeypatch.setattr(backend, "_run_fn", counted_native)
+        before = engine.n_flips
+        flipped = engine.step_all()
+        assert max_rounds == [1]
+        assert flipped.tolist() == np.flatnonzero(engine.n_flips - before).tolist()
+        assert engine.n_steps.tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("recompute", [False, True], ids=["plain", "recompute_all"])
     def test_budgeted_run_then_continuation(self, backend_name, recompute):
@@ -657,8 +651,7 @@ class TestCompiledSampler:
         )
         streams = engine._streams
         replica, inc, probe = self._steer(engine, case, block_words - 1)
-        rows = np.array([replica])
-        assert streams.standard_exponential(rows)[0] == probe.standard_exponential()
+        assert streams.standard_exponential(replica) == probe.standard_exponential()
         assert streams._pos[replica] > block_words
         backend = engine._backend
         value = backend._lib.repro_standard_exponential(backend._state, replica)

@@ -1,12 +1,13 @@
 """Cross-consistency tests: EnsembleDynamics must match the scalar engine.
 
-The vectorized engine claims *bitwise* equivalence with scalar runs: replica
+The ensemble engine claims *bitwise* equivalence with scalar runs: replica
 ``r`` of an ensemble seeded with master seed ``S`` reproduces the scalar
 :class:`~repro.core.simulation.Simulation` seeded with
 ``ensemble.replica_seeds[r]`` exactly — same final grid, flip count,
-termination flag and final clock — across schedulers, tau regimes and grid
-shapes.  These tests are the contract that lets every experiment switch
-between engines freely.
+termination flag and final clock — across schedulers, tau regimes, grid
+shapes, RNG block sizes and every flip-loop backend the host can run.  The
+scalar engine is the oracle; these tests are the contract that lets every
+experiment switch between engines and backends freely.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ SCHEDULERS = [SchedulerKind.CONTINUOUS, SchedulerKind.DISCRETE]
 #: above (only super-unhappy agents flippable) — the two bookkeeping regimes.
 TAUS = [0.35, 0.55]
 SHAPES = [(18, 18), (14, 22)]
+BACKENDS = available_backends()
 
 
 def scalar_reference(config: ModelConfig, seed: int, max_flips=None):
@@ -36,11 +38,12 @@ def scalar_reference(config: ModelConfig, seed: int, max_flips=None):
     return simulation.run(max_flips=max_flips)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestScalarEquivalence:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_replicas_match_scalar_runs_exactly(self, scheduler, tau, shape):
+    def test_replicas_match_scalar_runs_exactly(self, scheduler, tau, shape, backend):
         config = ModelConfig(
             n_rows=shape[0],
             n_cols=shape[1],
@@ -48,7 +51,7 @@ class TestScalarEquivalence:
             tau=tau,
             scheduler=scheduler,
         )
-        ensemble = EnsembleDynamics(config, n_replicas=3, seed=42)
+        ensemble = EnsembleDynamics(config, n_replicas=3, seed=42, backend=backend)
         result = ensemble.run()
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed)
@@ -61,11 +64,11 @@ class TestScalarEquivalence:
             assert reference.final_time == result.final_time[replica]
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_flip_budget_matches_scalar_runs(self, scheduler):
+    def test_flip_budget_matches_scalar_runs(self, scheduler, backend):
         config = ModelConfig.square(
             side=20, horizon=2, tau=0.45, scheduler=scheduler
         )
-        ensemble = EnsembleDynamics(config, n_replicas=3, seed=5)
+        ensemble = EnsembleDynamics(config, n_replicas=3, seed=5, backend=backend)
         result = ensemble.run(max_flips=40)
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed, max_flips=40)
@@ -73,13 +76,13 @@ class TestScalarEquivalence:
             assert reference.n_flips == result.n_flips[replica] <= 40
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_time_budget_matches_scalar_runs(self, scheduler):
+    def test_time_budget_matches_scalar_runs(self, scheduler, backend):
         config = ModelConfig.square(
             side=20, horizon=2, tau=0.45, scheduler=scheduler
         )
         # Continuous clocks advance ~1/|unhappy| per step, discrete ones 1.
         max_time = 0.3 if scheduler is SchedulerKind.CONTINUOUS else 25.0
-        ensemble = EnsembleDynamics(config, n_replicas=3, seed=5)
+        ensemble = EnsembleDynamics(config, n_replicas=3, seed=5, backend=backend)
         result = ensemble.run(max_time=max_time)
         assert not result.all_terminated  # the clock, not termination, stopped it
         for replica, seed in enumerate(ensemble.replica_seeds):
@@ -90,18 +93,18 @@ class TestScalarEquivalence:
             assert reference.terminated == bool(result.terminated[replica])
             assert reference.final_time == result.final_time[replica]
 
-    def test_always_flip_rule_matches_scalar_runs(self):
+    def test_always_flip_rule_matches_scalar_runs(self, backend):
         config = ModelConfig.square(
             side=16, horizon=1, tau=0.4, flip_rule=FlipRule.ALWAYS
         )
-        ensemble = EnsembleDynamics(config, n_replicas=2, seed=9)
+        ensemble = EnsembleDynamics(config, n_replicas=2, seed=9, backend=backend)
         result = ensemble.run(max_flips=150)
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed, max_flips=150)
             assert np.array_equal(reference.final_spins, result.final_spins[replica])
             assert reference.n_flips == result.n_flips[replica]
 
-    def test_planted_initial_spins_match_scalar_dynamics(self):
+    def test_planted_initial_spins_match_scalar_dynamics(self, backend):
         config = ModelConfig.square(side=18, horizon=2, tau=0.45)
         seeds = [101, 202, 303]
         grids = [
@@ -112,6 +115,7 @@ class TestScalarEquivalence:
             config,
             replica_seeds=seeds,
             initial_spins=np.stack(grids),
+            backend=backend,
         )
         result = ensemble.run()
         for replica, seed in enumerate(seeds):
@@ -192,6 +196,10 @@ class TestEngineInvariants:
                 ensemble.unhappy_indices(replica),
                 np.flatnonzero(reference.unhappy_mask().ravel()),
             )
+            assert np.array_equal(
+                ensemble.flippable_indices(replica),
+                np.flatnonzero(reference.flippable_mask().ravel()),
+            )
 
     def test_energies_match_model_state_energy(self):
         config = ModelConfig.square(side=16, horizon=1, tau=0.4)
@@ -217,6 +225,23 @@ class TestValidation:
         config = ModelConfig.square(side=183, horizon=91, tau=0.45)
         with pytest.raises(ConfigurationError, match="int16"):
             EnsembleDynamics(config, n_replicas=1, seed=1)
+
+    def test_rejects_non_elementwise_classify_hook(self):
+        # The flip loop classifies touched windows from a table of the hook
+        # over (spin, same-type count); a rule that also reads the site
+        # cannot be tabulated, so building the engine must fail, not fall
+        # back to something slower.
+        class FirstRowAlwaysHappy(EnsembleDynamics):
+            def _classify(self, spins, same):
+                happy, flippable = super()._classify(spins, same)
+                if happy.ndim == 3:  # the full-grid rebuild
+                    happy[:, 0, :] = True
+                    flippable[:, 0, :] = False
+                return happy, flippable
+
+        config = ModelConfig.square(side=12, horizon=1, tau=0.4)
+        with pytest.raises(ConfigurationError, match=r"FirstRowAlwaysHappy\._classify"):
+            FirstRowAlwaysHappy(config, n_replicas=2, seed=1)
 
     def test_rejects_empty_replica_seeds(self):
         config = ModelConfig.square(side=12, horizon=1, tau=0.4)
@@ -365,67 +390,6 @@ class TestEnsembleTrajectory:
         assert view.energy[-1] == sres.trajectory.energy[-1]
 
 
-class TestReferenceEngineEquivalence:
-    """The retained pre-fusion engine and the fused engine are one dynamics."""
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("tau", TAUS)
-    def test_fused_matches_reference_engine(self, scheduler, tau):
-        from repro.core.ensemble import ReferenceEnsembleDynamics
-
-        config = ModelConfig.square(
-            side=16, horizon=2, tau=tau, scheduler=scheduler
-        )
-        fused = EnsembleDynamics(config, n_replicas=3, seed=99)
-        reference = ReferenceEnsembleDynamics(config, n_replicas=3, seed=99)
-        a = fused.run(max_flips=120)
-        b = reference.run(max_flips=120)
-        assert np.array_equal(a.final_spins, b.final_spins)
-        assert np.array_equal(a.n_flips, b.n_flips)
-        assert np.array_equal(a.n_steps, b.n_steps)
-        assert np.array_equal(a.final_time, b.final_time)
-        assert np.array_equal(a.terminated, b.terminated)
-
-    def test_reference_matches_always_flip_rule(self):
-        from repro.core.ensemble import ReferenceEnsembleDynamics
-
-        config = ModelConfig.square(
-            side=14, horizon=1, tau=0.4, flip_rule=FlipRule.ALWAYS
-        )
-        a = EnsembleDynamics(config, n_replicas=2, seed=4).run(max_flips=80)
-        b = ReferenceEnsembleDynamics(config, n_replicas=2, seed=4).run(
-            max_flips=80
-        )
-        assert np.array_equal(a.final_spins, b.final_spins)
-        assert np.array_equal(a.final_time, b.final_time)
-
-    def test_reference_accessors_match_fused(self):
-        from repro.core.ensemble import ReferenceEnsembleDynamics
-
-        config = ModelConfig.square(side=14, horizon=1, tau=0.55)
-        fused = EnsembleDynamics(config, n_replicas=2, seed=31)
-        reference = ReferenceEnsembleDynamics(config, n_replicas=2, seed=31)
-        fused.run(max_flips=40)
-        reference.run(max_flips=40)
-        for replica in range(2):
-            assert np.array_equal(
-                fused.happy_mask(replica), reference.happy_mask(replica)
-            )
-            assert np.array_equal(
-                fused.flippable_mask(replica), reference.flippable_mask(replica)
-            )
-            assert np.array_equal(
-                fused.unhappy_indices(replica),
-                reference.unhappy_indices(replica),
-            )
-            assert np.array_equal(
-                fused.flippable_indices(replica),
-                reference.flippable_indices(replica),
-            )
-        assert np.array_equal(fused.unhappy_counts(), reference.unhappy_counts())
-        assert np.array_equal(fused.energies(), reference.energies())
-
-
 class TestBlockedRngBoundaries:
     """Bitwise scalar equivalence must be independent of the RNG block size.
 
@@ -435,14 +399,16 @@ class TestBlockedRngBoundaries:
     regimes the blocked-RNG design note calls out.
     """
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("block_words", [1, 2, 7, 4096])
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_block_size_never_changes_results(self, block_words, scheduler):
+    def test_block_size_never_changes_results(self, block_words, scheduler, backend):
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.45, scheduler=scheduler
         )
         ensemble = EnsembleDynamics(
-            config, n_replicas=2, seed=8, rng_block_words=block_words
+            config, n_replicas=2, seed=8, rng_block_words=block_words,
+            backend=backend,
         )
         result = ensemble.run()
         for replica, seed in enumerate(ensemble.replica_seeds):
@@ -453,11 +419,12 @@ class TestBlockedRngBoundaries:
             assert reference.n_flips == result.n_flips[replica]
             assert reference.final_time == result.final_time[replica]
 
-    def test_mid_block_termination_then_resume(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mid_block_termination_then_resume(self, backend):
         """Stopping on a budget mid-block and resuming stays stream-exact."""
         config = ModelConfig.square(side=14, horizon=1, tau=0.45)
         ensemble = EnsembleDynamics(
-            config, n_replicas=2, seed=12, rng_block_words=16
+            config, n_replicas=2, seed=12, rng_block_words=16, backend=backend
         )
         ensemble.run(max_flips=13)  # strand every replica mid-block
         ensemble.run()
@@ -494,50 +461,7 @@ class TestDeferredCounters:
 
 
 class TestDispatchRegimes:
-    """Both step_all regimes and both window-LUT layouts stay scalar-exact."""
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_vectorized_control_plane_matches_scalar(self, monkeypatch, scheduler):
-        """Force the >SCALAR_PATH_MAX branch (vector filtering, draws,
-        clocks, sampling) and pin it to scalar runs bitwise."""
-        from repro.rng import BlockedReplicaStreams
-
-        monkeypatch.setattr(BlockedReplicaStreams, "SCALAR_PATH_MAX", -1)
-        config = ModelConfig.square(
-            side=14, horizon=1, tau=0.45, scheduler=scheduler
-        )
-        # numpy: its run() steps rounds through step_all, where the branch
-        # lives (a native round loop would bypass it).
-        ensemble = EnsembleDynamics(
-            config, n_replicas=3, seed=19, backend="numpy"
-        )
-        result = ensemble.run(max_flips=60)
-        for replica, seed in enumerate(ensemble.replica_seeds):
-            reference = scalar_reference(config, seed, max_flips=60)
-            assert np.array_equal(
-                reference.final_spins, result.final_spins[replica]
-            )
-            assert reference.n_flips == result.n_flips[replica]
-            assert reference.final_time == result.final_time[replica]
-
-    def test_vectorized_discrete_refusal_gate_matches_scalar(self, monkeypatch):
-        from repro.rng import BlockedReplicaStreams
-
-        monkeypatch.setattr(BlockedReplicaStreams, "SCALAR_PATH_MAX", -1)
-        config = ModelConfig.square(
-            side=14, horizon=1, tau=0.6, scheduler=SchedulerKind.DISCRETE
-        )
-        ensemble = EnsembleDynamics(
-            config, n_replicas=2, seed=3, backend="numpy"
-        )
-        result = ensemble.run(max_steps=80)
-        for replica, seed in enumerate(ensemble.replica_seeds):
-            simulation = Simulation(config, seed=seed)
-            reference = simulation.run(max_steps=80)
-            assert np.array_equal(
-                reference.final_spins, result.final_spins[replica]
-            )
-            assert reference.n_steps == result.n_steps[replica]
+    """The window lookups stay scalar-exact."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_row_col_lut_fallback_matches_scalar(self, scheduler):

@@ -1,6 +1,5 @@
 """Tests for the block renormalisation substrate."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -77,23 +76,6 @@ class TestBlockGrid:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             BlockGrid((6, 6), 3).block_sums(np.ones((5, 6)))
-
-
-class TestAdjacencyGraph:
-    def test_periodic_graph_is_4_regular(self):
-        graph = BlockGrid((12, 12), 3).adjacency_graph(periodic=True)
-        assert graph.number_of_nodes() == 16
-        assert all(degree == 4 for _, degree in graph.degree())
-
-    def test_open_graph_has_boundary_nodes_with_fewer_edges(self):
-        graph = BlockGrid((12, 12), 3).adjacency_graph(periodic=False)
-        degrees = [degree for _, degree in graph.degree()]
-        assert min(degrees) == 2  # corners
-        assert max(degrees) == 4
-
-    def test_graph_connected(self):
-        graph = BlockGrid((9, 9), 3).adjacency_graph()
-        assert nx.is_connected(graph)
 
 
 class TestDivisibleBlockSide:

@@ -1,5 +1,11 @@
 """Tests of the top-level public API surface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,3 +64,41 @@ class TestQuickstartFlow:
 
         assert repro.core.neighborhood_size(2) == 25
         assert repro.percolation.SQUARE_SITE_CRITICAL_PROBABILITY > 0.5
+
+
+class TestDeclaredDependencies:
+    def test_import_needs_no_networkx(self):
+        """``import repro`` succeeds with networkx unavailable.
+
+        Nothing declares networkx (no install line, no README line), so no
+        module reachable from ``import repro`` may need it.  The child
+        interpreter blocks it with a ``sys.meta_path`` finder, which works
+        whether or not networkx is installed here.
+        """
+        script = textwrap.dedent(
+            """
+            import sys
+
+            class BlockNetworkx:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "networkx":
+                        raise ModuleNotFoundError(f"No module named {name!r}")
+                    return None
+
+            sys.meta_path.insert(0, BlockNetworkx())
+            import repro
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

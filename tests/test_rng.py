@@ -158,13 +158,10 @@ class TestBlockedReplicaStreams:
         script = self._script()
         expected, _ = _interleaved_reference(self.SEEDS, script)
         for step, (kind, replica, high) in enumerate(script):
-            rows = np.array([replica])
             if kind == "exp":
-                got = streams.standard_exponential(rows)[0]
+                got = streams.standard_exponential(replica)
             else:
-                got = int(
-                    streams.bounded_integers(rows, np.array([high]))[0]
-                )
+                got = streams.bounded_integer(replica, high)
             assert got == expected[step], (block_words, step, kind)
 
     def test_exact_exhaustion_boundary(self):
@@ -175,11 +172,10 @@ class TestBlockedReplicaStreams:
             [np.random.default_rng(1)], block_words=4
         )
         reference = np.random.default_rng(1)
-        rows = np.array([0])
         bases = set()
 
         def draw():
-            got = int(streams.bounded_integers(rows, np.array([2**31]))[0])
+            got = streams.bounded_integer(0, 2**31)
             assert got == int(reference.integers(0, 2**31))
             bases.add(_pcg64_value(streams._base[0]))
 
@@ -208,46 +204,16 @@ class TestBlockedReplicaStreams:
         )
         assert logical == reference.bit_generator.state["state"]["state"]
 
-    def test_draw_step_matches_split_calls(self):
-        """The fused step draw equals exponential-then-integers, both regimes."""
-        from repro.rng import BlockedReplicaStreams
-
-        script_rng = np.random.default_rng(9)
-        for scalar_regime in (True, False):
-            split = BlockedReplicaStreams(
-                [np.random.default_rng(seed) for seed in self.SEEDS]
-            )
-            fused = BlockedReplicaStreams(
-                [np.random.default_rng(seed) for seed in self.SEEDS]
-            )
-            threshold = BlockedReplicaStreams.SCALAR_PATH_MAX
-            if not scalar_regime:
-                fused.SCALAR_PATH_MAX = -1  # force the vectorized branch
-            try:
-                for _ in range(200):
-                    rows = np.arange(len(self.SEEDS), dtype=np.int64)
-                    highs = script_rng.integers(1, 30_000, size=rows.size)
-                    exp_a = split.standard_exponential(rows)
-                    int_a = split.bounded_integers(rows, highs)
-                    exp_b, int_b = fused.draw_step(rows, highs, True)
-                    assert np.array_equal(exp_a, exp_b)
-                    assert np.array_equal(int_a, int_b)
-            finally:
-                fused.SCALAR_PATH_MAX = threshold
-
     def test_high_of_one_consumes_nothing(self):
         from repro.rng import BlockedReplicaStreams
 
         streams = BlockedReplicaStreams([np.random.default_rng(3)])
         reference = np.random.default_rng(3)
-        rows = np.array([0])
-        assert int(streams.bounded_integers(rows, np.array([1]))[0]) == 0
+        assert streams.bounded_integer(0, 1) == 0
         # The next draw still matches the scalar stream: integers(0, 1)
         # consumed no words there either.
         assert int(reference.integers(0, 1)) == 0
-        assert int(streams.bounded_integers(rows, np.array([1000]))[0]) == int(
-            reference.integers(0, 1000)
-        )
+        assert streams.bounded_integer(0, 1000) == int(reference.integers(0, 1000))
 
     def test_rejects_non_pcg64_generators(self):
         from repro.rng import BlockedReplicaStreams

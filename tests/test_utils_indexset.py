@@ -154,57 +154,31 @@ class TestBatchedIndexSetBasics:
         assert batched.counts.tolist() == [3, 1]
         assert batched.packed_members(0).tolist() == [0, 2, 3]
         assert batched.packed_members(1).tolist() == [3]
-        assert batched.contains(0, 2) and not batched.contains(1, 0)
-
-    def test_add_many_skips_present_members(self):
-        from repro.utils.indexset import BatchedIndexSet
-
-        batched = BatchedIndexSet(2, 6)
-        batched.add_many([0, 0, 1], [4, 1, 5])
-        batched.add_many([0, 0], [4, 2])  # 4 already present
-        assert batched.packed_members(0).tolist() == [4, 1, 2]
-        assert batched.packed_members(1).tolist() == [5]
-
-    def test_remove_many_and_clear(self):
-        from repro.utils.indexset import BatchedIndexSet
-
-        batched = BatchedIndexSet(1, 6)
-        batched.add_many([0, 0, 0], [1, 3, 5])
-        batched.remove_many([0, 0], [3, 0])  # 0 absent -> no-op
-        assert batched.to_array(0).tolist() == [1, 5]
-        batched.clear()
-        assert batched.counts.tolist() == [0]
-
-    def test_sample_rows_gathers_members(self):
-        from repro.utils.indexset import BatchedIndexSet
-
-        batched = BatchedIndexSet(2, 8)
-        batched.add_many([0, 0, 1, 1], [7, 2, 0, 4])
-        flats = batched.sample_rows(np.array([0, 1]), np.array([1, 0]))
-        assert flats.tolist() == [2, 0]
+        # The position table points back into the packed rows (-1: absent).
+        positions = batched.storage()[1].reshape(2, 4)
+        assert positions.tolist() == [[0, -1, 1, 2], [-1, -1, -1, 0]]
 
     def test_views_expose_live_buffers(self):
         from repro.utils.indexset import BatchedIndexSet
 
         batched = BatchedIndexSet(1, 4)
-        batched.add_many([0], [3])
+        batched.fill_from_masks(np.array([[False, False, False, True]]))
         assert batched.counts_view()[0] == 1
         assert batched.members_view()[0] == 3
 
 
 def _reference_sets(n_sets, capacity):
-    from repro.core.ensemble import _ReplicaIndexSet
-
-    return [_ReplicaIndexSet(capacity) for _ in range(n_sets)]
+    """One scalar :class:`IndexSampler` per row: the layout oracle."""
+    return [IndexSampler(capacity) for _ in range(n_sets)]
 
 
 def _assert_layouts_equal(batched, references):
     """Packed layout (not just membership) must match the scalar reference."""
     for row, reference in enumerate(references):
-        assert batched.count(row) == len(reference)
+        assert batched.counts[row] == len(reference)
         assert (
             batched.packed_members(row).tolist()
-            == reference._members[: len(reference)]
+            == reference._members[: len(reference)].tolist()
         )
 
 
@@ -223,9 +197,10 @@ def _assert_layouts_equal(batched, references):
     ),
 )
 def test_batched_matches_replica_reference_under_ordered_ops(initial, operations):
-    """BatchedIndexSet == _ReplicaIndexSet layout-for-layout: the bulk build
-    plus any ordered membership stream leave identical packed members, which
-    is exactly the property the ensemble's RNG-draw equivalence needs."""
+    """BatchedIndexSet == IndexSampler layout-for-layout: the bulk build plus
+    any ordered membership stream (driven through ``apply_coded_ops`` on bit
+    0 only) leave identical packed members, which is exactly the property
+    the ensemble's RNG-draw equivalence needs."""
     from repro.utils.indexset import BatchedIndexSet
 
     masks = np.array(initial, dtype=bool)
@@ -237,10 +212,12 @@ def test_batched_matches_replica_reference_under_ordered_ops(initial, operations
             references[row].add(int(index))
     _assert_layouts_equal(batched, references)
 
-    batched.apply_ops(
+    batched.apply_coded_ops(
         [row for row, _, _ in operations],
         [index for _, index, _ in operations],
-        [member for _, _, member in operations],
+        [1] * len(operations),
+        [int(member) for _, _, member in operations],
+        0,
     )
     for row, index, member in operations:
         references[row].update_membership(index, member)
