@@ -14,7 +14,13 @@ Quickstart::
     config = ModelConfig.square(side=80, horizon=3, tau=0.45)
     result = simulate(config, seed=0)
     print(segregation_metrics(result.final_spins, config).as_dict())
+
+The serving names and the paper experiments load from their home modules on
+first access, so ``import repro``, which every ``repro`` command and sweep
+worker pays, imports neither the HTTP stack nor those experiments.
 """
+
+import importlib
 
 from repro._version import PAPER, __version__
 from repro.analysis import (
@@ -66,24 +72,12 @@ from repro.errors import (
     ServingError,
     StateError,
 )
-from repro.serving import (
-    ArtifactStore,
-    LRUCache,
-    QueryEngine,
-    reproduce_store,
-)
 from repro.experiments import (
     ExperimentSpec,
     ResultTable,
     SweepSpec,
-    figure1_snapshots,
-    figure2_interval_sweep,
-    figure3_exponent_table,
-    figure6_trigger_table,
     run_sweep,
     run_sweep_parallel,
-    theorem1_scaling,
-    theorem2_scaling,
 )
 from repro.percolation import (
     FirstPassagePercolation,
@@ -188,3 +182,30 @@ __all__ = [
     "unhappy_fraction",
     "upper_exponent",
 ]
+
+#: Public names imported from their home module on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "ArtifactStore": "repro.serving",
+    "LRUCache": "repro.serving",
+    "QueryEngine": "repro.serving",
+    "reproduce_store": "repro.serving",
+    "figure1_snapshots": "repro.experiments.figures",
+    "figure2_interval_sweep": "repro.experiments.figures",
+    "figure3_exponent_table": "repro.experiments.figures",
+    "figure6_trigger_table": "repro.experiments.figures",
+    "theorem1_scaling": "repro.experiments.figures",
+    "theorem2_scaling": "repro.experiments.figures",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

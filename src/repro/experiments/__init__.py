@@ -65,18 +65,8 @@ cheap on either engine: energy and magnetization are incremental counters
 performs per-sample full-grid recomputes.
 """
 
-from repro.experiments.figures import (
-    Figure1Result,
-    ScalingResult,
-    figure1_snapshots,
-    figure2_interval_sweep,
-    figure3_exponent_table,
-    figure6_trigger_table,
-    monotonicity_experiment,
-    symmetry_experiment,
-    theorem1_scaling,
-    theorem2_scaling,
-)
+import importlib
+
 from repro.experiments.checkpoint import (
     SweepCheckpoint,
     repair_store,
@@ -104,16 +94,6 @@ from repro.experiments.runner import (
     run_sweep,
 )
 from repro.experiments.spec import ExperimentSpec, SweepSpec, spec_hash
-from repro.experiments.validation import (
-    density_sweep_experiment,
-    dynamics_ablation_experiment,
-    firewall_experiment,
-    kawasaki_comparison_experiment,
-    lemma19_unhappy_experiment,
-    percolation_substrate_experiment,
-    proposition1_experiment,
-    radical_expansion_experiment,
-)
 from repro.experiments.workloads import (
     bench_quick_mode,
     default_tau_grid,
@@ -180,3 +160,39 @@ __all__ = [
     "theorem2_taus",
     "verify_store",
 ]
+
+#: Paper experiments imported from their home module on first access
+#: (PEP 562), so sweeps and their pool workers never load them.
+_LAZY_EXPORTS = {
+    "Figure1Result": "repro.experiments.figures",
+    "ScalingResult": "repro.experiments.figures",
+    "figure1_snapshots": "repro.experiments.figures",
+    "figure2_interval_sweep": "repro.experiments.figures",
+    "figure3_exponent_table": "repro.experiments.figures",
+    "figure6_trigger_table": "repro.experiments.figures",
+    "monotonicity_experiment": "repro.experiments.figures",
+    "symmetry_experiment": "repro.experiments.figures",
+    "theorem1_scaling": "repro.experiments.figures",
+    "theorem2_scaling": "repro.experiments.figures",
+    "density_sweep_experiment": "repro.experiments.validation",
+    "dynamics_ablation_experiment": "repro.experiments.validation",
+    "firewall_experiment": "repro.experiments.validation",
+    "kawasaki_comparison_experiment": "repro.experiments.validation",
+    "lemma19_unhappy_experiment": "repro.experiments.validation",
+    "percolation_substrate_experiment": "repro.experiments.validation",
+    "proposition1_experiment": "repro.experiments.validation",
+    "radical_expansion_experiment": "repro.experiments.validation",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -9,8 +9,9 @@ estimates:
 * Lemma 20 / 22 — the probability that a neighbourhood of radius
   ``(1 + eps') w`` is a *radical region* and the probability that a radius-r
   neighbourhood contains one.
-* The exact binomial expressions behind both, which are computable with scipy
-  at any finite ``N`` and are what the Monte-Carlo estimates should match.
+* The exact binomial expressions behind both, evaluated by
+  :func:`binomial_cdf` at any finite ``N``, which are what the Monte-Carlo
+  estimates should match.
 """
 
 from __future__ import annotations
@@ -18,14 +19,37 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from scipy import stats
-
 from repro.core.config import ModelConfig
 from repro.core.initializer import radical_region_threshold
 from repro.core.neighborhood import neighborhood_size
 from repro.errors import ConfigurationError
 from repro.theory.entropy import binary_entropy_complement
 from repro.theory.thresholds import mirrored_tau, tau_prime, trigger_epsilon
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """``P(Binomial(n, p) <= k)``, summed in log space.
+
+    Returns exactly ``0.0`` or ``1.0`` when the event is certain either way
+    (``k < 0``, ``k >= n``, ``p`` in ``{0, 1}``).  Each term's logarithm is
+    taken of the exact integer ``comb(n, j)``, so the tail stays finite and
+    accurate to about ``1e-12`` relative for ``n`` in the thousands, where
+    ``comb(n, j)`` itself overflows a double.
+    """
+    if k < 0:
+        return 0.0
+    if k >= n or p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    logs = []
+    coefficient = 1  # comb(n, j), updated exactly
+    for j in range(k + 1):
+        logs.append(math.fsum((math.log(coefficient), j * log_p, (n - j) * log_q)))
+        coefficient = coefficient * (n - j) // (j + 1)
+    top = max(logs)
+    return min(1.0, math.exp(top) * math.fsum(math.exp(v - top) for v in logs))
 
 
 def exact_unhappy_probability(config: ModelConfig) -> float:
@@ -42,11 +66,9 @@ def exact_unhappy_probability(config: ModelConfig) -> float:
     threshold = config.happiness_threshold
     # Unhappy iff 1 + Binomial(N-1, q) <= threshold - 1.
     k = threshold - 2
-    if k < 0:
-        return 0.0
     p = config.density
-    prob_plus = float(stats.binom.cdf(k, n - 1, p))
-    prob_minus = float(stats.binom.cdf(k, n - 1, 1.0 - p))
+    prob_plus = binomial_cdf(k, n - 1, p)
+    prob_minus = binomial_cdf(k, n - 1, 1.0 - p)
     return p * prob_plus + (1.0 - p) * prob_minus
 
 
@@ -102,9 +124,7 @@ def exact_radical_region_probability(
     radius = int(math.floor((1.0 + epsilon_prime) * config.horizon))
     n_region = neighborhood_size(radius)
     threshold = radical_region_threshold(config, epsilon_prime)
-    if threshold <= 0:
-        return 0.0
-    return float(stats.binom.cdf(threshold - 1, n_region, 1.0 - config.density))
+    return binomial_cdf(threshold - 1, n_region, 1.0 - config.density)
 
 
 def radical_region_probability_exponent(

@@ -21,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ConfigurationError
 from repro.theory.entropy import binary_entropy
@@ -36,10 +35,21 @@ def tau1_equation(tau: float) -> float:
 
 @functools.lru_cache(maxsize=1)
 def tau1() -> float:
-    """The threshold ``tau1 ≈ 0.433`` of Theorem 1 (root of Eq. 1)."""
+    """The threshold ``tau1 ≈ 0.433`` of Theorem 1 (root of Eq. 1).
+
+    Found by bisection on ``[0.40, 0.499]`` to an interval of width
+    ``1e-12``: Eq. (1) is negative at the left end and positive at the right.
+    """
     # Eq. (1) has the trivial root tau = 3/4 H-related degeneracies outside
     # the interval of interest; the paper's tau1 is the root just below 1/2.
-    return float(optimize.brentq(tau1_equation, 0.40, 0.499, xtol=1e-12))
+    low, high = 0.40, 0.499
+    while high - low > 1e-12:
+        mid = 0.5 * (low + high)
+        if tau1_equation(mid) < 0.0:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
 
 
 def tau2_equation(tau: float) -> float:

@@ -39,6 +39,13 @@ class TestInfo:
         assert "a(tau)" in output
         assert "unhappy probability" in output
 
+    def test_closed_form_values(self):
+        code, output = run_cli(["info", "--tau", "0.45", "--horizon", "3"])
+        assert code == 0
+        lines = [line.strip() for line in output.splitlines()]
+        assert "tau1 = 0.432997   tau2 = 0.343750" in lines
+        assert "threshold 23/49, exact initial unhappy probability 0.235440" in output
+
     def test_static_tau_omits_exponents(self):
         code, output = run_cli(["info", "--tau", "0.1"])
         assert code == 0

@@ -1,9 +1,14 @@
 """Tests of the top-level public API surface."""
 
+import importlib
+import importlib.metadata
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -66,39 +71,154 @@ class TestQuickstartFlow:
         assert repro.percolation.SQUARE_SITE_CRITICAL_PROBABILITY > 0.5
 
 
+#: Not runtime dependencies in ``pyproject.toml`` (scipy is a test extra):
+#: nothing ``repro`` runs may import them.
+UNDECLARED = ("networkx", "scipy")
+
+#: Loaded on first use of a serving name or a paper experiment, never by
+#: ``import repro``, ``repro info`` or ``repro sweep``.
+LAZY_MODULES = (
+    "repro.serving",
+    "http.server",
+    "repro.experiments.figures",
+    "repro.experiments.validation",
+)
+
+#: A child interpreter that blocks the comma-separated top-level names in
+#: ``argv[1]`` with a ``sys.meta_path`` finder (which works whether or not
+#: they are installed), then imports ``repro`` or, given more
+#: arguments, runs ``python -m repro`` with them and exits with its code.
+#: Its last stdout line is JSON: every module it loaded, with its file.
+BLOCKED_CHILD = textwrap.dedent(
+    """
+    import json
+    import runpy
+    import sys
+
+
+    class Blocker:
+        def __init__(self, names):
+            self.names = set(names)
+
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] in self.names:
+                raise ModuleNotFoundError(f"No module named {name!r}")
+            return None
+
+
+    blocked, *command = sys.argv[1:]
+    sys.meta_path.insert(0, Blocker(blocked.split(",")))
+    before = set(sys.modules)
+    code = 0
+    if command:
+        sys.argv = ["repro", *command]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            code = stop.code or 0
+    else:
+        import repro
+    loaded = {
+        name: getattr(sys.modules[name], "__file__", None)
+        for name in set(sys.modules) - before
+    }
+    print(json.dumps(loaded))
+    sys.exit(code)
+    """
+)
+
+
+def run_blocked(*command: str) -> dict:
+    """Run :data:`BLOCKED_CHILD` with :data:`UNDECLARED` blocked."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_CHILD, ",".join(UNDECLARED), *command],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def canonical(name: str) -> str:
+    """PEP 503 normalised distribution name."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
 class TestDeclaredDependencies:
-    def test_import_needs_no_networkx(self):
-        """``import repro`` succeeds with networkx unavailable.
+    def test_import_loads_theory_but_no_lazy_module(self):
+        loaded = run_blocked()
+        assert "repro.theory" in loaded
+        assert not set(LAZY_MODULES) & set(loaded)
 
-        Nothing declares networkx (no install line, no README line), so no
-        module reachable from ``import repro`` may need it.  The child
-        interpreter blocks it with a ``sys.meta_path`` finder, which works
-        whether or not networkx is installed here.
+    def test_import_loads_only_declared_distributions(self):
+        """The third-party top-level modules ``import repro`` loads are declared.
+
+        Modules without a file (Cython's shared runtime modules) belong to the
+        extension that created them, and the stdlib needs no declaration.
         """
-        script = textwrap.dedent(
-            """
-            import sys
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        declared = {
+            canonical(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in requirements
+        }
+        distributions = importlib.metadata.packages_distributions()
+        third_party = {
+            canonical(dist)
+            for name, origin in run_blocked().items()
+            if "." not in name
+            and origin is not None
+            and name != "repro"
+            and name not in sys.stdlib_module_names
+            for dist in distributions.get(name, [name])
+        }
+        assert "numpy" in third_party
+        assert third_party <= declared
 
-            class BlockNetworkx:
-                def find_spec(self, name, path=None, target=None):
-                    if name.split(".")[0] == "networkx":
-                        raise ModuleNotFoundError(f"No module named {name!r}")
-                    return None
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("info", "--tau", "0.45"),
+            (
+                "sweep", "--side", "10", "--horizon", "1", "--taus", "0.3,0.45",
+                "--replicates", "1", "--workers", "2", "--checkpoint-dir", "{store}",
+            ),
+        ],
+        ids=["info", "sweep"],
+    )
+    def test_cli_runs_on_declared_dependencies(self, command, tmp_path):
+        loaded = run_blocked(*(arg.format(store=tmp_path / "store") for arg in command))
+        assert not set(LAZY_MODULES) & set(loaded)
 
-            sys.meta_path.insert(0, BlockNetworkx())
-            import repro
-            """
-        )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+    @pytest.mark.parametrize(
+        "package, name, home",
+        [
+            ("repro", "QueryEngine", "repro.serving.query"),
+            ("repro", "reproduce_store", "repro.serving.store"),
+            ("repro", "theorem1_scaling", "repro.experiments.figures"),
+            ("repro.experiments", "Figure1Result", "repro.experiments.figures"),
+            ("repro.experiments", "firewall_experiment", "repro.experiments.validation"),
+        ],
+    )
+    def test_lazy_names_are_home_module_objects(self, package, name, home):
+        value = getattr(importlib.import_module(package), name)
+        assert value is getattr(importlib.import_module(home), name)
+
+    def test_from_import_of_lazy_name(self):
+        from repro import QueryEngine
+        from repro.serving.query import QueryEngine as home
+
+        assert QueryEngine is home
+
+    @pytest.mark.parametrize("package", ["repro", "repro.experiments"])
+    def test_dir_lists_every_public_name(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            repro.no_such_name  # noqa: B018

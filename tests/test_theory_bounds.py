@@ -1,12 +1,21 @@
-"""Tests for the probability bounds of Lemmas 19, 20 and 22."""
+"""Tests for the probability bounds of Lemmas 19, 20 and 22.
+
+SciPy is a test-only oracle here: the library evaluates the binomial tails
+itself (:func:`repro.theory.bounds.binomial_cdf`).
+"""
+
+import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from repro.core.config import ModelConfig
+from repro.core.neighborhood import neighborhood_size
 from repro.errors import ConfigurationError
 from repro.theory.bounds import (
+    binomial_cdf,
     exact_radical_region_probability,
     exact_unhappy_probability,
     firewall_radius_scale,
@@ -15,6 +24,55 @@ from repro.theory.bounds import (
     unhappy_probability_bounds,
     unhappy_probability_exponent,
 )
+from repro.theory.thresholds import tau2, trigger_epsilon
+
+#: The largest window the library sums a binomial over: the radical region of
+#: ``exact_radical_region_probability`` at horizon 20, whose default radius
+#: ``(1 + f(tau)) w`` is widest for ``tau`` just above ``tau2``.
+RADICAL_WINDOW_W20 = neighborhood_size(
+    math.floor((1.0 + trigger_epsilon(round(tau2() + 0.005, 4))) * 20)
+)
+#: Every size up to 48 (the ``w = 3`` neighbourhood), then the neighbourhood
+#: sizes ``N - 1`` of Eq. (30) up to ``w = 20`` and the ``w = 20`` radical
+#: window, where ``comb(n, k)`` overflows a double.
+TAIL_SIZES = [*range(1, 49), 120, 440, 1680, RADICAL_WINDOW_W20]
+TAIL_PROBABILITIES = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+
+
+def tail_ks(n: int) -> list[int]:
+    """``k`` from ``-1`` to ``n + 1``: every value, or ~60 of them above 200."""
+    if n <= 200:
+        return list(range(-1, n + 2))
+    return sorted({*range(-1, n + 2, n // 60), n - 1, n, n + 1})
+
+
+class TestBinomialCdf:
+    @pytest.mark.parametrize("n", TAIL_SIZES)
+    def test_matches_scipy(self, n):
+        ks = tail_ks(n)
+        for p in TAIL_PROBABILITIES:
+            expected = stats.binom.cdf(ks, n, p)
+            for k, want in zip(ks, expected):
+                got = binomial_cdf(k, n, p)
+                if k < 0 or (p == 1.0 and k < n):
+                    assert got == 0.0, (n, p, k)
+                elif k >= n or p == 0.0:
+                    assert got == 1.0, (n, p, k)
+                else:
+                    # Below the smallest normal double a relative tolerance
+                    # is finer than the float grid, so subnormals only need
+                    # to underflow together.
+                    assert math.isclose(
+                        got, want, rel_tol=1e-12, abs_tol=sys.float_info.min
+                    ), (n, p, k, got, want)
+
+    def test_finite_where_the_coefficient_overflows(self):
+        n = RADICAL_WINDOW_W20
+        assert n % 2 == 1
+        with pytest.raises(OverflowError):
+            float(math.comb(n, n // 2))
+        # For odd n, P(Binomial(n, 1/2) <= (n - 1) / 2) = 1/2 by symmetry.
+        assert binomial_cdf(n // 2, n, 0.5) == pytest.approx(0.5, rel=1e-12, abs=0)
 
 
 @pytest.fixture
@@ -46,6 +104,11 @@ class TestExactUnhappyProbability:
             for w in (2, 3, 4)
         ]
         assert values[0] > values[1] > values[2]
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_single_type_start_has_no_unhappy_agent(self, density):
+        config = ModelConfig.square(40, 2, 0.45, density=density)
+        assert exact_unhappy_probability(config) == 0.0
 
     def test_asymmetric_density_accounted(self):
         balanced = exact_unhappy_probability(ModelConfig.square(40, 2, 0.45, density=0.5))
@@ -113,6 +176,14 @@ class TestRadicalRegionProbabilities:
         assert exact_radical_region_probability(
             config, epsilon_prime=0.5
         ) < exact_unhappy_probability(config)
+
+    def test_single_type_start(self):
+        # All -1 agents: the minority of a +1 cascade fills every window.
+        # All +1 agents: every window is radical.
+        all_minus = ModelConfig.square(40, 2, 0.45, density=0.0)
+        all_plus = ModelConfig.square(40, 2, 0.45, density=1.0)
+        assert exact_radical_region_probability(all_minus, epsilon_prime=0.5) == 0.0
+        assert exact_radical_region_probability(all_plus, epsilon_prime=0.5) == 1.0
 
     def test_default_epsilon_prime_used(self, config):
         assert exact_radical_region_probability(config) >= 0.0

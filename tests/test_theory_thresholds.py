@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.errors import ConfigurationError
 from repro.theory.thresholds import (
@@ -23,6 +24,11 @@ class TestTau1:
     def test_paper_value(self):
         # The paper reports tau1 ≈ 0.433.
         assert tau1() == pytest.approx(0.433, abs=0.001)
+
+    def test_matches_brentq(self):
+        # SciPy is a test-only oracle for the library's bisection.
+        reference = optimize.brentq(tau1_equation, 0.40, 0.499, xtol=1e-12)
+        assert abs(tau1() - reference) <= 1e-12
 
     def test_is_root_of_equation_one(self):
         assert tau1_equation(tau1()) == pytest.approx(0.0, abs=1e-9)
