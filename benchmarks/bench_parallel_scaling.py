@@ -49,7 +49,11 @@ def scaling_sweep() -> SweepSpec:
 
     Quick mode keeps each cell at roughly 0.2 s (64x64, 4 replicates) so the
     serial baseline stays under a few seconds while still dwarfing the
-    ~tens-of-milliseconds fork-and-collect overhead per worker.
+    ~tens-of-milliseconds fork-and-collect overhead per worker.  That size
+    holds on the scalar engine, so the bench runs it (``ensemble_size=1``):
+    it measures the pool on the scalar cells it was sized for.  On the
+    default ensemble a cell takes about 10 ms, less than a bare pool
+    costs.
     """
     side = 64 if quick_mode() else 96
     return SweepSpec(
@@ -92,7 +96,9 @@ def bench_sweep_worker_scaling(benchmark, emit):
             best = None
             for _ in range(rounds):
                 start = time.perf_counter()
-                result = run_sweep_parallel(sweep, workers=workers)
+                result = run_sweep_parallel(
+                    sweep, workers=workers, ensemble_size=1
+                )
                 elapsed = time.perf_counter() - start
                 best = elapsed if best is None else min(best, elapsed)
             stripped = _strip_timings(result)

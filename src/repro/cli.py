@@ -42,13 +42,15 @@ from repro.core.backends.registry import (
     select_backend_name,
 )
 from repro.core.config import ModelConfig
-from repro.core.simulation import Simulation
 from repro.core.variants import VariantSpec
 from repro.errors import ConfigurationError
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
+    DEFAULT_ENSEMBLE_SIZE,
     DEFAULT_SWEEP_VALUE_KEYS,
+    SCALAR_ENGINE,
     aggregate_sweep,
+    resolve_engine,
     run_sweep,
 )
 from repro.experiments.spec import SweepSpec
@@ -106,8 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--ensemble",
         type=int,
-        default=1,
-        help="replicas per vectorized lockstep batch (1 = scalar engine)",
+        default=None,
+        help="replicas per lockstep ensemble batch (default: all of a cell's "
+        f"replicates, at most {DEFAULT_ENSEMBLE_SIZE}; 1 = the scalar "
+        "engine, the reference the ensemble is tested against)",
     )
     sweep.add_argument(
         "--checkpoint-dir",
@@ -152,8 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--record-every",
         type=int,
         default=100,
-        help="trajectory sampling cadence (flips for the scalar engine, "
-        "lockstep rounds for --ensemble > 1)",
+        help="trajectory sampling cadence (lockstep rounds on the ensemble "
+        "engine, the default; flips for the scalar engine, --ensemble 1); "
+        "the traj_* columns read only the first and last samples, so they "
+        "do not depend on it",
     )
     _add_backend_argument(sweep)
     _add_variant_arguments(sweep)
@@ -202,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ensemble",
         type=int,
         default=None,
-        help="re-run through the vectorized engine with this batch size "
-        "(rows are engine-independent, so the comparison is unchanged)",
+        help="lockstep ensemble batch size for the re-run (default: as "
+        "sweeps run; 1 = the scalar engine); rows are engine-independent, "
+        "so the comparison is unchanged",
     )
     reproduce.add_argument(
         "--max-diffs",
@@ -474,7 +481,7 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
     backend = _resolve_backend_request(args)
     if backend is None:
         return 2
-    backend_request, backend_name = backend
+    backend_name = backend[1]
     if args.max_steps is not None and args.max_steps <= 0:
         print("error: --max-steps must be positive", file=sys.stderr)
         return 2
@@ -489,30 +496,18 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
         # No Lyapunov guarantee: cap the run so the command always returns.
         max_steps = _default_step_budget(config)
     print(f"Model: {config.describe()} variant={variant.describe()}", file=out)
-    if backend_request != "auto":
-        # An explicit backend (flag or REPRO_BACKEND) routes the run through
-        # a single-replica ensemble — the scalar engine has no backend seam.
-        # Backends are bitwise-pinned, so the outcome matches the scalar run.
-        ensemble = variant.make_ensemble(
-            config, replica_seeds=[args.seed], backend=backend_name
-        )
-        print(f"Backend: {ensemble.backend_name}", file=out)
-        initial_spins = ensemble.initial_spins()[0]
-        ensemble_result = ensemble.run(
-            max_flips=args.max_flips, max_steps=max_steps
-        )
-        final_spins = ensemble_result.final_spins[0]
-        terminated = bool(ensemble_result.terminated[0])
-        n_flips = int(ensemble_result.n_flips[0])
-        final_time = float(ensemble_result.final_time[0])
-    else:
-        simulation = Simulation(config, seed=args.seed, variant=variant)
-        result = simulation.run(max_flips=args.max_flips, max_steps=max_steps)
-        initial_spins = result.initial_spins
-        final_spins = result.final_spins
-        terminated = result.terminated
-        n_flips = result.n_flips
-        final_time = result.final_time
+    # A single-replica ensemble: replica 0 is bitwise the scalar run of the
+    # same seed, on every backend.
+    ensemble = variant.make_ensemble(
+        config, replica_seeds=[args.seed], backend=backend_name
+    )
+    print(f"Backend: {ensemble.backend_name}", file=out)
+    initial_spins = ensemble.initial_spins()[0]
+    result = ensemble.run(max_flips=args.max_flips, max_steps=max_steps)
+    final_spins = result.final_spins[0]
+    terminated = bool(result.terminated[0])
+    n_flips = int(result.n_flips[0])
+    final_time = float(result.final_time[0])
     max_radius = default_region_radius(config)
     before = segregation_metrics(initial_spins, config, max_region_radius=max_radius)
     after = segregation_metrics(final_spins, config, max_region_radius=max_radius)
@@ -548,7 +543,6 @@ def _command_sweep(args: argparse.Namespace, out) -> int:
     backend = _resolve_backend_request(args)
     if backend is None:
         return 2
-    backend_request = backend[0]
     if args.taus:
         try:
             taus = [float(part) for part in args.taus.split(",") if part.strip()]
@@ -558,7 +552,7 @@ def _command_sweep(args: argparse.Namespace, out) -> int:
     else:
         taus = default_tau_grid()
     side = args.side if args.side else grid_side_for_horizon(args.horizon)
-    if args.workers <= 0 or args.ensemble <= 0:
+    if args.workers <= 0 or (args.ensemble is not None and args.ensemble <= 0):
         print("error: --workers and --ensemble must be positive", file=sys.stderr)
         return 2
     if args.record_every <= 0:
@@ -586,19 +580,24 @@ def _command_sweep(args: argparse.Namespace, out) -> int:
         record_every=args.record_every,
         variant=variant,
     )
+    engine = resolve_engine(args.ensemble, args.backend)
+    if engine == SCALAR_ENGINE:
+        engine_text = "scalar engine"
+    else:
+        engine_text = f"lockstep ensemble, backend={engine}"
+    batch = args.ensemble or min(args.replicates, DEFAULT_ENSEMBLE_SIZE)
     print(
         f"Sweeping {len(taus)} intolerances x {args.replicates} replicates on a "
         f"{side}x{side} torus with w={args.horizon} "
         f"(variant={variant.describe()}, workers={args.workers}, "
-        f"ensemble={args.ensemble}, "
-        f"backend={backend_request})",
+        f"ensemble={batch}, {engine_text})",
         file=out,
     )
-    if backend_request != "auto" and args.ensemble == 1:
+    if backend[0] != "auto" and engine == SCALAR_ENGINE:
         print(
-            "note: --backend selects the vectorized engine's flip loop; "
-            "pass --ensemble > 1 to engage it (the scalar engine has no "
-            "backend seam)",
+            "note: --backend selects the ensemble engine's flip loop, which "
+            "--ensemble 1 replaces with the scalar engine (it has no backend "
+            "seam)",
             file=out,
         )
     if args.checkpoint_dir:

@@ -11,17 +11,18 @@ the seed stored in it.
 
 Three execution strategies compose freely on top of that seeding scheme:
 
-* **Serial** (the default): ``run_sweep(sweep)`` runs cells and replicates
-  one at a time through the scalar :class:`~repro.core.dynamics.GlauberDynamics`
-  engine.  This is the reference everything else must match.
-* **Vectorized replicates**: ``run_sweep(sweep, ensemble_size=R)`` batches
-  each cell's replicates through
-  :class:`~repro.core.ensemble.EnsembleDynamics`, which advances ``R``
-  lockstep replicas per NumPy call and produces the same rows as the serial
-  path (timings aside).  Pick ``R`` as the cell's replicate count when it is
-  modest (≤ 16); for larger replicate counts batches of 8–16 keep the
-  working set (a few ``(R, n, n)`` arrays) cache-friendly with most of the
-  vectorization benefit.
+* **Lockstep replicates** (the default): ``run_sweep(sweep)`` batches each
+  cell's replicates through :class:`~repro.core.ensemble.EnsembleDynamics`,
+  which advances the batch's replicas in lockstep on a compiled (or numpy)
+  flip loop, ``min(n_replicates, 8)`` per batch
+  (:data:`~repro.experiments.runner.DEFAULT_ENSEMBLE_SIZE`).
+  ``ensemble_size=R`` sets the batch: batches of 8–16 keep the working set
+  (a few ``(R, n, n)`` arrays) cache-friendly with most of the benefit.
+* **Scalar** (``ensemble_size=1``): ``run_sweep(sweep, ensemble_size=1)``
+  runs replicates one at a time through the scalar
+  :class:`~repro.core.dynamics.GlauberDynamics` engine.  This is the oracle
+  everything else must match, and the ensemble's rows equal its rows
+  (timings aside).
 * **Parallel cells**: ``run_sweep(sweep, workers=N)`` (or
   :func:`run_sweep_parallel` directly) shards cells across a process pool
   with chunked distribution and in-order incremental collection, yielding a

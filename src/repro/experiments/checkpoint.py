@@ -165,7 +165,8 @@ class SweepCheckpoint:
         backend: Optional[str] = None,
     ) -> None:
         #: Resolved flip-loop backend name executing this run's cells
-        #: (``"scalar"`` when the serial engine runs them).  Provenance only:
+        #: (``"scalar"`` when the scalar engine runs them, under
+        #: ``ensemble_size=1``).  Provenance only:
         #: rows are backend-invariant, so resume ignores it, but the manifest
         #: and each newly recorded cell carry it so ``repro reproduce`` can
         #: name backend drift when rows unexpectedly differ.

@@ -89,9 +89,9 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.core.backends.registry import resolve_backend_name, select_backend_name
 from repro.errors import ExperimentError, SweepDegradationWarning
 from repro.experiments.results import ResultTable
+from repro.experiments.runner import resolve_engine
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 
 #: Accepted values for ``run_sweep_parallel``'s ``on_error`` parameter.
@@ -895,9 +895,10 @@ def run_sweep_parallel(
         Contiguous cells per worker task; defaults to
         :func:`default_chunk_size` over the cells still to run.
     ensemble_size:
-        When > 1, workers run each cell's replicates through the vectorized
-        :class:`~repro.core.ensemble.EnsembleDynamics` engine in batches of
-        this size.
+        Lockstep batch size of each cell's replicates on the
+        :class:`~repro.core.ensemble.EnsembleDynamics` engine; ``None``
+        takes the runner's default and ``1`` selects the scalar engine (see
+        :func:`~repro.experiments.runner.run_experiment`).
     checkpoint_dir:
         Artifact directory for checkpoint/resume
         (:class:`~repro.experiments.checkpoint.SweepCheckpoint`).  Completed
@@ -944,8 +945,8 @@ def run_sweep_parallel(
         this argument > ``REPRO_BACKEND`` > ``sweep.backend`` > auto, then
         availability fallback with a single warning) and ships the resolved
         name to the workers, so each worker neither probes nor re-warns.
-        Ignored — recorded as ``"scalar"`` — when ``ensemble_size`` does not
-        select the ensemble engine.  Backends are bitwise identical, so the
+        Ignored — recorded as ``"scalar"`` — when ``ensemble_size=1``
+        selects the scalar engine.  Backends are bitwise identical, so the
         choice never affects rows; the checkpoint manifest records it as
         provenance.
     """
@@ -967,19 +968,11 @@ def run_sweep_parallel(
         raise ExperimentError(
             f"cell_timeout must be positive, got {cell_timeout}"
         )
-    cells = list(sweep.cells())
-
-    # Resolve the backend once in the parent: workers receive the concrete
+    # Resolve the engine once in the parent: workers receive the concrete
     # name, so availability probing (and any fallback warning) happens
     # exactly once per sweep instead of once per worker process.
-    if ensemble_size is not None and ensemble_size > 1:
-        resolved_backend = resolve_backend_name(
-            select_backend_name(backend, sweep.backend)
-        )
-        worker_backend: Optional[str] = resolved_backend
-    else:
-        resolved_backend = "scalar"
-        worker_backend = None
+    engine = resolve_engine(ensemble_size, backend, sweep.backend)
+    cells = list(sweep.cells())
 
     checkpoint = None
     resumed: dict[int, list[dict[str, object]]] = {}
@@ -987,7 +980,7 @@ def run_sweep_parallel(
         from repro.experiments.checkpoint import SweepCheckpoint
 
         checkpoint = SweepCheckpoint(
-            checkpoint_dir, cells, sweep=sweep, backend=resolved_backend
+            checkpoint_dir, cells, sweep=sweep, backend=engine
         )
         resumed = checkpoint.resumed_rows()
 
@@ -1009,7 +1002,7 @@ def run_sweep_parallel(
         sweep_seed=int(getattr(sweep, "seed", 0) or 0),
         workers=workers,
         chunk_size=chunk_size,
-        backend=worker_backend,
+        backend=engine,
     )
     if workers == 1:
         if cell_timeout is not None and supervisor.unfinished:

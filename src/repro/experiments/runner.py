@@ -6,16 +6,20 @@ The runner turns :class:`~repro.experiments.spec.ExperimentSpec` /
 with the full set of segregation metrics for the initial and final
 configurations, plus run metadata (flips, termination, wall-clock time).
 
-Two execution strategies are available on top of the serial defaults:
+Two engines run a cell's replicates, and :func:`resolve_engine` picks one:
 
-* ``ensemble_size=R`` batches a cell's replicates through the vectorized
-  :class:`~repro.core.ensemble.EnsembleDynamics` engine, ``R`` lockstep
-  replicas at a time.  Replica seeds are derived exactly like the scalar
-  path's (:func:`repro.rng.replicate_seeds`), so the rows are identical to
-  the serial ones apart from wall-clock timings.
-* ``workers=N`` fans sweep cells out to a process pool
-  (:func:`repro.experiments.parallel.run_sweep_parallel`); cell seeds come
-  from the sweep spec, so the table is row-for-row identical to a serial run.
+* the lockstep :class:`~repro.core.ensemble.EnsembleDynamics` (the default),
+  ``ensemble_size`` replicas at a time, :data:`DEFAULT_ENSEMBLE_SIZE` when
+  unset;
+* the scalar :class:`~repro.core.dynamics.GlauberDynamics`, one replicate at
+  a time, only for ``ensemble_size=1``: the oracle the ensemble is tested
+  against.
+
+Replica seeds are derived identically on both
+(:func:`repro.rng.replicate_seeds`), so the rows are identical apart from
+wall-clock timings.  ``workers=N`` fans sweep cells out to a process pool
+(:func:`repro.experiments.parallel.run_sweep_parallel`); cell seeds come from
+the sweep spec, so the table is row-for-row identical to a serial run.
 
 Cells carrying a non-base :class:`~repro.core.variants.VariantSpec` go through
 the same machinery: the scalar path builds the variant state inside
@@ -38,7 +42,7 @@ from repro.analysis.segregation import (
     segregation_metrics_batch,
 )
 from repro.analysis.trajectory import summarize_trajectory
-from repro.core.backends.registry import select_backend_name
+from repro.core.backends.registry import resolve_backend_name, select_backend_name
 from repro.core.config import ModelConfig
 from repro.core.dynamics import Trajectory
 from repro.core.simulation import Simulation
@@ -47,6 +51,35 @@ from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.rng import replicate_seeds
 from repro.utils.timer import Timer
+
+
+#: Lockstep batch size of a cell run with ``ensemble_size`` left unset; a
+#: cell with fewer replicates runs as one batch of all of them.
+DEFAULT_ENSEMBLE_SIZE = 8
+
+#: The engine name :func:`resolve_engine` returns, and checkpoint
+#: provenance records, for the scalar engine.
+SCALAR_ENGINE = "scalar"
+
+
+def resolve_engine(
+    ensemble_size: Optional[int],
+    backend: Optional[str] = None,
+    spec_backend: Optional[str] = None,
+) -> str:
+    """The engine ``ensemble_size`` selects: a backend name or ``"scalar"``.
+
+    Only ``ensemble_size=1`` selects the scalar engine; anything else runs
+    the lockstep ensemble on the backend that ``backend`` >
+    ``REPRO_BACKEND`` > ``spec_backend`` > auto resolves to.  Sweeps and
+    ``repro reproduce`` record the result as provenance.  A non-positive
+    ``ensemble_size`` raises :class:`~repro.errors.ExperimentError`.
+    """
+    if ensemble_size is not None and ensemble_size <= 0:
+        raise ExperimentError(f"ensemble_size must be positive, got {ensemble_size}")
+    if ensemble_size == 1:
+        return SCALAR_ENGINE
+    return resolve_backend_name(select_backend_name(backend, spec_backend))
 
 
 def _region_radius(spec: ExperimentSpec, config: ModelConfig) -> int:
@@ -151,26 +184,23 @@ def run_replicate(
 
 
 def _run_experiment_ensemble(
-    spec: ExperimentSpec, ensemble_size: int, backend: Optional[str] = None
+    spec: ExperimentSpec, ensemble_size: int, backend_name: str
 ) -> ResultTable:
     """Run a cell's replicates in vectorized batches of ``ensemble_size``.
 
-    Replica seeds and RNG streams match the scalar path exactly, so the rows
-    differ from :func:`run_experiment`'s serial output only in
-    ``wall_clock_seconds`` (reported as the batch time split evenly across its
-    replicas, since lockstep replicas share the work).  Measurement is batched
-    too: each batch's initial and final ``(R, n, n)`` stacks go through
+    Replica seeds and RNG streams match the scalar engine exactly, so the
+    rows differ from the scalar engine's only in ``wall_clock_seconds``
+    (reported as the batch time split evenly across its replicas, since
+    lockstep replicas share the work).  Measurement is batched too: each
+    batch's initial and final ``(R, n, n)`` stacks go through
     :func:`~repro.analysis.segregation.segregation_metrics_batch`, whose
-    per-replica bundles are bitwise identical to the serial path's.
-
-    The flip-loop ``backend`` request takes the full selection precedence
-    (call argument > ``REPRO_BACKEND`` > ``spec.backend`` > auto); backends
-    are bitwise identical, so the choice never changes the rows.
+    per-replica bundles are bitwise identical to the scalar path's.
+    ``backend_name`` is the concrete backend :func:`resolve_engine` chose;
+    backends are bitwise identical, so it never changes the rows.
     """
     table = ResultTable()
     seeds = replicate_seeds(spec.seed, spec.n_replicates)
     max_region_radius = _region_radius(spec, spec.config)
-    backend_name = select_backend_name(backend, spec.backend)
     for batch_start in range(0, len(seeds), ensemble_size):
         batch_seeds = seeds[batch_start : batch_start + ensemble_size]
         ensemble = spec.variant.make_ensemble(
@@ -222,16 +252,20 @@ def run_experiment(
 ) -> ResultTable:
     """Run all replicates of one experiment cell.
 
-    ``ensemble_size`` > 1 routes the replicates through the vectorized
-    ensemble engine in lockstep batches of that size; the default runs them
-    serially through the scalar engine.  Both paths derive replicate seeds
+    The replicates run on the lockstep ensemble engine in batches of
+    ``ensemble_size``, :data:`DEFAULT_ENSEMBLE_SIZE` when it is ``None``;
+    an explicit ``ensemble_size=1`` runs them one at a time on the scalar
+    engine instead, the oracle.  Both engines derive replicate seeds
     identically and produce identical rows (up to wall-clock timings).
-    ``backend`` requests a flip-loop backend for the ensemble path (strongest
-    level of the CLI > env > spec > auto precedence); the scalar path has no
-    backend seam and ignores it.
+    ``backend`` requests a flip-loop backend for the ensemble (strongest
+    level of the CLI > env > spec > auto precedence); the scalar engine has
+    no backend seam and ignores it.  A non-positive ``ensemble_size``
+    raises :class:`~repro.errors.ExperimentError`.
     """
-    if ensemble_size is not None and ensemble_size > 1:
-        return _run_experiment_ensemble(spec, ensemble_size, backend=backend)
+    engine = resolve_engine(ensemble_size, backend, spec.backend)
+    if engine != SCALAR_ENGINE:
+        batch = DEFAULT_ENSEMBLE_SIZE if ensemble_size is None else ensemble_size
+        return _run_experiment_ensemble(spec, batch, engine)
     table = ResultTable()
     seeds = replicate_seeds(spec.seed, spec.n_replicates)
     for index, seed in enumerate(seeds):
@@ -257,7 +291,7 @@ def run_sweep(
     ``workers`` > 1 delegates to
     :func:`repro.experiments.parallel.run_sweep_parallel`, which shards cells
     across a process pool while preserving row order; ``ensemble_size``
-    selects the vectorized replicate engine in either mode.
+    picks the replicate engine in either mode, as in :func:`run_experiment`.
     ``checkpoint_dir`` (any worker count, including serial) streams completed
     cells to a resumable artifact directory and skips cells a previous run
     already recorded — see :mod:`repro.experiments.checkpoint`.

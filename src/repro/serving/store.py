@@ -380,13 +380,14 @@ def reproduce_store(
     stored record with :func:`diff_rows` (wall-clock columns excluded, all
     else bitwise).  Quarantined cells report their recorded failure;
     never-recorded cells report ``missing``.  ``ensemble_size`` picks the
-    vectorized engine — rows are engine-independent, so reproduction under
-    either engine must (and does) match.  ``backend`` requests a flip-loop
-    backend for ensemble reproduction (full CLI > env > spec > auto
-    precedence); backends are likewise bitwise-pinned, but when rows *do*
-    differ and the record names a different backend than the one that
-    reproduced it, the verdict is the named ``backend-drift`` diagnostic
-    rather than a bare ``mismatch``.
+    engine as :func:`~repro.experiments.runner.run_experiment` does (the
+    lockstep ensemble by default, the scalar engine for ``1``) — rows are
+    engine-independent, so reproduction under either engine must (and does)
+    match.  ``backend`` requests a flip-loop backend for ensemble
+    reproduction (full CLI > env > spec > auto precedence); backends are
+    likewise bitwise-pinned, but when rows *do* differ and the record names
+    a different backend than the one that reproduced it, the verdict is the
+    named ``backend-drift`` diagnostic rather than a bare ``mismatch``.
     """
     directory = resolve_store_path(directory)
     store = ArtifactStore(directory)
@@ -411,21 +412,12 @@ def reproduce_store(
 
     # Imported here: reproduction is the only store operation that needs the
     # execution engine, and the serving layer stays import-light without it.
-    from repro.core.backends.registry import (
-        resolve_backend_name,
-        select_backend_name,
-    )
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import resolve_engine, run_experiment
 
-    # The concrete backend reproducing the rows, mirroring the sweep
-    # runner's parent-side resolution — compared against each record's
-    # provenance to tell backend drift apart from a bare mismatch.
-    if ensemble_size is not None and ensemble_size > 1:
-        effective_backend = resolve_backend_name(
-            select_backend_name(backend, sweep.backend)
-        )
-    else:
-        effective_backend = "scalar"
+    # The engine reproducing the rows, resolved as the sweep pool resolves
+    # it — compared against each record's provenance to tell backend drift
+    # apart from a bare mismatch.
+    effective_backend = resolve_engine(ensemble_size, backend, sweep.backend)
     manifest_backend = store.manifest.get("backend")
 
     results: list[CellReproduction] = []

@@ -687,9 +687,21 @@ class TestSweepProvenance:
         assert records and all(r["backend"] == "numpy" for r in records)
 
     def test_scalar_sweep_records_scalar(self, tmp_path):
-        run_sweep(self._sweep(), checkpoint_dir=str(tmp_path))
+        run_sweep(self._sweep(), ensemble_size=1, checkpoint_dir=str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["backend"] == "scalar"
+
+    def test_default_sweep_records_resolved_backend(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        run_sweep(self._sweep(), checkpoint_dir=str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["backend"] == default_backend_name()
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "metrics.jsonl").read_text().splitlines()
+        ]
+        assert len(records) == 2
+        assert all(r["backend"] == default_backend_name() for r in records)
 
     def test_spec_hash_ignores_backend(self):
         from repro.experiments.spec import spec_hash

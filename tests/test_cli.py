@@ -4,8 +4,12 @@ import io
 
 import pytest
 
+from repro.analysis.segregation import default_region_radius, segregation_metrics
 from repro.cli import build_parser, main
 from repro.core.backends.registry import resolve_backend_name
+from repro.core.config import ModelConfig
+from repro.core.simulation import Simulation
+from repro.experiments.results import ResultTable
 
 
 def run_cli(args: list[str]) -> tuple[int, str]:
@@ -200,7 +204,8 @@ class TestSweep:
         assert "0.45" in output
 
     def test_execution_flags_match_serial_aggregates(self, tmp_path):
-        """The vectorized/parallel path writes the same aggregates as serial."""
+        """The vectorized/parallel path writes the same aggregates as the
+        serial scalar engine."""
         args = [
             "sweep",
             "--horizon", "1",
@@ -210,7 +215,7 @@ class TestSweep:
         ]
         serial_csv = tmp_path / "serial.csv"
         fast_csv = tmp_path / "fast.csv"
-        code, _ = run_cli(args + ["--csv", str(serial_csv)])
+        code, _ = run_cli(args + ["--ensemble", "1", "--csv", str(serial_csv)])
         assert code == 0
         code, _ = run_cli(
             args + ["--csv", str(fast_csv), "--workers", "2", "--ensemble", "2"]
@@ -260,19 +265,48 @@ class TestBackendSelection:
         assert code == 0
         assert f"Backend: {resolve_backend_name(backend)}" in output
 
-    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
-    def test_pinned_simulate_matches_scalar_run(self, backend):
-        # A pinned backend routes simulate through a one-replica ensemble;
-        # apart from naming the backend, its report is the scalar run's.
+    @staticmethod
+    def _scalar_report(seed: int) -> list[str]:
+        """simulate's report lines after ``Backend:``, from the scalar engine."""
+        config = ModelConfig.square(side=10, horizon=1, tau=0.45, density=0.5)
+        result = Simulation(config, seed=seed).run()
+        radius = default_region_radius(config)
+        row = {
+            "seed": seed,
+            "tau": config.tau,
+            "horizon": config.horizon,
+            "variant": "base",
+            "terminated": result.terminated,
+            "n_flips": result.n_flips,
+        }
+        for prefix, spins in (
+            ("initial", result.initial_spins),
+            ("final", result.final_spins),
+        ):
+            metrics = segregation_metrics(spins, config, max_region_radius=radius)
+            for key, value in metrics.as_dict().items():
+                row[f"{prefix}_{key}"] = value
+        table = ResultTable()
+        table.add_row(**row)
+        return [
+            f"terminated={result.terminated} flips={result.n_flips} "
+            f"time={result.final_time:.2f}",
+            *table.to_markdown(float_format=".4g").splitlines(),
+        ]
+
+    @pytest.mark.parametrize("backend", [None, "numpy", "cffi"])
+    def test_pinned_simulate_matches_scalar_run(self, backend, monkeypatch):
+        # simulate runs a one-replica ensemble on every backend; apart from
+        # naming the backend, its report is the scalar engine's run.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         args = self.COMMANDS["simulate"] + ["--seed", "5"]
-        code, scalar = run_cli(args)
+        if backend is not None:
+            args += ["--backend", backend]
+        code, output = run_cli(args)
         assert code == 0
-        code, pinned = run_cli(args + ["--backend", backend])
-        assert code == 0
-        lines = pinned.splitlines()
-        assert f"Backend: {resolve_backend_name(backend)}" in lines
-        lines.remove(f"Backend: {resolve_backend_name(backend)}")
-        assert lines == scalar.splitlines()
+        lines = output.splitlines()
+        assert lines[1] == f"Backend: {resolve_backend_name(backend)}"
+        assert lines[2:] == self._scalar_report(5)
 
     @pytest.mark.parametrize("backend", ["numpy", "cffi"])
     def test_pinned_sweep_csv_matches_scalar_sweep(self, backend, tmp_path):
@@ -282,7 +316,7 @@ class TestBackendSelection:
         ]
         scalar_csv = tmp_path / "scalar.csv"
         pinned_csv = tmp_path / "pinned.csv"
-        code, _ = run_cli(args + ["--csv", str(scalar_csv)])
+        code, _ = run_cli(args + ["--ensemble", "1", "--csv", str(scalar_csv)])
         assert code == 0
         code, _ = run_cli(
             args
@@ -347,7 +381,7 @@ class TestSweepVariants:
         args = self.BASE_ARGS + ["--variant", "asymmetric", "--tau-minus", "0.3"]
         serial_csv = tmp_path / "serial.csv"
         fast_csv = tmp_path / "fast.csv"
-        code, _ = run_cli(args + ["--csv", str(serial_csv)])
+        code, _ = run_cli(args + ["--ensemble", "1", "--csv", str(serial_csv)])
         assert code == 0
         code, _ = run_cli(
             args + ["--csv", str(fast_csv), "--workers", "2", "--ensemble", "2"]

@@ -256,13 +256,16 @@ class TestResume:
                 small_sweep,
                 workers=2,
                 chunk_size=1,
+                ensemble_size=1,
                 checkpoint_dir=tmp_path,
                 progress=interrupt_after_two,
             )
         resumed = run_sweep_parallel(
             small_sweep, workers=2, ensemble_size=2, checkpoint_dir=tmp_path
         )
-        assert comparable_rows(resumed) == comparable_rows(run_sweep(small_sweep))
+        assert comparable_rows(resumed) == comparable_rows(
+            run_sweep(small_sweep, ensemble_size=1)
+        )
 
     def test_run_sweep_delegates_checkpointing(self, small_sweep, tmp_path):
         table = run_sweep(small_sweep, checkpoint_dir=tmp_path)

@@ -78,12 +78,12 @@ class TestEnsembleExecution:
     def test_ensemble_rows_match_scalar_rows(self):
         config = ModelConfig.square(side=18, horizon=1, tau=0.4)
         spec = ExperimentSpec(name="cell", config=config, n_replicates=5, seed=11)
-        scalar = run_experiment(spec)
+        scalar = run_experiment(spec, ensemble_size=1)
         batched = run_experiment(spec, ensemble_size=2)  # uneven batches: 2+2+1
         assert comparable_rows(scalar) == comparable_rows(batched)
 
     def test_parallel_ensemble_sweep_matches_serial(self, small_sweep):
-        serial = run_sweep(small_sweep)
+        serial = run_sweep(small_sweep, ensemble_size=1)
         combined = run_sweep(small_sweep, workers=2, ensemble_size=2)
         assert comparable_rows(serial) == comparable_rows(combined)
 
@@ -198,6 +198,8 @@ def _poisoned_sweep(sweep: SweepSpec, poison_index: int):
     object.__setattr__(cells[poison_index], "record_every", 0)
 
     class _CellListSweep:
+        backend = None
+
         def cells(self):
             return iter(cells)
 

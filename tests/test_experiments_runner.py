@@ -7,6 +7,9 @@ import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.variants import VariantSpec
+from repro.errors import ExperimentError
+from repro.experiments import runner
+from repro.experiments.parallel import run_sweep_parallel
 from repro.experiments.runner import (
     aggregate_sweep,
     run_experiment,
@@ -54,6 +57,73 @@ class TestRunExperiment:
         assert len(set(seeds)) == len(seeds)
 
 
+class TestDefaultEngine:
+    """Without ``ensemble_size`` a cell runs on the lockstep ensemble."""
+
+    @pytest.mark.parametrize(
+        "n_replicates, batches", [(1, [1]), (5, [5]), (17, [8, 8, 1])]
+    )
+    def test_default_builds_no_scalar_simulation(
+        self, n_replicates, batches, monkeypatch
+    ):
+        config = ModelConfig.square(side=14, horizon=1, tau=0.4)
+        spec = ExperimentSpec(
+            name="default", config=config, n_replicates=n_replicates, seed=19
+        )
+        oracle = run_experiment(spec, ensemble_size=1)
+
+        def no_scalar(*args, **kwargs):
+            raise AssertionError("the default engine built a scalar Simulation")
+
+        sizes = []
+        make_ensemble = VariantSpec.make_ensemble
+
+        def counted(variant, config, **kwargs):
+            sizes.append(len(kwargs["replica_seeds"]))
+            return make_ensemble(variant, config, **kwargs)
+
+        monkeypatch.setattr(runner, "Simulation", no_scalar)
+        monkeypatch.setattr(VariantSpec, "make_ensemble", counted)
+        table = run_experiment(spec)
+        assert sizes == batches
+        assert _strip_timings(table) == _strip_timings(oracle)
+
+
+def _reproduce(sweep, tmp_path, **kwargs):
+    from repro.serving.store import reproduce_store
+
+    run_sweep(sweep, ensemble_size=1, checkpoint_dir=str(tmp_path))
+    return reproduce_store(tmp_path, **kwargs)
+
+
+ENTRY_POINTS = {
+    "run_experiment": lambda sweep, _, **kw: run_experiment(
+        next(sweep.cells()), **kw
+    ),
+    "run_sweep": lambda sweep, _, **kw: run_sweep(sweep, **kw),
+    "run_sweep_parallel": lambda sweep, _, **kw: run_sweep_parallel(
+        sweep, workers=1, **kw
+    ),
+    "reproduce_store": _reproduce,
+}
+
+
+@pytest.mark.parametrize("ensemble_size", [0, -3])
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+def test_nonpositive_ensemble_size_rejected(entry_point, ensemble_size, tmp_path):
+    sweep = SweepSpec(
+        name="reject",
+        base_config=ModelConfig.square(side=10, horizon=1, tau=0.4),
+        taus=[0.4],
+        n_replicates=2,
+        seed=6,
+    )
+    with pytest.raises(
+        ExperimentError, match=f"ensemble_size must be positive, got {ensemble_size}"
+    ):
+        ENTRY_POINTS[entry_point](sweep, tmp_path, ensemble_size=ensemble_size)
+
+
 class TestRunSweep:
     def test_sweep_rows_and_progress(self):
         base = ModelConfig.square(side=20, horizon=1, tau=0.4)
@@ -88,7 +158,7 @@ class TestRunSweep:
         sweep = SweepSpec(
             name="sweep", base_config=base, taus=[0.35, 0.45], n_replicates=3, seed=4
         )
-        serial = run_sweep(sweep)
+        serial = run_sweep(sweep, ensemble_size=1)
         vectorized = run_sweep(sweep, ensemble_size=3)
         strip = lambda table: [
             {k: v for k, v in row.items() if k != "wall_clock_seconds"}
@@ -139,7 +209,7 @@ class TestTrajectoryRecording:
             {k: v for k, v in row.items() if k != "wall_clock_seconds"}
             for row in table.rows
         ]
-        serial = run_sweep(sweep)
+        serial = run_sweep(sweep, ensemble_size=1)
         batched = run_sweep(sweep, ensemble_size=2)
         assert strip(serial) == strip(batched)
 
@@ -149,7 +219,7 @@ class TestTrajectoryRecording:
             {k: v for k, v in row.items() if k != "wall_clock_seconds"}
             for row in table.rows
         ]
-        serial = run_sweep(sweep)
+        serial = run_sweep(sweep, ensemble_size=1)
         parallel = run_sweep(sweep, workers=2, ensemble_size=2)
         assert strip(serial) == strip(parallel)
 
@@ -164,11 +234,13 @@ def _strip_timings(table):
 class TestGoldenRows:
     """The measurement pipeline must keep producing the pre-batching rows.
 
-    ``tests/data/golden_sweep_rows.json`` was captured from the serial runner
-    *before* the batched region scans and ``segregation_metrics_batch``
-    landed; every execution path must still reproduce those rows bitwise
-    (timings aside), which pins the whole pipeline — metrics included — to
-    the original semantics.
+    ``tests/data/golden_sweep_rows.json`` was captured from the serial
+    scalar runner *before* the batched region scans and
+    ``segregation_metrics_batch`` landed; every execution path must still
+    reproduce those rows bitwise (timings aside), which pins the whole
+    pipeline — metrics included — to the original semantics.  ``serial`` and
+    ``parallel-scalar`` run the scalar engine (``ensemble_size=1``), the
+    oracle; ``default`` runs whatever a caller gets without asking.
     """
 
     GOLDEN_PATH = Path(__file__).parent / "data" / "golden_sweep_rows.json"
@@ -187,12 +259,13 @@ class TestGoldenRows:
     @pytest.mark.parametrize(
         "run_kwargs",
         [
-            {},
+            {"ensemble_size": 1},
             {"ensemble_size": 2},
-            {"workers": 2},
+            {"workers": 2, "ensemble_size": 1},
             {"workers": 2, "ensemble_size": 2},
+            {},
         ],
-        ids=["serial", "ensemble", "parallel-scalar", "parallel"],
+        ids=["serial", "ensemble", "parallel-scalar", "parallel", "default"],
     )
     def test_rows_match_pre_batching_capture(self, run_kwargs):
         golden = json.loads(self.GOLDEN_PATH.read_text())
@@ -244,7 +317,7 @@ class TestVariantCells:
     )
     def test_ensemble_rows_match_serial_rows(self, variant):
         sweep = self._variant_sweep(variant)
-        serial = run_sweep(sweep)
+        serial = run_sweep(sweep, ensemble_size=1)
         batched = run_sweep(sweep, ensemble_size=2)
         assert _strip_timings(serial) == _strip_timings(batched)
 
@@ -255,13 +328,13 @@ class TestVariantCells:
     )
     def test_parallel_ensemble_rows_match_serial_rows(self, variant):
         sweep = self._variant_sweep(variant)
-        serial = run_sweep(sweep)
+        serial = run_sweep(sweep, ensemble_size=1)
         parallel = run_sweep(sweep, workers=2, ensemble_size=2)
         assert _strip_timings(serial) == _strip_timings(parallel)
 
     def test_variant_rows_with_trajectories_match(self):
         sweep = self._variant_sweep(VariantSpec.asymmetric(0.3), record=True)
-        serial = run_sweep(sweep)
+        serial = run_sweep(sweep, ensemble_size=1)
         batched = run_sweep(sweep, ensemble_size=2)
         assert _strip_timings(serial) == _strip_timings(batched)
         assert all("traj_final_energy" in row for row in serial.rows)
@@ -293,7 +366,10 @@ class TestVariantCells:
             max_steps=50,
             variant=VariantSpec.two_sided(0.8),
         )
-        for table in (run_experiment(spec), run_experiment(spec, ensemble_size=2)):
+        for table in (
+            run_experiment(spec, ensemble_size=1),
+            run_experiment(spec, ensemble_size=2),
+        ):
             for row in table.rows:
                 assert row["terminated"] is False
                 assert row["n_flips"] <= 50

@@ -355,6 +355,56 @@ class TestOnMissCompute:
         again = first.answer("tau=0.42,rho=0.5,w=1")
         assert again["cached"] is True
 
+    def test_computed_answer_is_the_scalar_oracles(self, tmp_path, monkeypatch):
+        """A compute runs the default ensemble, one native call per batch,
+        and answers exactly what the scalar engine's rows summarise to."""
+        from repro.core.backends.cffi_backend import CffiBackend
+        from repro.core.backends.registry import (
+            resolve_backend_name,
+            select_backend_name,
+        )
+        from repro.experiments.checkpoint import VOLATILE_ROW_COLUMNS
+        from repro.experiments.results import ResultTable
+        from repro.experiments.runner import run_experiment
+        from repro.serving.store import query_spec_for_point
+
+        sweep = SweepSpec(
+            name="compute-batches",
+            base_config=ModelConfig.square(side=10, horizon=1, tau=0.3),
+            taus=(0.3,),
+            n_replicates=9,
+            seed=8,
+        )
+        run_sweep_parallel(sweep, workers=1, checkpoint_dir=tmp_path)
+        spec = query_spec_for_point(sweep, tau=0.42, rho=0.5, w=1)
+        oracle = ResultTable(
+            [
+                {k: v for k, v in row.items() if k not in VOLATILE_ROW_COLUMNS}
+                for row in run_experiment(spec, ensemble_size=1).rows
+            ]
+        )
+
+        native_calls = []
+        capture = CffiBackend._capture
+
+        def counted_capture(backend):
+            capture(backend)
+            native = backend._run_fn
+
+            def counted(*args):
+                native_calls.append(backend.engine.n_replicas)
+                return native(*args)
+
+            backend._run_fn = counted
+
+        monkeypatch.setattr(CffiBackend, "_capture", counted_capture)
+        engine = QueryEngine(tmp_path, max_distance=0.01, on_miss="compute")
+        answer = engine.answer("tau=0.42,rho=0.5,w=1")
+        assert answer["source"] == "computed"
+        assert answer["metrics"] == oracle.numeric_summary()
+        if resolve_backend_name(select_backend_name()) == "cffi":
+            assert native_calls == [8, 1]
+
     def test_non_integer_horizon_cannot_be_computed(self, real_store):
         engine = QueryEngine(real_store, max_distance=0.01, on_miss="compute")
         with pytest.raises(ServingError, match="non-integer horizon"):

@@ -80,8 +80,9 @@ class TestFreshStoreReproduces:
         assert reproduce_store(store / "manifest.json").ok is True
 
     def test_vectorized_engine_reproduces_identically(self, store):
-        """Rows are engine-independent, so ensemble reproduction matches."""
-        report = reproduce_store(store, ensemble_size=2)
+        """Rows are engine-independent: the scalar oracle regenerates the
+        rows the default ensemble recorded."""
+        report = reproduce_store(store, ensemble_size=1)
         assert report.ok is True
         assert report.counts() == {"match": 2}
 
@@ -215,6 +216,11 @@ class TestCommittedFixtureStore:
 
     def test_fixture_reproduces_bitwise(self):
         report = reproduce_store(self.FIXTURE)
+        assert report.ok is True
+        assert report.counts() == {"match": 4}
+
+    def test_fixture_reproduces_bitwise_on_the_scalar_oracle(self):
+        report = reproduce_store(self.FIXTURE, ensemble_size=1)
         assert report.ok is True
         assert report.counts() == {"match": 4}
 

@@ -50,8 +50,15 @@ def fixture_sweep() -> SweepSpec:
 
 
 def build_store(directory: Path) -> None:
-    """Run the fixture sweep with checkpointing into ``directory``."""
-    run_sweep_parallel(fixture_sweep(), workers=1, checkpoint_dir=directory)
+    """Run the fixture sweep with checkpointing into ``directory``.
+
+    The rows come from the scalar engine (``ensemble_size=1``), the oracle
+    the ensemble is tested against, on every host; the manifest records
+    ``"scalar"`` as their backend.
+    """
+    run_sweep_parallel(
+        fixture_sweep(), workers=1, ensemble_size=1, checkpoint_dir=directory
+    )
 
 
 def check() -> int:
