@@ -31,7 +31,6 @@ from repro.experiments.results import ResultTable
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SweepSpec
 from repro.experiments.workloads import bench_quick_mode as quick_mode
-from repro.rng import ziggurat_exponential_tables
 
 #: Acceptance floor for the fused engine over sequential scalar runs.
 MIN_ENSEMBLE_SPEEDUP = 3.0
@@ -62,7 +61,6 @@ def bench_ensemble_vs_scalar_flips_per_second(benchmark, emit):
     )
     n_replicas = params["n_replicas"]
     max_flips = params["max_flips"]
-    ziggurat_exponential_tables()
 
     def run() -> ResultTable:
         ensemble = EnsembleDynamics(config, n_replicas=n_replicas, seed=7)

@@ -6,9 +6,9 @@ available backend of :class:`~repro.core.ensemble.EnsembleDynamics`, across
 several replica counts, on two paths: repeated ``step_all`` calls (one round
 per call) and one budgeted ``run``, which a compiled backend drives as one
 native call.  The numpy backend — the Python round loop — is the baseline:
-regressions in the blocked-RNG draws, the batched index-set updates or the
-fused window kernel show up here first, before they wash out in end-to-end
-numbers.
+regressions in its per-replica ``Generator`` draws, the batched index-set
+updates or the fused window kernel show up here first, before they wash out
+in end-to-end numbers.
 
 All backends advance bitwise-identical dynamics (asserted by the test
 suite), so flips/sec is a work-for-work comparison.  Quick mode trims the
@@ -35,7 +35,6 @@ from repro.core.config import ModelConfig
 from repro.core.ensemble import EnsembleDynamics
 from repro.experiments.results import ResultTable
 from repro.experiments.workloads import bench_quick_mode as quick_mode
-from repro.rng import ziggurat_exponential_tables
 
 #: Replica counts to profile; the R = 8 rows carry the assertions.
 REPLICA_COUNTS = (4, 8, 16)
@@ -110,7 +109,6 @@ def bench_flip_loop_backends(benchmark, emit):
     config = ModelConfig.square(
         side=params["side"], horizon=params["horizon"], tau=0.45
     )
-    ziggurat_exponential_tables()  # one-time calibration outside the timing
     backends = available_backends()
 
     def run() -> ResultTable:
@@ -240,7 +238,6 @@ def bench_flip_loop_per_flip_cost(benchmark, emit):
     """
     params = flip_loop_parameters()
     max_steps = params["scaling_steps"]
-    ziggurat_exponential_tables()  # one-time calibration outside the timing
     configs = {
         side: ModelConfig.square(side=side, horizon=3, tau=0.45)
         for side in SCALING_SIDES

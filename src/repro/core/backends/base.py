@@ -1,7 +1,7 @@
 """The flip-loop backend protocol.
 
 The ensemble engine's innermost layer — each round's control plane
-(termination/sampler filtering, blocked RNG draws, clock updates, candidate
+(termination/sampler filtering, RNG draws, clock updates, candidate
 gathers), the fused gather-classify-scatter window kernel, and the coded-op
 membership updates on :class:`~repro.utils.indexset.BatchedIndexSet`
 storage — is pluggable.  A :class:`FlipLoopBackend` implements one
@@ -12,13 +12,17 @@ Python loop, the compiled backend as one native call.  Everything above it
 (seeding, trajectories, the public result surface) is shared, so backends
 can only differ in *how* rounds execute, never in what a round means.
 
-The contract is bitwise: every backend must consume the pre-drawn
-:class:`~repro.rng.BlockedReplicaStreams` words in exactly the scalar
-engine's order and produce bit-identical spins, clocks, counters and
-sampler layouts.  ``tests/test_core_ensemble.py`` pins every backend the
-host can run to the scalar :class:`~repro.core.dynamics.GlauberDynamics`,
+The contract is bitwise: every backend must consume each replica's PCG64
+stream in exactly the scalar engine's order and produce bit-identical
+spins, clocks, counters and sampler layouts.  Where the stream position
+lives is the backend's business: the numpy backend draws through the
+replica's own ``Generator`` (``engine._rngs``), the compiled backend reads
+the pre-drawn :class:`~repro.rng.BlockedReplicaStreams` words
+(``engine._streams``).  ``tests/test_core_ensemble.py`` pins every backend
+the host can run to the scalar :class:`~repro.core.dynamics.GlauberDynamics`,
 and the cross-backend suite in ``tests/test_backends.py`` pins their full
-state (RNG streams included) to each other.
+state to each other, including each replica's logical PCG64 state and
+half-word buffer.
 """
 
 from __future__ import annotations
@@ -96,8 +100,8 @@ class FlipLoopBackend:
         """Advance lockstep rounds until ``budget`` stops every replica.
 
         Each round steps the replicas ``budget.active`` selects: per replica,
-        termination and sampler checks, the blocked RNG draws (waiting time
-        under the continuous scheduler, then the Lemire candidate),
+        termination and sampler checks, the RNG draws (waiting time under
+        the continuous scheduler, then the Lemire candidate),
         clock/step updates, the member gather and the discrete-scheduler
         flip gate — then the fused window update, the samplers' coded-op
         stream and the flip counters for every replica that flips.  The

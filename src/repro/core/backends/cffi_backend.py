@@ -23,11 +23,13 @@ makes holding raw pointers safe.  A run is one native call (one per
 trajectory segment, and ``step_all`` is one call of one round), and cffi
 releases the GIL for its whole length.
 
-Every RNG word the kernel reads comes through one C reader over the
-replica's pre-drawn block.  At the block end the reader refills the block
-in place by stepping the replica's PCG64 state itself (128-bit LCG, XSL-RR
-output of the post-step state), and updates the same state and block-base
-arrays the Python refill uses.  Exponential waiting times are numpy's own
+Every RNG word the kernel reads comes through one C reader, ``next_word``,
+over the replica's pre-drawn block in
+:class:`~repro.rng.BlockedReplicaStreams`.  At the block end the reader
+refills the block in place by stepping the replica's PCG64 state itself
+(128-bit LCG, XSL-RR output of the post-step state) and records the new
+state and block base in the stream arrays; C is the only code that reads
+or refills them.  Exponential waiting times are numpy's own
 ``random_standard_exponential``, linked from the ``libnpyrandom.a`` archive
 numpy ships, run on a ``bitgen_t`` whose words come from that reader: the
 ziggurat's fast and slow paths are numpy's code, not a port of it.
@@ -144,8 +146,8 @@ extern double random_standard_exponential(bitgen_t *bitgen_state);
 static void refill_block(repro_state *st, int64_t replica)
 {
     /* The replica's next block, as numpy's PCG64 emits it: step the 128-bit
-       LCG, output the XSL-RR mix of the post-step state.  A position past
-       the block end (a draw that ran over) carries into the new block. */
+       LCG, output the XSL-RR mix of the post-step state.  Reading restarts
+       at the block's first word. */
     uint64_t *state = st->pcg_state + 2 * replica;
     const uint64_t *inc = st->pcg_inc + 2 * replica;
     uint64_t *base = st->pcg_base + 2 * replica;
@@ -164,18 +166,16 @@ static void refill_block(repro_state *st, int64_t replica)
     }
     state[0] = (uint64_t)s;
     state[1] = (uint64_t)(s >> 64);
-    st->pos[replica] -= st->block;
+    st->pos[replica] = 0;
 }
 
 static inline uint64_t next_word(repro_state *st, int64_t replica)
 {
     /* The one word reader: waiting times, candidates and the sampler's
        slow path all consume the replica's stream through it. */
-    int64_t position = st->pos[replica];
-    while (position >= st->block) {
+    if (st->pos[replica] >= st->block)
         refill_block(st, replica);
-        position = st->pos[replica];
-    }
+    int64_t position = st->pos[replica];
     st->pos[replica] = position + 1;
     return st->words[replica * st->block + position];
 }

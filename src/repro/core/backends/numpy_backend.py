@@ -3,11 +3,11 @@
 The round loop in Python: each round's control plane is one scalar loop
 over memoryviews of the batched state (list-speed element access; the
 per-call dispatch of ~15 tiny array ops would dominate small rounds),
-drawing from :class:`~repro.rng.BlockedReplicaStreams`' scalar reader; the
-fused gather-classify-scatter window kernel runs as array code over the
-round's flips, and the sequential coded-op loop on
-:class:`~repro.utils.indexset.BatchedIndexSet` applies the membership
-deltas.
+drawing through each replica's own dynamics ``Generator`` with the same two
+calls the scalar engine makes; the fused gather-classify-scatter window
+kernel runs as array code over the round's flips, and the sequential
+coded-op loop on :class:`~repro.utils.indexset.BatchedIndexSet` applies the
+membership deltas.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ class NumpyBackend(FlipLoopBackend):
     def step_round(self, candidates: np.ndarray) -> None:
         """Advance every candidate replica by one scheduler step.
 
-        Termination/sampler filtering, the blocked RNG draws, the clock
-        updates and the candidate gather run in one Python loop over
-        memoryviews of the batched state; the replicas that flip then go
-        through :meth:`apply_flips` together.
+        Termination/sampler filtering, the RNG draws on each replica's
+        dynamics generator, the clock updates and the candidate gather run
+        in one Python loop over memoryviews of the batched state; the
+        replicas that flip then go through :meth:`apply_flips` together.
         """
         engine = self.engine
         only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
@@ -66,7 +66,7 @@ class NumpyBackend(FlipLoopBackend):
         times_mv = self._times_mv
         steps_mv = self._steps_mv
         code_mv = self._code_mv
-        streams = engine._streams
+        rngs = engine._rngs
         term_offset = n_rep if only_if_happy else 0
         sampler_offset = n_rep if (only_if_happy and continuous) else 0
         reps: list[int] = []
@@ -78,16 +78,16 @@ class NumpyBackend(FlipLoopBackend):
             size = counts_mv[sampler_row]
             if size == 0:
                 continue
-            # Same draw order as GlauberDynamics.step: waiting time first
-            # (continuous scheduler only), then the candidate index.
+            # The calls of GlauberDynamics.step and IndexSampler.sample, in
+            # their order: waiting time first (continuous scheduler only),
+            # then the candidate index.
+            rng = rngs[replica]
             if continuous:
-                times_mv[replica] += (1.0 / size) * streams.standard_exponential(
-                    replica
-                )
+                times_mv[replica] += float(rng.exponential(1.0 / size))
             else:
                 times_mv[replica] += 1.0
             steps_mv[replica] += 1
-            draw = streams.bounded_integer(replica, size)
+            draw = int(rng.integers(0, size))
             flat = members_mv[sampler_row * n_sites + draw]
             if discrete_gate and not code_mv[replica * n_sites + flat] & 2:
                 # Discrete scheduler samples unhappy agents, which may

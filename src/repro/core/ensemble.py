@@ -6,10 +6,15 @@
 candidate sampling, the neighbourhood/happiness window refresh and the
 sampler membership bookkeeping — is batched across the replica axis:
 
-* RNG draws come from :class:`~repro.rng.BlockedReplicaStreams`: each
-  replica's PCG64 word stream is pre-drawn in blocks and the scalar
-  ``exponential`` / ``integers`` draws are re-derived from those words,
-  consuming each stream exactly as the per-call scalar path would.
+* RNG draws are the scalar engine's ``exponential`` / ``integers`` draws on
+  each replica's own dynamics stream.  The numpy backend makes them through
+  the replica's ``Generator``; the compiled backend makes them in C on the
+  replica's PCG64 words, pre-drawn in blocks
+  (:class:`~repro.rng.BlockedReplicaStreams`), consuming each stream
+  exactly as the per-call scalar path would.  A replica's stream position
+  therefore lives in ``_rngs`` on a numpy engine and in ``_streams`` on a
+  compiled one; the backend is fixed at construction, so it never moves
+  between the two.
 * The unhappy/flippable samplers of all replicas live in one array-backed
   :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
   int32 members and positions), bulk-built at rebuild time.
@@ -263,10 +268,11 @@ class EnsembleDynamics:
     scheduler / flip_rule:
         Overrides for the configuration's defaults, as in the scalar engine.
     rng_block_words:
-        Words pre-drawn per replica per RNG block refill (see
-        :class:`~repro.rng.BlockedReplicaStreams`).  Purely a performance
-        knob: results are bitwise independent of it, which the boundary
-        property tests assert down to one-word blocks.
+        Words pre-drawn per replica per RNG block refill of the compiled
+        flip loop (see :class:`~repro.rng.BlockedReplicaStreams`; validated
+        under every backend, read only by the compiled one).  Purely a
+        performance knob: results are bitwise independent of it, which the
+        boundary property tests assert down to one-word blocks.
     backend:
         Flip-loop backend request (``"auto"``, ``"numpy"``, ``"cffi"`` or
         ``None``), resolved through

@@ -190,8 +190,9 @@ class SweepCheckpoint:
         A run killed mid-append leaves a line that is not valid JSON —
         usually the trailing one, but :meth:`record` terminates an inherited
         torn tail before appending, so a twice-interrupted log can carry an
-        invalid line mid-file.  Invalid or CRC-mismatched lines are skipped
-        individually *with a* :class:`~repro.errors.CheckpointWarning`
+        invalid line mid-file.  Invalid lines (not JSON, or JSON that is not
+        an object) and CRC-mismatched lines are skipped individually *with
+        a* :class:`~repro.errors.CheckpointWarning`
         *naming the file, line number and byte count dropped* — a lossy
         resume must be distinguishable from a clean one; every line that
         parses and verifies is a whole record (they are flushed
@@ -207,6 +208,9 @@ class SweepCheckpoint:
                 record = json.loads(line)
             except ValueError:
                 self._warn_dropped(number, line, "not valid JSON (torn line?)")
+                continue
+            if not isinstance(record, dict):
+                self._warn_dropped(number, line, "not a JSON object")
                 continue
             if verify_record_crc(record) is False:
                 self._warn_dropped(number, line, "CRC32 mismatch (corrupt)")
@@ -240,7 +244,10 @@ class SweepCheckpoint:
                 raise ExperimentError(
                     f"{self.manifest_path} is not valid JSON: {exc}"
                 ) from exc
-            if manifest.get("format") != MANIFEST_FORMAT:
+            if (
+                not isinstance(manifest, dict)
+                or manifest.get("format") != MANIFEST_FORMAT
+            ):
                 raise ExperimentError(
                     f"{self.manifest_path} is not a {MANIFEST_FORMAT} manifest "
                     "— refusing to resume into a foreign directory"
@@ -499,6 +506,8 @@ def _audit_manifest(directory: Path) -> tuple[dict, Optional[set]]:
         return report, None
     try:
         manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError(f"not a JSON object ({type(manifest).__name__})")
     except ValueError as exc:
         report["problems"].append(
             {"kind": "manifest-corrupt", "detail": str(exc)}

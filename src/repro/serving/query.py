@@ -352,9 +352,11 @@ class QueryEngine:
         """Normalize a query into a full ``{rho, tau, w}`` point.
 
         String queries go through :func:`parse_query`; dict queries accept
-        the same aliases.  An omitted axis is filled from the store when the
-        answerable cells pin it to a single value, and is an error (the
-        query is ambiguous) otherwise.
+        the same aliases.  Every value must be finite: ``nan`` or ``inf``
+        is a :class:`~repro.errors.ServingError`, as a non-number is.  An
+        omitted axis is filled from the store when the answerable cells pin
+        it to a single value, and is an error (the query is ambiguous)
+        otherwise.
         """
         if isinstance(query, str):
             partial = parse_query(query)
@@ -381,6 +383,11 @@ class QueryEngine:
             if not partial:
                 raise ServingError(
                     "empty query — name at least one axis=value term"
+                )
+        for axis, value in partial.items():
+            if not math.isfinite(value):
+                raise ServingError(
+                    f"query value {value!r} for axis {axis!r} is not finite"
                 )
         point: dict[str, float] = {}
         for axis in AXES:

@@ -10,6 +10,12 @@ here rather than in the package because only tests need them.
 :class:`~repro.analysis.segregation.SegregationMetrics` bundle without
 touching the library's measurement kernels, so comparing it with
 ``segregation_metrics_batch`` is not a comparison of a kernel with itself.
+
+The PCG64 helpers at the end read and steer numpy's bit generator from
+outside: :func:`pcg64_state_after` maps a compiled stream's block base and
+read position to its logical LCG state, and the two probe helpers put a
+generator one chosen word away, so the C sampler's rare paths can be
+driven on purpose.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from repro.core.neighborhood import neighborhood_size, window_sums
 from repro.errors import AnalysisError, PercolationError
 from repro.percolation.cluster import RadiusTailEstimate, cluster_radius, label_clusters
 from repro.percolation.union_find import UnionFind
-from repro.rng import SeedLike, make_rng
+from repro.rng import PCG64_MULTIPLIER, SeedLike, make_rng
 from repro.utils.validation import require_spin_array
 
 
@@ -201,3 +207,58 @@ def segregation_metrics_oracle(
         dominant_type_fraction=max(n_plus, spins.size - n_plus) / spins.size,
         energy=int(same.sum()),
     )
+
+
+_PCG64_MASK = (1 << 128) - 1
+_PCG64_MULT_INV = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+
+
+def pcg64_state_after(state: int, inc: int, delta: int) -> int:
+    """The 128-bit PCG64 LCG state ``delta`` 64-bit draws after ``state``.
+
+    Mirrors ``PCG64.advance``: one LCG step per output word, composed by
+    repeated squaring.  ``delta`` is taken modulo 2**128, so
+    ``2**128 - k`` steps back by ``k`` words.
+    """
+    mult, plus = 1, 0
+    cur_mult, cur_plus = PCG64_MULTIPLIER, inc
+    while delta:
+        if delta & 1:
+            mult = (mult * cur_mult) & _PCG64_MASK
+            plus = (plus * cur_mult + cur_plus) & _PCG64_MASK
+        cur_plus = ((cur_mult + 1) * cur_plus) & _PCG64_MASK
+        cur_mult = (cur_mult * cur_mult) & _PCG64_MASK
+        delta >>= 1
+    return (state * mult + plus) & _PCG64_MASK
+
+
+def probe_generator_for_word(probe: np.random.Generator, word: int) -> None:
+    """Position ``probe`` so that its next 64-bit output is exactly ``word``.
+
+    PCG64's output is the XSL-RR mix of the *post-step* LCG state; a state
+    whose high 64 bits are zero mixes to its own low word (rotation 0), so
+    stepping the LCG map backwards from that state yields the generator state
+    that will emit ``word`` next.
+    """
+    state = probe.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = ((word - inc) * _PCG64_MULT_INV) & _PCG64_MASK
+    state["has_uint32"] = 0
+    state["uinteger"] = 0
+    probe.bit_generator.state = state
+
+
+def probe_draw(probe: np.random.Generator, word: int) -> tuple[float, int]:
+    """Feed ``word`` to ``standard_exponential``; return (value, words used)."""
+    probe_generator_for_word(probe, word)
+    state = probe.bit_generator.state["state"]
+    before, inc = state["state"], state["inc"]
+    value = probe.standard_exponential()
+    after = probe.bit_generator.state["state"]["state"]
+    consumed, rolling = 0, before
+    while rolling != after:
+        rolling = (rolling * PCG64_MULTIPLIER + inc) & _PCG64_MASK
+        consumed += 1
+        if consumed > 4096:  # pragma: no cover - defensive
+            raise RuntimeError("probe draw did not converge")
+    return value, consumed

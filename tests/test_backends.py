@@ -10,11 +10,13 @@ Five layers are pinned here:
   build it, advances the ensemble engine *bit for bit* like the numpy
   backend (both are pinned to the scalar engine in
   ``tests/test_core_ensemble.py``): spins, clocks, step/flip counters, energies, the samplers'
-  packed layouts and the RNG streams (block words, positions, half-word
-  buffers, each replica's PCG64 state and block base), across the base,
-  two-sided and asymmetric rules, with a tiny RNG block size so the C
-  block refills fire constantly.  The C exponential draw is also fed
-  steered words, so numpy's slow paths (layer-0 tail, wedge accept and
+  packed layouts and each replica's RNG stream (its logical PCG64 state
+  and half-word buffer: the numpy backend's ``Generator`` against the C
+  reader's block position), across the base, two-sided and asymmetric
+  rules, with a tiny RNG block size so the C block refills fire
+  constantly.  The C exponential draw is also checked against the
+  replica's own ``Generator`` over scripted draws at every block size, and
+  fed steered words, so numpy's slow paths (layer-0 tail, wedge accept and
   the rejecting recursion) run across block ends.
 * **Runs** — ``run()`` returns identical results and leaves identical
   state under every backend: flip/step/time budgets, trajectory segments,
@@ -42,6 +44,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 from repro import rng as rng_module
 from repro.core.backends import cffi_backend
 from repro.core.backends.registry import (
@@ -70,9 +73,47 @@ BACKENDS = available_backends()
 SMALL = ModelConfig.square(side=16, horizon=1, tau=0.45)
 
 
+def _logical_state(streams, replica):
+    """The PCG64 state after the words a compiled stream has consumed.
+
+    Before the first refill the block is empty and the stream still sits at
+    the constructor's state.
+    """
+    state = rng_module._pcg64_value(streams._state[replica])
+    base = rng_module._pcg64_value(streams._base[replica])
+    if state == base:
+        return state
+    inc = rng_module._pcg64_value(streams._inc[replica])
+    return oracles.pcg64_state_after(base, inc, int(streams._pos[replica]))
+
+
+def _rng_positions(engine):
+    """Each replica's logical PCG64 state and half-word buffer.
+
+    A numpy engine draws through its replicas' Generators, a compiled one
+    through the C reader's blocks; either way this is where the replica's
+    next draw starts.
+    """
+    if engine.backend_name == "numpy":
+        states = [rng.bit_generator.state for rng in engine._rngs]
+        return [
+            (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
+            for s in states
+        ]
+    streams = engine._streams
+    return [
+        (
+            _logical_state(streams, replica),
+            rng_module._pcg64_value(streams._inc[replica]),
+            int(streams._has32[replica]),
+            int(streams._buf32[replica]),
+        )
+        for replica in range(engine.n_replicas)
+    ]
+
+
 def _engine_state(engine):
     """Everything a backend could corrupt, as one comparable bundle."""
-    streams = engine._streams
     layouts = [
         engine._sets.packed_members(row)
         for row in range(2 * engine.n_replicas)
@@ -85,23 +126,20 @@ def _engine_state(engine):
         engine.energies(),
         engine.unhappy_counts(),
         engine.flippable_counts(),
-        # The RNG streams: a refill that leaves the block base or the PCG64
-        # state stale fails here, not only on a later replay.
-        streams._words,
-        streams._pos,
-        streams._has32,
-        streams._buf32,
-        streams._state,
-        streams._base,
+        # Where each replica's next draw starts: a refill that leaves the
+        # block base or the PCG64 state stale fails here, not only on a
+        # later draw.
+        _rng_positions(engine),
         layouts,
     )
 
 
 def _assert_states_equal(reference, actual):
-    *ref_arrays, ref_layouts = reference
-    *act_arrays, act_layouts = actual
+    *ref_arrays, ref_positions, ref_layouts = reference
+    *act_arrays, act_positions, act_layouts = actual
     for ref, act in zip(ref_arrays, act_arrays):
         np.testing.assert_array_equal(ref, act)
+    assert ref_positions == act_positions
     for ref, act in zip(ref_layouts, act_layouts):
         np.testing.assert_array_equal(ref, act)
 
@@ -205,8 +243,9 @@ class TestBitwiseIdentity:
 
     @pytest.mark.parametrize("block_words", [1, 7, 4096])
     def test_base_rule(self, backend_name, block_words):
-        # block_words=1 makes every word a refill, so the C refill and the
-        # numpy one must leave the same words, base and state each time.
+        # block_words=1 makes every word a refill, so the C reader's
+        # position must keep up with the numpy backend's Generators across
+        # one refill per word.
         self._compare(
             backend_name,
             lambda backend: EnsembleDynamics(
@@ -546,15 +585,52 @@ class TestCompiledKernelCache:
 class TestCompiledSampler:
     """The C exponential draw is numpy's sampler on the replica's words.
 
-    Random runs rarely reach layer 0's tail or the wedge's rejecting
-    recursion, so each case steers the replica's PCG64 stream to a word
-    that takes it, then compares value and words consumed against
-    ``Generator.standard_exponential`` fed the same word.  The word sits
-    at the block's last slot for the small blocks, so every slow path
-    crosses the block end into a C refill.
+    Scripted draws hold it, block size by block size, to
+    ``standard_exponential`` on each replica's own dynamics ``Generator``
+    (which a compiled engine reads once and never advances).  Random draws
+    rarely reach layer 0's tail or the wedge's rejecting recursion, so the
+    steered cases put a word that takes each path at the block's last slot
+    (for the small blocks), and every slow path crosses the block end into
+    a C refill.
     """
 
     CASES = ("fast", "tail", "wedge_accept", "wedge_reject")
+
+    @staticmethod
+    def _draw(engine, replica):
+        backend = engine._backend
+        return backend._lib.repro_standard_exponential(backend._state, replica)
+
+    @pytest.mark.parametrize("block_words", [1, 2, 3, 64, 4096])
+    def test_scripted_draws_match_numpy(self, backend_name, block_words):
+        engine = EnsembleDynamics(
+            SMALL, n_replicas=3, seed=5, rng_block_words=block_words,
+            backend=backend_name,
+        )
+        streams = engine._streams
+        rngs = engine._rngs
+
+        def draw(replica):
+            value = self._draw(engine, replica)
+            assert value == rngs[replica].standard_exponential()
+            assert _logical_state(streams, replica) == (
+                rngs[replica].bit_generator.state["state"]["state"]
+            )
+
+        script = np.random.default_rng(block_words)
+        for replica in script.integers(0, 3, size=300).tolist():
+            draw(replica)
+        # Read replica 0 on until a draw starts exactly at its block end and
+        # takes one word: that draw opens a new block at position 1.
+        for _ in range(4 * block_words + 64):
+            at_end = streams._pos[0] == block_words
+            base = rng_module._pcg64_value(streams._base[0])
+            draw(0)
+            if at_end and streams._pos[0] == 1:
+                assert rng_module._pcg64_value(streams._base[0]) != base
+                break
+        else:
+            raise AssertionError("no one-word draw from an exact block end")
 
     @staticmethod
     def _classify(word, consumed):
@@ -566,24 +642,30 @@ class TestCompiledSampler:
         return "wedge_accept" if consumed == 2 else "wedge_reject"
 
     def _steered_word(self, probe, case):
-        """A word whose draw on ``probe``'s stream takes the ``case`` path."""
-        _, ke = rng_module.ziggurat_exponential_tables()
-        top = (1 << 53) - 1
+        """A word whose draw on ``probe``'s stream takes the ``case`` path.
+
+        The smallest and largest significands of a layer sit on either side
+        of its fast-path bound, and the three low bits (which the sampler
+        ignores) move the uniform its slow path draws next; layers 0 and 1
+        already reach all four paths.
+        """
         for layer in range(256):
-            slow_from = min(int(ke[layer]), top)
-            for significand in (0, (slow_from + top) // 2):
+            for significand in (0, (1 << 53) - 1):
                 for low in range(8):
                     word = (significand << 11) | (layer << 3) | low
-                    _, consumed = rng_module._probe_draw(probe, word)
+                    _, consumed = oracles.probe_draw(probe, word)
                     if self._classify(word, consumed) == case:
                         return word
         raise AssertionError(f"no steerable word takes the {case} path")
 
     def _steer(self, engine, case, slot):
-        """Put ``case``'s word at ``slot`` of replica 1's freshly drawn block.
+        """Write a block for replica 1 with ``case``'s word at ``slot``.
 
-        Returns ``(replica, inc, probe)`` with ``probe`` a generator on the
-        same stream, positioned to emit that word next.
+        The block is drawn from a probe generator on the replica's stream,
+        positioned ``slot`` words before that word, and the stream arrays
+        are set as a C refill would leave them, parked at ``slot``.
+        Returns ``(replica, probe)`` with ``probe`` positioned to emit the
+        steered word next.
         """
         streams = engine._streams
         replica = 1
@@ -596,26 +678,22 @@ class TestCompiledSampler:
             "uinteger": 0,
         }
         word = self._steered_word(probe, case)
-        rng_module._probe_generator_for_word(probe, word)
-        start = probe.bit_generator.state["state"]["state"]
-        # Draw the block through the Python refill, then park at ``slot``.
+        oracles.probe_generator_for_word(probe, word)
+        at_word = probe.bit_generator.state
+        block_start = oracles.pcg64_state_after(
+            at_word["state"]["state"], inc, (1 << 128) - slot
+        )
+        state = dict(at_word, state={"state": block_start, "inc": inc})
+        probe.bit_generator.state = state
+        streams._words[replica] = probe.bit_generator.random_raw(streams.block_words)
+        streams._base[replica] = rng_module._pcg64_pair(block_start)
         streams._state[replica] = rng_module._pcg64_pair(
-            rng_module.pcg64_state_after(start, inc, (1 << 128) - slot)
+            probe.bit_generator.state["state"]["state"]
         )
-        streams._pos[replica] = streams.block_words
-        streams._refill_until_ready(replica)
         streams._pos[replica] = slot
+        probe.bit_generator.state = at_word
         assert int(streams._words[replica, slot]) == word
-        return replica, inc, probe
-
-    @staticmethod
-    def _logical_state(streams, replica, inc):
-        """The PCG64 state after the words the stream has consumed."""
-        return rng_module.pcg64_state_after(
-            rng_module._pcg64_value(streams._base[replica]),
-            inc,
-            int(streams._pos[replica]),
-        )
+        return replica, probe
 
     @pytest.mark.parametrize("block_words", [1, 2, 3, 4096])
     @pytest.mark.parametrize("case", CASES)
@@ -628,37 +706,16 @@ class TestCompiledSampler:
         # The word sits in the block's last slot, so a slow path crosses
         # the block end into a C refill (4096-word blocks: the first slot).
         slot = block_words - 1 if block_words < 4096 else 0
-        replica, inc, probe = self._steer(engine, case, slot)
-        python_base = rng_module._pcg64_value(streams._base[replica])
-        backend = engine._backend
-        value = backend._lib.repro_standard_exponential(backend._state, replica)
-        assert value == probe.standard_exponential()
-        assert self._logical_state(streams, replica, inc) == (
+        replica, probe = self._steer(engine, case, slot)
+        steered_base = rng_module._pcg64_value(streams._base[replica])
+        assert self._draw(engine, replica) == probe.standard_exponential()
+        assert _logical_state(streams, replica) == (
             probe.bit_generator.state["state"]["state"]
         )
-        crossed = rng_module._pcg64_value(streams._base[replica]) != python_base
+        crossed = rng_module._pcg64_value(streams._base[replica]) != steered_base
         assert crossed == (case != "fast" and block_words < 4096)
         # The other replica's stream is untouched.
         assert streams._pos[0] == block_words
-
-    @pytest.mark.parametrize("block_words", [1, 2, 3])
-    @pytest.mark.parametrize("case", CASES[1:])
-    def test_carries_a_python_overrun(self, backend_name, case, block_words):
-        """A Python replay past the block end hands C an overrun position."""
-        engine = EnsembleDynamics(
-            SMALL, n_replicas=2, seed=5, rng_block_words=block_words,
-            backend=backend_name,
-        )
-        streams = engine._streams
-        replica, inc, probe = self._steer(engine, case, block_words - 1)
-        assert streams.standard_exponential(replica) == probe.standard_exponential()
-        assert streams._pos[replica] > block_words
-        backend = engine._backend
-        value = backend._lib.repro_standard_exponential(backend._state, replica)
-        assert value == probe.standard_exponential()
-        assert self._logical_state(streams, replica, inc) == (
-            probe.bit_generator.state["state"]["state"]
-        )
 
 
 class TestSweepProvenance:

@@ -747,6 +747,32 @@ class TestStartupVerification:
         assert code == 1
         assert "miss:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ["[]", "7", '"x"'], ids=["list", "int", "str"]
+    )
+    def test_non_object_manifest_is_named_damage(self, tmp_path, capsys, text):
+        """A manifest that parses to a non-object fails the audit cleanly."""
+        directory = tmp_path / "store"
+        code, _ = run_cli(
+            [
+                "sweep", "--horizon", "1", "--side", "10", "--taus", "0.3",
+                "--replicates", "1", "--seed", "2",
+                "--checkpoint-dir", str(directory),
+            ]
+        )
+        assert code == 0
+        (directory / "manifest.json").write_text(text)
+        capsys.readouterr()
+        for command in (["query", "tau=0.3"], ["serve", "--port", "0"]):
+            code, _ = run_cli(command + ["--store", str(directory)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "failed its integrity audit" in err
+            assert "manifest-corrupt" in err
+        code, output = run_cli(["checkpoint", "verify", str(directory)])
+        assert code == 1
+        assert "manifest-corrupt" in output
+
     def test_clean_store_passes_the_audit_silently(self, tmp_path, capsys):
         directory = tmp_path / "clean"
         code, _ = run_cli(

@@ -393,10 +393,12 @@ class TestEnsembleTrajectory:
 class TestBlockedRngBoundaries:
     """Bitwise scalar equivalence must be independent of the RNG block size.
 
-    ``rng_block_words=1`` refills on every draw (every consumption crosses a
-    block edge), small sizes hit exact-exhaustion boundaries, and runs to
-    termination always stop mid-block for the default size — the three
-    regimes the blocked-RNG design note calls out.
+    On the compiled backend ``rng_block_words=1`` refills on every draw
+    (every consumption crosses a block edge), small sizes hit
+    exact-exhaustion boundaries, and runs to termination always stop
+    mid-block for the default size — the three regimes of its C word
+    reader.  The numpy backend draws through each replica's ``Generator``,
+    so for it the block size must change nothing by construction.
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)

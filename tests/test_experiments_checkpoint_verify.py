@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import ModelConfig
-from repro.errors import CheckpointWarning
+from repro.errors import CheckpointWarning, ExperimentError
 from repro.experiments.checkpoint import (
     SweepCheckpoint,
     encode_record_line,
@@ -257,6 +257,82 @@ class TestVerifyStore:
         report = verify_store(tmp_path / "nothing")
         assert report["ok"] is False
         assert report["records"]["metrics_present"] is False
+
+
+#: JSON documents that parse but are not objects, with their test ids.
+NON_OBJECTS = pytest.mark.parametrize(
+    "text", ["[]", "7", '"x"', "[1, 2]"], ids=["list", "int", "str", "pair"]
+)
+
+
+class TestNonObjectJson:
+    """JSON that parses to a non-object is damage, reported, never a crash."""
+
+    @NON_OBJECTS
+    def test_verify_reports_non_object_manifest(self, store, text):
+        (store / "manifest.json").write_text(text)
+        report = verify_store(store)
+        assert report["ok"] is False
+        assert report["manifest"]["valid"] is False
+        assert [p["kind"] for p in report["problems"]] == ["manifest-corrupt"]
+        assert "not a JSON object" in report["problems"][0]["detail"]
+
+    @NON_OBJECTS
+    def test_repair_reports_non_object_manifest_and_keeps_records(
+        self, store, text
+    ):
+        (store / "manifest.json").write_text(text)
+        before = (store / "metrics.jsonl").read_bytes()
+        report = repair_store(store)
+        assert "manifest-corrupt" in [p["kind"] for p in report["problems"]]
+        assert report["repair"]["performed"] is False
+        assert (store / "metrics.jsonl").read_bytes() == before
+        assert (store / "manifest.json").read_text() == text
+
+    @NON_OBJECTS
+    def test_resume_refuses_non_object_manifest(self, store, sweep, text):
+        (store / "manifest.json").write_text(text)
+        with pytest.raises(ExperimentError, match="foreign directory"):
+            SweepCheckpoint(store, list(sweep.cells()), sweep=sweep)
+        with pytest.raises(ExperimentError, match="foreign directory"):
+            run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
+
+    @NON_OBJECTS
+    def test_cli_verify_reports_non_object_manifest(self, store, text):
+        import io
+
+        from repro.cli import main
+
+        (store / "manifest.json").write_text(text)
+        out = io.StringIO()
+        assert main(["checkpoint", "verify", str(store)], out=out) == 1
+        report = json.loads(out.getvalue())
+        assert [p["kind"] for p in report["problems"]] == ["manifest-corrupt"]
+
+    @NON_OBJECTS
+    def test_non_object_line_is_dropped_reported_and_repaired(
+        self, store, sweep, text
+    ):
+        metrics = store / "metrics.jsonl"
+        lines = metrics.read_bytes().splitlines(keepends=True)
+        lines.insert(1, text.encode() + b"\n")
+        metrics.write_bytes(b"".join(lines))
+        # The loader drops it with its warning; every real record survives.
+        with pytest.warns(CheckpointWarning, match="line 2 .*not a JSON object"):
+            checkpoint = SweepCheckpoint(store, list(sweep.cells()), sweep=sweep)
+        assert len(checkpoint.resumed_rows()) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CheckpointWarning)
+            resumed = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
+        assert comparable_rows(resumed) == comparable_rows(
+            run_sweep_parallel(sweep, workers=1)
+        )
+        # The audit names the line, and repair cuts the store back before it.
+        report = repair_store(store)
+        assert report["problems"][0] == {
+            "kind": "corrupt-line", "line": 2, "bytes": len(text)
+        }
+        assert metrics.read_bytes() == lines[0]
 
 
 class TestRepairStore:

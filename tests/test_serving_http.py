@@ -124,6 +124,16 @@ class TestHandlerHardening:
         assert status == 400
         assert "not a number" in body["error"]
 
+    @pytest.mark.parametrize(
+        "query",
+        ["rho=nan&tau=0.3&w=2", "rho=0.4&tau=0.3&w=inf", "point=tau=-inf,rho=0.4,w=2"],
+        ids=["nan", "inf", "point"],
+    )
+    def test_non_finite_axis_value_is_json_400(self, service, query):
+        status, body = get_error(service, f"/query?{query}")
+        assert status == 400
+        assert "not finite" in body["error"]
+
     def test_bad_deadline_is_json_400(self, service):
         status, body = get_error(service, "/query?tau=0.3&rho=0.4&w=2&deadline=soon")
         assert status == 400

@@ -132,6 +132,28 @@ class TestResolvePoint:
         point = engine.resolve_point({"density": 0.4, "tau": 0.3, "horizon": 2})
         assert point == {"rho": 0.4, "tau": 0.3, "w": 2.0}
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", ["rho", "tau", "w"])
+    def test_non_finite_values_are_rejected(self, tmp_path, axis, value):
+        """Both query forms refuse ``nan``/``inf`` on every axis.
+
+        A ``nan`` distance never exceeds ``max_distance`` and an infinite
+        horizon cannot become an int, so neither may reach the lookup.
+        """
+        engine = QueryEngine(
+            write_store(tmp_path / "s", grid_cells()), max_distance=0.5
+        )
+        point = {"rho": 0.4, "tau": 0.3, "w": 2.0}
+        text = ",".join(
+            f"{name}={value if name == axis else number}"
+            for name, number in point.items()
+        )
+        for query in (text, dict(point, **{axis: float(value)})):
+            with pytest.raises(ServingError, match="not finite"):
+                engine.resolve_point(query)
+            with pytest.raises(ServingError, match="not finite"):
+                engine.answer(query)
+
 
 class TestDistanceMetric:
     def test_scales_are_per_axis_ranges(self):
