@@ -4,9 +4,10 @@ The engine's innermost layer — the scalar round control plane, the fused
 window update, and the coded-op sampler maintenance — runs behind the
 :class:`~repro.core.backends.base.FlipLoopBackend` seam.  Two
 implementations ship: ``numpy`` (the always-available reference) and
-``cffi`` (the flip loop as compiled C, round loop included).  Both are
-pinned bitwise identical; see :mod:`repro.core.backends.registry` for
-probing and selection.
+``cffi`` (the flip loop as compiled C, round loop included, loaded with
+stdlib ``ctypes``; the name predates that binding and stays, since
+manifests and specs record it).  Both are pinned bitwise identical; see
+:mod:`repro.core.backends.registry` for probing and selection.
 """
 
 from repro.core.backends.base import FlipLoopBackend

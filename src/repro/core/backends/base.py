@@ -17,8 +17,9 @@ stream in exactly the scalar engine's order and produce bit-identical
 spins, clocks, counters and sampler layouts.  Where the stream position
 lives is the backend's business: the numpy backend draws through the
 replica's own ``Generator`` (``engine._rngs``), the compiled backend reads
-the pre-drawn :class:`~repro.rng.BlockedReplicaStreams` words
-(``engine._streams``).  ``tests/test_core_ensemble.py`` pins every backend
+the pre-drawn words of the :class:`~repro.rng.BlockedReplicaStreams` it
+builds in :meth:`~FlipLoopBackend.attach` (``backend._streams``).
+``tests/test_core_ensemble.py`` pins every backend
 the host can run to the scalar :class:`~repro.core.dynamics.GlauberDynamics`,
 and the cross-backend suite in ``tests/test_backends.py`` pins their full
 state to each other, including each replica's logical PCG64 state and

@@ -1,4 +1,4 @@
-"""The compiled flip-loop backend (``cffi`` ABI mode + the system cc).
+"""The compiled flip-loop backend (stdlib ``ctypes`` + the system cc).
 
 A small C translation unit carries the engine's whole round loop
 (``repro_run_rounds``): each round's scalar control plane, the fused window
@@ -9,34 +9,39 @@ draw for draw, with the same IEEE-754 double expressions and no
 compiler into a shared object cached under a per-user temp directory, keyed
 by the source, numpy's version and the bytes of the numpy archive it links,
 so the compile cost is paid once per machine, not per process.  It is
-loaded through ``cffi``'s ABI-mode ``dlopen``.  A cache directory that is
-not private to the current user is refused, since ``dlopen`` runs the
-library's load-time code.
+loaded with :class:`ctypes.CDLL`, which releases the GIL for each call, so
+the backend needs no package beyond numpy (its registry name ``cffi``
+predates that binding).  A cache directory that is not private to the
+current user is refused, since ``dlopen`` runs the library's load-time code.
 
 The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
-~30 array arguments through cffi per call would swamp the C code) is solved
-with a pointer-capture struct: :class:`CffiBackend` fills a ``repro_state``
-struct with raw pointers into the engine's arrays once per runtime
-generation, and each call passes that single struct pointer.  The struct is
-rebuilt whenever the engine bumps ``_runtime_generation``, which is what
-makes holding raw pointers safe.  A run is one native call (one per
-trajectory segment, and ``step_all`` is one call of one round), and cffi
-releases the GIL for its whole length.
+~30 array arguments per call would swamp the C code) is solved with a
+pointer-capture struct, ``repro_state``, declared once in
+:data:`_STATE_FIELDS` for both C and ``ctypes``; the load's self-check
+compares the two sizes.  :class:`CffiBackend` fills it with raw pointers
+into the engine's arrays once per runtime generation, and each call passes
+that single struct pointer.  The struct is rebuilt whenever the engine
+bumps ``_runtime_generation``, which is what makes holding raw pointers
+safe.  It carries engine state and the run budget only: the loop's scratch
+is C's own, allocated once per call.  A run is one native call (one per
+trajectory segment, and ``step_all`` is one call of one round).
 
 Every RNG word the kernel reads comes through one C reader, ``next_word``,
-over the replica's pre-drawn block in
-:class:`~repro.rng.BlockedReplicaStreams`.  At the block end the reader
-refills the block in place by stepping the replica's PCG64 state itself
-(128-bit LCG, XSL-RR output of the post-step state) and records the new
-state and block base in the stream arrays; C is the only code that reads
-or refills them.  Exponential waiting times are numpy's own
-``random_standard_exponential``, linked from the ``libnpyrandom.a`` archive
-numpy ships, run on a ``bitgen_t`` whose words come from that reader: the
-ziggurat's fast and slow paths are numpy's code, not a port of it.
+over the replica's pre-drawn block in the
+:class:`~repro.rng.BlockedReplicaStreams` that :meth:`CffiBackend.attach`
+builds.  At the block end the reader refills the block in place by
+stepping the replica's PCG64 state itself (128-bit LCG, XSL-RR output of
+the post-step state) and records the new state and block base in the
+stream arrays; C is the only code that reads or refills them.  Exponential
+waiting times are numpy's own ``random_standard_exponential``, linked from
+the ``libnpyrandom.a`` archive numpy ships, run on a ``bitgen_t`` whose
+words come from that reader: the ziggurat's fast and slow paths are
+numpy's code, not a port of it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
@@ -50,7 +55,7 @@ import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.errors import StateError
-from repro.rng import PCG64_MULTIPLIER
+from repro.rng import PCG64_MULTIPLIER, BlockedReplicaStreams
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
@@ -62,78 +67,57 @@ _NPYRANDOM_ARCHIVE = os.path.join(
     os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a"
 )
 
-_CDEF = """
-typedef struct {
-    int64_t *counts;
-    int32_t *members;
-    int32_t *positions;
-    double *times;
-    int64_t *steps;
-    int8_t *code;
-    uint64_t *words;
-    int64_t *pos;
-    uint8_t *has32;
-    uint64_t *buf32;
-    uint64_t *pcg_state;
-    uint64_t *pcg_inc;
-    uint64_t *pcg_base;
-    int64_t block;
-    int64_t n_sites;
-    int64_t n_replicas;
-    int64_t term_offset;
-    int64_t sampler_offset;
-    int64_t continuous;
-    int64_t discrete_gate;
-    int64_t *out_reps;
-    int64_t *out_flats;
-    int8_t *spins;
-    int16_t *same;
-    int64_t *row_lut;
-    int64_t *col_lut;
-    int64_t n_cols;
-    int64_t window_side;
-    int64_t window_area;
-    int64_t center_col;
-    int64_t total;
-    int8_t *code_lut;
-    int64_t lut_stride;
-    int64_t *energies;
-    int64_t *n_plus;
-    int64_t *win_buf;
-    int8_t *spin_buf;
-    int64_t *same_buf;
-    int8_t *old_code_buf;
-    int8_t *new_code_buf;
-    int64_t *op_rows;
-    int64_t *op_indices;
-    int64_t *op_toggled;
-    int64_t *op_members;
-    int64_t *candidates;
-    int64_t *flips;
-    int64_t *start_flips;
-    int64_t *start_steps;
-    int64_t max_flips;
-    int64_t max_steps;
-    double max_time;
-    int64_t track;
-} repro_state;
+#: ``repro_state``, declared once: the C ``typedef`` in :data:`_SOURCE` and
+#: :class:`_ReproState` are both generated from these (C type, field names)
+#: rows.  The pointers go to engine arrays, the backend's word buffer and
+#: the run's start counters; the scalars are geometry, rule switches and
+#: the run budget.
+_STATE_FIELDS = tuple(
+    (name, ctype)
+    for ctype, names in (
+        ("int64_t *", "counts steps flips energies n_plus row_lut col_lut pos"),
+        ("int64_t *", "start_flips start_steps"),
+        ("int32_t *", "members positions"),
+        ("int16_t *", "same"),
+        ("int8_t *", "code spins code_lut"),
+        ("uint8_t *", "has32"),
+        ("uint64_t *", "words buf32 pcg_state pcg_inc pcg_base"),
+        ("double *", "times"),
+        ("int64_t", "block n_sites n_replicas n_cols window_side window_area"),
+        ("int64_t", "center_col total lut_stride term_offset sampler_offset"),
+        ("int64_t", "continuous discrete_gate max_flips max_steps track"),
+        ("double", "max_time"),
+    )
+    for name in names.split()
+)
 
-int64_t repro_run_rounds(repro_state *st, int64_t max_rounds);
-void repro_coded_ops(const int64_t *rows, const int64_t *indices,
-                     const int64_t *toggled, const int64_t *member_codes,
-                     int64_t n_ops, int32_t *members, int32_t *positions,
-                     int64_t *counts, int64_t capacity, int64_t row_offset);
-double repro_standard_exponential(repro_state *st, int64_t replica);
-int64_t repro_selfcheck(void);
-"""
+
+def _c_type(name: str) -> type:
+    """The ``ctypes`` type of a C element type (``int64_t``, ``double``)."""
+    return getattr(ctypes, "c_" + name.removesuffix("_t"))
+
+
+class _ReproState(ctypes.Structure):
+    """The ``repro_state`` struct on the Python side (pointers as addresses)."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p if ctype.endswith(" *") else _c_type(ctype))
+        for name, ctype in _STATE_FIELDS
+    ]
+
 
 # The compiled flip loop.  It must advance the engine bit for bit like the
 # scalar engine and the numpy backend; the scalar-equivalence and
 # cross-backend bitwise suites are the enforcement.
 _SOURCE = (
     "#include <stdint.h>\n"
+    "#include <stdlib.h>\n"
     '#include "numpy/random/bitgen.h"\n'
-    + _CDEF
+    "\ntypedef struct {\n"
+    + "".join(
+        f"    {ctype} {name};\n".replace("* ", "*") for name, ctype in _STATE_FIELDS
+    )
+    + "} repro_state;\n"
     + f"""
 #define PCG64_MULT_HI 0x{PCG64_MULTIPLIER >> 64:016x}ULL
 #define PCG64_MULT_LO 0x{PCG64_MULTIPLIER & ((1 << 64) - 1):016x}ULL
@@ -142,6 +126,50 @@ _SOURCE = (
 /* numpy's ziggurat exponential, linked from libnpyrandom.a (declared in
    numpy/random/distributions.h, which needs Python.h to include). */
 extern double random_standard_exponential(bitgen_t *bitgen_state);
+
+typedef struct {
+    /* One repro_run_rounds call's scratch, private to C: the round's active
+       replicas and flips, one flip's window, the round's coded ops. */
+    int64_t *candidates;
+    int64_t *out_reps;
+    int64_t *out_flats;
+    int64_t *win_buf;
+    int64_t *same_buf;
+    int64_t *op_rows;
+    int64_t *op_indices;
+    int64_t *op_toggled;
+    int64_t *op_members;
+    int8_t *spin_buf;
+    int8_t *old_code_buf;
+    int8_t *new_code_buf;
+} round_scratch;
+
+static void *alloc_scratch(const repro_state *st, round_scratch *sc)
+{
+    /* One block for the whole call, int64 buffers first; NULL when the
+       allocation fails. */
+    size_t r = (size_t)st->n_replicas;
+    size_t area = (size_t)st->window_area;
+    size_t ops = r * area;
+    size_t n64 = 3 * r + 2 * area + 4 * ops;
+    char *block = malloc(n64 * sizeof(int64_t) + 3 * area);
+    if (block == NULL)
+        return NULL;
+    int64_t *p = (int64_t *)block;
+    sc->candidates = p;
+    sc->out_reps = p + r;
+    sc->out_flats = p + 2 * r;
+    sc->win_buf = p + 3 * r;
+    sc->same_buf = sc->win_buf + area;
+    sc->op_rows = sc->same_buf + area;
+    sc->op_indices = sc->op_rows + ops;
+    sc->op_toggled = sc->op_indices + ops;
+    sc->op_members = sc->op_toggled + ops;
+    sc->spin_buf = (int8_t *)(p + n64);
+    sc->old_code_buf = sc->spin_buf + area;
+    sc->new_code_buf = sc->old_code_buf + area;
+    return block;
+}
 
 static void refill_block(repro_state *st, int64_t replica)
 {
@@ -226,13 +254,14 @@ double repro_standard_exponential(repro_state *st, int64_t replica)
     return random_standard_exponential(&bitgen);
 }
 
-static int64_t repro_step_round(repro_state *st, int64_t n_candidates)
+static int64_t repro_step_round(repro_state *st, round_scratch *sc,
+                                int64_t n_candidates)
 {
-    /* One step per replica in st->candidates; returns the number of flips
+    /* One step per replica in sc->candidates; returns the number of flips
        collected in out_reps/out_flats. */
     int64_t n_out = 0;
     for (int64_t i = 0; i < n_candidates; i++) {
-        int64_t replica = st->candidates[i];
+        int64_t replica = sc->candidates[i];
         if (st->counts[replica + st->term_offset] == 0)
             continue;
         int64_t sampler_row = replica + st->sampler_offset;
@@ -268,21 +297,22 @@ static int64_t repro_step_round(repro_state *st, int64_t n_candidates)
             /* Discrete scheduler samples unhappy agents; may refuse. */
             continue;
         }
-        st->out_reps[n_out] = replica;
-        st->out_flats[n_out] = flat;
+        sc->out_reps[n_out] = replica;
+        sc->out_flats[n_out] = flat;
         n_out += 1;
     }
     return n_out;
 }
 
-static int64_t repro_apply_flips(repro_state *st, int64_t n_flips)
+static int64_t repro_apply_flips(repro_state *st, round_scratch *sc,
+                                 int64_t n_flips)
 {
     /* The window update of the round's flips in out_reps/out_flats;
        returns the number of coded ops written to the op buffers. */
     int64_t n_ops = 0;
     for (int64_t k = 0; k < n_flips; k++) {
-        int64_t rep = st->out_reps[k];
-        int64_t flat = st->out_flats[k];
+        int64_t rep = sc->out_reps[k];
+        int64_t flat = sc->out_flats[k];
         int64_t base = rep * st->n_sites;
         int64_t center = base + flat;
         int8_t new_value = (int8_t)(-st->spins[center]);
@@ -294,45 +324,45 @@ static int64_t repro_apply_flips(repro_state *st, int64_t n_flips)
         for (int64_t a = 0; a < st->window_side; a++) {
             int64_t abase = a * st->window_side;
             for (int64_t b = 0; b < st->window_side; b++)
-                st->win_buf[abase + b] = row_offsets[a] + col_offsets[b];
+                sc->win_buf[abase + b] = row_offsets[a] + col_offsets[b];
         }
         int64_t dv = (int64_t)new_value;
         int64_t spin_sum = 0;
         for (int64_t j = 0; j < st->window_area; j++) {
-            int64_t g = base + st->win_buf[j];
+            int64_t g = base + sc->win_buf[j];
             int8_t s = st->spins[g];
-            st->spin_buf[j] = s;
-            st->same_buf[j] = st->same[g];
+            sc->spin_buf[j] = s;
+            sc->same_buf[j] = st->same[g];
             spin_sum += s;
         }
-        int64_t old_center = st->same_buf[st->center_col];
+        int64_t old_center = sc->same_buf[st->center_col];
         /* Incremental counters from the pre-update centre count. */
         if (st->track != 0) {
             st->energies[rep] += dv * spin_sum + st->total - 2 * old_center;
             st->n_plus[rep] += dv;
         }
         for (int64_t j = 0; j < st->window_area; j++)
-            st->same_buf[j] = st->same_buf[j] + dv * st->spin_buf[j];
-        st->same_buf[st->center_col] = st->total + 1 - old_center;
+            sc->same_buf[j] = sc->same_buf[j] + dv * sc->spin_buf[j];
+        sc->same_buf[st->center_col] = st->total + 1 - old_center;
         for (int64_t j = 0; j < st->window_area; j++) {
-            int64_t g = base + st->win_buf[j];
-            st->same[g] = (int16_t)st->same_buf[j];
-            int64_t spin_row = st->spin_buf[j] > 0 ? 1 : 0;
+            int64_t g = base + sc->win_buf[j];
+            st->same[g] = (int16_t)sc->same_buf[j];
+            int64_t spin_row = sc->spin_buf[j] > 0 ? 1 : 0;
             int8_t new_code =
-                st->code_lut[spin_row * st->lut_stride + st->same_buf[j]];
-            st->new_code_buf[j] = new_code;
-            st->old_code_buf[j] = st->code[g];
+                st->code_lut[spin_row * st->lut_stride + sc->same_buf[j]];
+            sc->new_code_buf[j] = new_code;
+            sc->old_code_buf[j] = st->code[g];
             st->code[g] = new_code;
         }
         for (int64_t j = 0; j < st->window_area; j++) {
-            int8_t old_code = st->old_code_buf[j];
-            int8_t new_code = st->new_code_buf[j];
+            int8_t old_code = sc->old_code_buf[j];
+            int8_t new_code = sc->new_code_buf[j];
             if (old_code == new_code)
                 continue;
-            st->op_rows[n_ops] = rep;
-            st->op_indices[n_ops] = st->win_buf[j];
-            st->op_toggled[n_ops] = old_code ^ new_code;
-            st->op_members[n_ops] = new_code ^ 1;
+            sc->op_rows[n_ops] = rep;
+            sc->op_indices[n_ops] = sc->win_buf[j];
+            sc->op_toggled[n_ops] = old_code ^ new_code;
+            sc->op_members[n_ops] = new_code ^ 1;
             n_ops += 1;
         }
     }
@@ -399,7 +429,12 @@ int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
     /* The engine's round loop (FlipLoopBackend.run_rounds) in one call:
        build the active set, step it, apply the round's flips.  Returns the
        number of rounds run, at termination, at the budget or after
-       max_rounds (a trajectory-sample boundary or step_all's one round). */
+       max_rounds (a trajectory-sample boundary or step_all's one round),
+       or -1 when the call's scratch cannot be allocated. */
+    round_scratch sc;
+    void *scratch = alloc_scratch(st, &sc);
+    if (scratch == NULL)
+        return -1;
     int64_t rounds = 0;
     while (rounds < max_rounds) {
         int64_t n_active = 0;
@@ -409,32 +444,36 @@ int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
                 || st->steps[r] - st->start_steps[r] >= st->max_steps
                 || !(st->times[r] < st->max_time))
                 continue;
-            st->candidates[n_active] = r;
+            sc.candidates[n_active] = r;
             n_active += 1;
         }
         if (n_active == 0)
             break;
-        int64_t n_out = repro_step_round(st, n_active);
+        int64_t n_out = repro_step_round(st, &sc, n_active);
         if (n_out > 0) {
-            int64_t n_ops = repro_apply_flips(st, n_out);
-            repro_coded_ops(st->op_rows, st->op_indices, st->op_toggled,
-                            st->op_members, n_ops, st->members,
+            int64_t n_ops = repro_apply_flips(st, &sc, n_out);
+            repro_coded_ops(sc.op_rows, sc.op_indices, sc.op_toggled,
+                            sc.op_members, n_ops, st->members,
                             st->positions, st->counts, st->n_sites,
                             st->n_replicas);
             for (int64_t k = 0; k < n_out; k++)
-                st->flips[st->out_reps[k]] += 1;
+                st->flips[sc.out_reps[k]] += 1;
         }
         rounds += 1;
     }
+    free(scratch);
     return rounds;
 }
 
-int64_t repro_selfcheck(void)
+int64_t repro_selfcheck(int64_t state_size)
 {
-    /* Probe the double semantics the bitwise contract needs: exact
-       uint64 -> double conversion below 2^53 (the ziggurat significand is
-       53 bits) and a round-to-nearest reciprocal-scale product matching
-       the IEEE value numpy computes for the same expression. */
+    /* Refuse a caller whose repro_state is not this one, then probe the
+       double semantics the bitwise contract needs: exact uint64 -> double
+       conversion below 2^53 (the ziggurat significand is 53 bits) and a
+       round-to-nearest reciprocal-scale product matching the IEEE value
+       numpy computes for the same expression. */
+    if (state_size != (int64_t)sizeof(repro_state))
+        return 3;
     uint64_t big = ((uint64_t)1 << 53) - 1;
     if ((uint64_t)(double)big != big)
         return 1;
@@ -446,7 +485,14 @@ int64_t repro_selfcheck(void)
 """
 )
 
-_CACHE: dict[str, object] = {}
+#: What each non-zero ``repro_selfcheck`` code means.
+_SELFCHECK_FAILURES = {
+    1: "uint64 to double conversion is inexact below 2**53",
+    2: "double arithmetic is not IEEE round-to-nearest",
+    3: "its repro_state size differs from the Python mirror's",
+}
+
+_CACHE: dict[str, ctypes.CDLL] = {}
 _UNAVAILABLE_REASON: Optional[str] = None
 
 
@@ -516,20 +562,15 @@ def _int64_budget(value: Optional[float]) -> int:
     return -int(-value // 1)
 
 
-def _load_library():
-    """Compile (if needed) and dlopen the kernel library; memoized.
+def _load_library() -> ctypes.CDLL:
+    """Compile (if needed), load and bind the kernel library; memoized.
 
-    Raises ``RuntimeError`` with the underlying reason on any failure; the
-    availability probe converts that into a clean "not available".
+    Raises ``RuntimeError`` (``OSError`` from the loader) with the
+    underlying reason on any failure; the availability probe converts that
+    into a clean "not available".
     """
     if "lib" in _CACHE:
-        return _CACHE["ffi"], _CACHE["lib"]
-    try:
-        import cffi
-    except ImportError as exc:  # pragma: no cover - cffi ships with image
-        raise RuntimeError(f"cffi not importable: {exc}") from exc
-    ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
+        return _CACHE["lib"]
     so_path = _library_path()
     if not os.path.exists(so_path):
         compiler = _find_compiler()
@@ -559,13 +600,28 @@ def _load_library():
                 )
             # Atomic publish so concurrent sweep workers race benignly.
             os.replace(tmp_so, so_path)
-    lib = ffi.dlopen(so_path)
-    check = lib.repro_selfcheck()
+    # CDLL, not PyDLL: every call releases the GIL.
+    lib = ctypes.CDLL(so_path)
+    state = ctypes.POINTER(_ReproState)
+    i64, address = ctypes.c_int64, ctypes.c_void_p
+    coded_ops = (address,) * 4 + (i64,) + (address,) * 3 + (i64, i64)
+    for name, restype, argtypes in (
+        ("repro_run_rounds", i64, (state, i64)),
+        ("repro_standard_exponential", ctypes.c_double, (state, i64)),
+        ("repro_coded_ops", None, coded_ops),
+        ("repro_selfcheck", i64, (i64,)),
+    ):
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
+    check = lib.repro_selfcheck(ctypes.sizeof(_ReproState))
     if check != 0:
-        raise RuntimeError(f"compiled kernel failed self-check ({check})")
-    _CACHE["ffi"] = ffi
+        raise RuntimeError(
+            f"compiled kernel {so_path} failed self-check {check}: "
+            f"{_SELFCHECK_FAILURES.get(check, 'unknown failure')}"
+        )
     _CACHE["lib"] = lib
-    return ffi, lib
+    return lib
 
 
 def cffi_available() -> bool:
@@ -595,21 +651,14 @@ class CffiBackend(FlipLoopBackend):
     name = "cffi"
 
     def attach(self, engine) -> None:
+        """Bind to ``engine``: build its word buffer, capture the struct."""
         super().attach(engine)
         r = engine.n_replicas
-        area = engine._window_area
-        self._candidates = np.empty(r, dtype=np.int64)
-        self._out_reps = np.empty(r, dtype=np.int64)
-        self._out_flats = np.empty(r, dtype=np.int64)
-        self._win_buf = np.empty(area, dtype=np.int64)
-        self._spin_buf = np.empty(area, dtype=np.int8)
-        self._same_buf = np.empty(area, dtype=np.int64)
-        self._old_code_buf = np.empty(area, dtype=np.int8)
-        self._new_code_buf = np.empty(area, dtype=np.int8)
-        self._op_rows = np.empty(r * area, dtype=np.int64)
-        self._op_indices = np.empty(r * area, dtype=np.int64)
-        self._op_toggled = np.empty(r * area, dtype=np.int64)
-        self._op_members = np.empty(r * area, dtype=np.int64)
+        # Each replica's stream from its dynamics Generator's state, read
+        # once here; from now on only C reads and refills the words.
+        self._streams = BlockedReplicaStreams(
+            engine._rngs, block_words=engine._rng_block_words
+        )
         # The run's start counters, filled by each run_rounds call.
         self._start_flips = np.zeros(r, dtype=np.int64)
         self._start_steps = np.zeros(r, dtype=np.int64)
@@ -632,85 +681,77 @@ class CffiBackend(FlipLoopBackend):
         so no pointer outlives its buffer.
         """
         engine = self.engine
-        streams = engine._streams
-        self._members_flat, self._positions_flat, self._counts = (
-            engine._sets.storage()
-        )
-        self._words_flat = streams._words.reshape(-1)
+        streams = self._streams
+        members, positions, counts = engine._sets.storage()
         # Contiguous copy: recompute_all rebinds the LUT, and the C code
         # wants one stable 2-row table either way.
         self._code_lut2 = np.ascontiguousarray(engine._code_lut, dtype=np.int8)
-        ffi, lib = _load_library()
-        self._ffi = ffi
-        self._lib = lib
-        st = ffi.new("repro_state *")
-        ptr = self._ptr
-        st.counts = ptr("int64_t *", self._counts)
-        st.members = ptr("int32_t *", self._members_flat)
-        st.positions = ptr("int32_t *", self._positions_flat)
-        st.times = ptr("double *", engine._times)
-        st.steps = ptr("int64_t *", engine._n_steps)
-        st.code = ptr("int8_t *", engine._code_flat)
-        st.words = ptr("uint64_t *", self._words_flat)
-        st.pos = ptr("int64_t *", streams._pos)
-        st.has32 = ptr("uint8_t *", streams._has32)
-        st.buf32 = ptr("uint64_t *", streams._buf32)
-        st.pcg_state = ptr("uint64_t *", streams._state)
-        st.pcg_inc = ptr("uint64_t *", streams._inc)
-        st.pcg_base = ptr("uint64_t *", streams._base)
-        st.block = streams.block_words
-        st.n_sites = engine._n_sites
-        st.n_replicas = engine.n_replicas
-        st.term_offset = self._term_offset
-        st.sampler_offset = self._sampler_offset
-        st.continuous = 1 if self._continuous else 0
-        st.discrete_gate = 1 if self._discrete_gate else 0
-        st.out_reps = ptr("int64_t *", self._out_reps)
-        st.out_flats = ptr("int64_t *", self._out_flats)
-        st.spins = ptr("int8_t *", engine._spins_flat)
-        st.same = ptr("int16_t *", engine._same_flat)
-        st.row_lut = ptr("int64_t *", engine._row_lut)
-        st.col_lut = ptr("int64_t *", engine._col_lut)
-        st.n_cols = engine.config.n_cols
-        st.window_side = 2 * engine.config.horizon + 1
-        st.window_area = engine._window_area
-        st.center_col = engine._center_col
-        st.total = engine.config.neighborhood_agents
-        st.code_lut = ptr("int8_t *", self._code_lut2)
-        st.lut_stride = self._code_lut2.shape[1]
-        st.energies = ptr("int64_t *", engine._energies)
-        st.n_plus = ptr("int64_t *", engine._n_plus)
-        st.win_buf = ptr("int64_t *", self._win_buf)
-        st.spin_buf = ptr("int8_t *", self._spin_buf)
-        st.same_buf = ptr("int64_t *", self._same_buf)
-        st.old_code_buf = ptr("int8_t *", self._old_code_buf)
-        st.new_code_buf = ptr("int8_t *", self._new_code_buf)
-        st.op_rows = ptr("int64_t *", self._op_rows)
-        st.op_indices = ptr("int64_t *", self._op_indices)
-        st.op_toggled = ptr("int64_t *", self._op_toggled)
-        st.op_members = ptr("int64_t *", self._op_members)
-        st.candidates = ptr("int64_t *", self._candidates)
-        st.flips = ptr("int64_t *", engine._n_flips)
-        st.start_flips = ptr("int64_t *", self._start_flips)
-        st.start_steps = ptr("int64_t *", self._start_steps)
+        arrays = {
+            "counts": counts,
+            "members": members,
+            "positions": positions,
+            "times": engine._times,
+            "steps": engine._n_steps,
+            "code": engine._code_flat,
+            "words": streams._words,
+            "pos": streams._pos,
+            "has32": streams._has32,
+            "buf32": streams._buf32,
+            "pcg_state": streams._state,
+            "pcg_inc": streams._inc,
+            "pcg_base": streams._base,
+            "spins": engine._spins_flat,
+            "same": engine._same_flat,
+            "row_lut": engine._row_lut,
+            "col_lut": engine._col_lut,
+            "code_lut": self._code_lut2,
+            "energies": engine._energies,
+            "n_plus": engine._n_plus,
+            "flips": engine._n_flips,
+            "start_flips": self._start_flips,
+            "start_steps": self._start_steps,
+        }
+        self._lib = _load_library()
+        st = _ReproState(
+            block=streams.block_words,
+            n_sites=engine._n_sites,
+            n_replicas=engine.n_replicas,
+            term_offset=self._term_offset,
+            sampler_offset=self._sampler_offset,
+            continuous=int(self._continuous),
+            discrete_gate=int(self._discrete_gate),
+            n_cols=engine.config.n_cols,
+            window_side=2 * engine.config.horizon + 1,
+            window_area=engine._window_area,
+            center_col=engine._center_col,
+            total=engine.config.neighborhood_agents,
+            lut_stride=self._code_lut2.shape[1],
+        )
+        for name, ctype in _STATE_FIELDS:
+            if ctype.endswith(" *"):
+                setattr(st, name, self._ptr(ctype, arrays[name]))
         self._state = st
-        self._run_fn = lib.repro_run_rounds
+        self._run_fn = self._lib.repro_run_rounds
         self._captured_generation = engine._runtime_generation
 
-    def _ptr(self, ctype: str, array: np.ndarray):
-        """Raw pointer into ``array``'s buffer (writable, zero-copy).
+    @staticmethod
+    def _ptr(ctype: str, array: np.ndarray) -> int:
+        """Address of ``array``'s buffer for a C ``ctype`` (zero-copy).
 
         The element width must match the C type: an array narrowed or
         widened on the Python side fails here instead of being misread.
         """
         element = ctype[: -len(" *")]
-        if array.itemsize != self._ffi.sizeof(element) or not array.flags.c_contiguous:
+        if (
+            array.itemsize != ctypes.sizeof(_c_type(element))
+            or not array.flags.c_contiguous
+        ):
             raise StateError(
                 f"the C kernel reads {element} here, got a "
                 f"{'' if array.flags.c_contiguous else 'non-contiguous '}"
                 f"{array.dtype} array"
             )
-        return self._ffi.cast(ctype, self._ffi.from_buffer(array))
+        return array.ctypes.data
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """The whole round loop as one native call.
@@ -730,8 +771,10 @@ class CffiBackend(FlipLoopBackend):
         st.max_steps = _int64_budget(budget.max_steps)
         st.max_time = math.inf if budget.max_time is None else budget.max_time
         st.track = 1 if engine._track_counters else 0
-        limit = _INT64_MAX if max_rounds is None else max_rounds
+        limit = _INT64_MAX if max_rounds is None else min(max_rounds, _INT64_MAX)
         rounds = self._run_fn(st, limit)
+        if rounds < 0:
+            raise MemoryError("the C kernel could not allocate its round scratch")
         if rounds and not engine._track_counters:
             engine._counters_stale = True
         return rounds
@@ -745,21 +788,20 @@ class CffiBackend(FlipLoopBackend):
         members: Sequence[int],
         row_offset: int,
     ) -> None:
-        ffi, lib = _load_library()
+        """Apply the op stream with ``repro_coded_ops``, the kernel's own loop."""
+        lib = _load_library()
         members_flat, positions_flat, counts = sets.storage()
-        row_arr = np.ascontiguousarray(rows, dtype=np.int64)
-        idx_arr = np.ascontiguousarray(indices, dtype=np.int64)
-        tog_arr = np.ascontiguousarray(toggled, dtype=np.int64)
-        mem_arr = np.ascontiguousarray(members, dtype=np.int64)
+        ops = [
+            np.ascontiguousarray(values, dtype=np.int64)
+            for values in (rows, indices, toggled, members)
+        ]
+        ptr = self._ptr
         lib.repro_coded_ops(
-            ffi.cast("const int64_t *", ffi.from_buffer(row_arr)),
-            ffi.cast("const int64_t *", ffi.from_buffer(idx_arr)),
-            ffi.cast("const int64_t *", ffi.from_buffer(tog_arr)),
-            ffi.cast("const int64_t *", ffi.from_buffer(mem_arr)),
-            len(row_arr),
-            ffi.cast("int32_t *", ffi.from_buffer(members_flat)),
-            ffi.cast("int32_t *", ffi.from_buffer(positions_flat)),
-            ffi.cast("int64_t *", ffi.from_buffer(counts)),
+            *(ptr("int64_t *", values) for values in ops),
+            len(ops[0]),
+            ptr("int32_t *", members_flat),
+            ptr("int32_t *", positions_flat),
+            ptr("int64_t *", counts),
             sets.capacity,
             row_offset,
         )

@@ -4,8 +4,9 @@ The registry is the single decision point for which
 :class:`~repro.core.backends.base.FlipLoopBackend` a run uses:
 
 * :func:`available_backends` probes what this host can actually run:
-  ``numpy`` always, ``cffi`` when a C compiler can build and load the
-  kernel library.
+  ``numpy`` always, ``cffi`` when a C compiler works and the kernel
+  library, linked against numpy's ``libnpyrandom.a``, builds and loads
+  through stdlib ``ctypes`` (no package beyond numpy).
 * :func:`select_backend_name` applies the selection precedence
   **CLI > environment (``REPRO_BACKEND``) > spec > auto** and returns the
   winning *request*.

@@ -9,12 +9,13 @@ sampler membership bookkeeping — is batched across the replica axis:
 * RNG draws are the scalar engine's ``exponential`` / ``integers`` draws on
   each replica's own dynamics stream.  The numpy backend makes them through
   the replica's ``Generator``; the compiled backend makes them in C on the
-  replica's PCG64 words, pre-drawn in blocks
-  (:class:`~repro.rng.BlockedReplicaStreams`), consuming each stream
-  exactly as the per-call scalar path would.  A replica's stream position
-  therefore lives in ``_rngs`` on a numpy engine and in ``_streams`` on a
-  compiled one; the backend is fixed at construction, so it never moves
-  between the two.
+  replica's PCG64 words, pre-drawn in blocks of a
+  :class:`~repro.rng.BlockedReplicaStreams` that it builds when it attaches
+  (``engine._backend._streams``), consuming each stream exactly as the
+  per-call scalar path would.  A replica's stream position therefore lives
+  in ``_rngs`` on a numpy engine and in the compiled backend's word buffer
+  on a compiled one; the backend is fixed at construction, so it never
+  moves between the two.
 * The unhappy/flippable samplers of all replicas live in one array-backed
   :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
   int32 members and positions), bulk-built at rebuild time.
@@ -77,7 +78,7 @@ from repro.core.initializer import random_configuration
 from repro.core.neighborhood import window_sums_batch
 from repro.core.state import classify_base
 from repro.errors import ConfigurationError, StateError
-from repro.rng import BlockedReplicaStreams, SeedLike, replicate_seeds, spawn_rngs
+from repro.rng import SeedLike, replicate_seeds, spawn_rngs
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
@@ -270,9 +271,10 @@ class EnsembleDynamics:
     rng_block_words:
         Words pre-drawn per replica per RNG block refill of the compiled
         flip loop (see :class:`~repro.rng.BlockedReplicaStreams`; validated
-        under every backend, read only by the compiled one).  Purely a
-        performance knob: results are bitwise independent of it, which the
-        boundary property tests assert down to one-word blocks.
+        here under every backend, read only by the compiled one, which
+        allocates the blocks).  Purely a performance knob: results are
+        bitwise independent of it, which the boundary property tests assert
+        down to one-word blocks.
     backend:
         Flip-loop backend request (``"auto"``, ``"numpy"``, ``"cffi"`` or
         ``None``), resolved through
@@ -298,6 +300,13 @@ class EnsembleDynamics:
         backend: Optional[str] = None,
     ) -> None:
         self.config = config
+        # Checked after the int conversion: a fraction below one would make
+        # zero-word blocks, which the C reader would read past.
+        self._rng_block_words = int(rng_block_words)
+        if self._rng_block_words <= 0:
+            raise ConfigurationError(
+                f"rng_block_words must be positive, got {rng_block_words}"
+            )
         if replica_seeds is not None:
             seeds = [int(s) for s in replica_seeds]
             if not seeds:
@@ -338,7 +347,7 @@ class EnsembleDynamics:
         self._n_flips = np.zeros(r, dtype=np.int64)
         self._energies = np.zeros(r, dtype=np.int64)
         self._n_plus = np.zeros(r, dtype=np.int64)
-        self._build_runtime(rng_block_words)
+        self._build_runtime()
         self.recompute_all()
         # Last: the backend captures the runtime tables built above.
         self._backend = create_backend(backend)
@@ -348,7 +357,7 @@ class EnsembleDynamics:
 
     # ---------------------------------------------------------------- runtime
 
-    def _build_runtime(self, rng_block_words: int) -> None:
+    def _build_runtime(self) -> None:
         """Allocate the fused engine's batched runtime structures."""
         config = self.config
         r = self.n_replicas
@@ -374,9 +383,6 @@ class EnsembleDynamics:
         self._code_flat = np.zeros(r * n_sites, dtype=np.int8)
         #: Rows [0, R) hold unhappy members, rows [R, 2R) flippable members.
         self._sets = BatchedIndexSet(2 * r, n_sites)
-        self._streams = BlockedReplicaStreams(
-            self._rngs, block_words=rng_block_words
-        )
         #: Incremental energy/magnetization tracking can be deferred while a
         #: run does not observe the counters (no trajectory recording); the
         #: stale flag triggers an exact O(R * grid) flush on the next read.

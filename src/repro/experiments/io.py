@@ -122,7 +122,10 @@ def load_manifest(path: PathLike) -> dict[str, object]:
     path = Path(path)
     with open(path) as handle:
         manifest = json.load(handle)
-    if manifest.get("format") != "repro-experiment-manifest":
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != "repro-experiment-manifest"
+    ):
         raise ExperimentError(f"{path} is not a repro experiment manifest")
     result = dict(manifest)
     result["table"] = ResultTable(manifest.get("rows", []))

@@ -9,7 +9,8 @@ The second half of the module holds the word buffer of the compiled flip
 loop: :class:`BlockedReplicaStreams` keeps each replica's PCG64 raw-word
 stream in pre-drawn blocks that the C kernel reads and refills, running
 numpy's own sampler on those words so that every draw is bitwise the
-replica's ``Generator`` draw.
+replica's ``Generator`` draw.  The compiled backend builds one when it
+attaches to an engine; numpy engines build none.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ class BlockedReplicaStreams:
     Starts from the state of one :class:`numpy.random.Generator` per replica
     and keeps its stream as a block of pre-drawn raw 64-bit words plus a
     read position, in arrays the C kernel (``core/backends/cffi_backend.py``)
-    points into:
+    points into.  The compiled backend builds it in ``attach``, from the
+    engine's ``rng_block_words``, and holds it as ``backend._streams``:
 
     * ``_words`` — the ``(n_streams, block_words)`` current blocks;
     * ``_pos`` — the next unread word; ``block_words`` means the block is
@@ -142,10 +144,10 @@ class BlockedReplicaStreams:
     stream position reaches its block end but never passes it.
 
     The generators handed in are read once, at construction, and never
-    advanced here.  The numpy backend leaves these arrays alone and draws
-    through the generators themselves; an engine's backend is fixed when it
-    is built, so a replica's stream position lives in exactly one place:
-    the generator on a numpy engine, these arrays on a cffi engine.
+    advanced here.  The numpy backend builds no buffer and draws through
+    the generators themselves; an engine's backend is fixed when it is
+    built, so a replica's stream position lives in exactly one place: the
+    generator on a numpy engine, these arrays on a cffi engine.
 
     ``block_words`` tunes the refill granularity; correctness does not
     depend on it (the C sampler tests run it down to one word per block).
@@ -154,12 +156,12 @@ class BlockedReplicaStreams:
     def __init__(
         self, rngs: Sequence[np.random.Generator], block_words: int = 4096
     ) -> None:
-        if block_words <= 0:
+        self._block_words = int(block_words)
+        if self._block_words <= 0:
             raise ValueError(f"block_words must be positive, got {block_words}")
         n_streams = len(rngs)
         if n_streams == 0:
             raise ValueError("BlockedReplicaStreams needs at least one generator")
-        self._block_words = int(block_words)
         self._words = np.zeros((n_streams, self._block_words), dtype=np.uint64)
         self._pos = np.full(n_streams, self._block_words, dtype=np.int64)
         self._state = np.zeros((n_streams, 2), dtype=np.uint64)
@@ -178,11 +180,6 @@ class BlockedReplicaStreams:
             self._has32[index] = bool(state["has_uint32"])
             self._buf32[index] = state["uinteger"]
         self._base = self._state.copy()
-
-    @property
-    def n_streams(self) -> int:
-        """Number of wrapped per-replica streams."""
-        return self._pos.size
 
     @property
     def block_words(self) -> int:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence, Union
 from urllib.parse import parse_qsl, urlsplit
@@ -104,15 +105,23 @@ def _parse_flag(raw: str) -> bool:
 
 
 def _parse_deadline(raw: str) -> float:
-    """Interpret the per-request ``deadline`` parameter (positive seconds)."""
+    """Interpret the per-request ``deadline`` parameter (positive seconds).
+
+    Only finite values in ``(0, threading.TIMEOUT_MAX]`` are deadlines: a
+    follower waits on its in-flight compute with the value as its timeout,
+    where ``nan`` would expire at once and a longer wait raises.
+    """
     try:
         deadline = float(raw)
     except ValueError:
         raise ServingError(
             f"deadline expects seconds, got {raw!r}"
         ) from None
-    if deadline <= 0:
-        raise ServingError(f"deadline must be positive, got {deadline}")
+    if not 0 < deadline <= threading.TIMEOUT_MAX:
+        raise ServingError(
+            f"deadline must be positive seconds up to "
+            f"{threading.TIMEOUT_MAX:g}, got {raw!r}"
+        )
     return deadline
 
 

@@ -1,11 +1,16 @@
 """The flip-loop backend seam: registry, selection, bitwise identity, provenance.
 
-Five layers are pinned here:
+Six layers are pinned here:
 
 * **Registry** — capability probing, the CLI > env > spec > auto selection
   precedence, the single-warning numpy fallback for an unavailable backend
   (a C backend whose kernel cache directory is not private), and the hard
   error for unknown names, removed backends included.
+* **Kernel boundary** — the C backend binds only arrays with its C types'
+  width and contiguity (struct pointers and ``repro_coded_ops`` alike),
+  its self-check refuses a ``repro_state`` size the Python mirror does not
+  share (a single-warning fallback), and a failed scratch allocation is a
+  ``MemoryError``.
 * **Bitwise identity** — the compiled ``cffi`` backend, when the host can
   build it, advances the ensemble engine *bit for bit* like the numpy
   backend (both are pinned to the scalar engine in
@@ -33,6 +38,7 @@ Five layers are pinned here:
   diagnostic instead of a bare ``mismatch``.
 """
 
+import ctypes
 import dataclasses
 import gc
 import json
@@ -47,6 +53,7 @@ import pytest
 import oracles
 from repro import rng as rng_module
 from repro.core.backends import cffi_backend
+from repro.core.backends.base import RunBudget
 from repro.core.backends.registry import (
     AUTO_PREFERENCE,
     KNOWN_BACKENDS,
@@ -64,10 +71,11 @@ from repro.core.ensemble import (
     EnsembleTrajectory,
 )
 from repro.core.variants import AsymmetricEnsemble, TwoSidedEnsemble
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StateError
 from repro.experiments.runner import run_experiment, run_sweep
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.types import FlipRule, SchedulerKind
+from repro.utils.indexset import BatchedIndexSet
 
 BACKENDS = available_backends()
 SMALL = ModelConfig.square(side=16, horizon=1, tau=0.45)
@@ -100,7 +108,7 @@ def _rng_positions(engine):
             (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
             for s in states
         ]
-    streams = engine._streams
+    streams = engine._backend._streams
     return [
         (
             _logical_state(streams, replica),
@@ -535,7 +543,6 @@ class TestCompiledKernelCache:
 
     @pytest.fixture
     def fresh_cache(self, monkeypatch, tmp_path):
-        pytest.importorskip("cffi")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(cffi_backend, "_CACHE", {})
         monkeypatch.setattr(cffi_backend, "_UNAVAILABLE_REASON", None)
@@ -582,6 +589,76 @@ class TestCompiledKernelCache:
 
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+class TestCompiledBoundary:
+    """What the C kernel is handed is checked before it is used.
+
+    The struct's pointer fields and ``repro_coded_ops``'s arrays must have
+    the element width and contiguity of the C type they are read as, the
+    library must agree with the Python mirror on the struct's size, and a
+    failed scratch allocation surfaces as a ``MemoryError``.
+    """
+
+    @pytest.mark.parametrize(
+        "attribute, replacement, message",
+        [
+            ("_n_steps", lambda a: a.astype(np.int32), "int64_t here, got a int32"),
+            ("_times", lambda a: np.repeat(a, 2)[::2], "double here, got a non-cont"),
+        ],
+        ids=["narrowed", "non_contiguous"],
+    )
+    def test_capture_refuses_mismatched_array(
+        self, backend_name, attribute, replacement, message
+    ):
+        engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)
+        setattr(engine, attribute, replacement(getattr(engine, attribute)))
+        engine._runtime_generation += 1
+        with pytest.raises(StateError, match=message):
+            engine.run(max_steps=1)
+
+    def test_coded_ops_refuses_int64_members(self, backend_name):
+        sets = BatchedIndexSet(2, 4)
+        sets._members = sets._members.astype(np.int64)
+        with pytest.raises(StateError, match="int32_t here, got a int64"):
+            create_backend(backend_name).apply_coded_ops(sets, [0], [1], [1], [1], 1)
+        assert sets.counts.tolist() == [0, 0]
+
+    def test_selfcheck_compares_struct_size(self, backend_name):
+        lib = cffi_backend._load_library()
+        size = ctypes.sizeof(cffi_backend._ReproState)
+        assert lib.repro_selfcheck(size) == 0
+        assert lib.repro_selfcheck(size + 8) != 0
+        assert lib.repro_selfcheck(size - 8) != 0
+
+    def test_struct_size_mismatch_falls_back_once(self, backend_name, monkeypatch):
+        class Wider(cffi_backend._ReproState):
+            _fields_ = [("extra", ctypes.c_int64)]
+
+        monkeypatch.setattr(cffi_backend, "_ReproState", Wider)
+        monkeypatch.setattr(cffi_backend, "_CACHE", {})
+        monkeypatch.setattr(cffi_backend, "_UNAVAILABLE_REASON", None)
+        monkeypatch.setattr(registry_module, "_warned_fallbacks", set())
+        assert not cffi_backend.cffi_available()
+        assert "repro_state size" in cffi_backend.cffi_unavailable_reason()
+        assert default_backend_name() == "numpy"
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
+            assert resolve_backend_name("cffi") == "numpy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend_name("cffi") == "numpy"
+
+    def test_failed_scratch_allocation_is_memory_error(self, backend_name):
+        engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)
+        before = _engine_state(engine)
+        backend = engine._backend
+        # A 2**55-site window asks malloc for more than any address space.
+        backend._state.window_area = 1 << 55
+        with pytest.raises(MemoryError, match="round scratch"):
+            backend.run_rounds(RunBudget(engine.n_flips, engine.n_steps), 1)
+        backend._capture()
+        _assert_states_equal(before, _engine_state(engine))
+
+
+@pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
 class TestCompiledSampler:
     """The C exponential draw is numpy's sampler on the replica's words.
 
@@ -607,7 +684,7 @@ class TestCompiledSampler:
             SMALL, n_replicas=3, seed=5, rng_block_words=block_words,
             backend=backend_name,
         )
-        streams = engine._streams
+        streams = engine._backend._streams
         rngs = engine._rngs
 
         def draw(replica):
@@ -667,7 +744,7 @@ class TestCompiledSampler:
         Returns ``(replica, probe)`` with ``probe`` positioned to emit the
         steered word next.
         """
-        streams = engine._streams
+        streams = engine._backend._streams
         replica = 1
         inc = rng_module._pcg64_value(streams._inc[replica])
         probe = np.random.Generator(np.random.PCG64(0))
@@ -702,7 +779,7 @@ class TestCompiledSampler:
             SMALL, n_replicas=2, seed=5, rng_block_words=block_words,
             backend=backend_name,
         )
-        streams = engine._streams
+        streams = engine._backend._streams
         # The word sits in the block's last slot, so a slow path crosses
         # the block end into a C refill (4096-word blocks: the first slot).
         slot = block_words - 1 if block_words < 4096 else 0

@@ -10,6 +10,8 @@ scalar engine is the oracle; these tests are the contract that lets every
 experiment switch between engines and backends freely.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -437,10 +439,34 @@ class TestBlockedRngBoundaries:
             )
             assert reference.final_time == float(ensemble.times[replica])
 
-    def test_rejects_nonpositive_block_words(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("block_words", [0, -3, 0.5])
+    def test_rejects_nonpositive_block_words(self, backend, block_words):
+        # 0.5 would truncate to zero-word blocks.
         config = ModelConfig.square(side=12, horizon=1, tau=0.4)
-        with pytest.raises(ValueError):
-            EnsembleDynamics(config, n_replicas=1, seed=1, rng_block_words=0)
+        with pytest.raises(ConfigurationError, match="rng_block_words"):
+            EnsembleDynamics(
+                config, n_replicas=1, seed=1, rng_block_words=block_words,
+                backend=backend,
+            )
+
+    def test_numpy_engine_allocates_no_word_blocks(self):
+        """Only the compiled backend reads RNG words, so only it holds them."""
+        config = ModelConfig.square(side=12, horizon=1, tau=0.4)
+        n_replicas, block_words = 8, 65536
+        EnsembleDynamics(config, n_replicas=1, seed=1, backend="numpy")
+        tracemalloc.start()
+        try:
+            engine = EnsembleDynamics(
+                config, n_replicas=n_replicas, seed=1,
+                rng_block_words=block_words, backend="numpy",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine.backend_name == "numpy"
+        # The blocks alone would be 8 x 65536 words x 8 bytes = 4 MiB.
+        assert peak < n_replicas * block_words * 8 // 16
 
 
 class TestDeferredCounters:

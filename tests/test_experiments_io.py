@@ -107,6 +107,13 @@ class TestManifest:
         with pytest.raises(ExperimentError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("document", ["[]", "7", '"x"', "null"])
+    def test_manifest_rejects_non_object_json(self, tmp_path, document):
+        path = tmp_path / "scalar.json"
+        path.write_text(document)
+        with pytest.raises(ExperimentError, match="not a repro experiment manifest"):
+            load_manifest(path)
+
     def test_manifest_rejects_empty_table(self, tmp_path):
         with pytest.raises(ExperimentError):
             save_manifest(tmp_path / "empty.json", ResultTable())

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.backends.registry import BACKEND_ENV_VAR, available_backends
 
 
 class TestExports:
@@ -71,9 +72,10 @@ class TestQuickstartFlow:
         assert repro.percolation.SQUARE_SITE_CRITICAL_PROBABILITY > 0.5
 
 
-#: Not runtime dependencies in ``pyproject.toml`` (scipy is a test extra):
+#: Not runtime dependencies in ``pyproject.toml`` (scipy is a test extra,
+#: and the compiled backend binds its kernel with stdlib ``ctypes``):
 #: nothing ``repro`` runs may import them.
-UNDECLARED = ("networkx", "scipy")
+UNDECLARED = ("networkx", "scipy", "cffi", "pycparser")
 
 #: Loaded on first use of a serving name or a paper experiment, never by
 #: ``import repro``, ``repro info`` or ``repro sweep``.
@@ -128,13 +130,24 @@ BLOCKED_CHILD = textwrap.dedent(
 )
 
 
-def run_blocked(*command: str) -> dict:
-    """Run :data:`BLOCKED_CHILD` with :data:`UNDECLARED` blocked."""
+#: A two-worker checkpointed sweep; the store directory follows.
+SWEEP = (
+    "sweep", "--side", "10", "--horizon", "1", "--taus", "0.3,0.45",
+    "--replicates", "1", "--workers", "2", "--checkpoint-dir",
+)
+
+
+def run_blocked(*command: str, blocked: tuple[str, ...] = UNDECLARED) -> dict:
+    """Run :data:`BLOCKED_CHILD` with ``blocked`` (default :data:`UNDECLARED`).
+
+    The child picks its backend itself: ``REPRO_BACKEND`` is not passed on.
+    """
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop(BACKEND_ENV_VAR, None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", BLOCKED_CHILD, ",".join(UNDECLARED), *command],
+        [sys.executable, "-c", BLOCKED_CHILD, ",".join(blocked), *command],
         env=env,
         capture_output=True,
         text=True,
@@ -149,6 +162,41 @@ def canonical(name: str) -> str:
     return re.sub(r"[-_.]+", "-", name).lower()
 
 
+def declared_distributions() -> set[str]:
+    """``[project].dependencies`` of ``pyproject.toml``, canonical names."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {
+        canonical(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in requirements
+    }
+
+
+def third_party_distributions(loaded: dict) -> set[str]:
+    """The distributions of the third-party top-level modules in ``loaded``.
+
+    Modules without a file (Cython's shared runtime modules) belong to the
+    extension that created them, and the stdlib needs no declaration.
+    """
+    distributions = importlib.metadata.packages_distributions()
+    return {
+        canonical(dist)
+        for name, origin in loaded.items()
+        if "." not in name
+        and origin is not None
+        and name != "repro"
+        and name not in sys.stdlib_module_names
+        for dist in distributions.get(name, [name])
+    }
+
+
+def sweep_backends(store: Path) -> list[str]:
+    """The backend a checkpointed sweep's manifest and each record name."""
+    manifest = json.loads((store / "manifest.json").read_text())
+    records = (store / "metrics.jsonl").read_text().splitlines()
+    assert records
+    return [manifest["backend"], *(json.loads(line)["backend"] for line in records)]
+
+
 class TestDeclaredDependencies:
     def test_import_loads_theory_but_no_lazy_module(self):
         loaded = run_blocked()
@@ -156,43 +204,37 @@ class TestDeclaredDependencies:
         assert not set(LAZY_MODULES) & set(loaded)
 
     def test_import_loads_only_declared_distributions(self):
-        """The third-party top-level modules ``import repro`` loads are declared.
-
-        Modules without a file (Cython's shared runtime modules) belong to the
-        extension that created them, and the stdlib needs no declaration.
-        """
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
-        declared = {
-            canonical(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in requirements
-        }
-        distributions = importlib.metadata.packages_distributions()
-        third_party = {
-            canonical(dist)
-            for name, origin in run_blocked().items()
-            if "." not in name
-            and origin is not None
-            and name != "repro"
-            and name not in sys.stdlib_module_names
-            for dist in distributions.get(name, [name])
-        }
+        """The third-party top-level modules ``import repro`` loads are declared."""
+        third_party = third_party_distributions(run_blocked())
         assert "numpy" in third_party
-        assert third_party <= declared
+        assert third_party <= declared_distributions()
 
     @pytest.mark.parametrize(
         "command",
-        [
-            ("info", "--tau", "0.45"),
-            (
-                "sweep", "--side", "10", "--horizon", "1", "--taus", "0.3,0.45",
-                "--replicates", "1", "--workers", "2", "--checkpoint-dir", "{store}",
-            ),
-        ],
+        [("info", "--tau", "0.45"), (*SWEEP, "{store}")],
         ids=["info", "sweep"],
     )
     def test_cli_runs_on_declared_dependencies(self, command, tmp_path):
-        loaded = run_blocked(*(arg.format(store=tmp_path / "store") for arg in command))
+        store = tmp_path / "store"
+        loaded = run_blocked(*(arg.format(store=store) for arg in command))
         assert not set(LAZY_MODULES) & set(loaded)
+        if command[0] == "sweep" and "cffi" in available_backends():
+            # The compiled backend loads without cffi: no quiet numpy fallback.
+            assert set(sweep_backends(store)) == {"cffi"}
+
+    def test_compiled_sweep_loads_only_declared_distributions(self, tmp_path):
+        """With nothing blocked, a compiled sweep loads only declared packages.
+
+        The kernel is bound with stdlib ``ctypes``, so an installed cffi is
+        not imported either.
+        """
+        store = tmp_path / "store"
+        loaded = run_blocked(*SWEEP, str(store), "--backend", "cffi", blocked=())
+        third_party = third_party_distributions(loaded)
+        assert "numpy" in third_party
+        assert third_party <= declared_distributions()
+        if "cffi" in available_backends():
+            assert set(sweep_backends(store)) == {"cffi"}
 
     @pytest.mark.parametrize(
         "package, name, home",

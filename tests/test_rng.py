@@ -117,4 +117,6 @@ class TestBlockedReplicaStreams:
         with pytest.raises(ValueError):
             BlockedReplicaStreams([np.random.default_rng(0)], block_words=0)
         with pytest.raises(ValueError):
+            BlockedReplicaStreams([np.random.default_rng(0)], block_words=0.5)
+        with pytest.raises(ValueError):
             BlockedReplicaStreams([])

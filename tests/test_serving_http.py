@@ -141,6 +141,16 @@ class TestHandlerHardening:
         status, body = get_error(service, "/query?tau=0.3&rho=0.4&w=2&deadline=-1")
         assert status == 400
 
+    @pytest.mark.parametrize("deadline", ["nan", "inf", "1e300"])
+    def test_non_finite_or_unwaitable_deadline_is_json_400(self, service, deadline):
+        # A follower waits on the in-flight compute with the deadline as its
+        # timeout: nan expires at once and inf or 1e300 overflow the wait.
+        status, body = get_error(
+            service, f"/query?tau=0.3&rho=0.4&w=2&deadline={deadline}"
+        )
+        assert status == 400
+        assert "deadline" in body["error"]
+
     def test_unknown_route_is_json_404(self, service):
         status, body = get_error(service, "/admin/../etc/passwd")
         assert status == 404
