@@ -666,14 +666,14 @@ def _command_summarize(args: argparse.Namespace, out) -> int:
     for the same store.
     """
     from repro.errors import ReproError
-    from repro.experiments.checkpoint import write_summary
+    from repro.experiments.checkpoint import load_summary, write_summary
 
     try:
         path = write_summary(args.directory)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary = json.loads(path.read_text())
+    summary = load_summary(args.directory)
     print(
         f"wrote {path}: {summary['n_summarized']}/{summary['n_cells']} "
         f"cell(s) summarized, {summary['n_failed']} failed, "

@@ -52,19 +52,28 @@ manifest and returns a machine-readable report; repair atomically rewrites
 ``metrics.jsonl`` down to its longest valid prefix so a damaged store
 becomes resumable again with zero risk of resuming from corrupt rows.  Both
 are exposed as ``repro checkpoint verify|repair`` CLI subcommands.
+
+Every store file is read and replaced here and nowhere else.  One line
+classifier (``_classify_lines``, bytes split on ``\n``) serves resume,
+:func:`scan_records` and the audit, so they drop, count and number the same
+lines, and undecodable bytes are damage, never a crash.  One reader
+(``_read_document``) parses ``manifest.json`` and ``summary.json``.  One
+writer (``_replace_file``: temp file, ``fsync``, ``os.replace``) writes the
+manifest, the summary and a repaired log, with the mode a plain ``open``
+gets under the umask, so a failed write leaves no torn file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import platform
-import tempfile
 import warnings
 import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from repro._version import __version__
 from repro.errors import CheckpointWarning, ExperimentError
@@ -147,6 +156,173 @@ def _sweep_snapshot(sweep: object) -> object:
     return {"repr": repr(sweep)}
 
 
+# ---------------------------------------------------------------- store files
+
+
+class _Line(NamedTuple):
+    """One non-blank ``metrics.jsonl`` line as every reader sees it."""
+
+    #: 1-based position among the file's non-blank lines.
+    number: int
+    #: Byte offset of the line's first byte.
+    start: int
+    #: Length in bytes, newline excluded.
+    size: int
+    #: The parsed record when a reader may use it, else ``None``.
+    record: Optional[dict]
+    #: Why a reader drops the line; empty when ``record`` is usable.
+    dropped: str
+    #: What :func:`verify_store` reports about the line; ``None`` when valid.
+    problem: Optional[dict]
+
+
+def _parse_line(raw: bytes) -> tuple[Optional[dict], str, str]:
+    """``(record, problem kind, drop reason)`` for one line's bytes.
+
+    The record is usable when it parses to an object whose CRC does not
+    mismatch and which has a spec hash plus ``rows`` or ``failure``; kind
+    and reason are then empty.  Undecodable bytes decode to U+FFFD, so they
+    fail the parse or the CRC instead of raising.
+    """
+    try:
+        record = json.loads(raw.decode("utf-8", errors="replace"))
+    except ValueError:
+        return None, "corrupt-line", "not valid JSON (torn line?)"
+    if not isinstance(record, dict):
+        return None, "corrupt-line", "not a JSON object"
+    if verify_record_crc(record) is False:
+        return None, "crc-mismatch", "CRC32 mismatch (corrupt)"
+    if not isinstance(record.get("spec_hash"), str) or not (
+        isinstance(record.get("rows"), list)
+        or isinstance(record.get("failure"), dict)
+    ):
+        return None, "malformed-record", "not a cell record"
+    return record, "", ""
+
+
+def _classify_lines(
+    data: bytes, manifest_hashes: Optional[set] = None
+) -> Iterator[_Line]:
+    """Split ``metrics.jsonl`` bytes on ``\\n`` and classify every line.
+
+    Whitespace-only lines (the separator a terminated torn fragment can
+    leave) are skipped and not numbered.  A line is valid for the audit
+    when its record is usable, it is newline-terminated (an unterminated
+    last line is a ``torn-tail`` even when it parses, though readers still
+    use its record), and its hash is neither a duplicate nor (when
+    ``manifest_hashes`` is given) an orphan.
+
+    Duplicate means *any record after a rows record* for the same hash: a
+    completed cell is skipped on resume, so nothing legitimate ever appends
+    behind its rows.  Failure records, by contrast, are designed to be
+    superseded — ``on_error="skip"`` quarantines a cell, a resumed run
+    reruns it and appends its rows (or fails again and appends another
+    failure record) under the same hash — so rows-after-failure and
+    failure-after-failure are the healthy quarantine-then-resume flow, not
+    damage.  Readers use duplicates and orphans; only the audit flags them.
+    """
+    seen_rows_hashes: set[str] = set()
+    number = 0
+    start = 0
+    while start < len(data):
+        newline = data.find(b"\n", start)
+        torn = newline < 0
+        end = len(data) if torn else newline
+        raw = data[start:end]
+        if raw.strip():
+            number += 1
+            record, kind, dropped = _parse_line(raw)
+            if record is not None:
+                cell_hash = record["spec_hash"]
+                if cell_hash in seen_rows_hashes:
+                    kind = "duplicate-record"
+                elif manifest_hashes is not None and cell_hash not in manifest_hashes:
+                    kind = "orphan-record"
+                elif isinstance(record.get("rows"), list):
+                    seen_rows_hashes.add(cell_hash)
+            if torn:
+                kind = "torn-tail"
+            problem = None
+            if kind:
+                problem = {"kind": kind, "line": number, "bytes": len(raw)}
+                if kind in ("duplicate-record", "orphan-record"):
+                    problem["spec_hash"] = cell_hash
+            yield _Line(number, start, len(raw), record, dropped, problem)
+        start = end + 1
+
+
+def _latest_records(lines: Iterable[_Line]) -> dict[str, dict[str, object]]:
+    """Latest usable record per spec hash, in first-appearance order.
+
+    A ``rows`` record supersedes an earlier ``failure`` record for the same
+    hash, a ``failure`` never supersedes ``rows``, and otherwise the latest
+    record wins.
+    """
+    records: dict[str, dict[str, object]] = {}
+    for line in lines:
+        record = line.record
+        if record is None:
+            continue
+        previous = records.get(record["spec_hash"])
+        if (
+            previous is not None
+            and isinstance(previous.get("rows"), list)
+            and not isinstance(record.get("rows"), list)
+        ):
+            continue
+        records[record["spec_hash"]] = record
+    return records
+
+
+def _read_document(path: Path, format_tag: str) -> tuple[Optional[dict], str, str]:
+    """``(document, "", "")``, or ``(None, why, detail)`` when unusable.
+
+    The one parser of ``manifest.json`` and ``summary.json``.  ``why`` is
+    ``missing``, ``invalid`` (not UTF-8 JSON), ``non-object`` or ``foreign``
+    (not tagged ``format_tag``): resume refuses such a manifest, the audit
+    reports it, and the loaders return ``None``.
+    """
+    try:
+        document = json.loads(path.read_bytes().decode("utf-8"))
+    except FileNotFoundError:
+        return None, "missing", ""
+    except ValueError as exc:
+        return None, "invalid", str(exc)
+    if not isinstance(document, dict):
+        return None, "non-object", f"not a JSON object ({type(document).__name__})"
+    if document.get("format") != format_tag:
+        return None, "foreign", str(document.get("format"))
+    return document, "", ""
+
+
+def _encode_document(document: dict) -> bytes:
+    """A store JSON document's bytes: two-space indent, trailing newline."""
+    return (json.dumps(document, indent=2, default=json_default) + "\n").encode()
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Atomically replace ``path`` with ``data``.
+
+    The bytes go to a new temp file beside ``path``, are fsynced and then
+    renamed over it, so a reader or a crash sees the old file or the new
+    one, never a torn mix; a failure removes the temp file and leaves
+    ``path`` as it was.  The temp file is created with mode 0o666 under the
+    process umask, as a plain ``open(path, "w")`` creates a file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 class SweepCheckpoint:
     """Artifact directory handle for one (possibly resumed) sweep run.
 
@@ -185,74 +361,49 @@ class SweepCheckpoint:
     # ------------------------------------------------------------- load side
 
     def _load_metrics(self) -> None:
-        """Parse ``metrics.jsonl``, tolerating torn lines.
+        """Load ``metrics.jsonl``, tolerating torn and corrupt lines.
 
         A run killed mid-append leaves a line that is not valid JSON —
         usually the trailing one, but :meth:`record` terminates an inherited
         torn tail before appending, so a twice-interrupted log can carry an
-        invalid line mid-file.  Invalid lines (not JSON, or JSON that is not
-        an object) and CRC-mismatched lines are skipped individually *with
-        a* :class:`~repro.errors.CheckpointWarning`
-        *naming the file, line number and byte count dropped* — a lossy
-        resume must be distinguishable from a clean one; every line that
-        parses and verifies is a whole record (they are flushed
-        line-atomically), and a skipped cell simply reruns.
+        invalid line mid-file.  Every line a reader cannot use (not JSON,
+        not an object, a CRC mismatch, not a cell record) is skipped *with
+        a* :class:`~repro.errors.CheckpointWarning` *naming the file and the
+        line number and byte count that* :func:`verify_store` *reports* — a
+        lossy resume must be distinguishable from a clean one; every usable
+        line is a whole record (they are flushed line-atomically), and a
+        skipped cell simply reruns.
         """
-        for number, line in enumerate(
-            self.metrics_path.read_text().splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self._warn_dropped(number, line, "not valid JSON (torn line?)")
-                continue
-            if not isinstance(record, dict):
-                self._warn_dropped(number, line, "not a JSON object")
-                continue
-            if verify_record_crc(record) is False:
-                self._warn_dropped(number, line, "CRC32 mismatch (corrupt)")
-                continue
-            cell_hash = record.get("spec_hash")
-            rows = record.get("rows")
-            failure = record.get("failure")
-            if isinstance(cell_hash, str) and isinstance(rows, list):
-                self._completed[cell_hash] = rows
-            elif isinstance(cell_hash, str) and isinstance(failure, dict):
-                self._failures[cell_hash] = failure
-
-    def _warn_dropped(self, number: int, line: str, reason: str) -> None:
-        """Warn that one metrics line was dropped, with its identity."""
-        warnings.warn(
-            f"{self.metrics_path}: dropping line {number} "
-            f"({len(line.encode('utf-8'))} bytes): {reason}; "
-            "the affected cell will rerun on resume",
-            CheckpointWarning,
-            stacklevel=3,
-        )
+        lines = list(_classify_lines(self.metrics_path.read_bytes()))
+        for line in lines:
+            if line.record is None:
+                warnings.warn(
+                    f"{self.metrics_path}: dropping line {line.number} "
+                    f"({line.size} bytes): {line.dropped}; "
+                    "the affected cell will rerun on resume",
+                    CheckpointWarning,
+                    stacklevel=3,
+                )
+        for cell_hash, record in _latest_records(lines).items():
+            if isinstance(record.get("rows"), list):
+                self._completed[cell_hash] = record["rows"]
+            else:
+                self._failures[cell_hash] = record["failure"]
 
     def _check_or_write_manifest(
         self, cells: list[ExperimentSpec], sweep: Optional[object]
     ) -> None:
         """Validate an existing manifest's format tag, or write a fresh one."""
-        if self.manifest_path.exists():
-            try:
-                manifest = json.loads(self.manifest_path.read_text())
-            except ValueError as exc:
-                raise ExperimentError(
-                    f"{self.manifest_path} is not valid JSON: {exc}"
-                ) from exc
-            if (
-                not isinstance(manifest, dict)
-                or manifest.get("format") != MANIFEST_FORMAT
-            ):
-                raise ExperimentError(
-                    f"{self.manifest_path} is not a {MANIFEST_FORMAT} manifest "
-                    "— refusing to resume into a foreign directory"
-                )
+        _, why, detail = _read_document(self.manifest_path, MANIFEST_FORMAT)
+        if not why:
             return
+        if why == "invalid":
+            raise ExperimentError(f"{self.manifest_path} is not valid JSON: {detail}")
+        if why != "missing":
+            raise ExperimentError(
+                f"{self.manifest_path} is not a {MANIFEST_FORMAT} manifest "
+                "— refusing to resume into a foreign directory"
+            )
         import numpy
 
         manifest = {
@@ -276,9 +427,7 @@ class SweepCheckpoint:
                 )
             ],
         }
-        with open(self.manifest_path, "w") as handle:
-            json.dump(manifest, handle, indent=2, default=json_default)
-            handle.write("\n")
+        _replace_file(self.manifest_path, _encode_document(manifest))
 
     # ------------------------------------------------------------ query side
 
@@ -387,136 +536,23 @@ class SweepCheckpoint:
 # ----------------------------------------------------------------- audit side
 
 
-def _classify_lines(metrics_bytes: bytes, manifest_hashes: Optional[set]):
-    """Classify every ``metrics.jsonl`` line; yield ``(problems, prefix_end)``.
-
-    Walks the raw bytes so byte offsets are exact.  Returns the problem list
-    and the byte offset of the end of the longest *prefix* of fully valid
-    lines — the truncation point :func:`repair_store` uses.  A line is valid
-    when it parses, its CRC matches (legacy no-CRC lines are reported but
-    count as valid — they predate format v2), it carries a usable payload,
-    and its hash is neither a duplicate nor (when a manifest is readable) an
-    orphan.  Duplicates and orphans end the valid prefix too: resuming past
-    them is well-defined for the loader, but a repaired store should be
-    exactly reproducible from the manifest, so repair cuts conservatively.
-
-    Duplicate means *any record after a rows record* for the same hash: a
-    completed cell is skipped on resume, so nothing legitimate ever appends
-    behind its rows.  Failure records, by contrast, are designed to be
-    superseded — ``on_error="skip"`` quarantines a cell, a resumed run
-    reruns it and appends its rows (or fails again and appends another
-    failure record) under the same hash — so rows-after-failure and
-    failure-after-failure are the healthy quarantine-then-resume flow, not
-    damage.
-    """
-    problems: list[dict[str, object]] = []
-    counts = {"total": 0, "valid": 0, "legacy_no_crc": 0}
-    prefix_end = 0
-    prefix_intact = True
-    seen_rows_hashes: set[str] = set()
-    offset = 0
-    while offset < len(metrics_bytes):
-        newline = metrics_bytes.find(b"\n", offset)
-        torn_tail = newline < 0
-        end = len(metrics_bytes) if torn_tail else newline + 1
-        raw = metrics_bytes[offset : len(metrics_bytes) if torn_tail else newline]
-        line_number = counts["total"] + 1
-        counts["total"] += 1
-        problem: Optional[dict[str, object]] = None
-        if not raw.strip():
-            # Blank separator (a terminated torn fragment); harmless.
-            counts["total"] -= 1
-            if prefix_intact:
-                prefix_end = end
-            offset = end
-            continue
-        try:
-            record = json.loads(raw.decode("utf-8", errors="replace"))
-            if not isinstance(record, dict):
-                raise ValueError("not a JSON object")
-        except ValueError:
-            kind = "torn-tail" if torn_tail else "corrupt-line"
-            problem = {"kind": kind, "line": line_number, "bytes": len(raw)}
-        else:
-            crc_ok = verify_record_crc(record)
-            cell_hash = record.get("spec_hash")
-            if torn_tail:
-                # Parses but was never newline-terminated: the append was
-                # cut between the payload write and the newline flush.
-                problem = {
-                    "kind": "torn-tail",
-                    "line": line_number,
-                    "bytes": len(raw),
-                }
-            elif crc_ok is False:
-                problem = {
-                    "kind": "crc-mismatch",
-                    "line": line_number,
-                    "bytes": len(raw),
-                }
-            elif not isinstance(cell_hash, str) or not (
-                isinstance(record.get("rows"), list)
-                or isinstance(record.get("failure"), dict)
-            ):
-                problem = {
-                    "kind": "malformed-record",
-                    "line": line_number,
-                    "bytes": len(raw),
-                }
-            elif cell_hash in seen_rows_hashes:
-                problem = {
-                    "kind": "duplicate-record",
-                    "line": line_number,
-                    "bytes": len(raw),
-                    "spec_hash": cell_hash,
-                }
-            elif manifest_hashes is not None and cell_hash not in manifest_hashes:
-                problem = {
-                    "kind": "orphan-record",
-                    "line": line_number,
-                    "bytes": len(raw),
-                    "spec_hash": cell_hash,
-                }
-            else:
-                counts["valid"] += 1
-                if crc_ok is None:
-                    counts["legacy_no_crc"] += 1
-                if isinstance(record.get("rows"), list):
-                    seen_rows_hashes.add(cell_hash)
-        if problem is not None:
-            problems.append(problem)
-            prefix_intact = False
-        elif prefix_intact:
-            prefix_end = end
-        offset = end
-    return problems, counts, prefix_end
-
-
 def _audit_manifest(directory: Path) -> tuple[dict, Optional[set]]:
     """Manifest portion of a store audit: report dict + the cell hash set."""
-    manifest_path = directory / MANIFEST_NAME
+    manifest, why, detail = _read_document(
+        directory / MANIFEST_NAME, MANIFEST_FORMAT
+    )
     report: dict[str, object] = {
-        "present": manifest_path.exists(),
+        "present": why != "missing",
         "valid": False,
         "n_cells": None,
         "problems": [],
     }
-    if not report["present"]:
+    if why == "missing":
         report["problems"].append({"kind": "manifest-missing"})
-        return report, None
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        if not isinstance(manifest, dict):
-            raise ValueError(f"not a JSON object ({type(manifest).__name__})")
-    except ValueError as exc:
-        report["problems"].append(
-            {"kind": "manifest-corrupt", "detail": str(exc)}
-        )
-        return report, None
-    if manifest.get("format") != MANIFEST_FORMAT:
-        report["problems"].append(
-            {"kind": "manifest-foreign", "detail": str(manifest.get("format"))}
-        )
+    elif why:
+        kind = "manifest-foreign" if why == "foreign" else "manifest-corrupt"
+        report["problems"].append({"kind": kind, "detail": detail})
+    if manifest is None:
         return report, None
     cells = manifest.get("cells")
     n_cells = manifest.get("n_cells")
@@ -555,20 +591,24 @@ def verify_store(directory: PathLike) -> dict[str, object]:
     ``malformed-record``, ``duplicate-record``, ``orphan-record``,
     ``manifest-*`` — plus line number and byte count where applicable) and
     ``valid_prefix_bytes``, the truncation point :func:`repair_store` would
-    cut at.  Read-only: verification never modifies the store.
+    cut at: the start of the first line with a problem.  Legacy no-CRC
+    lines (they predate format v2) are counted but valid.  Duplicates and
+    orphans end the valid prefix too: resuming past them is well-defined,
+    but a repaired store should be exactly reproducible from the manifest,
+    so repair cuts conservatively.  Read-only: verification never modifies
+    the store.
     """
     directory = Path(directory)
     manifest_report, manifest_hashes = _audit_manifest(directory)
     metrics_path = directory / METRICS_NAME
-    counts = {"total": 0, "valid": 0, "legacy_no_crc": 0}
-    problems: list[dict[str, object]] = []
-    prefix_end = 0
     metrics_present = metrics_path.exists()
-    if metrics_present:
-        problems, counts, prefix_end = _classify_lines(
-            metrics_path.read_bytes(), manifest_hashes
-        )
-    all_problems = list(manifest_report["problems"]) + problems
+    data = metrics_path.read_bytes() if metrics_present else b""
+    lines = list(_classify_lines(data, manifest_hashes))
+    bad = [line for line in lines if line.problem is not None]
+    valid = [line.record for line in lines if line.problem is None]
+    all_problems = list(manifest_report["problems"]) + [
+        line.problem for line in bad
+    ]
     return {
         "directory": str(directory),
         "ok": not all_problems,
@@ -577,12 +617,12 @@ def verify_store(directory: PathLike) -> dict[str, object]:
         },
         "records": {
             "metrics_present": metrics_present,
-            "total": counts["total"],
-            "valid": counts["valid"],
-            "legacy_no_crc": counts["legacy_no_crc"],
+            "total": len(lines),
+            "valid": len(valid),
+            "legacy_no_crc": sum("crc32" not in record for record in valid),
         },
         "problems": all_problems,
-        "valid_prefix_bytes": prefix_end,
+        "valid_prefix_bytes": bad[0].start if bad else len(data),
     }
 
 
@@ -591,7 +631,7 @@ def repair_store(directory: PathLike) -> dict[str, object]:
 
     Returns the :func:`verify_store` report of the *pre-repair* state
     extended with a ``repair`` section stating what was done.  The rewrite
-    goes through a temp file + ``os.replace``, so a crash mid-repair leaves
+    goes through the store's atomic writer, so a crash mid-repair leaves
     either the original or the repaired file, never a hybrid.  Records after
     the first invalid line are dropped even if individually valid — their
     cells simply rerun on resume — so the repaired store is always an exact
@@ -607,19 +647,7 @@ def repair_store(directory: PathLike) -> dict[str, object]:
     if metrics_path.exists() and line_problems:
         data = metrics_path.read_bytes()
         keep = report["valid_prefix_bytes"]
-        descriptor, tmp = tempfile.mkstemp(dir=directory, suffix=".jsonl")
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(data[:keep])
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, metrics_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _replace_file(metrics_path, data[:keep])
         repair = {"performed": True, "bytes_dropped": len(data) - keep}
     report["repair"] = repair
     return report
@@ -631,62 +659,37 @@ def repair_store(directory: PathLike) -> dict[str, object]:
 def load_manifest(directory: PathLike) -> Optional[dict]:
     """The store's parsed ``manifest.json``, or ``None`` when unusable.
 
-    "Unusable" covers a missing file, invalid JSON and a foreign format tag;
-    callers that *require* provenance (``repro reproduce``) raise on ``None``,
-    while the summary writer degrades to record-order output.
+    "Unusable" covers a missing file, invalid JSON, a non-object and a
+    foreign format tag; callers that *require* provenance
+    (``repro reproduce``) raise on ``None``, while the summary writer
+    degrades to record-order output.
     """
-    manifest_path = Path(directory) / MANIFEST_NAME
-    if not manifest_path.exists():
-        return None
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError:
-        return None
-    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
-        return None
-    return manifest
+    return _read_document(Path(directory) / MANIFEST_NAME, MANIFEST_FORMAT)[0]
+
+
+def load_summary(directory: PathLike) -> Optional[dict]:
+    """The store's parsed ``summary.json``, or ``None`` when unusable.
+
+    "Unusable" is what it is for :func:`load_manifest`; callers derive the
+    payload with :func:`summarize_store` instead.
+    """
+    return _read_document(Path(directory) / SUMMARY_NAME, SUMMARY_FORMAT)[0]
 
 
 def scan_records(directory: PathLike) -> dict[str, dict[str, object]]:
     """Latest usable record per spec hash, in first-appearance order.
 
-    Applies the loader's semantics without building a sweep: lines that do
-    not parse or fail their CRC are skipped silently (this is a read-side
-    scan — :class:`SweepCheckpoint` owns the warning on resume), a ``rows``
+    Applies the loader's semantics without building a sweep: the lines
+    resume drops are skipped silently (this is a read-side scan —
+    :class:`SweepCheckpoint` owns the warning on resume), a ``rows``
     record supersedes an earlier ``failure`` record for the same hash, and a
     repeated ``failure`` keeps the latest one.  Each value is the parsed
     record dict (``cell_index``/``cell_name`` plus ``rows`` or ``failure``).
     """
     metrics_path = Path(directory) / METRICS_NAME
-    records: dict[str, dict[str, object]] = {}
     if not metrics_path.exists():
-        return records
-    for line in metrics_path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(record, dict) or verify_record_crc(record) is False:
-            continue
-        cell_hash = record.get("spec_hash")
-        if not isinstance(cell_hash, str):
-            continue
-        has_rows = isinstance(record.get("rows"), list)
-        has_failure = isinstance(record.get("failure"), dict)
-        if not (has_rows or has_failure):
-            continue
-        previous = records.get(cell_hash)
-        if (
-            previous is not None
-            and isinstance(previous.get("rows"), list)
-            and not has_rows
-        ):
-            continue  # rows already recorded; a failure never supersedes them
-        records[cell_hash] = record
-    return records
+        return {}
+    return _latest_records(_classify_lines(metrics_path.read_bytes()))
 
 
 def cell_params_from_rows(
@@ -761,12 +764,12 @@ def summarize_store(directory: PathLike) -> dict[str, object]:
     byte-for-byte.
     """
     directory = Path(directory)
-    if not (directory / METRICS_NAME).exists() and load_manifest(directory) is None:
+    manifest = load_manifest(directory)
+    if manifest is None and not (directory / METRICS_NAME).exists():
         raise ExperimentError(
             f"{directory} is not a checkpoint store "
             f"(no {MANIFEST_NAME} or {METRICS_NAME})"
         )
-    manifest = load_manifest(directory)
     records = scan_records(directory)
     cells: list[dict[str, object]] = []
     if manifest is not None and isinstance(manifest.get("cells"), list):
@@ -805,25 +808,10 @@ def summarize_store(directory: PathLike) -> dict[str, object]:
 def write_summary(directory: PathLike) -> Path:
     """Write ``summary.json`` for a store, atomically; return its path.
 
-    The write goes through a temp file + ``os.replace`` so readers (the
-    query service polls this file) never observe a half-written summary.
+    The write goes through the store's atomic writer so readers (the query
+    service polls this file) never observe a half-written summary.
     """
     directory = Path(directory)
-    payload = summarize_store(directory)
     summary_path = directory / SUMMARY_NAME
-    descriptor, tmp = tempfile.mkstemp(dir=directory, suffix=".json")
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(payload, handle, indent=2, default=json_default)
-            handle.write("\n")
-        # mkstemp creates 0600; match the store's other artifacts instead
-        # of leaking the temp file's restrictive mode into summary.json.
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, summary_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    _replace_file(summary_path, _encode_document(summarize_store(directory)))
     return summary_path

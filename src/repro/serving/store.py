@@ -32,10 +32,10 @@ from repro.core.variants import VariantSpec
 from repro.errors import ServingError
 from repro.experiments.checkpoint import (
     MANIFEST_NAME,
-    SUMMARY_FORMAT,
     SUMMARY_NAME,
     VOLATILE_ROW_COLUMNS,
     load_manifest,
+    load_summary,
     scan_records,
     summarize_store,
     write_summary,
@@ -153,20 +153,10 @@ class ArtifactStore:
 
     def summary(self) -> dict:
         """The store's summary payload (from disk, else derived in memory)."""
+        if self._summary is None and self.trust_summary:
+            self._summary = load_summary(self.directory)
         if self._summary is None:
-            summary_path = self.directory / SUMMARY_NAME
-            if self.trust_summary and summary_path.exists():
-                try:
-                    loaded = json.loads(summary_path.read_text())
-                except ValueError:
-                    loaded = None
-                if (
-                    isinstance(loaded, dict)
-                    and loaded.get("format") == SUMMARY_FORMAT
-                ):
-                    self._summary = loaded
-            if self._summary is None:
-                self._summary = summarize_store(self.directory)
+            self._summary = summarize_store(self.directory)
         return self._summary
 
     def ensure_summary(self) -> Path:

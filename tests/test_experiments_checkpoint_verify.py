@@ -7,10 +7,17 @@ orphans, manifest drift) into a machine-readable report; and
 :func:`repair_store` atomically truncates to the longest valid prefix so the
 store is resumable again.  The SIGKILL matrix at the bottom kills real
 checkpointed sweep processes at fault-plan-chosen points and asserts the
-resumed table is bitwise identical to an uninterrupted run.
+resumed table is bitwise identical to an uninterrupted run.  The last two
+classes pin the store's one reader (resume, summaries, reproduction and
+serving drop and number exactly the lines the audit reports) and its one
+atomic writer (umask mode, nothing left behind by a failed write).
 """
 
+import dataclasses
 import json
+import os
+import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -25,6 +32,7 @@ from repro.experiments.checkpoint import (
     SweepCheckpoint,
     encode_record_line,
     repair_store,
+    summarize_store,
     verify_record_crc,
     verify_store,
 )
@@ -544,3 +552,157 @@ class TestZeroByteMetricsRegression:
         assert payload["n_missing"] == payload["n_cells"]
         assert payload["complete"] is False
         assert all(cell["metrics"] == {} for cell in payload["cells"])
+
+
+def dropped_lines(caught) -> list[tuple[int, int]]:
+    """``(line, bytes)`` of every resume warning about a dropped line."""
+    pairs = []
+    for warning in caught:
+        match = re.search(r"dropping line (\d+) \((\d+) bytes\)", str(warning.message))
+        if issubclass(warning.category, CheckpointWarning) and match:
+            pairs.append((int(match.group(1)), int(match.group(2))))
+    return pairs
+
+
+def audited_lines(report) -> list[tuple[int, int]]:
+    """``(line, bytes)`` of every line problem in a :func:`verify_store` report."""
+    return [(p["line"], p["bytes"]) for p in report["problems"] if "line" in p]
+
+
+class TestOneReader:
+    """Resume, the summaries, reproduction, serving and the audit read alike."""
+
+    def test_undecodable_byte_is_damage_not_a_crash(self, store, sweep):
+        from repro.serving import ArtifactStore, reproduce_store
+
+        metrics = store / "metrics.jsonl"
+        lines = metrics.read_bytes().splitlines(keepends=True)
+        cells = list(sweep.cells())
+        # One byte inside cell 1's name becomes 0xff: not UTF-8 any more.
+        at = lines[1].index(b'"cell_name":"') + len(b'"cell_name":"') + 2
+        lines[1] = lines[1][:at] + b"\xff" + lines[1][at + 1 :]
+        metrics.write_bytes(b"".join(lines))
+        kept = [cells[i].name for i in (0, 2, 3)]
+
+        with pytest.warns(CheckpointWarning, match="line 2 ") as caught:
+            checkpoint = SweepCheckpoint(store, cells, sweep=sweep)
+        assert dropped_lines(caught) == [(2, len(lines[1]) - 1)]
+        assert sorted(checkpoint.resumed_rows()) == [0, 2, 3]
+
+        summary = summarize_store(store)
+        assert [c["name"] for c in summary["cells"] if c["metrics"]] == kept
+        assert summary["n_missing"] == 1
+
+        report = reproduce_store(store)
+        assert report.counts() == {"match": 3, "missing": 1}
+        assert [r.name for r in report.results if r.status == "missing"] == [
+            cells[1].name
+        ]
+
+        served = ArtifactStore(store, trust_summary=False).answerable_cells()
+        assert [cell["name"] for cell in served] == kept
+
+        assert verify_store(store)["problems"] == [
+            {"kind": "crc-mismatch", "line": 2, "bytes": len(lines[1]) - 1}
+        ]
+
+    def test_resume_and_audit_name_the_same_lines(self, store, sweep):
+        metrics = store / "metrics.jsonl"
+        records = metrics.read_bytes().splitlines()
+        name_at = records[1].index(b'"cell_name":"') + len(b'"cell_name":"')
+        form_feed = records[1][:name_at] + b"\x0c" + records[1][name_at + 1 :]
+        crc_mismatch = records[2].replace(b'"replicate":0', b'"replicate":9', 1)
+        assert crc_mismatch != records[2]
+        not_a_record = encode_record_line({"note": "no spec hash"}).rstrip(b"\n")
+        lines = [
+            records[0],
+            form_feed,
+            crc_mismatch,
+            b"[1, 2]",
+            not_a_record,
+            records[3],
+        ]
+        torn_tail = records[1][:30]
+        metrics.write_bytes(b"\n".join(lines) + b"\n" + torn_tail)
+
+        with pytest.warns(CheckpointWarning) as caught:
+            checkpoint = SweepCheckpoint(store, list(sweep.cells()), sweep=sweep)
+        report = verify_store(store)
+        assert [p["kind"] for p in report["problems"]] == [
+            "corrupt-line",
+            "crc-mismatch",
+            "corrupt-line",
+            "malformed-record",
+            "torn-tail",
+        ]
+        assert dropped_lines(caught) == audited_lines(report)
+        assert audited_lines(report) == [
+            (2, len(form_feed)),
+            (3, len(crc_mismatch)),
+            (4, 6),
+            (5, len(not_a_record)),
+            (7, 30),
+        ]
+        assert sorted(checkpoint.resumed_rows()) == [0, 3]
+
+
+@dataclasses.dataclass
+class UnserializableSweep:
+    """A sweep whose snapshot JSON cannot encode (provenance is best-effort)."""
+
+    name: str
+    payload: object
+
+
+def fail_fsync(descriptor):
+    """Stand-in for :func:`os.fsync` on a full disk."""
+    raise OSError(28, "No space left on device")
+
+
+class TestAtomicWriter:
+    """``manifest.json``, ``summary.json`` and a repaired log: one writer."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_store_files_get_the_mode_of_a_plain_open(self, tmp_path, sweep, umask):
+        previous = os.umask(umask)
+        try:
+            probe = tmp_path / "probe"
+            probe.write_text("")
+            directory = tmp_path / "store"
+            run_sweep_parallel(sweep, workers=1, checkpoint_dir=directory)
+            metrics = directory / "metrics.jsonl"
+            metrics.write_bytes(metrics.read_bytes()[:-30])  # torn tail
+            assert repair_store(directory)["repair"]["performed"] is True
+        finally:
+            os.umask(previous)
+        expected = stat.S_IMODE(probe.stat().st_mode)
+        assert expected == 0o666 & ~umask
+        modes = {
+            name: stat.S_IMODE((directory / name).stat().st_mode)
+            for name in ("manifest.json", "metrics.jsonl", "summary.json")
+        }
+        assert modes == dict.fromkeys(modes, expected)
+
+    @pytest.mark.parametrize("failure", ["unserializable-snapshot", "disk-full"])
+    def test_failed_manifest_write_leaves_nothing_behind(
+        self, tmp_path, sweep, monkeypatch, failure
+    ):
+        directory = tmp_path / "store"
+        cells = list(sweep.cells())
+        with monkeypatch.context() as patch:
+            if failure == "disk-full":
+                patch.setattr(os, "fsync", fail_fsync)
+                with pytest.raises(OSError, match="No space left"):
+                    SweepCheckpoint(directory, cells, sweep=sweep)
+            else:
+                with pytest.raises(TypeError, match="cannot serialise object"):
+                    SweepCheckpoint(
+                        directory, cells, sweep=UnserializableSweep("odd", object())
+                    )
+        assert list(directory.iterdir()) == []
+        # The next run in that directory proceeds and leaves a healthy store.
+        table = run_sweep_parallel(sweep, workers=1, checkpoint_dir=directory)
+        assert comparable_rows(table) == comparable_rows(
+            run_sweep_parallel(sweep, workers=1)
+        )
+        assert verify_store(directory)["ok"] is True
