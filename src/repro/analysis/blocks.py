@@ -115,8 +115,7 @@ def classify_blocks(
     block_grid = BlockGrid(config.shape, block_side)
     threshold = good_block_threshold(config, epsilon=epsilon, constant=constant)
 
-    minority_indicator = (spins == int(minority_type)).astype(np.int64)
-    window_counts = window_sums(minority_indicator, config.horizon)
+    window_counts = window_sums(spins == int(minority_type), config.horizon)
     excess = window_counts - neighborhood_size(config.horizon) / 2.0
     # A block is bad when any horizon window centred inside it is too unbalanced.
     worst_per_block = block_grid.block_view(excess).max(axis=(2, 3))

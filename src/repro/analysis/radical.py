@@ -83,8 +83,7 @@ def radical_region_mask(
     spins = require_spin_array(spins)
     radius = radical_region_radius(config, epsilon_prime)
     threshold = radical_region_threshold(config, epsilon_prime)
-    minority_indicator = (spins == int(majority_type.opposite)).astype(np.int64)
-    counts = window_sums(minority_indicator, radius)
+    counts = window_sums(spins == int(majority_type.opposite), radius)
     return counts < threshold
 
 

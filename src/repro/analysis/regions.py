@@ -19,7 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.neighborhood import neighborhood_size, window_sums
+from repro.core.neighborhood import (
+    neighborhood_size,
+    window_counts,
+    window_sums,
+    wrapped_summed_area_table,
+)
 from repro.errors import AnalysisError
 from repro.utils.validation import require_spin_array
 
@@ -34,36 +39,19 @@ def _max_usable_radius(shape: tuple[int, int], max_radius: Optional[int]) -> int
     return min(max_radius, limit)
 
 
-def _scan_table(plus: np.ndarray, pad: int) -> np.ndarray:
-    """Summed-area table of the plus indicator, torus-padded by ``pad``.
-
-    The values are those of
-    :func:`~repro.core.neighborhood.wrapped_summed_area_table` (leading zero
-    row and column, exact integer sums).  No entry exceeds the padded area,
-    so the table is ``int32`` whenever that area fits, which halves the
-    memory traffic of every window count read off it.
-    """
-    padded = np.pad(plus, pad, mode="wrap")
-    dtype = np.int32 if padded.size < 2**31 else np.int64
-    table = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=dtype)
-    body = table[1:, 1:]
-    np.cumsum(padded, axis=1, dtype=dtype, out=body)
-    np.cumsum(body, axis=0, out=body)
-    return table
-
-
 def region_scan_table(spins: np.ndarray, max_radius: Optional[int] = None) -> np.ndarray:
     """Shared summed-area table for the region scans of one configuration.
 
     Both :func:`monochromatic_radius_map` and
     :func:`almost_monochromatic_radius_map` read window counts from a
     summed-area table of the plus indicator, torus-padded by the scan
-    limit.  Building the table once and passing it to both scans halves the
+    limit (:func:`~repro.core.neighborhood.wrapped_summed_area_table`).
+    Building the table once and passing it to both scans halves the
     table-construction cost without changing a single bit of the results.
     """
     spins = require_spin_array(spins)
     limit = _max_usable_radius(spins.shape, max_radius)
-    return _scan_table(spins == 1, max(limit, 0))
+    return wrapped_summed_area_table(spins == 1, max(limit, 0))
 
 
 def _resolve_scan_table(
@@ -77,7 +65,7 @@ def _resolve_scan_table(
     ``limit``-padded one.
     """
     if table is None:
-        return _scan_table(spins == 1, limit), limit
+        return wrapped_summed_area_table(spins == 1, limit), limit
     n_rows, n_cols = spins.shape
     pad = (table.shape[0] - 1 - n_rows) // 2
     expected = (n_rows + 2 * pad + 1, n_cols + 2 * pad + 1)
@@ -87,24 +75,6 @@ def _resolve_scan_table(
             f"{spins.shape} up to radius {limit}"
         )
     return table, pad
-
-
-def _window_counts(
-    table: np.ndarray, pad: int, shape: tuple[int, int], radius: int
-) -> np.ndarray:
-    """Every site's plus count in its radius-``radius`` window, densely.
-
-    Four shifted slices of a ``pad``-padded scan table (``radius <= pad``):
-    the window of site ``(i, j)`` spans table rows ``i + pad - radius`` to
-    ``i + pad + radius + 1``, and likewise for columns.
-    """
-    n_rows, n_cols = shape
-    lo = pad - radius
-    hi = pad + radius + 1
-    counts = table[hi : hi + n_rows, hi : hi + n_cols] - table[lo : lo + n_rows, hi : hi + n_cols]
-    counts -= table[hi : hi + n_rows, lo : lo + n_cols]
-    counts += table[lo : lo + n_rows, lo : lo + n_cols]
-    return counts
 
 
 def _check_ratio_threshold(ratio_threshold: float) -> None:
@@ -146,7 +116,7 @@ def _radius_scans(
     """Both radius maps of one configuration from one dense pass over the levels.
 
     Level ``r = 1 .. limit`` reads every site's window count once
-    (:func:`_window_counts`) and feeds both scans:
+    (:func:`~repro.core.neighborhood.window_counts`) and feeds both scans:
 
     * monochromatic windows are monotone in the radius, so the scan keeps
       ``alive &= count in {0, (2r + 1)^2}`` and a site's radius is the number
@@ -164,7 +134,7 @@ def _radius_scans(
     for radius in range(1, limit + 1):
         if alive is None and almost is None:
             break
-        counts = _window_counts(table, pad, shape, radius)
+        counts = window_counts(table, pad, shape, radius)
         if alive is not None:
             alive &= (counts == 0) | (counts == neighborhood_size(radius))
             if alive.any():
@@ -255,7 +225,7 @@ def minority_ratio_map(spins: np.ndarray, radius: int) -> np.ndarray:
     paper's definition of an almost monochromatic region.
     """
     spins = require_spin_array(spins)
-    plus = window_sums((spins == 1).astype(np.int64), radius)
+    plus = window_sums(spins == 1, radius)
     total = neighborhood_size(radius)
     minus = total - plus
     minority = np.minimum(plus, minus).astype(float)

@@ -21,15 +21,17 @@ from repro.analysis.regions import (
     _max_usable_radius,
     _qualification_luts,
     _radius_scans,
-    _scan_table,
-    _window_counts,
     expected_region_size,
     paper_ratio_threshold,
     region_sizes_from_radii,
 )
 from repro.core.config import ModelConfig
 from repro.core.lyapunov import same_type_count_field
-from repro.core.neighborhood import require_window_fits
+from repro.core.neighborhood import (
+    require_window_fits,
+    window_counts,
+    wrapped_summed_area_table,
+)
 from repro.errors import AnalysisError
 from repro.utils.validation import require_spin_array
 
@@ -147,9 +149,9 @@ def _measure(
     """
     n_sites = spins.size
     plus = spins == 1
-    table = _scan_table(plus, pad)
+    table = wrapped_summed_area_table(plus, pad)
     radii, almost_radii = _radius_scans(table, pad, spins.shape, limit, luts)
-    plus_counts = _window_counts(table, pad, spins.shape, config.horizon)
+    plus_counts = window_counts(table, pad, spins.shape, config.horizon)
     same = np.where(plus, plus_counts, config.neighborhood_agents - plus_counts)
     energy = int(same.sum(dtype=np.int64))
     right, down = _same_type_joins(spins)

@@ -75,7 +75,7 @@ from repro.core.backends.registry import create_backend
 from repro.core.config import ModelConfig
 from repro.core.dynamics import Trajectory
 from repro.core.initializer import random_configuration
-from repro.core.neighborhood import window_sums_batch
+from repro.core.neighborhood import window_sums
 from repro.core.state import classify_base
 from repro.errors import ConfigurationError, StateError
 from repro.rng import SeedLike, replicate_seeds, spawn_rngs
@@ -451,7 +451,7 @@ class EnsembleDynamics:
         config = self.config
         r = self.n_replicas
         total = config.neighborhood_agents
-        plus = window_sums_batch(self._spins == 1, config.horizon)
+        plus = window_sums(self._spins == 1, config.horizon)
         same = np.where(self._spins == 1, plus, total - plus)
         # In place: backends may hold pointers into these counter arrays.
         same.sum(axis=(1, 2), dtype=np.int64, out=self._energies)
@@ -604,7 +604,7 @@ class EnsembleDynamics:
     def _energies_full(self) -> np.ndarray:
         """``(R,)`` energies recomputed from the spins (verification path)."""
         total = self.config.neighborhood_agents
-        plus = window_sums_batch(self._spins == 1, self.config.horizon)
+        plus = window_sums(self._spins == 1, self.config.horizon)
         same = np.where(self._spins == 1, plus, total - plus)
         return same.sum(axis=(1, 2), dtype=np.int64)
 

@@ -167,7 +167,7 @@ class TorusGrid:
         by :class:`repro.core.state.ModelState` and is used to (re)initialise
         it and to cross-check the incremental updates in tests.
         """
-        return window_sums((self._spins == 1).astype(np.int64), radius)
+        return window_sums(self._spins == 1, radius)
 
     def same_type_neighborhood_counts(self, radius: int) -> np.ndarray:
         """Number of same-type agents (including self) in every neighbourhood."""

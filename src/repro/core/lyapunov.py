@@ -19,7 +19,7 @@ from repro.utils.validation import require_spin_array
 def same_type_count_field(spins: np.ndarray, horizon: int) -> np.ndarray:
     """Per-agent count of same-type agents (self included) within ``horizon``."""
     spins = require_spin_array(spins)
-    plus_counts = window_sums((spins == 1).astype(np.int64), horizon)
+    plus_counts = window_sums(spins == 1, horizon)
     total = neighborhood_size(horizon)
     return np.where(spins == 1, plus_counts, total - plus_counts)
 

@@ -6,6 +6,11 @@ of all agents at l-infinity distance at most ``rho`` from ``u`` — a
 helpers in this module translate between radii, window sizes and modular index
 arrays, and are shared by the dynamics engine, the analysis code and the
 renormalisation substrate.
+
+Every full-grid window count in :mod:`repro.core` and :mod:`repro.analysis`
+is four slices of one summed-area table: :func:`wrapped_summed_area_table`
+builds it for a grid or an ``(R, n, m)`` stack, and :func:`window_counts`
+reads it.
 """
 
 from __future__ import annotations
@@ -112,107 +117,74 @@ def require_window_fits(shape: tuple[int, int], radius: int) -> None:
 
 
 def wrapped_summed_area_table(arr: np.ndarray, pad: int) -> np.ndarray:
-    """Summed-area table of ``arr`` torus-padded by ``pad`` on every side.
+    """Summed-area table of a grid or ``(R, n, m)`` stack, torus-padded by ``pad``.
 
-    The table has a leading zero row/column, so the sum of the padded array
-    over ``[r0, r1) x [c0, c1)`` is ``T[r1, c1] - T[r0, c1] - T[r1, c0] +
-    T[r0, c0]``.  Shared by :func:`window_sums` (one fixed radius for the
-    whole grid); the region scans of :mod:`repro.analysis.regions` read
-    many radii off one table of the same layout.
+    Each grid is wrapped by ``pad`` on every side and gets a leading zero
+    row and column, so the sum of a padded grid over ``[r0, r1) x [c0, c1)``
+    is ``T[..., r1, c1] - T[..., r0, c1] - T[..., r1, c0] + T[..., r0, c0]``
+    (:func:`window_counts` reads it).  No entry exceeds the padded grid area
+    times the input's largest magnitude, so the table is ``int32`` whenever
+    that product fits, which halves the memory traffic of every read, and
+    ``int64`` otherwise.  The sums are exact integers either way.
     """
-    padded = np.pad(np.asarray(arr, dtype=np.int64), pad, mode="wrap")
-    table = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
-    table[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    values = np.asarray(arr)
+    lead = [(0, 0)] * (values.ndim - 2)
+    padded = np.pad(values, lead + [(pad, pad), (pad, pad)], mode="wrap")
+    if values.dtype == bool:
+        magnitude = 1
+    else:
+        magnitude = max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    rows, cols = padded.shape[-2:]
+    dtype = np.int32 if rows * cols * magnitude < 2**31 else np.int64
+    table = np.zeros(padded.shape[:-2] + (rows + 1, cols + 1), dtype=dtype)
+    body = table[..., 1:, 1:]
+    np.cumsum(padded, axis=-1, dtype=dtype, out=body)
+    np.cumsum(body, axis=-2, out=body)
     return table
 
 
-def wrapped_summed_area_table_batch(arrs: np.ndarray, pad: int) -> np.ndarray:
-    """Summed-area tables of a ``(R, n, m)`` stack, one cumsum pass for all.
+def window_counts(
+    table: np.ndarray, pad: int, shape: tuple[int, int], radius: int
+) -> np.ndarray:
+    """Every site's radius-``radius`` window sum, read off a summed-area table.
 
-    Batched :func:`wrapped_summed_area_table`: slice ``r`` of the result is
-    bitwise identical to ``wrapped_summed_area_table(arrs[r], pad)`` (exact
-    integer sums), but the padding and the two cumulative sums run once over
-    the whole stack instead of once per replica, which is how
-    :func:`window_sums_batch` shares one table build across equal-shape
-    replicas.
+    ``table`` is a :func:`wrapped_summed_area_table` padded by ``pad >=
+    radius`` of grids of ``shape``.  The window of site ``(i, j)`` spans
+    table rows ``i + pad - radius`` to ``i + pad + radius + 1``, and likewise
+    for columns, so the counts are four shifted slices of the table.  The
+    result has the table's dtype and leading axes.
     """
-    stack = np.asarray(arrs, dtype=np.int64)
-    if stack.ndim != 3:
-        raise ConfigurationError(
-            f"arrs must be a (R, n, m) stack, got shape {stack.shape}"
-        )
-    padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="wrap")
-    table = np.zeros(
-        (padded.shape[0], padded.shape[1] + 1, padded.shape[2] + 1), dtype=np.int64
-    )
-    table[:, 1:, 1:] = padded.cumsum(axis=1).cumsum(axis=2)
-    return table
-
-
-def window_sums_batch(indicators: np.ndarray, radius: int) -> np.ndarray:
-    """Batched :func:`window_sums` over a ``(R, n, m)`` indicator stack.
-
-    Slice ``r`` equals ``window_sums(indicators[r], radius)`` bit for bit;
-    the summed-area tables of all replicas are built in one pass.
-    """
-    stack = np.asarray(indicators, dtype=np.int64)
-    if stack.ndim != 3:
-        raise ConfigurationError(
-            f"indicators must be a (R, n, m) stack, got shape {stack.shape}"
-        )
-    n_rows, n_cols = stack.shape[1], stack.shape[2]
-    if radius < 0:
-        raise ConfigurationError(f"radius must be non-negative, got {radius}")
-    require_window_fits((n_rows, n_cols), radius)
-    if radius == 0:
-        return stack.copy()
-    table = wrapped_summed_area_table_batch(stack, radius)
-    side = 2 * radius + 1
-    top = np.arange(n_rows)
-    left = np.arange(n_cols)
-    bottom = top + side
-    right = left + side
-    return (
-        table[:, bottom[:, None], right[None, :]]
-        - table[:, top[:, None], right[None, :]]
-        - table[:, bottom[:, None], left[None, :]]
-        + table[:, top[:, None], left[None, :]]
-    )
+    n_rows, n_cols = shape
+    lo = pad - radius
+    hi = pad + radius + 1
+    top, bottom = slice(lo, lo + n_rows), slice(hi, hi + n_rows)
+    left, right = slice(lo, lo + n_cols), slice(hi, hi + n_cols)
+    counts = table[..., bottom, right] - table[..., top, right]
+    counts -= table[..., bottom, left]
+    counts += table[..., top, left]
+    return counts
 
 
 def window_sums(indicator: np.ndarray, radius: int) -> np.ndarray:
-    """Wrapped moving-window sums of a 2-D array over square windows.
+    """Wrapped moving-window sums of a grid or a ``(R, n, m)`` stack.
 
-    ``window_sums(x, w)[i, j]`` equals the sum of ``x`` over the
-    ``(2w+1) x (2w+1)`` window centred at ``(i, j)`` with toroidal wrap-around.
-    Implemented with a padded summed-area table, which is O(grid size)
-    regardless of the radius, so full-grid neighbourhood counts stay cheap even
-    for large horizons.
+    ``window_sums(x, w)[..., i, j]`` equals the sum of ``x`` over the
+    ``(2w+1) x (2w+1)`` window centred at ``(i, j)`` with toroidal
+    wrap-around, grid by grid.  One padded summed-area table serves the
+    whole input, which is O(grid size) regardless of the radius, so
+    full-grid neighbourhood counts stay cheap even for large horizons.  The
+    result is an integer array of the table's dtype.
     """
-    arr = np.asarray(indicator, dtype=np.int64)
-    if arr.ndim != 2:
+    arr = np.asarray(indicator)
+    if arr.ndim not in (2, 3):
         raise ConfigurationError(
-            f"indicator must be a 2-D array, got shape {arr.shape}"
+            f"indicator must be a 2-D grid or a (R, n, m) stack, got shape {arr.shape}"
         )
     if radius < 0:
         raise ConfigurationError(f"radius must be non-negative, got {radius}")
-    n_rows, n_cols = arr.shape
-    require_window_fits(arr.shape, radius)
-    if radius == 0:
-        return arr.copy()
-    table = wrapped_summed_area_table(arr, radius)
-    side = 2 * radius + 1
-    top = np.arange(n_rows)
-    left = np.arange(n_cols)
-    bottom = top + side
-    right = left + side
-    sums = (
-        table[np.ix_(bottom, right)]
-        - table[np.ix_(top, right)]
-        - table[np.ix_(bottom, left)]
-        + table[np.ix_(top, left)]
-    )
-    return sums
+    shape = arr.shape[-2:]
+    require_window_fits(shape, radius)
+    return window_counts(wrapped_summed_area_table(arr, radius), radius, shape, radius)
 
 
 def annulus_mask(

@@ -17,10 +17,11 @@ measurements):
     sweep's in-order collector flushes that cell, carrying the cell's spec
     hash and its raw rows.  Appending line-by-line makes the log crash-safe:
     a killed run leaves at most one torn trailing line, which the loader
-    skips.  Since store format v2 every line is *self-verifying*: it ends
-    with a ``crc32`` field computed over the rest of the record, so a line
-    that parses but was bit-flipped on disk (or hand-edited) is detected and
-    dropped rather than resumed from.  Quarantined cells (``on_error="skip"``
+    skips and the resumed run's first append removes.  Since store format
+    v2 every line is *self-verifying*: it ends with a ``crc32`` field
+    computed over the rest of the record, so a line that parses but was
+    bit-flipped on disk (or hand-edited) is detected and dropped rather
+    than resumed from.  Quarantined cells (``on_error="skip"``
     exhausting its retries) are recorded too, as lines carrying a
     ``failure`` object instead of ``rows`` — provenance for the operator;
     resume reruns those cells.
@@ -59,8 +60,9 @@ classifier (``_classify_lines``, bytes split on ``\n``) serves resume,
 lines, and undecodable bytes are damage, never a crash.  One reader
 (``_read_document``) parses ``manifest.json`` and ``summary.json``.  One
 writer (``_replace_file``: temp file, ``fsync``, ``os.replace``) writes the
-manifest, the summary and a repaired log, with the mode a plain ``open``
-gets under the umask, so a failed write leaves no torn file.
+manifest, the summary, a repaired log and a resume's log without the lines
+it dropped, with the mode a plain ``open`` gets under the umask, so a failed
+write leaves no torn file.
 """
 
 from __future__ import annotations
@@ -354,6 +356,10 @@ class SweepCheckpoint:
         self.cell_hashes = [spec_hash(cell) for cell in cells]
         self._completed: dict[str, list[dict[str, object]]] = {}
         self._failures: dict[str, dict[str, object]] = {}
+        #: The loaded log minus the lines the load dropped, written over
+        #: ``metrics.jsonl`` before the first append; ``None`` when the load
+        #: dropped nothing.
+        self._healed_log: Optional[bytes] = None
         if self.metrics_path.exists():
             self._load_metrics()
         self._check_or_write_manifest(cells, sweep)
@@ -363,27 +369,35 @@ class SweepCheckpoint:
     def _load_metrics(self) -> None:
         """Load ``metrics.jsonl``, tolerating torn and corrupt lines.
 
-        A run killed mid-append leaves a line that is not valid JSON —
-        usually the trailing one, but :meth:`record` terminates an inherited
-        torn tail before appending, so a twice-interrupted log can carry an
-        invalid line mid-file.  Every line a reader cannot use (not JSON,
+        A run killed mid-append leaves a line that is not valid JSON,
+        usually the trailing one.  Every line a reader cannot use (not JSON,
         not an object, a CRC mismatch, not a cell record) is skipped *with
         a* :class:`~repro.errors.CheckpointWarning` *naming the file and the
         line number and byte count that* :func:`verify_store` *reports* — a
         lossy resume must be distinguishable from a clean one; every usable
         line is a whole record (they are flushed line-atomically), and a
-        skipped cell simply reruns.
+        skipped cell simply reruns.  The first append then replaces the log
+        with its usable lines, byte for byte and each newline-terminated, so
+        the rerun records never land behind the damage and the resumed store
+        passes the audit.  Loading alone leaves the file untouched.
         """
-        lines = list(_classify_lines(self.metrics_path.read_bytes()))
-        for line in lines:
-            if line.record is None:
-                warnings.warn(
-                    f"{self.metrics_path}: dropping line {line.number} "
-                    f"({line.size} bytes): {line.dropped}; "
-                    "the affected cell will rerun on resume",
-                    CheckpointWarning,
-                    stacklevel=3,
-                )
+        data = self.metrics_path.read_bytes()
+        lines = list(_classify_lines(data))
+        dropped = [line for line in lines if line.record is None]
+        for line in dropped:
+            warnings.warn(
+                f"{self.metrics_path}: dropping line {line.number} "
+                f"({line.size} bytes): {line.dropped}; "
+                "the affected cell will rerun on resume",
+                CheckpointWarning,
+                stacklevel=3,
+            )
+        if dropped:
+            self._healed_log = b"".join(
+                data[line.start : line.start + line.size] + b"\n"
+                for line in lines
+                if line.record is not None
+            )
         for cell_hash, record in _latest_records(lines).items():
             if isinstance(record.get("rows"), list):
                 self._completed[cell_hash] = record["rows"]
@@ -486,8 +500,10 @@ class SweepCheckpoint:
 
         Open-append-close per record keeps the log consistent under kills:
         the line either lands whole or is the torn tail the loader skips.
-        A torn tail inherited from a previous kill is newline-terminated
-        first, so the new record never concatenates onto the fragment.
+        A torn tail inherited from a previous kill is gone by then (the
+        load dropped it, and the first append writes the log without it);
+        any other unterminated last line is newline-terminated first, so
+        the new record never concatenates onto it.
         """
         self._append_line(self.encoded_record(index, cell, rows))
         self._completed[self.cell_hashes[index]] = rows
@@ -516,6 +532,9 @@ class SweepCheckpoint:
 
     def _append_line(self, line: bytes) -> None:
         """Append one encoded line, newline-terminating any inherited tail."""
+        if self._healed_log is not None:
+            _replace_file(self.metrics_path, self._healed_log)
+            self._healed_log = None
         with open(self.metrics_path, "a+b") as handle:
             if handle.seek(0, 2) > 0:
                 handle.seek(-1, 2)

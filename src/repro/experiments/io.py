@@ -37,17 +37,13 @@ def json_default(value: object) -> object:
     raise TypeError(f"cannot serialise {type(value).__name__} to JSON")
 
 
-#: Backwards-compatible alias (the helper predates its public use).
-_json_default = json_default
-
-
 def save_table(table: ResultTable, path: PathLike) -> Path:
     """Write a result table to ``path`` as a JSON list of row objects."""
     if len(table) == 0:
         raise ExperimentError("cannot save an empty result table")
     path = Path(path)
     with open(path, "w") as handle:
-        json.dump(table.rows, handle, indent=2, default=_json_default)
+        json.dump(table.rows, handle, indent=2, default=json_default)
     return path
 
 
@@ -109,7 +105,7 @@ def save_manifest(
     }
     path = Path(path)
     with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, default=_json_default)
+        json.dump(manifest, handle, indent=2, default=json_default)
     return path
 
 

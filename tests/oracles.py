@@ -10,6 +10,9 @@ here rather than in the package because only tests need them.
 :class:`~repro.analysis.segregation.SegregationMetrics` bundle without
 touching the library's measurement kernels, so comparing it with
 ``segregation_metrics_batch`` is not a comparison of a kernel with itself.
+Their window counts come from :func:`window_sums_reference`, an ``int64``
+summed-area table read by four index gathers per site, never from the
+table builder and slice reader of :mod:`repro.core.neighborhood`.
 
 The PCG64 helpers at the end read and steer numpy's bit generator from
 outside: :func:`pcg64_state_after` maps a compiled stream's block base and
@@ -24,19 +27,61 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.regions import (
-    _max_usable_radius,
-    minority_ratio_map,
-    paper_ratio_threshold,
-)
+from repro.analysis.regions import _max_usable_radius, paper_ratio_threshold
 from repro.analysis.segregation import SegregationMetrics
 from repro.core.config import ModelConfig
-from repro.core.neighborhood import neighborhood_size, window_sums
-from repro.errors import AnalysisError, PercolationError
+from repro.core.neighborhood import neighborhood_size, require_window_fits
+from repro.errors import AnalysisError, ConfigurationError, PercolationError
 from repro.percolation.cluster import RadiusTailEstimate, cluster_radius, label_clusters
 from repro.percolation.union_find import UnionFind
 from repro.rng import PCG64_MULTIPLIER, SeedLike, make_rng
 from repro.utils.validation import require_spin_array
+
+
+def window_sums_reference(indicator: np.ndarray, radius: int) -> np.ndarray:
+    """Four-gather window sums: the oracle for ``window_sums`` on a grid.
+
+    An ``int64`` summed-area table of the torus-padded grid, read by
+    gathering the four corner entries of every site's window through index
+    arrays, so it shares neither the table builder nor the slice reader
+    of :mod:`repro.core.neighborhood`.
+    """
+    arr = np.asarray(indicator, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ConfigurationError(
+            f"indicator must be a 2-D array, got shape {arr.shape}"
+        )
+    if radius < 0:
+        raise ConfigurationError(f"radius must be non-negative, got {radius}")
+    n_rows, n_cols = arr.shape
+    require_window_fits(arr.shape, radius)
+    if radius == 0:
+        return arr.copy()
+    padded = np.pad(arr, radius, mode="wrap")
+    table = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
+    table[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    side = 2 * radius + 1
+    top = np.arange(n_rows)
+    left = np.arange(n_cols)
+    bottom = top + side
+    right = left + side
+    return (
+        table[np.ix_(bottom, right)]
+        - table[np.ix_(top, right)]
+        - table[np.ix_(bottom, left)]
+        + table[np.ix_(top, left)]
+    )
+
+
+def minority_ratio_map_reference(spins: np.ndarray, radius: int) -> np.ndarray:
+    """Per-site minority/majority ratio: the oracle for ``minority_ratio_map``."""
+    spins = require_spin_array(spins)
+    plus = window_sums_reference(spins == 1, radius)
+    total = neighborhood_size(radius)
+    minus = total - plus
+    minority = np.minimum(plus, minus).astype(float)
+    majority = np.maximum(plus, minus).astype(float)
+    return minority / majority
 
 
 def monochromatic_radius_map_reference(
@@ -44,8 +89,8 @@ def monochromatic_radius_map_reference(
 ) -> np.ndarray:
     """Linear per-radius scan: the oracle for ``monochromatic_radius_map``.
 
-    One ``window_sums`` pass per radius over the whole grid, stopping once
-    no site is alive.
+    One :func:`window_sums_reference` pass per radius over the whole grid,
+    stopping once no site is alive.
     """
     spins = require_spin_array(spins)
     limit = _max_usable_radius(spins.shape, max_radius)
@@ -53,7 +98,7 @@ def monochromatic_radius_map_reference(
     plus_indicator = (spins == 1).astype(np.int64)
     alive = np.ones(spins.shape, dtype=bool)
     for radius in range(1, limit + 1):
-        counts = window_sums(plus_indicator, radius)
+        counts = window_sums_reference(plus_indicator, radius)
         total = neighborhood_size(radius)
         mono = (counts == total) | (counts == 0)
         alive &= mono
@@ -70,8 +115,8 @@ def almost_monochromatic_radius_map_reference(
 ) -> np.ndarray:
     """Linear per-radius scan: the oracle for ``almost_monochromatic_radius_map``.
 
-    One full ``minority_ratio_map`` grid pass per radius, recording the
-    largest qualifying radius per site.
+    One full :func:`minority_ratio_map_reference` grid pass per radius,
+    recording the largest qualifying radius per site.
     """
     if not 0.0 <= ratio_threshold <= 1.0:
         raise AnalysisError(
@@ -81,7 +126,7 @@ def almost_monochromatic_radius_map_reference(
     limit = _max_usable_radius(spins.shape, max_radius)
     radii = np.zeros(spins.shape, dtype=np.int64)
     for radius in range(1, limit + 1):
-        ratios = minority_ratio_map(spins, radius)
+        ratios = minority_ratio_map_reference(spins, radius)
         qualifies = ratios <= ratio_threshold
         radii[qualifies] = radius
     return radii
@@ -186,7 +231,7 @@ def segregation_metrics_oracle(
     almost_radii = almost_monochromatic_radius_map_reference(
         spins, ratio_threshold, max_radius=max_region_radius
     )
-    plus_counts = window_sums((spins == 1).astype(np.int64), config.horizon)
+    plus_counts = window_sums_reference(spins == 1, config.horizon)
     same = np.where(spins == 1, plus_counts, config.neighborhood_agents - plus_counts)
     horizontal = spins != np.roll(spins, -1, axis=1)
     vertical = spins != np.roll(spins, -1, axis=0)

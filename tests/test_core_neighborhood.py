@@ -16,9 +16,11 @@ from repro.core.neighborhood import (
     torus_l1_distance,
     torus_linf_distance,
     window_sums,
+    wrapped_summed_area_table,
     wrapped_window_indices,
 )
 from repro.errors import ConfigurationError
+from oracles import window_sums_reference
 from tests.conftest import brute_force_window_sum
 
 
@@ -135,14 +137,27 @@ class TestWindowSums:
         n_cols=st.integers(min_value=5, max_value=12),
         radius=st.integers(min_value=0, max_value=2),
         seed=st.integers(min_value=0, max_value=10**6),
+        n_replicas=st.integers(min_value=1, max_value=3),
     )
-    def test_matches_brute_force_everywhere(self, n_rows, n_cols, radius, seed):
+    def test_matches_brute_force_everywhere(
+        self, n_rows, n_cols, radius, seed, n_replicas
+    ):
         rng = np.random.default_rng(seed)
-        arr = rng.integers(0, 3, size=(n_rows, n_cols))
-        sums = window_sums(arr, radius)
+        stack = rng.integers(0, 3, size=(n_replicas, n_rows, n_cols))
+        stack_sums = window_sums(stack, radius)
         row = int(rng.integers(0, n_rows))
         col = int(rng.integers(0, n_cols))
-        assert sums[row, col] == brute_force_window_sum(arr, row, col, radius)
+        for arr, sums in zip(stack, stack_sums):
+            assert np.array_equal(sums, window_sums(arr, radius))
+            assert np.array_equal(sums, window_sums_reference(arr, radius))
+            assert sums[row, col] == brute_force_window_sum(arr, row, col, radius)
+
+    def test_table_dtype_fits_padded_area_times_magnitude(self):
+        flags = np.ones((4, 4), dtype=bool)
+        assert wrapped_summed_area_table(flags, 1).dtype == np.int32
+        large = np.full((4, 4), 2**28, dtype=np.int64)
+        assert wrapped_summed_area_table(large, 1).dtype == np.int64
+        assert np.all(window_sums(large, 1) == 9 * 2**28)
 
     def test_total_preserved(self, rng):
         arr = rng.integers(0, 2, size=(10, 10))

@@ -217,7 +217,7 @@ class TestResume:
                 json.loads(line)
                 parsed += 1
             except ValueError:
-                continue  # the fragment itself stays, terminated
+                continue  # the resume's first append removed the fragment
         assert parsed == small_sweep.n_cells()
 
         calls = self._count_runs(monkeypatch)

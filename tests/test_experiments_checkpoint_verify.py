@@ -7,7 +7,8 @@ orphans, manifest drift) into a machine-readable report; and
 :func:`repair_store` atomically truncates to the longest valid prefix so the
 store is resumable again.  The SIGKILL matrix at the bottom kills real
 checkpointed sweep processes at fault-plan-chosen points and asserts the
-resumed table is bitwise identical to an uninterrupted run.  The last two
+resumed table is bitwise identical to an uninterrupted run, and a resume
+over a damaged log leaves a store that passes the audit.  The last two
 classes pin the store's one reader (resume, summaries, reproduction and
 serving drop and number exactly the lines the audit reports) and its one
 atomic writer (umask mode, nothing left behind by a failed write).
@@ -405,6 +406,47 @@ class TestTornRecordFault:
             )
         assert comparable_rows(resumed) == comparable_rows(uninterrupted)
         assert verify_store(directory)["ok"] is True
+
+
+class TestHealedResume:
+    """A resume over a damaged log leaves a store that passes the audit."""
+
+    def test_resume_after_kill_mid_append(self, store, sweep):
+        import io
+
+        from repro.cli import main
+
+        metrics = store / "metrics.jsonl"
+        lines = metrics.read_bytes().splitlines(keepends=True)
+        metrics.write_bytes(b"".join(lines[:-1]) + lines[-1][:40])
+        with pytest.warns(CheckpointWarning, match="line 4 "):
+            resumed = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
+        assert comparable_rows(resumed) == comparable_rows(
+            run_sweep_parallel(sweep, workers=1)
+        )
+        assert verify_store(store)["ok"] is True
+        assert repair_store(store)["repair"]["performed"] is False
+        out = io.StringIO()
+        assert main(["query", "tau=0.3", "--store", str(store)], out=out) == 0
+
+    def test_resume_over_undecodable_line(self, store, sweep):
+        metrics = store / "metrics.jsonl"
+        lines = metrics.read_bytes().splitlines(keepends=True)
+        at = lines[0].index(b'"cell_name":"') + len(b'"cell_name":"') + 2
+        lines[0] = lines[0][:at] + b"\xff" + lines[0][at + 1 :]
+        metrics.write_bytes(b"".join(lines))
+        with pytest.warns(CheckpointWarning, match="line 1 "):
+            resumed = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
+        assert comparable_rows(resumed) == comparable_rows(
+            run_sweep_parallel(sweep, workers=1)
+        )
+        # The intact records keep their bytes; the rerun cell follows them.
+        assert metrics.read_bytes().startswith(b"".join(lines[1:]))
+        assert verify_store(store)["ok"] is True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CheckpointWarning)
+            again = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
+        assert comparable_rows(again) == comparable_rows(resumed)
 
 
 def run_killed_sweep(directory: Path, plan_code: str) -> int:
