@@ -310,8 +310,9 @@ def _resolve_backend_request(args: argparse.Namespace) -> Optional[tuple[str, st
 def _add_store_arguments(subparser: argparse.ArgumentParser) -> None:
     """Attach the shared store-selection flags to ``query`` or ``serve``.
 
-    ``--store`` is repeatable: one flag serves a single store, several build
-    a :class:`FederatedQueryEngine` routing queries by parameter coverage.
+    ``--store`` is repeatable: one flag serves a single store, several serve
+    one surface that :class:`~repro.serving.query.QueryEngine` routes by
+    parameter coverage (two spellings of one directory are a usage error).
     Every named store is integrity-audited at startup; ``--allow-damaged``
     downgrades a failed audit from a refusal to serving only the cells that
     pass the line-level checks.
@@ -767,23 +768,6 @@ def _open_verified_stores(args: argparse.Namespace) -> list:
     return stores
 
 
-def _make_query_engine(args: argparse.Namespace):
-    """Build the query engine shared by ``query`` and ``serve``.
-
-    One ``--store`` gives a plain :class:`QueryEngine`; several federate.
-    """
-    from repro.serving.cache import make_query_cache
-    from repro.serving.federation import build_engine
-
-    return build_engine(
-        _open_verified_stores(args),
-        cache=make_query_cache(args.cache_size),
-        interpolate=args.interpolate,
-        on_miss=args.on_miss,
-        max_distance=args.max_distance,
-    )
-
-
 def _command_query(args: argparse.Namespace, out) -> int:
     """Answer one parameter-point query and print the JSON answer.
 
@@ -793,9 +777,17 @@ def _command_query(args: argparse.Namespace, out) -> int:
     """
     from repro.errors import QueryMiss, ReproError, StoreDamaged
     from repro.experiments.io import json_default
+    from repro.serving.cache import make_query_cache
+    from repro.serving.query import QueryEngine
 
     try:
-        engine = _make_query_engine(args)
+        engine = QueryEngine(
+            _open_verified_stores(args),
+            cache=make_query_cache(args.cache_size),
+            interpolate=args.interpolate,
+            on_miss=args.on_miss,
+            max_distance=args.max_distance,
+        )
         answer = engine.answer(args.point)
     except StoreDamaged as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -856,7 +848,7 @@ def _command_serve(args: argparse.Namespace, out) -> int:
         f"serving {', '.join(args.store)} on "
         f"http://{bound_host}:{bound_port} "
         "(routes: /query /stats /cells /healthz /readyz; "
-        "SIGTERM drains, Ctrl-C stops)",
+        "SIGTERM or Ctrl-C drains)",
         file=out,
         flush=True,
     )

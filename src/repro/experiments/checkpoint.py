@@ -17,14 +17,14 @@ measurements):
     sweep's in-order collector flushes that cell, carrying the cell's spec
     hash and its raw rows.  Appending line-by-line makes the log crash-safe:
     a killed run leaves at most one torn trailing line, which the loader
-    skips and the resumed run's first append removes.  Since store format
-    v2 every line is *self-verifying*: it ends with a ``crc32`` field
-    computed over the rest of the record, so a line that parses but was
-    bit-flipped on disk (or hand-edited) is detected and dropped rather
-    than resumed from.  Quarantined cells (``on_error="skip"``
-    exhausting its retries) are recorded too, as lines carrying a
-    ``failure`` object instead of ``rows`` — provenance for the operator;
-    resume reruns those cells.
+    skips and the resumed run removes (at its first append, or when the
+    sweep settles).  Since store format v2 every line is *self-verifying*:
+    it ends with a ``crc32`` field computed over the rest of the record, so
+    a line that parses but was bit-flipped on disk (or hand-edited) is
+    detected and dropped rather than resumed from.  Quarantined cells
+    (``on_error="skip"`` exhausting its retries) are recorded too, as lines
+    carrying a ``failure`` object instead of ``rows`` — provenance for the
+    operator; resume reruns those cells.
 
 ``summary.json``
     Per-cell aggregates — mean/std/min/max and a normal confidence interval
@@ -357,8 +357,8 @@ class SweepCheckpoint:
         self._completed: dict[str, list[dict[str, object]]] = {}
         self._failures: dict[str, dict[str, object]] = {}
         #: The loaded log minus the lines the load dropped, written over
-        #: ``metrics.jsonl`` before the first append; ``None`` when the load
-        #: dropped nothing.
+        #: ``metrics.jsonl`` before the first append or the summary;
+        #: ``None`` when the load dropped nothing.
         self._healed_log: Optional[bytes] = None
         if self.metrics_path.exists():
             self._load_metrics()
@@ -376,10 +376,11 @@ class SweepCheckpoint:
         line number and byte count that* :func:`verify_store` *reports* — a
         lossy resume must be distinguishable from a clean one; every usable
         line is a whole record (they are flushed line-atomically), and a
-        skipped cell simply reruns.  The first append then replaces the log
-        with its usable lines, byte for byte and each newline-terminated, so
-        the rerun records never land behind the damage and the resumed store
-        passes the audit.  Loading alone leaves the file untouched.
+        skipped cell simply reruns.  The first append (or, when no cell
+        reruns, :meth:`write_summary`) then replaces the log with its usable
+        lines, byte for byte and each newline-terminated, so the rerun
+        records never land behind the damage and the resumed store passes
+        the audit.  Loading alone leaves the file untouched.
         """
         data = self.metrics_path.read_bytes()
         lines = list(_classify_lines(data))
@@ -530,11 +531,15 @@ class SweepCheckpoint:
         )
         self._failures[self.cell_hashes[index]] = dict(failure)
 
-    def _append_line(self, line: bytes) -> None:
-        """Append one encoded line, newline-terminating any inherited tail."""
+    def _heal(self) -> None:
+        """Write the log without the lines the load dropped, if any."""
         if self._healed_log is not None:
             _replace_file(self.metrics_path, self._healed_log)
             self._healed_log = None
+
+    def _append_line(self, line: bytes) -> None:
+        """Append one encoded line, newline-terminating any inherited tail."""
+        self._heal()
         with open(self.metrics_path, "a+b") as handle:
             if handle.seek(0, 2) > 0:
                 handle.seek(-1, 2)
@@ -547,8 +552,11 @@ class SweepCheckpoint:
 
         Called by the sweep runner when a checkpointed sweep finishes;
         idempotent and rerunnable offline (``repro summarize``) because the
-        summary is derived purely from the manifest and metrics files.
+        summary is derived purely from the manifest and metrics files.  A
+        log whose load dropped lines is healed first, so a resume that
+        reran no cell still leaves a store that passes the audit.
         """
+        self._heal()
         return write_summary(self.directory)
 
 

@@ -8,10 +8,9 @@ aggregates).  This package *consumes* them:
   :func:`reproduce_store` (bitwise re-execution of recorded cells) and the
   snapshot-to-spec rebuild behind both.
 - :mod:`repro.serving.query` — :class:`QueryEngine`: exact / interpolated /
-  nearest-cell parameter lookups with an explicit miss policy and the
+  nearest-cell parameter lookups over one store or several (one surface,
+  routed by parameter coverage) with an explicit miss policy and the
   overload degradation ladder.
-- :mod:`repro.serving.federation` — :class:`FederatedQueryEngine`: one
-  query surface over many stores, routed by parameter coverage.
 - :mod:`repro.serving.cache` — the bounded thread-safe single-flight LRU
   answer cache with exact hit/miss/eviction/coalesce counters.
 - :mod:`repro.serving.lifecycle` — :class:`ComputeGate` (backpressure),
@@ -29,8 +28,7 @@ from repro.serving.cache import (
     cache_key,
     make_query_cache,
 )
-from repro.serving.federation import FederatedQueryEngine, build_engine
-from repro.serving.http import drain_server, make_server, serve
+from repro.serving.http import drain_server, make_server
 from repro.serving.lifecycle import (
     ComputeGate,
     QueryService,
@@ -57,7 +55,6 @@ __all__ = [
     "CellReproduction",
     "ComputeGate",
     "DEFAULT_CACHE_CAPACITY",
-    "FederatedQueryEngine",
     "LRUCache",
     "QueryEngine",
     "QueryService",
@@ -65,7 +62,6 @@ __all__ = [
     "StoreWatcher",
     "axis_scales",
     "bilinear_answer",
-    "build_engine",
     "cache_key",
     "drain_server",
     "make_query_cache",
@@ -73,7 +69,6 @@ __all__ = [
     "normalized_distance",
     "parse_query",
     "reproduce_store",
-    "serve",
     "store_signature",
     "sweep_from_snapshot",
 ]

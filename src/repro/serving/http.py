@@ -52,14 +52,13 @@ from repro.errors import (
 )
 from repro.experiments.io import json_default
 from repro.serving.cache import LRUCache, make_query_cache
-from repro.serving.federation import build_engine
 from repro.serving.lifecycle import (
     DEFAULT_RETRY_AFTER,
     ComputeGate,
     QueryService,
     StoreWatcher,
 )
-from repro.serving.query import AXIS_ALIASES
+from repro.serving.query import AXIS_ALIASES, QueryEngine
 from repro.serving.store import ArtifactStore, PathLike
 
 #: Default bind address and port of ``repro serve``.
@@ -300,62 +299,51 @@ def make_server(
     max_compute: Optional[int] = None,
     retry_after: float = DEFAULT_RETRY_AFTER,
     refresh_interval: Optional[float] = None,
-    trust_summary: bool = True,
 ) -> QueryHTTPServer:
-    """A ready-to-run threaded server over one store or a federation.
+    """A ready-to-run threaded server over one store or several.
 
-    ``store`` may be a single directory/:class:`ArtifactStore` or a sequence
-    of them (a federation).  ``max_compute`` bounds concurrent on-miss
-    simulations (``None`` = unbounded, still counted), ``refresh_interval``
-    (seconds) starts the live-store poller that swaps refreshed snapshots
-    in, and ``trust_summary=False`` re-derives aggregates from verified
-    records only.  Pass ``port=0`` to bind an ephemeral port (tests do); the
-    bound address is ``server.server_address``, the live snapshot is
-    ``server.engine`` and the lifecycle state ``server.service``.  The
-    caller owns the lifecycle: ``serve_forever()`` to run,
-    :func:`drain_server` (or ``shutdown()`` + ``server_close()``) to stop.
+    ``store`` is what :class:`~repro.serving.query.QueryEngine` takes; each
+    :class:`ArtifactStore` handle's ``trust_summary`` holds for every
+    refreshed snapshot too.  ``max_compute`` bounds concurrent on-miss
+    simulations (``None`` = unbounded, still counted) and
+    ``refresh_interval`` (seconds) starts the live-store poller that swaps
+    refreshed snapshots in.  Pass ``port=0`` to bind an ephemeral port
+    (tests do); the bound address is ``server.server_address``, the live
+    snapshot is ``server.engine`` and the lifecycle state
+    ``server.service``.  The caller owns the lifecycle: ``serve_forever()``
+    to run, :func:`drain_server` (or ``shutdown()`` + ``server_close()``) to
+    stop.
     """
-    if isinstance(store, (ArtifactStore, str)) or hasattr(store, "__fspath__"):
-        stores = [store]
-    else:
-        stores = list(store)
-    # An ArtifactStore handle carries its own trust decision (the CLI's
-    # --allow-damaged opens damaged stores with trust_summary=False);
-    # path-like entries fall back to the keyword.
+    options = dict(
+        cache=cache if cache is not None else make_query_cache(),
+        interpolate=interpolate,
+        on_miss=on_miss,
+        max_distance=max_distance,
+        gate=ComputeGate(limit=max_compute, retry_after=retry_after),
+    )
+    engine = QueryEngine(store, **options).load()
+    # Directories and trust only: holding the handles would keep the first
+    # snapshot's summaries alive after the watcher swaps it out.
     members = [
-        (s.directory, s.trust_summary)
-        if isinstance(s, ArtifactStore)
-        else (s, trust_summary)
-        for s in stores
+        (handle.directory, handle.trust_summary) for handle in engine.stores
     ]
-    directories = [directory for directory, _ in members]
-    if cache is None:
-        cache = make_query_cache()
-    gate = ComputeGate(limit=max_compute, retry_after=retry_after)
 
-    def fresh_engine(generation: int):
+    def fresh_engine(generation: int) -> QueryEngine:
         """A fully loaded snapshot of the stores at the next generation."""
-        return build_engine(
-            [
-                ArtifactStore(directory, trust_summary=trust)
-                for directory, trust in members
-            ],
-            cache=cache,
-            interpolate=interpolate,
-            on_miss=on_miss,
-            max_distance=max_distance,
-            gate=gate,
-            generation=generation,
-        ).load()
+        stores = [
+            ArtifactStore(directory, trust_summary=trust)
+            for directory, trust in members
+        ]
+        return QueryEngine(stores, generation=generation, **options).load()
 
-    service = QueryService(fresh_engine(0))
+    service = QueryService(engine)
     server = QueryHTTPServer((host, port), make_handler(service, quiet=quiet))
     server.service = service
     server.watcher = None
     if refresh_interval:
         server.watcher = StoreWatcher(
             service,
-            directories,
+            [directory for directory, _ in members],
             fresh_engine,
             interval=refresh_interval,
         )
@@ -380,19 +368,3 @@ def drain_server(
     server.shutdown()
     server.server_close()
     return drained
-
-
-def serve(
-    store: Union[ArtifactStore, PathLike, Sequence],
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    **engine_options: object,
-) -> None:
-    """Blocking convenience wrapper: build a server and run it forever."""
-    server = make_server(store, host=host, port=port, **engine_options)
-    try:
-        server.serve_forever()
-    finally:
-        if server.watcher is not None:
-            server.watcher.stop()
-        server.server_close()

@@ -122,10 +122,10 @@ class QueryService:
     One instance backs all request threads.  ``service.engine`` is read once
     per request — attribute reads are atomic, so a concurrent
     :meth:`swap_engine` gives each request entirely the old or entirely the
-    new snapshot, never a blend.  Liveness (:meth:`alive`) is distinct from
-    readiness (:meth:`ready`): a draining service is alive but unready, so
-    an orchestrator stops routing new traffic while in-flight requests
-    finish.
+    new snapshot, never a blend.  Readiness (:meth:`ready`) is distinct from
+    liveness, which the process answers for as long as it runs: a draining
+    service is alive but unready, so an orchestrator stops routing new
+    traffic while in-flight requests finish.
     """
 
     def __init__(self, engine: object) -> None:
@@ -176,10 +176,6 @@ class QueryService:
         """Whether :meth:`drain` has begun."""
         with self._condition:
             return self._draining
-
-    def alive(self) -> bool:
-        """Liveness: the process is up (always true in-process)."""
-        return True
 
     def ready(self) -> bool:
         """Readiness: a loaded engine snapshot exists and we are not draining."""

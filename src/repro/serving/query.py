@@ -1,8 +1,9 @@
-"""Parameter-point queries against a sweep artifact store.
+"""Parameter-point queries against one sweep artifact store or several.
 
-The store holds aggregates at the sweep's grid points; consumers ask for
-arbitrary ``(rho, tau, w)`` points.  :class:`QueryEngine` resolves a query in
-a fixed priority order:
+A store holds aggregates at its sweep's grid points; consumers ask for
+arbitrary ``(rho, tau, w)`` points.  :class:`QueryEngine` resolves a query
+over the answerable cells of its stores (their union, when there are
+several) in a fixed priority order:
 
 1. **Exact match** — a summary cell whose parameters equal the query point
    bit-for-bit returns its stored aggregates unchanged.
@@ -48,8 +49,9 @@ never cached — they are a capacity artifact, not the point's true answer.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.errors import (
     DeadlineExceeded,
@@ -87,31 +89,42 @@ def parse_query(text: str) -> dict[str, float]:
     duplicates and non-numeric values.  Axes may be omitted — the engine
     fills an omitted axis when the store pins it to a single value.
     """
+
+    def terms():
+        """Each ``axis=value`` term as a stripped, lower-cased pair."""
+        for part in str(text).split(","):
+            part = part.strip()
+            if not part:
+                continue
+            name, sep, raw = part.partition("=")
+            if not sep:
+                raise ServingError(
+                    f"query term {part!r} is not of the form axis=value"
+                )
+            yield name.strip().lower(), raw.strip()
+
+    return _query_terms(terms())
+
+
+def _query_terms(terms: Iterable[tuple[object, object]]) -> dict[str, float]:
+    """The partial point named by ``(axis, value)`` terms of any query.
+
+    Rejects unknown axes, duplicates (aliases included), non-numeric values
+    and an empty query, checking the terms in order.
+    """
     point: dict[str, float] = {}
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, sep, raw = part.partition("=")
-        name = name.strip().lower()
-        if not sep:
-            raise ServingError(
-                f"query term {part!r} is not of the form axis=value"
-            )
-        axis = AXIS_ALIASES.get(name)
+    for name, raw in terms:
+        axis = AXIS_ALIASES.get(str(name).lower())
         if axis is None:
             known = ", ".join(sorted(AXIS_ALIASES))
-            raise ServingError(
-                f"unknown query axis {name!r} (known: {known})"
-            )
+            raise ServingError(f"unknown query axis {name!r} (known: {known})")
         if axis in point:
             raise ServingError(f"query names axis {axis!r} more than once")
         try:
-            point[axis] = float(raw.strip())
-        except ValueError:
+            point[axis] = float(raw)
+        except (TypeError, ValueError):
             raise ServingError(
-                f"query value {raw.strip()!r} for axis {axis!r} is not a "
-                "number"
+                f"query value {raw!r} for axis {axis!r} is not a number"
             ) from None
     if not point:
         raise ServingError("empty query — name at least one axis=value term")
@@ -123,9 +136,9 @@ def axis_scales(cells: list[dict]) -> dict[str, float]:
 
     ``s_a = max_a - min_a`` over the cells' parameter points, with 1.0 for a
     degenerate axis (single value) so a division never blows up.  A pure
-    function of the cell *set* — invariant under storage order, and in a
-    federation computed over the union of every member store's cells so the
-    metric is commensurate across stores.
+    function of the cell *set* — invariant under storage order, and over
+    several stores computed over the union of their cells so the metric is
+    commensurate across stores.
     """
     scales: dict[str, float] = {}
     for axis in AXES:
@@ -150,9 +163,9 @@ def normalized_distance(
 def _cell_rank(cell: dict) -> tuple:
     """Deterministic tie-break rank: parameter point, spec hash, then store.
 
-    The trailing store tag (set by the federated engine, empty for a single
-    store) makes ties deterministic even when two member stores hold cells
-    with identical parameters and hashes.
+    The trailing store tag (set over several stores, empty for one) makes
+    ties deterministic even when two stores hold cells with identical
+    parameters and hashes.
     """
     params = cell["params"]
     return (
@@ -274,7 +287,15 @@ def bilinear_answer(
 
 
 class QueryEngine:
-    """Cached parameter-point lookups against one artifact store.
+    """Cached parameter-point lookups against one artifact store or several.
+
+    ``stores`` is one :class:`~repro.serving.store.ArtifactStore` or store
+    directory, or a non-empty sequence of them (held in :attr:`stores`; two
+    spellings of one directory are an error).  Several stores serve one
+    surface: the union of their cells, each tagged with its store, so the
+    distance scales, interpolation brackets and tie-breaks span the union;
+    computes route to the store owning the nearest cell (see
+    :meth:`_sweep_for_compute`).
 
     Thread-safe: resolution state is read-only after construction and the
     answer cache takes its own lock, so one engine instance backs the
@@ -284,16 +305,13 @@ class QueryEngine:
     engine with a successor of the next ``generation`` rather than mutating
     one in place; ``generation`` is folded into every cache key so a shared
     cache never serves a superseded snapshot's answer.
-
-    The store-access points (:meth:`answer_cells`,
-    :meth:`_sweep_for_compute`, :meth:`_store_stats`) are overridable hooks —
-    :class:`~repro.serving.federation.FederatedQueryEngine` reroutes them
-    over many stores while inheriting every resolution rule unchanged.
     """
 
     def __init__(
         self,
-        store: Union[ArtifactStore, PathLike],
+        stores: Union[
+            ArtifactStore, PathLike, Sequence[Union[ArtifactStore, PathLike]]
+        ],
         cache: Optional[LRUCache] = None,
         interpolate: bool = False,
         on_miss: str = "error",
@@ -305,9 +323,20 @@ class QueryEngine:
             raise ServingError(
                 f"on_miss must be one of {ON_MISS_POLICIES}, got {on_miss!r}"
             )
-        if not isinstance(store, ArtifactStore):
-            store = ArtifactStore(store)
-        self.store = store
+        if isinstance(stores, (ArtifactStore, str, os.PathLike)):
+            stores = [stores]
+        self.stores = [
+            store if isinstance(store, ArtifactStore) else ArtifactStore(store)
+            for store in stores
+        ]
+        if not self.stores:
+            raise ServingError("no store directories given")
+        resolved = {store.directory.resolve() for store in self.stores}
+        if len(resolved) != len(self.stores):
+            raise ServingError(
+                "duplicate store directories: "
+                f"{[str(store.directory) for store in self.stores]}"
+            )
         self.cache = cache if cache is not None else make_query_cache()
         self.interpolate = bool(interpolate)
         self.on_miss = on_miss
@@ -315,32 +344,81 @@ class QueryEngine:
         self.gate = gate
         self.generation = int(generation)
 
-    # ----------------------------------------------------------- store hooks
+    # ---------------------------------------------------------------- stores
 
     def answer_cells(self) -> list[dict]:
-        """The answerable cells this snapshot resolves against."""
-        return self.store.answerable_cells()
+        """The answerable cells this snapshot resolves against.
+
+        Over several stores, the union of their cells as copies tagged with
+        the store's directory (tagging the handles' cached dicts in place
+        would leak the tag into other engines sharing a handle).
+        """
+        if len(self.stores) == 1:
+            return self.stores[0].answerable_cells()
+        return [
+            dict(cell, store=str(store.directory))
+            for store in self.stores
+            for cell in store.answerable_cells()
+        ]
 
     def _sweep_for_compute(self, point: dict[str, float]):
-        """The sweep spec computed answers inherit their parameters from."""
-        return self.store.sweep()
+        """The sweep spec computed answers inherit their parameters from.
+
+        Over several stores: the sweep of the store holding the nearest
+        answerable cell, else of the next store (in the order given) able
+        to rebuild its sweep; the error names every store's failure when
+        none can.
+        """
+        if len(self.stores) == 1:
+            return self.stores[0].sweep()
+        ordered = list(self.stores)
+        cells = self.answer_cells()
+        if cells:
+            owner = self._nearest_answer(point, cells)[0]["cells"][0]["store"]
+            ordered.sort(key=lambda store: str(store.directory) != owner)
+        errors: list[str] = []
+        for store in ordered:
+            try:
+                return store.sweep()
+            except ServingError as exc:
+                errors.append(f"{store.directory}: {exc}")
+        raise ServingError(
+            "no federation member can rebuild a sweep to compute "
+            f"{point} from: " + "; ".join(errors)
+        )
 
     def _store_stats(self) -> dict:
         """The ``store`` section of :meth:`stats`."""
+        entries = [
+            {
+                "directory": str(store.directory),
+                "n_cells": len(store.cells()),
+                "n_answerable": len(store.answerable_cells()),
+            }
+            for store in self.stores
+        ]
+        if len(entries) == 1:
+            return {**entries[0], "generation": self.generation}
         return {
-            "directory": str(self.store.directory),
-            "n_cells": len(self.store.cells()),
-            "n_answerable": len(self.store.answerable_cells()),
+            "federated": True,
+            "n_stores": len(entries),
+            "n_cells": sum(entry["n_cells"] for entry in entries),
+            "n_answerable": sum(entry["n_answerable"] for entry in entries),
             "generation": self.generation,
+            "stores": entries,
         }
 
     def load(self) -> "QueryEngine":
-        """Eagerly read the store so this snapshot never touches disk again.
+        """Eagerly read the stores so this snapshot never touches disk again.
 
-        The refresh poller builds successors with this before swapping them
-        in: the (possibly mid-append) disk read happens in the poller
-        thread, and requests only ever see fully loaded snapshots.
+        Reads every store's manifest (``None`` for a summary-only store) and
+        summary, so a compute-on-miss rebuilds its sweep from memory.  The
+        refresh poller builds successors with this before swapping them in:
+        the (possibly mid-append) disk read happens in the poller thread,
+        and requests only ever see fully loaded snapshots.
         """
+        for store in self.stores:
+            store.manifest  # cached on the handle
         self.answer_cells()
         return self
 
@@ -361,29 +439,7 @@ class QueryEngine:
         if isinstance(query, str):
             partial = parse_query(query)
         else:
-            partial = {}
-            for name, value in dict(query).items():
-                axis = AXIS_ALIASES.get(str(name).lower())
-                if axis is None:
-                    known = ", ".join(sorted(AXIS_ALIASES))
-                    raise ServingError(
-                        f"unknown query axis {name!r} (known: {known})"
-                    )
-                if axis in partial:
-                    raise ServingError(
-                        f"query names axis {axis!r} more than once"
-                    )
-                try:
-                    partial[axis] = float(value)
-                except (TypeError, ValueError):
-                    raise ServingError(
-                        f"query value {value!r} for axis {axis!r} is not a "
-                        "number"
-                    ) from None
-            if not partial:
-                raise ServingError(
-                    "empty query — name at least one axis=value term"
-                )
+            partial = _query_terms(dict(query).items())
         for axis, value in partial.items():
             if not math.isfinite(value):
                 raise ServingError(

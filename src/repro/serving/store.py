@@ -32,13 +32,11 @@ from repro.core.variants import VariantSpec
 from repro.errors import ServingError
 from repro.experiments.checkpoint import (
     MANIFEST_NAME,
-    SUMMARY_NAME,
     VOLATILE_ROW_COLUMNS,
     load_manifest,
     load_summary,
     scan_records,
     summarize_store,
-    write_summary,
 )
 from repro.experiments.io import config_from_dict, json_default
 from repro.experiments.spec import ExperimentSpec, SweepSpec, spec_hash
@@ -121,9 +119,8 @@ class ArtifactStore:
     (derived in memory via :func:`summarize_store` when the file is absent
     or stale-formatted, so a store that was never summarised is still
     queryable) and the rebuilt sweep spec.  All reads are snapshot-at-open:
-    a long-lived query service re-opens the store (or calls
-    :meth:`refresh`) to observe cells appended by a concurrently running
-    sweep.
+    a long-lived query service re-opens the store to observe cells appended
+    by a concurrently running sweep.
     """
 
     def __init__(
@@ -158,20 +155,6 @@ class ArtifactStore:
         if self._summary is None:
             self._summary = summarize_store(self.directory)
         return self._summary
-
-    def ensure_summary(self) -> Path:
-        """Write ``summary.json`` if needed and return its path."""
-        summary_path = self.directory / SUMMARY_NAME
-        if not summary_path.exists():
-            write_summary(self.directory)
-            self._summary = None
-        return summary_path
-
-    def refresh(self) -> None:
-        """Drop every cached artifact so the next read hits the disk."""
-        self._manifest = None
-        self._manifest_loaded = False
-        self._summary = None
 
     # ----------------------------------------------------------------- cells
 

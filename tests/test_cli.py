@@ -667,6 +667,16 @@ class TestServingCommands:
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_query_two_spellings_of_one_store_rejected(
+        self, store, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(store.parent)
+        code, _ = run_cli(
+            ["query", "tau=0.3", "--store", store.name, "--store", str(store)]
+        )
+        assert code == 2
+        assert "duplicate" in capsys.readouterr().err
+
 
 def _corrupt_second_record(store):
     """Bit-flip a digit inside the second metrics record (CRC mismatch)."""

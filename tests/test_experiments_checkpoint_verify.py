@@ -320,8 +320,10 @@ class TestNonObjectJson:
 
     @NON_OBJECTS
     def test_non_object_line_is_dropped_reported_and_repaired(
-        self, store, sweep, text
+        self, store, sweep, text, tmp_path
     ):
+        import shutil
+
         metrics = store / "metrics.jsonl"
         lines = metrics.read_bytes().splitlines(keepends=True)
         lines.insert(1, text.encode() + b"\n")
@@ -330,18 +332,23 @@ class TestNonObjectJson:
         with pytest.warns(CheckpointWarning, match="line 2 .*not a JSON object"):
             checkpoint = SweepCheckpoint(store, list(sweep.cells()), sweep=sweep)
         assert len(checkpoint.resumed_rows()) == 4
+        # The audit names the line, and repair cuts a copy of the damaged
+        # store back before it.
+        damaged = tmp_path / "damaged"
+        shutil.copytree(store, damaged)
+        report = repair_store(damaged)
+        assert report["problems"][0] == {
+            "kind": "corrupt-line", "line": 2, "bytes": len(text)
+        }
+        assert (damaged / "metrics.jsonl").read_bytes() == lines[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CheckpointWarning)
             resumed = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
         assert comparable_rows(resumed) == comparable_rows(
             run_sweep_parallel(sweep, workers=1)
         )
-        # The audit names the line, and repair cuts the store back before it.
-        report = repair_store(store)
-        assert report["problems"][0] == {
-            "kind": "corrupt-line", "line": 2, "bytes": len(text)
-        }
-        assert metrics.read_bytes() == lines[0]
+        # The resume reran no cell, and still left no damage behind.
+        assert verify_store(store)["ok"] is True
 
 
 class TestRepairStore:
@@ -447,6 +454,25 @@ class TestHealedResume:
             warnings.simplefilter("error", CheckpointWarning)
             again = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
         assert comparable_rows(again) == comparable_rows(resumed)
+
+    def test_resume_that_reruns_no_cell_heals_the_log(self, store, sweep):
+        import io
+
+        from repro.cli import main
+
+        metrics = store / "metrics.jsonl"
+        records = metrics.read_bytes()
+        metrics.write_bytes(b"[1, 2]\n" + records)
+        with pytest.warns(CheckpointWarning, match="line 1 .*not a JSON object"):
+            resumed = run_sweep_parallel(sweep, workers=1, checkpoint_dir=store)
+        assert comparable_rows(resumed) == comparable_rows(
+            run_sweep_parallel(sweep, workers=1)
+        )
+        # Every cell resumed, and the log is back to its records, byte for byte.
+        assert metrics.read_bytes() == records
+        assert verify_store(store)["ok"] is True
+        out = io.StringIO()
+        assert main(["query", "tau=0.3", "--store", str(store)], out=out) == 0
 
 
 def run_killed_sweep(directory: Path, plan_code: str) -> int:

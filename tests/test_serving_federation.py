@@ -7,17 +7,13 @@ checkpointed stores.
 """
 
 import json
+import warnings
 
 import pytest
 
-from repro.errors import ServingError
-from repro.serving import (
-    ArtifactStore,
-    FederatedQueryEngine,
-    LRUCache,
-    QueryEngine,
-    build_engine,
-)
+from repro.errors import ServingDegradationWarning, ServingError
+from repro.experiments.io import json_default
+from repro.serving import ComputeGate, LRUCache, QueryEngine
 
 from test_serving_query import grid_cells, make_cell, write_store
 
@@ -37,33 +33,32 @@ def two_regions(tmp_path):
 
 
 class TestConstruction:
-    def test_build_engine_dispatches_on_store_count(self, two_regions):
-        low, high = two_regions
-        single = build_engine([ArtifactStore(low)])
-        assert type(single) is QueryEngine
-        federated = build_engine([low, high])
-        assert isinstance(federated, FederatedQueryEngine)
-
     def test_no_stores_is_an_error(self):
         with pytest.raises(ServingError, match="no store"):
-            build_engine([])
-        with pytest.raises(ServingError, match="at least one"):
-            FederatedQueryEngine([])
+            QueryEngine([])
 
     def test_duplicate_directories_are_rejected(self, two_regions):
         low, _ = two_regions
         with pytest.raises(ServingError, match="duplicate"):
-            FederatedQueryEngine([low, low])
+            QueryEngine([low, low])
+
+    def test_two_spellings_of_one_directory_are_rejected(
+        self, two_regions, monkeypatch
+    ):
+        low, _ = two_regions
+        monkeypatch.chdir(low.parent)
+        with pytest.raises(ServingError, match="duplicate"):
+            QueryEngine([low, low.name])
 
     def test_missing_member_directory_fails_fast(self, two_regions, tmp_path):
         low, _ = two_regions
         with pytest.raises(ServingError, match="not a directory"):
-            FederatedQueryEngine([low, tmp_path / "nope"])
+            QueryEngine([low, tmp_path / "nope"])
 
 
 class TestRouting:
     def test_exact_match_anywhere_wins(self, two_regions):
-        engine = FederatedQueryEngine(two_regions)
+        engine = QueryEngine(two_regions)
         low_answer = engine.answer("tau=0.2,rho=0.4,w=2")
         assert low_answer["source"] == "exact"
         assert low_answer["metrics"]["score"]["mean"] == 1.0
@@ -73,7 +68,7 @@ class TestRouting:
 
     def test_answers_are_tagged_with_the_owning_store(self, two_regions):
         low, high = two_regions
-        engine = FederatedQueryEngine([low, high])
+        engine = QueryEngine([low, high])
         answer = engine.answer("tau=0.8,rho=0.5,w=2")
         assert answer["cells"][0]["store"] == str(high)
         # single-store engines carry no tag (nothing to disambiguate)
@@ -87,7 +82,7 @@ class TestRouting:
         corner under the union-normalized metric — a per-store metric (range
         0.1 per axis within each store) would rank cells differently.
         """
-        engine = FederatedQueryEngine(two_regions)
+        engine = QueryEngine(two_regions)
         answer = engine.answer("tau=0.56,rho=0.45,w=2")
         assert answer["source"] == "nearest"
         assert answer["cells"][0]["store"].endswith("high")
@@ -99,8 +94,8 @@ class TestRouting:
         cell = make_cell(0, 0.3, 2, 0.4, score=1.0)
         a = write_store(tmp_path / "a", [cell])
         b = write_store(tmp_path / "b", [json.loads(json.dumps(cell))])
-        answer = FederatedQueryEngine([b, a]).answer("tau=0.3,rho=0.4,w=2")
-        reversed_answer = FederatedQueryEngine([a, b]).answer(
+        answer = QueryEngine([b, a]).answer("tau=0.3,rho=0.4,w=2")
+        reversed_answer = QueryEngine([a, b]).answer(
             "tau=0.3,rho=0.4,w=2"
         )
         # registration order must not matter; the store tag breaks the tie
@@ -117,7 +112,7 @@ class TestRouting:
             tmp_path / "right",
             [make_cell(0, 0.3, 2, 0.6, score=3.0), make_cell(1, 0.5, 2, 0.6, score=3.0)],
         )
-        engine = FederatedQueryEngine([left, right], interpolate=True)
+        engine = QueryEngine([left, right], interpolate=True)
         answer = engine.answer("tau=0.4,rho=0.5,w=2")
         assert answer["source"] == "interpolated"
         assert answer["metrics"]["score"]["mean"] == pytest.approx(2.0)
@@ -128,7 +123,7 @@ class TestRouting:
         """An omitted axis resolves only when every member pins it alike."""
         a = write_store(tmp_path / "a", grid_cells(w=2))
         b = write_store(tmp_path / "b", grid_cells(w=3))
-        engine = FederatedQueryEngine([a, b])
+        engine = QueryEngine([a, b])
         with pytest.raises(ServingError, match="does not pin"):
             engine.answer("tau=0.3,rho=0.4")
         assert engine.answer("tau=0.3,rho=0.4,w=3")["source"] == "exact"
@@ -139,7 +134,7 @@ class TestComputeRouting:
         self, two_regions
     ):
         low, high = two_regions
-        engine = FederatedQueryEngine([low, high], on_miss="compute")
+        engine = QueryEngine([low, high], on_miss="compute")
         low_sentinel, high_sentinel = object(), object()
         engine.stores[0].sweep = lambda: low_sentinel
         engine.stores[1].sweep = lambda: high_sentinel
@@ -156,7 +151,7 @@ class TestComputeRouting:
         self, two_regions
     ):
         low, high = two_regions
-        engine = FederatedQueryEngine([low, high], on_miss="compute")
+        engine = QueryEngine([low, high], on_miss="compute")
 
         def broken():
             raise ServingError("no manifest")
@@ -168,7 +163,7 @@ class TestComputeRouting:
         assert engine._sweep_for_compute(point) is fallback
 
     def test_no_rebuildable_member_names_every_failure(self, two_regions):
-        engine = FederatedQueryEngine(two_regions, on_miss="compute")
+        engine = QueryEngine(two_regions, on_miss="compute")
         for member in engine.stores:
             member.sweep = lambda member=member: (_ for _ in ()).throw(
                 ServingError(f"broken {member.directory.name}")
@@ -196,7 +191,7 @@ class TestComputeRouting:
             run_sweep_parallel(sweep, workers=1, checkpoint_dir=directory)
             directories.append(directory)
 
-        engine = FederatedQueryEngine(
+        engine = QueryEngine(
             directories, on_miss="compute", max_distance=1e-9
         )
         answer = engine.answer("tau=0.4,rho=0.5,w=1")
@@ -215,7 +210,7 @@ class TestComputeRouting:
 class TestFederatedStats:
     def test_store_section_reports_members_and_totals(self, two_regions):
         low, high = two_regions
-        engine = FederatedQueryEngine(
+        engine = QueryEngine(
             [low, high], cache=LRUCache(4), generation=3
         )
         stats = engine.stats()
@@ -231,7 +226,7 @@ class TestFederatedStats:
         ]
 
     def test_cells_surface_covers_the_union(self, two_regions):
-        engine = FederatedQueryEngine(two_regions)
+        engine = QueryEngine(two_regions)
         cells = engine.answer_cells()
         assert len(cells) == 8
         assert {cell["store"] for cell in cells} == {
@@ -242,3 +237,75 @@ class TestFederatedStats:
             assert all(
                 "store" not in cell for cell in member.answerable_cells()
             )
+
+
+@pytest.fixture(scope="module")
+def grid_store(tmp_path_factory):
+    """One real checkpointed 2x2 (rho, tau) sweep store at w=1."""
+    from repro.core.config import ModelConfig
+    from repro.experiments.parallel import run_sweep_parallel
+    from repro.experiments.spec import SweepSpec
+
+    directory = tmp_path_factory.mktemp("one-or-many") / "store"
+    sweep = SweepSpec(
+        name="one-or-many",
+        base_config=ModelConfig.square(side=10, horizon=1, tau=0.3),
+        taus=(0.3, 0.45),
+        densities=(0.4, 0.6),
+        n_replicates=1,
+        seed=3,
+    )
+    run_sweep_parallel(sweep, workers=1, checkpoint_dir=directory)
+    return directory
+
+
+#: Each document kind: the engine options and the query producing it.
+DOCUMENTS = {
+    "exact": ({}, "tau=0.3,rho=0.4,w=1"),
+    "interpolated": ({"interpolate": True}, "tau=0.35,rho=0.5,w=1"),
+    "nearest": ({}, "tau=0.35,rho=0.5,w=1"),
+    "computed": (
+        {"on_miss": "compute", "max_distance": 0.01},
+        "tau=0.42,rho=0.5,w=1",
+    ),
+    "degraded": (
+        {"on_miss": "compute", "max_distance": 0.01},
+        "tau=0.42,rho=0.5,w=1",
+    ),
+    "cells": ({}, None),
+    "stats": ({"interpolate": True}, "tau=0.35,rho=0.5,w=1"),
+}
+
+
+class TestOneStoreOrMany:
+    """``QueryEngine(store)`` and ``QueryEngine([store])`` are one engine."""
+
+    @staticmethod
+    def document(stores, kind):
+        """The JSON text an engine over ``stores`` gives for ``kind``."""
+        options, query = DOCUMENTS[kind]
+        gate = ComputeGate(limit=1)
+        engine = QueryEngine(stores, gate=gate, **options)
+        if kind == "cells":
+            return json.dumps({"cells": engine.answer_cells()})
+        if kind == "degraded":
+            assert gate.admit()  # saturate the gate: the compute degrades
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ServingDegradationWarning)
+                answer = engine.answer(query)
+            assert answer["degraded"] is True
+        else:
+            answer = engine.answer(query)
+        if kind == "stats":
+            return json.dumps(engine.stats(), default=json_default)
+        if kind != "degraded":
+            assert answer["source"] == kind
+        return json.dumps(answer, default=json_default)
+
+    @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+    def test_a_store_and_a_list_of_it_give_identical_json(
+        self, grid_store, kind
+    ):
+        alone = self.document(grid_store, kind)
+        assert alone == self.document([grid_store], kind)
+        assert '"store"' not in alone or kind == "stats"

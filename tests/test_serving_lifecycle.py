@@ -20,7 +20,6 @@ from repro.serving import (
     QueryEngine,
     QueryService,
     StoreWatcher,
-    build_engine,
     store_signature,
 )
 
@@ -80,9 +79,9 @@ class TestQueryService:
 
     def test_alive_but_unready_while_draining(self):
         service = QueryService(engine=object())
-        assert service.alive() and service.ready()
+        assert service.ready()
         service.drain(timeout=0)
-        assert service.alive() and not service.ready()
+        assert not service.ready()
 
     def test_drain_times_out_while_requests_are_in_flight(self):
         service = QueryService(engine=object())
@@ -135,7 +134,7 @@ class TestStoreSignature:
 
 def summary_engine(directory, generation=0, cache=None):
     """A loaded engine over a summary-only store at a given generation."""
-    return build_engine(
+    return QueryEngine(
         [ArtifactStore(directory)],
         cache=cache if cache is not None else LRUCache(16),
         generation=generation,
@@ -314,7 +313,7 @@ def real_store(tmp_path_factory):
 
 class TestArtifactStoreRefresh:
     def test_refresh_observes_appended_records(self, real_store, tmp_path):
-        """A handle opened mid-sweep sees appended cells after refresh()."""
+        """A store re-opened after a mid-sweep open sees the appended cells."""
         import shutil
 
         directory = tmp_path / "store"
@@ -331,10 +330,10 @@ class TestArtifactStoreRefresh:
         assert len(store.answerable_cells()) == 1
 
         # the sweep "appends" the remaining records; the stale snapshot
-        # keeps serving until refresh() drops the caches
+        # keeps serving until the store is re-opened
         metrics.write_bytes(full)
         assert len(store.answerable_cells()) == 1
-        store.refresh()
+        store = ArtifactStore(directory)
         assert len(store.answerable_cells()) == 2
 
         cold = ArtifactStore(directory)
@@ -359,7 +358,7 @@ class TestArtifactStoreRefresh:
         # the resume path), leaving exactly the valid-prefix answers
         with (directory / "metrics.jsonl").open("ab") as handle:
             handle.write(b'{"cell_index": 2, "rows": [{"tr')
-        store.refresh()
+        store = ArtifactStore(directory, trust_summary=False)
         after = json.dumps(store.summary(), sort_keys=True)
         assert after == before
 
@@ -368,6 +367,34 @@ class TestArtifactStoreRefresh:
             sort_keys=True,
         )
         assert cold == before
+
+    def test_refreshed_server_snapshot_keeps_ignoring_the_summary(
+        self, real_store, tmp_path
+    ):
+        import shutil
+
+        from repro.serving import make_server
+
+        directory = tmp_path / "store"
+        shutil.copytree(real_store, directory)
+        server = make_server(
+            ArtifactStore(directory, trust_summary=False),
+            port=0,
+            refresh_interval=60,
+        )
+        try:
+            assert len(server.engine.answer_cells()) == 2
+            summary_path = directory / "summary.json"
+            payload = json.loads(summary_path.read_text())
+            payload["cells"] = []
+            summary_path.write_text(json.dumps(payload))
+            assert server.watcher.poll_once() is True
+            assert server.engine.generation == 1
+            assert server.engine.stores[0].trust_summary is False
+            assert len(server.engine.answer_cells()) == 2
+        finally:
+            server.watcher.stop()
+            server.server_close()
 
     def test_untrusted_summary_ignores_the_summary_file(self, real_store):
         trusted = ArtifactStore(real_store)

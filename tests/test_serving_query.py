@@ -427,6 +427,23 @@ class TestOnMissCompute:
         if resolve_backend_name(select_backend_name()) == "cffi":
             assert native_calls == [8, 1]
 
+    def test_loaded_snapshot_computes_without_the_manifest(
+        self, real_store, tmp_path
+    ):
+        import shutil
+
+        directory = tmp_path / "store"
+        shutil.copytree(real_store, directory)
+        engine = QueryEngine(
+            directory, max_distance=0.01, on_miss="compute"
+        ).load()
+        (directory / "manifest.json").unlink()
+        answer = engine.answer("tau=0.42,rho=0.5,w=1")
+        assert answer["source"] == "computed"
+        # a summary-only store has no manifest to read, and still loads
+        summary_only = QueryEngine(write_store(tmp_path / "s", grid_cells()))
+        assert summary_only.load().stores[0].manifest is None
+
     def test_non_integer_horizon_cannot_be_computed(self, real_store):
         engine = QueryEngine(real_store, max_distance=0.01, on_miss="compute")
         with pytest.raises(ServingError, match="non-integer horizon"):

@@ -168,13 +168,6 @@ class TestArtifactStore:
         assert handle.summary() == summarize_store(store)
         assert not (store / SUMMARY_NAME).exists(), "summary() must not write"
 
-    def test_ensure_summary_writes_once(self, store):
-        (store / SUMMARY_NAME).unlink()
-        handle = ArtifactStore(store)
-        path = handle.ensure_summary()
-        assert path.exists()
-        assert json.loads(path.read_text())["format"] == SUMMARY_FORMAT
-
     def test_accepts_manifest_path_spelling(self, store):
         handle = ArtifactStore(store / "manifest.json")
         assert handle.directory == store
