@@ -1,6 +1,6 @@
 """Throughput benchmarks for the region scans and the measurement bundle.
 
-Three headline numbers back the measurement-pipeline claims:
+Four headline numbers back the measurement-pipeline claims:
 
 * **speedup vs reference** — on a 256^2 torus scanned up to ``limit = 32``
   the dense lookup-table scan of
@@ -21,6 +21,11 @@ Three headline numbers back the measurement-pipeline claims:
   ensemble: the whole bundle every sweep row pays twice.  Replica 0 must
   match the oracle bundle of ``tests/oracles.py`` bit for bit; there is no
   time floor.
+* **compiled measurement speedup** — the same two stacks measured by the
+  compiled library's ``repro_measure`` and by the numpy ``_measure`` that
+  hosts without a C toolchain run: the bundles must be bitwise equal and
+  the compiled kernel at least 3x faster on each stack, or the second
+  mechanism does not pay for its code.  Skipped without a C toolchain.
 
 ``REPRO_BENCH_QUICK=1`` drops the 512^2 grids and shrinks the repeat count
 (same 256^2 acceptance grid, same assertions) so the file finishes well
@@ -33,14 +38,17 @@ import struct
 import time
 
 import numpy as np
+import pytest
 
 from oracles import almost_monochromatic_radius_map_reference, segregation_metrics_oracle
+from repro.analysis import segregation
 from repro.analysis.regions import (
     almost_monochromatic_radius_map,
     monochromatic_radius_map,
     region_scan_table,
 )
 from repro.analysis.segregation import default_region_radius, segregation_metrics_batch
+from repro.core.backends.cffi_backend import cffi_available, cffi_unavailable_reason
 from repro.core.config import ModelConfig
 from repro.core.ensemble import EnsembleDynamics
 from repro.experiments.results import ResultTable
@@ -49,6 +57,10 @@ from repro.experiments.workloads import bench_quick_mode as quick_mode
 #: Acceptance floor for the batched almost-mono scan on the 256^2 / limit=32
 #: segregated grid.
 MIN_ALMOST_SCAN_SPEEDUP = 4.0
+
+#: Acceptance floor for the compiled measurement kernel over the numpy one
+#: on each 256^2, w = 3, R = 8 stack.
+MIN_COMPILED_MEASUREMENT_SPEEDUP = 3.0
 
 #: The scan cap of the acceptance grid (the issue's ``limit >= 32``).
 SCAN_LIMIT = 32
@@ -228,3 +240,69 @@ def bench_measurement_bundle(benchmark, emit):
     benchmark.extra_info["initial_ms_per_replica"] = float(per_replica["initial"])
     benchmark.extra_info["terminated_ms_per_replica"] = float(per_replica["terminated"])
     benchmark.extra_info["quick_mode"] = quick_mode()
+
+
+def _float_bytes(bundle) -> list[list[bytes]]:
+    """Every field of every replica's metrics as its IEEE-754 bytes."""
+    return [
+        [struct.pack("<d", value) for value in metrics.as_dict().values()]
+        for metrics in bundle
+    ]
+
+
+def bench_compiled_measurement_speedup(benchmark, emit):
+    """``repro_measure`` vs the numpy ``_measure``: identical bundles, >= 3x."""
+    if not cffi_available():
+        pytest.skip(f"no compiled kernel: {cffi_unavailable_reason()}")
+    params = scan_parameters()
+    config = ModelConfig.square(side=256, horizon=3, tau=0.45)
+    cap = default_region_radius(config)
+    engine = EnsembleDynamics(config, n_replicas=8, seed=11)
+    stacks = {"initial": engine.initial_spins(), "terminated": engine.run().final_spins}
+
+    def measure(stack, compiled: bool):
+        # The numpy kernel is what a host without a C toolchain runs: the
+        # dispatcher takes it when cffi_available() is False.
+        with pytest.MonkeyPatch.context() as patch:
+            if not compiled:
+                patch.setattr(segregation, "cffi_available", lambda: False)
+            return _best_seconds(
+                lambda: segregation_metrics_batch(stack, config, max_region_radius=cap),
+                params["repeats"],
+            )
+
+    def run() -> ResultTable:
+        table = ResultTable()
+        for stage, stack in stacks.items():
+            numpy_seconds, numpy_bundle = measure(stack, compiled=False)
+            compiled_seconds, compiled_bundle = measure(stack, compiled=True)
+            assert _float_bytes(compiled_bundle) == _float_bytes(numpy_bundle), (
+                f"compiled and numpy bundles differ on the {stage} stack"
+            )
+            table.add_row(
+                stage=stage,
+                side=256,
+                horizon=3,
+                replicas=len(stack),
+                limit=cap,
+                numpy_ms_per_replica=numpy_seconds * 1e3 / len(stack),
+                compiled_ms_per_replica=compiled_seconds * 1e3 / len(stack),
+                speedup=numpy_seconds / compiled_seconds,
+            )
+        return table
+
+    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    emit("PERF_compiled_measurement_speedup", table, benchmark)
+    speedups = dict(zip(table.column("stage"), table.numeric_column("speedup")))
+    for stage, speedup in speedups.items():
+        benchmark.extra_info[f"{stage}_speedup"] = float(speedup)
+    benchmark.extra_info["quick_mode"] = quick_mode()
+    slow = {
+        stage: round(speedup, 2)
+        for stage, speedup in speedups.items()
+        if speedup < MIN_COMPILED_MEASUREMENT_SPEEDUP
+    }
+    assert not slow, (
+        f"compiled measurement speedup below the {MIN_COMPILED_MEASUREMENT_SPEEDUP}x "
+        f"floor on {slow}"
+    )

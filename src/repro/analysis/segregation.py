@@ -6,12 +6,19 @@ the paper's ``s(u)``), interface density, mean monochromatic region size and
 the largest same-type cluster fraction.  All of them are computed directly
 from a spin array plus the model horizon/threshold, so they apply equally to
 initial, intermediate and terminated configurations.
+
+A bundle is nine integer counts and the float fields formed from them.  The
+compiled library (``repro_measure`` in
+:mod:`repro.core.backends.cffi_backend`) counts a whole replica stack in one
+native call; a host without a C toolchain counts with the numpy
+:func:`_measure`.  Both give the same integers, so a row's bytes do not
+depend on which one ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +31,11 @@ from repro.analysis.regions import (
     expected_region_size,
     paper_ratio_threshold,
     region_sizes_from_radii,
+)
+from repro.core.backends.cffi_backend import (
+    MEASURE_CELL_LIMIT,
+    cffi_available,
+    measure_counts,
 )
 from repro.core.config import ModelConfig
 from repro.core.lyapunov import same_type_count_field
@@ -70,14 +82,16 @@ def interface_density(spins: np.ndarray) -> float:
     1.0 for a perfect checkerboard.
     """
     spins = require_spin_array(spins)
-    return _interface_density(*_same_type_joins(spins))
+    right, down = _same_type_joins(spins)
+    return _interface_density(
+        spins.size, int(np.count_nonzero(right)), int(np.count_nonzero(down))
+    )
 
 
-def _interface_density(right: np.ndarray, down: np.ndarray) -> float:
-    """:func:`interface_density` from the same-type joins of the grid's edges."""
-    n_sites = right.size
-    horizontal = (n_sites - int(np.count_nonzero(right))) / n_sites
-    vertical = (n_sites - int(np.count_nonzero(down))) / n_sites
+def _interface_density(n_sites: int, right_joins: int, down_joins: int) -> float:
+    """:func:`interface_density` from the counts of same-type edge joins."""
+    horizontal = (n_sites - right_joins) / n_sites
+    vertical = (n_sites - down_joins) / n_sites
     return (horizontal + vertical) / 2.0
 
 
@@ -130,47 +144,126 @@ def _measurement_plan(
     return limit, max(limit, config.horizon), _qualification_luts(ratio_threshold, limit)
 
 
+def _qualification_cutoffs(luts: list[np.ndarray]) -> np.ndarray:
+    """Each level's almost-monochromatic decision as one plus-count cutoff.
+
+    Entry ``r`` is the last count of the leading run of qualifying counts in
+    ``luts[r]`` (:func:`~repro.analysis.regions._qualification_luts`); a
+    count then qualifies exactly when it is at most ``c`` or at least
+    ``(2r + 1)^2 - c``.  The ratio rises with the minority count, so the
+    table must be true on a prefix and its mirrored suffix; anything else
+    is refused rather than approximated.
+    """
+    cutoffs = np.zeros(len(luts), dtype=np.int64)
+    for radius, lut in enumerate(luts[1:], start=1):
+        cut = (lut.size if lut.all() else int(np.argmin(lut))) - 1
+        expected = np.zeros(lut.size, dtype=bool)
+        expected[: cut + 1] = True
+        expected[lut.size - 1 - cut :] = True
+        if not np.array_equal(lut, expected):
+            raise AnalysisError(
+                f"qualification table at radius {radius} is not a prefix and "
+                "its mirror"
+            )
+        cutoffs[radius] = cut
+    return cutoffs
+
+
 def _measure(
     spins: np.ndarray,
     config: ModelConfig,
     limit: int,
     pad: int,
     luts: list[np.ndarray],
-) -> SegregationMetrics:
-    """The metrics bundle of one validated configuration.
+) -> tuple[int, ...]:
+    """The integer counts behind one validated configuration's bundle, in numpy.
 
-    One scan table padded by ``pad`` serves every window count: the dense
-    region scans of both radius maps and the horizon window behind the
-    unhappy fraction, the homogeneity and the energy.  One labelling of the
-    same-type relation gives the largest cluster of either type, and its
-    edge joins give the interface density.  Scalar fields come from integer
-    counts; integer sums are exact in float64, so ``count / n_sites`` is
-    bitwise the ``np.mean`` of the per-site formula.
+    The path for hosts without a C toolchain; ``repro_measure`` in the
+    compiled library computes the same nine counts in the same order
+    (:func:`_metrics_from_counts` names them).  One scan table padded by
+    ``pad`` serves every window count: the dense region scans of both
+    radius maps and the horizon window behind the unhappy count and the
+    energy.  One labelling of the same-type relation gives the largest
+    cluster of either type, and its edge joins the join counts.
     """
-    n_sites = spins.size
     plus = spins == 1
     table = wrapped_summed_area_table(plus, pad)
     radii, almost_radii = _radius_scans(table, pad, spins.shape, limit, luts)
     plus_counts = window_counts(table, pad, spins.shape, config.horizon)
     same = np.where(plus, plus_counts, config.neighborhood_agents - plus_counts)
-    energy = int(same.sum(dtype=np.int64))
     right, down = _same_type_joins(spins)
-    n_plus = int(np.count_nonzero(plus))
-    n_unhappy = int(np.count_nonzero(same < config.happiness_threshold))
+    return (
+        int(np.count_nonzero(same < config.happiness_threshold)),
+        int(same.sum(dtype=np.int64)),
+        int(np.count_nonzero(plus)),
+        int(np.count_nonzero(right)),
+        int(np.count_nonzero(down)),
+        int(region_sizes_from_radii(radii).sum()),
+        int(region_sizes_from_radii(almost_radii).sum()),
+        int(radii.max()),
+        _largest_same_type_cluster(right, down),
+    )
+
+
+def _metrics_from_counts(
+    counts: Sequence[int], config: ModelConfig, n_sites: int
+) -> SegregationMetrics:
+    """The bundle formed from one replica's nine integer counts.
+
+    Every float field is an exact integer divided by the site count (or by
+    the neighbourhood size after it); integer sums are exact in float64,
+    so ``count / n_sites`` is bitwise the ``np.mean`` of the per-site
+    formula.
+    """
+    (
+        n_unhappy, energy, n_plus, right_joins, down_joins,
+        mono_sizes, almost_sizes, max_radius, largest_cluster,
+    ) = counts
     return SegregationMetrics(
         unhappy_fraction=n_unhappy / n_sites,
         # same.mean() / N, in that order of operations.
         local_homogeneity=energy / n_sites / config.neighborhood_agents,
-        interface_density=_interface_density(right, down),
-        mean_monochromatic_size=int(region_sizes_from_radii(radii).sum()) / n_sites,
-        mean_almost_monochromatic_size=(
-            int(region_sizes_from_radii(almost_radii).sum()) / n_sites
-        ),
-        max_monochromatic_radius=int(radii.max()),
-        largest_cluster_fraction=_largest_same_type_cluster(right, down) / n_sites,
+        interface_density=_interface_density(n_sites, right_joins, down_joins),
+        mean_monochromatic_size=mono_sizes / n_sites,
+        mean_almost_monochromatic_size=almost_sizes / n_sites,
+        max_monochromatic_radius=max_radius,
+        largest_cluster_fraction=largest_cluster / n_sites,
         dominant_type_fraction=max(n_plus, n_sites - n_plus) / n_sites,
         energy=energy,
     )
+
+
+def _measure_stack(
+    stack: np.ndarray,
+    config: ModelConfig,
+    max_region_radius: Optional[int],
+    ratio_threshold: Optional[float],
+) -> list[SegregationMetrics]:
+    """The bundles of a validated non-empty ``(R, n, m)`` stack.
+
+    The compiled library measures the whole stack in one native call
+    (``repro_measure``, one replica at a time in scratch sized to one grid)
+    whenever it loads; otherwise, or for a grid whose padded table would
+    outgrow its int32 counts, the numpy :func:`_measure` runs per replica.
+    Both give the same integers, and one formula turns them into fields.
+    """
+    n_rows, n_cols = stack.shape[1:]
+    limit, pad, luts = _measurement_plan(
+        (n_rows, n_cols), config, max_region_radius, ratio_threshold
+    )
+    cells = (n_rows + 2 * pad + 1) * (n_cols + 2 * pad + 1)
+    if cells < MEASURE_CELL_LIMIT and cffi_available():
+        counts = measure_counts(
+            np.ascontiguousarray(stack, dtype=np.int8),
+            config.horizon,
+            config.happiness_threshold,
+            limit,
+            pad,
+            _qualification_cutoffs(luts),
+        )
+    else:
+        counts = [_measure(replica, config, limit, pad, luts) for replica in stack]
+    return [_metrics_from_counts(row, config, n_rows * n_cols) for row in counts]
 
 
 def segregation_metrics(
@@ -188,8 +281,7 @@ def segregation_metrics(
     one-replica case of :func:`segregation_metrics_batch`.
     """
     spins = require_spin_array(spins)
-    plan = _measurement_plan(spins.shape, config, max_region_radius, ratio_threshold)
-    return _measure(spins, config, *plan)
+    return _measure_stack(spins[np.newaxis], config, max_region_radius, ratio_threshold)[0]
 
 
 def segregation_metrics_batch(
@@ -202,10 +294,12 @@ def segregation_metrics_batch(
 
     This is the measurement back end of the ensemble runner.  The stack is
     validated in one pass and the arguments once (scan limit, threshold
-    tables), then one kernel measures each replica in turn.  Replicas are
-    measured one at a time on purpose: the kernel's temporaries are sized
-    to one grid, and the same kernel run over the whole stack at once was
-    both slower and R times larger in peak memory.  Entry ``r`` is bitwise
+    tables), then one kernel measures each replica in turn: the compiled
+    library in one native call for the whole stack, or the numpy kernel on
+    a host without a C toolchain.  Replicas are measured one at a time on
+    purpose: either kernel's scratch is sized to one grid, and the numpy
+    kernel run over the whole stack at once was both slower and R times
+    larger in peak memory.  Entry ``r`` is bitwise
     identical to ``segregation_metrics(spins_stack[r], ...)``, the
     engine-independence contract the runner's regression tests lock down.
     An empty stack measures to ``[]``.
@@ -221,8 +315,7 @@ def segregation_metrics_batch(
     stack = require_spin_array(stack.reshape(n_replicas * n_rows, n_cols)).reshape(
         stack.shape
     )
-    plan = _measurement_plan((n_rows, n_cols), config, max_region_radius, ratio_threshold)
-    return [_measure(replica, config, *plan) for replica in stack]
+    return _measure_stack(stack, config, max_region_radius, ratio_threshold)
 
 
 def segregation_gain(

@@ -1,14 +1,19 @@
-"""The compiled flip-loop backend (stdlib ``ctypes`` + the system cc).
+"""The compiled flip loop and measurement kernel (stdlib ``ctypes`` + cc).
 
 A small C translation unit carries the engine's whole round loop
 (``repro_run_rounds``): each round's scalar control plane, the fused window
 update and the coded-op sampler maintenance (``repro_coded_ops``, also
 exported on its own for the edge-case suite).  It follows the scalar engine
 draw for draw, with the same IEEE-754 double expressions and no
-``-ffast-math``.  At first use the source is compiled with the system C
-compiler into a shared object cached under a per-user temp directory, keyed
-by the source, numpy's version and the bytes of the numpy archive it links,
-so the compile cost is paid once per machine, not per process.  It is
+``-ffast-math``.  The same library measures: ``repro_measure``
+(:func:`measure_counts`) returns the integer counts behind every
+:class:`~repro.analysis.segregation.SegregationMetrics` field for a whole
+replica stack in one call, one replica at a time in scratch sized to one
+grid.  At first use the source is compiled with the system C compiler
+(:data:`_COMPILE_FLAGS`) into a shared object cached under a per-user temp
+directory, keyed by the source, the flags, numpy's version and the bytes of
+the numpy archive it links, so the compile cost is paid once per machine,
+not per process.  It is
 loaded with :class:`ctypes.CDLL`, which releases the GIL for each call, so
 the backend needs no package beyond numpy (its registry name ``cffi``
 predates that binding).  A cache directory that is not private to the
@@ -61,6 +66,14 @@ from repro.utils.indexset import BatchedIndexSet
 
 _INT64_MAX = (1 << 63) - 1
 
+#: The compile command's flags (between the compiler and ``-I``); the
+#: cached library's key hashes them with the source.
+_COMPILE_FLAGS = ("-O3", "-fPIC", "-shared")
+
+#: ``repro_measure`` keeps its summed-area table and run ids in int32, so
+#: it measures grids whose padded table has fewer cells than this.
+MEASURE_CELL_LIMIT = 1 << 31
+
 #: numpy's prebuilt sampler library (``numpy/random/lib``), linked into the
 #: kernel for ``random_standard_exponential``.
 _NPYRANDOM_ARCHIVE = os.path.join(
@@ -106,9 +119,11 @@ class _ReproState(ctypes.Structure):
     ]
 
 
-# The compiled flip loop.  It must advance the engine bit for bit like the
-# scalar engine and the numpy backend; the scalar-equivalence and
-# cross-backend bitwise suites are the enforcement.
+# The compiled flip loop and measurement kernel.  The loop must advance the
+# engine bit for bit like the scalar engine and the numpy backend (the
+# scalar-equivalence and cross-backend bitwise suites are the enforcement);
+# the measurement must count what the numpy ``_measure`` counts (the oracle
+# bundle tests run both kernels).
 _SOURCE = (
     "#include <stdint.h>\n"
     "#include <stdlib.h>\n"
@@ -465,6 +480,302 @@ int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
     return rounds;
 }
 
+typedef struct {
+    /* One repro_measure call's scratch, sized to one grid: the torus-padded
+       summed-area table, one grid row of each radius scan, every site's
+       run, and every run's parent and last site. */
+    int32_t *table;
+    int32_t *mono;
+    int32_t *almost;
+    int32_t *run_of;
+    int32_t *parent;
+    int32_t *run_end;
+} measure_scratch;
+
+static void build_table(const int8_t *spins, int64_t n_rows, int64_t n_cols,
+                        int64_t pad, int32_t *table)
+{
+    /* The plus indicator's summed-area table, torus-padded by pad with a
+       leading zero row and column: the layout of numpy's
+       wrapped_summed_area_table.  Padded row (column) a starts at grid row
+       (column) a - pad, modulo the grid. */
+    int64_t width = n_cols + 2 * pad + 1;
+    int64_t height = n_rows + 2 * pad + 1;
+    int64_t first_col = (n_cols - pad % n_cols) % n_cols;
+    int64_t row = (n_rows - pad % n_rows) % n_rows;
+    for (int64_t b = 0; b < width; b++)
+        table[b] = 0;
+    for (int64_t a = 1; a < height; a++) {
+        const int8_t *src = spins + row * n_cols;
+        const int32_t *above = table + (a - 1) * width;
+        int32_t *cur = table + a * width;
+        int32_t acc = 0;
+        int64_t col = first_col;
+        cur[0] = 0;
+        for (int64_t b = 1; b < width; b++) {
+            acc += src[col] > 0;
+            cur[b] = above[b] + acc;
+            col = col + 1 == n_cols ? 0 : col + 1;
+        }
+        row = row + 1 == n_rows ? 0 : row + 1;
+    }
+}
+
+/* The row passes below take restrict pointers as parameters, which is what
+   lets the compiler vectorize them.  up and down are the table rows above
+   and below one grid row's windows of side `side`, offset to the first
+   window, so site j's window count is four reads. */
+
+static void horizon_row(const int8_t *restrict row, const int32_t *restrict up,
+                        const int32_t *restrict down, int64_t n_cols,
+                        int64_t side, int32_t threshold, int64_t *totals)
+{
+    /* Every site's same-type count in its horizon window: the energy sums
+       them and the unhappy count takes those below threshold. */
+    int32_t area = (int32_t)(side * side);
+    int64_t unhappy = 0, energy = 0;
+    for (int64_t j = 0; j < n_cols; j++) {
+        int32_t count = down[j + side] - up[j + side] - down[j] + up[j];
+        int32_t same = row[j] > 0 ? count : area - count;
+        unhappy += same < threshold;
+        energy += same;
+    }
+    totals[0] += unhappy;
+    totals[1] += energy;
+}
+
+static int32_t scan_level(const int32_t *restrict up,
+                          const int32_t *restrict down, int64_t n_cols,
+                          int64_t radius, int32_t cut, int32_t live,
+                          int32_t *restrict mono, int32_t *restrict almost)
+{
+    /* One radius level of both region scans over one grid row.  A site is
+       still monochromatic when its radius so far is radius - 1 and its
+       window holds one type; the almost radius takes the level when the
+       plus count is within cut of either end.  Returns whether any site of
+       the row stayed monochromatic; live == 0 scans the almost half only. */
+    int64_t side = 2 * radius + 1;
+    int32_t area = (int32_t)(side * side);
+    int32_t high = area - cut;
+    int32_t level = (int32_t)radius;
+    int32_t any = 0;
+    if (live) {
+        for (int64_t j = 0; j < n_cols; j++) {
+            int32_t count = down[j + side] - up[j + side] - down[j] + up[j];
+            int32_t kept = (mono[j] == level - 1)
+                           & ((count == 0) | (count == area));
+            mono[j] += kept;
+            any |= kept;
+            almost[j] = (count <= cut) | (count >= high) ? level : almost[j];
+        }
+    } else {
+        for (int64_t j = 0; j < n_cols; j++) {
+            int32_t count = down[j + side] - up[j + side] - down[j] + up[j];
+            almost[j] = (count <= cut) | (count >= high) ? level : almost[j];
+        }
+    }
+    return any;
+}
+
+static void row_sizes(const int32_t *restrict mono,
+                      const int32_t *restrict almost, int64_t n_cols,
+                      int64_t *totals)
+{
+    /* A grid row's region sizes (2 rho + 1)^2 and its largest radius.  The
+       padded table holds under 2^31 cells, so a window's area fits int32. */
+    int64_t mono_sizes = 0, almost_sizes = 0;
+    int32_t max_radius = 0;
+    for (int64_t j = 0; j < n_cols; j++) {
+        int32_t m = 2 * mono[j] + 1;
+        int32_t a = 2 * almost[j] + 1;
+        mono_sizes += m * m;
+        almost_sizes += a * a;
+        max_radius = mono[j] > max_radius ? mono[j] : max_radius;
+    }
+    totals[0] += mono_sizes;
+    totals[1] += almost_sizes;
+    if (max_radius > totals[2])
+        totals[2] = max_radius;
+}
+
+static inline void join_runs(int32_t *parent, int32_t a, int32_t b)
+{
+    /* Rem's union with splicing: climb from whichever side has the larger
+       parent and link the larger root under the smaller, so a run's parent
+       never exceeds the run. */
+    while (parent[a] != parent[b]) {
+        if (parent[a] < parent[b]) {
+            int32_t t = a;
+            a = b;
+            b = t;
+        }
+        int32_t up = parent[a];
+        parent[a] = parent[b];
+        if (up == a)
+            return;
+        a = up;
+    }
+}
+
+static void measure_clusters(const int8_t *spins, int64_t n_rows,
+                             int64_t n_cols, measure_scratch *sc,
+                             int64_t *joins_out, int64_t *largest)
+{
+    /* The same-type joins to the right and below on the torus and the
+       largest same-type 4-connected cluster: one union-find over the
+       horizontal runs, joined across the column seam and vertically.  Runs
+       are numbered in flat order, so run k spans run_end[k - 1] + 1 ..
+       run_end[k]. */
+    int64_t right = 0, down = 0;
+    int32_t n_runs = 0;
+    for (int64_t i = 0; i < n_rows; i++) {
+        const int8_t *restrict row = spins + i * n_cols;
+        const int8_t *restrict below = spins + ((i + 1) % n_rows) * n_cols;
+        int32_t *restrict runs = sc->run_of + i * n_cols;
+        int32_t row_right = row[n_cols - 1] == row[0];
+        int32_t row_down = 0;
+        runs[0] = n_runs;
+        sc->run_end[n_runs] = (int32_t)(i * n_cols);
+        for (int64_t j = 1; j < n_cols; j++) {
+            int32_t same = row[j] == row[j - 1];
+            row_right += same;
+            n_runs += !same;
+            runs[j] = n_runs;
+            sc->run_end[n_runs] = (int32_t)(i * n_cols + j);
+        }
+        n_runs += 1;
+        for (int64_t j = 0; j < n_cols; j++)
+            row_down += row[j] == below[j];
+        right += row_right;
+        down += row_down;
+    }
+    int32_t *parent = sc->parent;
+    for (int32_t k = 0; k < n_runs; k++)
+        parent[k] = k;
+    int32_t *joins = sc->mono; /* free once the scans are summed */
+    for (int64_t i = 0; i < n_rows; i++) {
+        const int8_t *row = spins + i * n_cols;
+        int64_t next = (i + 1) % n_rows;
+        const int8_t *below = spins + next * n_cols;
+        const int32_t *runs = sc->run_of + i * n_cols;
+        const int32_t *runs_below = sc->run_of + next * n_cols;
+        if (row[n_cols - 1] == row[0])
+            join_runs(parent, runs[n_cols - 1], runs[0]);
+        /* The columns whose vertical join is not the same pair of runs as
+           its left neighbour's, gathered without branching: when both
+           columns join, the pair changes exactly where the type does. */
+        int64_t n_joins = 0;
+        int32_t joined_left = 0;
+        int8_t left = row[0];
+        for (int64_t j = 0; j < n_cols; j++) {
+            int32_t joined = row[j] == below[j];
+            joins[n_joins] = (int32_t)j;
+            n_joins += joined & (!joined_left | (row[j] != left));
+            joined_left = joined;
+            left = row[j];
+        }
+        for (int64_t k = 0; k < n_joins; k++)
+            join_runs(parent, runs[joins[k]], runs_below[joins[k]]);
+    }
+    /* A parent never exceeds its run, so one pass in run order resolves
+       every root and sums every run's length into it; run_of is free
+       again and holds the sizes. */
+    int32_t *size = sc->run_of;
+    int32_t start = 0;
+    int64_t best = 0;
+    for (int32_t k = 0; k < n_runs; k++)
+        size[k] = 0;
+    for (int32_t k = 0; k < n_runs; k++) {
+        int32_t root = parent[parent[k]];
+        parent[k] = root;
+        size[root] += sc->run_end[k] + 1 - start;
+        start = sc->run_end[k] + 1;
+    }
+    for (int32_t k = 0; k < n_runs; k++)
+        best = size[k] > best ? size[k] : best;
+    joins_out[0] = right;
+    joins_out[1] = down;
+    *largest = best;
+}
+
+static void measure_grid(const int8_t *spins, int64_t n_rows, int64_t n_cols,
+                         int64_t horizon, int64_t threshold, int64_t limit,
+                         int64_t pad, const int64_t *cutoffs,
+                         measure_scratch *sc, int64_t *out)
+{
+    /* One replica's nine counts (see repro_measure).  Grid row i reads the
+       table rows i + pad - r and i + pad + r + 1 at radius r, so the scans
+       run row by row, every level's pass over the row in turn. */
+    int64_t width = n_cols + 2 * pad + 1;
+    const int32_t *table = sc->table;
+    int64_t horizon_totals[2] = {0, 0};
+    int64_t size_totals[3] = {0, 0, 0};
+    build_table(spins, n_rows, n_cols, pad, sc->table);
+    for (int64_t i = 0; i < n_rows; i++) {
+        const int32_t *up = table + (i + pad - horizon) * width + pad - horizon;
+        horizon_row(spins + i * n_cols, up, up + (2 * horizon + 1) * width,
+                    n_cols, 2 * horizon + 1, (int32_t)threshold,
+                    horizon_totals);
+        for (int64_t j = 0; j < n_cols; j++) {
+            sc->mono[j] = 0;
+            sc->almost[j] = 0;
+        }
+        int32_t live = 1;
+        for (int64_t r = 1; r <= limit; r++) {
+            up = table + (i + pad - r) * width + pad - r;
+            live = scan_level(up, up + (2 * r + 1) * width, n_cols, r,
+                              (int32_t)cutoffs[r], live, sc->mono, sc->almost);
+        }
+        row_sizes(sc->mono, sc->almost, n_cols, size_totals);
+    }
+    /* The plus sites: the whole grid's window of the table. */
+    const int32_t *top = table + pad * width + pad;
+    const int32_t *bottom = top + n_rows * width;
+    out[0] = horizon_totals[0];
+    out[1] = horizon_totals[1];
+    out[2] = bottom[n_cols] - top[n_cols] - bottom[0] + top[0];
+    measure_clusters(spins, n_rows, n_cols, sc, out + 3, out + 8);
+    out[5] = size_totals[0];
+    out[6] = size_totals[1];
+    out[7] = size_totals[2];
+}
+
+int64_t repro_measure(const int8_t *spins, int64_t n_replicas, int64_t n_rows,
+                      int64_t n_cols, int64_t horizon, int64_t threshold,
+                      int64_t limit, int64_t pad, const int64_t *cutoffs,
+                      int64_t *out)
+{
+    /* The integer counts behind the metrics bundle of every replica of an
+       (R, n, m) int8 stack, nine per replica: unhappy sites, energy, plus
+       sites, right and down same-type joins, the sums of (2 rho + 1)^2 over
+       the monochromatic and the almost-monochromatic radii, the largest
+       monochromatic radius and the largest same-type cluster.  A window of
+       radius r in 1..limit is almost monochromatic when its plus count is
+       at most cutoffs[r] or at least (2r + 1)^2 - cutoffs[r].  The caller
+       keeps the padded table under 2^31 cells.  Replicas are measured one
+       at a time in scratch sized to one grid; returns 0, or -1 when that
+       scratch cannot be allocated. */
+    size_t sites = (size_t)n_rows * (size_t)n_cols;
+    size_t cells = (size_t)(n_rows + 2 * pad + 1)
+                   * (size_t)(n_cols + 2 * pad + 1);
+    size_t row = (size_t)n_cols;
+    int32_t *block = malloc((cells + 2 * row + 3 * sites) * sizeof(int32_t));
+    if (block == NULL)
+        return -1;
+    measure_scratch sc;
+    sc.table = block;
+    sc.mono = sc.table + cells;
+    sc.almost = sc.mono + row;
+    sc.run_of = sc.almost + row;
+    sc.parent = sc.run_of + sites;
+    sc.run_end = sc.parent + sites;
+    for (int64_t r = 0; r < n_replicas; r++)
+        measure_grid(spins + r * (int64_t)sites, n_rows, n_cols, horizon,
+                     threshold, limit, pad, cutoffs, &sc, out + 9 * r);
+    free(block);
+    return 0;
+}
+
 int64_t repro_selfcheck(int64_t state_size)
 {
     /* Refuse a caller whose repro_state is not this one, then probe the
@@ -513,8 +824,9 @@ def _find_compiler() -> Optional[str]:
 def _library_path() -> str:
     """Per-user cache path for the compiled shared object, hash-keyed.
 
-    The key covers everything the object is built from: the C source,
-    numpy's version and the bytes of the numpy archive it links.
+    The key covers everything the object is built from: the C source, the
+    compile flags, numpy's version and the bytes of the numpy archive it
+    links.
     """
     try:
         with open(_NPYRANDOM_ARCHIVE, "rb") as handle:
@@ -525,6 +837,7 @@ def _library_path() -> str:
             f"({exc.strerror or exc}); the C kernel links it"
         ) from exc
     key = hashlib.sha256(_SOURCE.encode())
+    key.update(" ".join(_COMPILE_FLAGS).encode())
     key.update(np.__version__.encode())
     key.update(archive_digest)
     digest = key.hexdigest()[:16]
@@ -585,7 +898,7 @@ def _load_library() -> ctypes.CDLL:
             tmp_so = os.path.join(build_dir, "libreproflip.so")
             proc = subprocess.run(
                 [
-                    compiler, "-O2", "-fPIC", "-shared",
+                    compiler, *_COMPILE_FLAGS,
                     "-I", np.get_include(),
                     "-o", tmp_so, c_path, _NPYRANDOM_ARCHIVE, "-lm",
                 ],
@@ -605,10 +918,12 @@ def _load_library() -> ctypes.CDLL:
     state = ctypes.POINTER(_ReproState)
     i64, address = ctypes.c_int64, ctypes.c_void_p
     coded_ops = (address,) * 4 + (i64,) + (address,) * 3 + (i64, i64)
+    measure = (address,) + (i64,) * 7 + (address, address)
     for name, restype, argtypes in (
         ("repro_run_rounds", i64, (state, i64)),
         ("repro_standard_exponential", ctypes.c_double, (state, i64)),
         ("repro_coded_ops", None, coded_ops),
+        ("repro_measure", i64, measure),
         ("repro_selfcheck", i64, (i64,)),
     ):
         function = getattr(lib, name)
@@ -805,3 +1120,42 @@ class CffiBackend(FlipLoopBackend):
             sets.capacity,
             row_offset,
         )
+
+
+def measure_counts(
+    stack: np.ndarray,
+    horizon: int,
+    threshold: int,
+    limit: int,
+    pad: int,
+    cutoffs: np.ndarray,
+) -> list[list[int]]:
+    """``repro_measure`` over a C-contiguous int8 ``(R, n, m)`` stack.
+
+    Returns nine integers per replica in the kernel's order (unhappy sites,
+    energy, plus sites, right and down same-type joins, the two region-size
+    sums, the largest monochromatic radius, the largest cluster).
+    ``cutoffs[r]`` is level ``r``'s almost-monochromatic plus-count cutoff
+    (int64, ``limit + 1`` entries).  The caller keeps the padded table under
+    :data:`MEASURE_CELL_LIMIT` cells.
+    """
+    if stack.ndim != 3 or not horizon <= pad or not limit <= pad:
+        raise StateError(
+            f"repro_measure reads windows up to radius max(limit={limit}, "
+            f"horizon={horizon}) from a table padded by {pad}, of a "
+            f"(R, n, m) stack; got shape {stack.shape}"
+        )
+    if cutoffs.shape != (limit + 1,):
+        raise StateError(
+            f"repro_measure reads {limit + 1} level cutoffs, got shape {cutoffs.shape}"
+        )
+    lib = _load_library()
+    ptr = CffiBackend._ptr
+    out = np.empty((len(stack), 9), dtype=np.int64)
+    status = lib.repro_measure(
+        ptr("int8_t *", stack), *stack.shape, horizon, threshold, limit, pad,
+        ptr("int64_t *", cutoffs), out.ctypes.data,
+    )
+    if status < 0:
+        raise MemoryError("the C kernel could not allocate its measurement scratch")
+    return out.tolist()

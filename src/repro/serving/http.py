@@ -69,11 +69,12 @@ DEFAULT_PORT = 8639
 ROUTES = ("/query", "/stats", "/cells", "/healthz", "/readyz")
 
 
-def _request_query(params: dict[str, str]) -> Union[str, dict[str, float]]:
+def _request_query(params: dict[str, str]) -> Union[str, dict[str, str]]:
     """The query expressed by a request's parameters.
 
     ``point=...`` carries a full comma-separated query string; otherwise
-    every recognised axis parameter contributes one term.
+    every recognised axis parameter contributes one term, its value left as
+    sent: the engine checks every query's numbers alike.
     """
     if "point" in params:
         return params["point"]
@@ -87,10 +88,7 @@ def _request_query(params: dict[str, str]) -> Union[str, dict[str, float]]:
             "no query given — pass ?point=rho=...,tau=...,w=... or "
             "individual axis parameters like ?rho=0.4&tau=0.55"
         )
-    try:
-        return {name: float(value) for name, value in axes.items()}
-    except ValueError as exc:
-        raise ServingError(f"non-numeric axis value: {exc}") from None
+    return axes
 
 
 def _parse_flag(raw: str) -> bool:

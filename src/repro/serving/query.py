@@ -425,13 +425,14 @@ class QueryEngine:
     # ------------------------------------------------------------ resolution
 
     def resolve_point(
-        self, query: Union[str, dict[str, float]]
+        self, query: Union[str, dict[str, Union[float, str]]]
     ) -> dict[str, float]:
         """Normalize a query into a full ``{rho, tau, w}`` point.
 
         String queries go through :func:`parse_query`; dict queries accept
-        the same aliases.  Every value must be finite: ``nan`` or ``inf``
-        is a :class:`~repro.errors.ServingError`, as a non-number is.  An
+        the same aliases, with numbers or numeric strings as values.  Every
+        value must be finite: ``nan`` or ``inf`` is a
+        :class:`~repro.errors.ServingError`, as a non-number is.  An
         omitted axis is filled from the store when the answerable cells pin
         it to a single value, and is an error (the query is ambiguous)
         otherwise.
@@ -602,7 +603,7 @@ class QueryEngine:
 
     def answer(
         self,
-        query: Union[str, dict[str, float]],
+        query: Union[str, dict[str, Union[float, str]]],
         interpolate: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> dict:

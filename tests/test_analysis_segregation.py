@@ -1,5 +1,6 @@
 """Tests for the whole-configuration segregation metrics."""
 
+import contextlib
 import dataclasses
 import struct
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import segregation_metrics_oracle
+from repro.analysis import segregation
+from repro.analysis.regions import _qualification_luts
 from repro.analysis.segregation import (
+    _qualification_cutoffs,
     default_region_radius,
     interface_density,
     local_homogeneity,
@@ -19,6 +23,7 @@ from repro.analysis.segregation import (
     unhappy_fraction,
 )
 from repro.errors import AnalysisError, ConfigurationError
+from repro.core.backends.cffi_backend import cffi_available, cffi_unavailable_reason
 from repro.core.config import ModelConfig
 from repro.core.ensemble import EnsembleDynamics
 from repro.core.initializer import (
@@ -176,13 +181,43 @@ def _assert_matches_oracle(batch, expected) -> None:
 
 DENSITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
+#: The two measurement kernels: the compiled library's ``repro_measure`` and
+#: the numpy ``_measure`` that hosts without a C toolchain run.
+KERNELS = ["compiled", "numpy"]
 
+
+@contextlib.contextmanager
+def measurement_kernel(kernel):
+    """Measure through one kernel; yields the stack shapes the C kernel got.
+
+    The numpy path is forced by making ``cffi_available`` report False, as
+    on a host without a toolchain; the compiled path is watched, so a
+    silent fallback to numpy fails the caller's assertion on the calls.
+    """
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "numpy":
+            patch.setattr(segregation, "cffi_available", lambda: False)
+        else:
+            if not cffi_available():
+                pytest.skip(f"no compiled kernel: {cffi_unavailable_reason()}")
+            compiled = segregation.measure_counts
+
+            def watched(stack, *args):
+                calls.append(stack.shape)
+                return compiled(stack, *args)
+
+            patch.setattr(segregation, "measure_counts", watched)
+        yield calls
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestOracleBundle:
-    """The measurement kernel against the oracle bundle in ``tests/oracles.py``.
+    """Both measurement kernels against the oracle bundle in ``tests/oracles.py``.
 
     The oracle builds every field from the linear reference scans, the
     scalar labeller on each type's mask and the per-field formulas, so the
-    comparison does not run the kernel against itself.
+    comparison does not run a kernel against itself.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -198,7 +233,8 @@ class TestOracleBundle:
         ratio_threshold=st.sampled_from([0.0, None, 1.0]),
     )
     def test_batch_matches_oracle(
-        self, n_replicas, n_rows, n_cols, horizon, tau, densities, seed, cap, ratio_threshold
+        self, kernel, n_replicas, n_rows, n_cols, horizon, tau, densities, seed, cap,
+        ratio_threshold,
     ):
         rng = np.random.default_rng(seed)
         stack = np.array(
@@ -219,13 +255,15 @@ class TestOracleBundle:
         if cap == "default":
             cap = default_region_radius(config)
         if n_replicas and not fits:
-            with pytest.raises(ConfigurationError) as kernel_error:
+            with measurement_kernel(kernel), pytest.raises(ConfigurationError) as kernel_error:
                 segregation_metrics_batch(stack, config, cap, ratio_threshold)
             with pytest.raises(ConfigurationError) as oracle_error:
                 segregation_metrics_oracle(stack[0], config, cap, ratio_threshold)
             assert str(kernel_error.value) == str(oracle_error.value)
             return
-        batch = segregation_metrics_batch(stack, config, cap, ratio_threshold)
+        with measurement_kernel(kernel) as calls:
+            batch = segregation_metrics_batch(stack, config, cap, ratio_threshold)
+        assert calls == ([stack.shape] if kernel == "compiled" and n_replicas else [])
         expected = [
             segregation_metrics_oracle(replica, config, cap, ratio_threshold)
             for replica in stack
@@ -233,12 +271,14 @@ class TestOracleBundle:
         _assert_matches_oracle(batch, expected)
 
     @pytest.mark.parametrize("which", ["initial", "terminated"])
-    def test_64x64_stack_where_the_cap_binds(self, which):
+    def test_64x64_stack_where_the_cap_binds(self, kernel, which):
         config = ModelConfig.square(side=64, horizon=3, tau=0.45)
         engine = EnsembleDynamics(config, n_replicas=4, seed=2)
         stack = engine.initial_spins() if which == "initial" else engine.run().final_spins
         cap = default_region_radius(config)
-        batch = segregation_metrics_batch(stack, config, max_region_radius=cap)
+        with measurement_kernel(kernel) as calls:
+            batch = segregation_metrics_batch(stack, config, max_region_radius=cap)
+        assert len(calls) == (kernel == "compiled")
         if which == "terminated":
             assert all(metrics.max_monochromatic_radius == cap for metrics in batch)
         expected = [
@@ -246,3 +286,78 @@ class TestOracleBundle:
             for replica in stack
         ]
         _assert_matches_oracle(batch, expected)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestKernelInputs:
+    """What either kernel is handed, beyond the oracle's small int8 stacks."""
+
+    def test_radius_wider_than_a_byte(self, kernel):
+        # limit (513 - 1) // 2 = 256: a radius that uint8 storage would wrap.
+        config = ModelConfig.square(side=513, horizon=1, tau=0.45)
+        stack = np.ones((1, 513, 513), dtype=np.int8)
+        with measurement_kernel(kernel) as calls:
+            (metrics,) = segregation_metrics_batch(stack, config, max_region_radius=None)
+        assert len(calls) == (kernel == "compiled")
+        assert metrics.max_monochromatic_radius == 256
+        assert metrics.mean_monochromatic_size == 513.0**2
+        assert metrics.mean_almost_monochromatic_size == 513.0**2
+        assert metrics.largest_cluster_fraction == 1.0
+
+    def test_int64_and_strided_stacks_measure_as_their_int8_copy(self, kernel, config):
+        rng = np.random.default_rng(12)
+        wide = np.where(rng.random((6, 2 * config.n_rows, 2 * config.n_cols + 1)) < 0.5, 1, -1)
+        strided = wide[::2, ::2, 1::2]
+        assert wide.dtype == np.int64 and not strided.flags.c_contiguous
+        copy = np.ascontiguousarray(strided, dtype=np.int8)
+        with measurement_kernel(kernel) as calls:
+            expected = segregation_metrics_batch(copy, config, max_region_radius=6)
+            assert segregation_metrics_batch(strided, config, max_region_radius=6) == expected
+            assert segregation_metrics_batch(
+                strided.astype(np.int64), config, max_region_radius=6
+            ) == expected
+            assert segregation_metrics(strided[1], config, max_region_radius=6) == expected[1]
+            transposed = np.ascontiguousarray(copy[0].T)
+            assert segregation_metrics(copy[0].T, config, max_region_radius=6) == (
+                segregation_metrics(transposed, config, max_region_radius=6)
+            )
+        assert len(calls) == (6 if kernel == "compiled" else 0)
+
+
+class TestCompiledDispatch:
+    """When the compiled kernel runs, and what it refuses."""
+
+    def test_oversized_table_goes_to_numpy(self, config, monkeypatch):
+        # The C kernel counts in int32: a padded table of MEASURE_CELL_LIMIT
+        # cells or more is measured by numpy instead.
+        stack = np.where(np.random.default_rng(13).random((2, 24, 24)) < 0.5, 1, -1)
+        with measurement_kernel("numpy"):
+            expected = segregation_metrics_batch(stack, config, max_region_radius=6)
+        if not cffi_available():
+            pytest.skip(f"no compiled kernel: {cffi_unavailable_reason()}")
+        cells = (24 + 2 * 6 + 1) ** 2
+        monkeypatch.setattr(segregation, "MEASURE_CELL_LIMIT", cells)
+        with measurement_kernel("compiled") as calls:
+            assert segregation_metrics_batch(stack, config, max_region_radius=6) == expected
+        assert calls == []
+        monkeypatch.setattr(segregation, "MEASURE_CELL_LIMIT", cells + 1)
+        with measurement_kernel("compiled") as calls:
+            assert segregation_metrics_batch(stack, config, max_region_radius=6) == expected
+        assert calls == [(2, 24, 24)]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.5, 1.0])
+    def test_cutoffs_reproduce_the_qualification_tables(self, threshold):
+        luts = _qualification_luts(threshold, 9)
+        cutoffs = _qualification_cutoffs(luts)
+        for radius in range(1, 10):
+            counts = np.arange(luts[radius].size)
+            area = (2 * radius + 1) ** 2
+            decision = (counts <= cutoffs[radius]) | (counts >= area - cutoffs[radius])
+            assert np.array_equal(decision, luts[radius])
+
+    def test_cutoffs_refuse_a_table_that_is_not_a_prefix(self):
+        luts = _qualification_luts(0.1, 3)
+        luts[2] = luts[2].copy()
+        luts[2][5] = True
+        with pytest.raises(AnalysisError, match="radius 2"):
+            _qualification_cutoffs(luts)

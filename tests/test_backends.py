@@ -587,6 +587,12 @@ class TestCompiledKernelCache:
         monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
         assert cffi_backend._library_path() != path
 
+    def test_cache_key_covers_compile_flags(self, fresh_cache, monkeypatch):
+        path = cffi_backend._library_path()
+        flags = tuple(f for f in cffi_backend._COMPILE_FLAGS if not f.startswith("-O"))
+        monkeypatch.setattr(cffi_backend, "_COMPILE_FLAGS", ("-O1", *flags))
+        assert cffi_backend._library_path() != path
+
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
 class TestCompiledBoundary:
@@ -645,6 +651,35 @@ class TestCompiledBoundary:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_backend_name("cffi") == "numpy"
+
+    @pytest.mark.parametrize(
+        "shape, limit, pad, n_cutoffs, message",
+        [
+            ((2, 8, 8), 3, 2, 4, "padded by 2"),
+            ((8, 8), 1, 1, 2, "shape \\(8, 8\\)"),
+            ((2, 8, 8), 2, 2, 2, "3 level cutoffs"),
+        ],
+        ids=["limit_beyond_pad", "not_a_stack", "short_cutoffs"],
+    )
+    def test_measure_counts_refuses_mismatched_arguments(
+        self, backend_name, shape, limit, pad, n_cutoffs, message
+    ):
+        stack = np.ones(shape, dtype=np.int8)
+        cutoffs = np.zeros(n_cutoffs, dtype=np.int64)
+        with pytest.raises(StateError, match=message):
+            cffi_backend.measure_counts(stack, 1, 5, limit, pad, cutoffs)
+
+    def test_failed_measurement_scratch_is_memory_error(self, backend_name):
+        # A 2**52-site grid, viewed over one byte: repro_measure's scratch
+        # allocation fails before it reads a single site.
+        huge = np.lib.stride_tricks.as_strided(
+            np.ones(1, dtype=np.int8),
+            shape=(1, 1 << 36, 1 << 16),
+            strides=(1 << 52, 1 << 16, 1),
+        )
+        assert huge.flags.c_contiguous
+        with pytest.raises(MemoryError, match="measurement scratch"):
+            cffi_backend.measure_counts(huge, 1, 5, 1, 1, np.zeros(2, dtype=np.int64))
 
     def test_failed_scratch_allocation_is_memory_error(self, backend_name):
         engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)

@@ -117,7 +117,7 @@ class TestHandlerHardening:
     def test_non_numeric_axis_parameter_is_json_400(self, service):
         status, body = get_error(service, "/query?tau=abc&rho=0.4&w=2")
         assert status == 400
-        assert "non-numeric" in body["error"]
+        assert body["error"] == "query value 'abc' for axis 'tau' is not a number"
 
     def test_non_numeric_point_value_is_json_400(self, service):
         status, body = get_error(service, "/query?point=tau=oops,rho=0.4")
