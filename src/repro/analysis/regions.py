@@ -85,24 +85,32 @@ def _check_ratio_threshold(ratio_threshold: float) -> None:
         )
 
 
-def _qualification_luts(ratio_threshold: float, limit: int) -> list[np.ndarray]:
-    """Per-radius almost-monochromatic decision over every possible plus count.
+def _qualification_cutoffs(ratio_threshold: float, limit: int) -> np.ndarray:
+    """Each level's almost-monochromatic decision as one plus-count cutoff.
 
-    Entry ``r`` (``1 <= r <= limit``) is a boolean array over the plus count
-    ``p in [0, (2r + 1)^2]`` holding :func:`minority_ratio_map`'s exact float
-    expression ``min(p, N - p) / max(p, N - p) <= ratio_threshold``.  A
-    site's count indexes it, so every decision is bitwise the one the
-    per-site expression makes.  Entry 0 is unused.
+    Entry ``r`` (``1 <= r <= limit``) is the largest minority count
+    ``m <= (N - 1) / 2`` of the ``N = (2r + 1)^2`` window with
+    ``float(m) / float(N - m) <= ratio_threshold``, found by bisection; entry
+    0 is unused.  That is :func:`minority_ratio_map`'s exact float
+    expression, and its correctly rounded value never decreases in ``m``,
+    so a plus count ``p`` qualifies exactly when ``p <= c`` or
+    ``p >= N - c``: every decision is bitwise the one the per-site
+    expression makes.
     """
-    luts = [np.zeros(0, dtype=bool)]
+    threshold = float(ratio_threshold)
+    cutoffs = np.zeros(limit + 1, dtype=np.int64)
     for radius in range(1, limit + 1):
         total = neighborhood_size(radius)
-        plus = np.arange(total + 1)
-        minus = total - plus
-        minority = np.minimum(plus, minus).astype(float)
-        majority = np.maximum(plus, minus).astype(float)
-        luts.append(minority / majority <= ratio_threshold)
-    return luts
+        # m = 0 always qualifies (the threshold is non-negative).
+        low, high = 0, (total - 1) // 2
+        while low < high:
+            mid = (low + high + 1) // 2
+            if float(mid) / float(total - mid) <= threshold:
+                low = mid
+            else:
+                high = mid - 1
+        cutoffs[radius] = low
+    return cutoffs
 
 
 def _radius_scans(
@@ -110,7 +118,7 @@ def _radius_scans(
     pad: int,
     shape: tuple[int, int],
     limit: int,
-    luts: Optional[list[np.ndarray]] = None,
+    cutoffs: Optional[np.ndarray] = None,
     monochromatic: bool = True,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Both radius maps of one configuration from one dense pass over the levels.
@@ -122,15 +130,16 @@ def _radius_scans(
       ``alive &= count in {0, (2r + 1)^2}`` and a site's radius is the number
       of levels it stays alive; the scan ends once no site is alive;
     * the almost-monochromatic property is not monotone, so that scan keeps
-      the largest level whose ``luts`` entry (:func:`_qualification_luts`)
-      accepts the count, over every level.
+      the largest level whose count is within that level's ``cutoffs``
+      entry (:func:`_qualification_cutoffs`) of either end, over every
+      level.
 
     Returns ``(mono, almost)``, with ``None`` for a map not asked for
-    (``monochromatic=False`` / ``luts=None``).
+    (``monochromatic=False`` / ``cutoffs=None``).
     """
     mono = np.zeros(shape, dtype=np.int64) if monochromatic else None
     alive = np.ones(shape, dtype=bool) if monochromatic else None
-    almost = np.zeros(shape, dtype=np.int64) if luts is not None else None
+    almost = np.zeros(shape, dtype=np.int64) if cutoffs is not None else None
     for radius in range(1, limit + 1):
         if alive is None and almost is None:
             break
@@ -142,7 +151,9 @@ def _radius_scans(
             else:
                 alive = None
         if almost is not None:
-            np.copyto(almost, radius, where=luts[radius].take(counts))
+            cut = int(cutoffs[radius])
+            high = neighborhood_size(radius) - cut
+            np.copyto(almost, radius, where=(counts <= cut) | (counts >= high))
     return mono, almost
 
 
@@ -247,10 +258,11 @@ def almost_monochromatic_radius_map(
     answer for a site is the largest radius level at which its window
     qualifies.  The scan is the almost-monochromatic half of
     :func:`_radius_scans`: one summed-area table padded by the limit, then
-    one dense pass per level whose qualification is a lookup of the window's
-    plus count in a per-radius table of :func:`minority_ratio_map`'s exact
-    float decision.  Bitwise identical to the per-level
-    ``minority_ratio_map`` scan the equivalence tests hold it to.
+    one dense pass per level whose qualification compares the window's plus
+    count with that level's cutoff of :func:`minority_ratio_map`'s exact
+    float decision (:func:`_qualification_cutoffs`).  Bitwise identical to
+    the per-level ``minority_ratio_map`` scan the equivalence tests hold it
+    to.
 
     ``table`` optionally supplies a precomputed :func:`region_scan_table` so
     several scans of the same configuration share one build.
@@ -261,8 +273,8 @@ def almost_monochromatic_radius_map(
     if limit < 1:
         return np.zeros(spins.shape, dtype=np.int64)
     table, pad = _resolve_scan_table(spins, limit, table)
-    luts = _qualification_luts(ratio_threshold, limit)
-    return _radius_scans(table, pad, spins.shape, limit, luts, monochromatic=False)[1]
+    cutoffs = _qualification_cutoffs(ratio_threshold, limit)
+    return _radius_scans(table, pad, spins.shape, limit, cutoffs, monochromatic=False)[1]
 
 
 def paper_ratio_threshold(neighborhood_agents: int, epsilon: float = 0.05) -> float:

@@ -26,7 +26,7 @@ from repro.analysis.clusters import _largest_same_type_cluster, _same_type_joins
 from repro.analysis.regions import (
     _check_ratio_threshold,
     _max_usable_radius,
-    _qualification_luts,
+    _qualification_cutoffs,
     _radius_scans,
     expected_region_size,
     paper_ratio_threshold,
@@ -129,44 +129,21 @@ def _measurement_plan(
     config: ModelConfig,
     max_region_radius: Optional[int],
     ratio_threshold: Optional[float],
-) -> tuple[int, int, list[np.ndarray]]:
+) -> tuple[int, int, np.ndarray]:
     """Validate the measurement arguments for one grid shape.
 
-    Returns ``(limit, pad, luts)``: the region-scan limit, the padding of the
-    one scan table that serves both the scans and the horizon window (so
-    ``max(limit, w)``), and the almost-monochromatic qualification tables.
+    Returns ``(limit, pad, cutoffs)``: the region-scan limit, the padding of
+    the one scan table that serves both the scans and the horizon window (so
+    ``max(limit, w)``), and each level's almost-monochromatic plus-count
+    cutoff (:func:`~repro.analysis.regions._qualification_cutoffs`).
     """
     if ratio_threshold is None:
         ratio_threshold = paper_ratio_threshold(config.neighborhood_agents)
     limit = _max_usable_radius(shape, max_region_radius)
     _check_ratio_threshold(ratio_threshold)
     require_window_fits(shape, config.horizon)
-    return limit, max(limit, config.horizon), _qualification_luts(ratio_threshold, limit)
-
-
-def _qualification_cutoffs(luts: list[np.ndarray]) -> np.ndarray:
-    """Each level's almost-monochromatic decision as one plus-count cutoff.
-
-    Entry ``r`` is the last count of the leading run of qualifying counts in
-    ``luts[r]`` (:func:`~repro.analysis.regions._qualification_luts`); a
-    count then qualifies exactly when it is at most ``c`` or at least
-    ``(2r + 1)^2 - c``.  The ratio rises with the minority count, so the
-    table must be true on a prefix and its mirrored suffix; anything else
-    is refused rather than approximated.
-    """
-    cutoffs = np.zeros(len(luts), dtype=np.int64)
-    for radius, lut in enumerate(luts[1:], start=1):
-        cut = (lut.size if lut.all() else int(np.argmin(lut))) - 1
-        expected = np.zeros(lut.size, dtype=bool)
-        expected[: cut + 1] = True
-        expected[lut.size - 1 - cut :] = True
-        if not np.array_equal(lut, expected):
-            raise AnalysisError(
-                f"qualification table at radius {radius} is not a prefix and "
-                "its mirror"
-            )
-        cutoffs[radius] = cut
-    return cutoffs
+    cutoffs = _qualification_cutoffs(ratio_threshold, limit)
+    return limit, max(limit, config.horizon), cutoffs
 
 
 def _measure(
@@ -174,7 +151,7 @@ def _measure(
     config: ModelConfig,
     limit: int,
     pad: int,
-    luts: list[np.ndarray],
+    cutoffs: np.ndarray,
 ) -> tuple[int, ...]:
     """The integer counts behind one validated configuration's bundle, in numpy.
 
@@ -188,7 +165,7 @@ def _measure(
     """
     plus = spins == 1
     table = wrapped_summed_area_table(plus, pad)
-    radii, almost_radii = _radius_scans(table, pad, spins.shape, limit, luts)
+    radii, almost_radii = _radius_scans(table, pad, spins.shape, limit, cutoffs)
     plus_counts = window_counts(table, pad, spins.shape, config.horizon)
     same = np.where(plus, plus_counts, config.neighborhood_agents - plus_counts)
     right, down = _same_type_joins(spins)
@@ -248,7 +225,7 @@ def _measure_stack(
     Both give the same integers, and one formula turns them into fields.
     """
     n_rows, n_cols = stack.shape[1:]
-    limit, pad, luts = _measurement_plan(
+    limit, pad, cutoffs = _measurement_plan(
         (n_rows, n_cols), config, max_region_radius, ratio_threshold
     )
     cells = (n_rows + 2 * pad + 1) * (n_cols + 2 * pad + 1)
@@ -259,10 +236,10 @@ def _measure_stack(
             config.happiness_threshold,
             limit,
             pad,
-            _qualification_cutoffs(luts),
+            cutoffs,
         )
     else:
-        counts = [_measure(replica, config, limit, pad, luts) for replica in stack]
+        counts = [_measure(replica, config, limit, pad, cutoffs) for replica in stack]
     return [_metrics_from_counts(row, config, n_rows * n_cols) for row in counts]
 
 

@@ -14,16 +14,14 @@ can only differ in *how* rounds execute, never in what a round means.
 
 The contract is bitwise: every backend must consume each replica's PCG64
 stream in exactly the scalar engine's order and produce bit-identical
-spins, clocks, counters and sampler layouts.  Where the stream position
-lives is the backend's business: the numpy backend draws through the
-replica's own ``Generator`` (``engine._rngs``), the compiled backend reads
-the pre-drawn words of the :class:`~repro.rng.BlockedReplicaStreams` it
-builds in :meth:`~FlipLoopBackend.attach` (``backend._streams``).
+spins, clocks, counters and sampler layouts.  Every backend draws through
+the replica's own ``Generator`` (``engine._rngs``): the numpy backend
+through its methods, the compiled backend through its bit generator's C
+interface.  So the stream position lives in one place under both.
 ``tests/test_core_ensemble.py`` pins every backend
 the host can run to the scalar :class:`~repro.core.dynamics.GlauberDynamics`,
 and the cross-backend suite in ``tests/test_backends.py`` pins their full
-state to each other, including each replica's logical PCG64 state and
-half-word buffer.
+state to each other, including each replica's ``Generator`` state.
 """
 
 from __future__ import annotations

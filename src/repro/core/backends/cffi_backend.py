@@ -31,17 +31,18 @@ safe.  It carries engine state and the run budget only: the loop's scratch
 is C's own, allocated once per call.  A run is one native call (one per
 trajectory segment, and ``step_all`` is one call of one round).
 
-Every RNG word the kernel reads comes through one C reader, ``next_word``,
-over the replica's pre-drawn block in the
-:class:`~repro.rng.BlockedReplicaStreams` that :meth:`CffiBackend.attach`
-builds.  At the block end the reader refills the block in place by
-stepping the replica's PCG64 state itself (128-bit LCG, XSL-RR output of
-the post-step state) and records the new state and block base in the
-stream arrays; C is the only code that reads or refills them.  Exponential
-waiting times are numpy's own ``random_standard_exponential``, linked from
-the ``libnpyrandom.a`` archive numpy ships, run on a ``bitgen_t`` whose
-words come from that reader: the ziggurat's fast and slow paths are
-numpy's code, not a port of it.
+Every draw the kernel makes goes through the replica's own numpy
+``bitgen_t``, the C interface of its dynamics ``Generator``'s bit generator
+(``engine._rngs[r].bit_generator.ctypes.bit_generator``), whose address the
+struct's ``bitgens`` field holds.  A step makes the draws
+``Generator.exponential(1 / size)`` and ``Generator.integers(0, size)``
+make: numpy's own ``random_standard_exponential``, linked from the
+``libnpyrandom.a`` archive numpy ships (the ziggurat's fast and slow paths
+are numpy's code, not a port of it), then Lemire's bounded loop over the
+bit generator's ``next_uint32``.  A replica's stream position is therefore
+its ``Generator``'s state under this backend as under the numpy one.  The
+engine owns its Generators and nothing else draws from them during a call,
+so the kernel takes no lock.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.errors import StateError
-from repro.rng import PCG64_MULTIPLIER, BlockedReplicaStreams
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
@@ -82,21 +82,20 @@ _NPYRANDOM_ARCHIVE = os.path.join(
 
 #: ``repro_state``, declared once: the C ``typedef`` in :data:`_SOURCE` and
 #: :class:`_ReproState` are both generated from these (C type, field names)
-#: rows.  The pointers go to engine arrays, the backend's word buffer and
-#: the run's start counters; the scalars are geometry, rule switches and
-#: the run budget.
+#: rows.  The pointers go to engine arrays, the replicas' bit generator
+#: addresses and the run's start counters; the scalars are geometry, rule
+#: switches and the run budget.
 _STATE_FIELDS = tuple(
     (name, ctype)
     for ctype, names in (
-        ("int64_t *", "counts steps flips energies n_plus row_lut col_lut pos"),
+        ("int64_t *", "counts steps flips energies n_plus row_lut col_lut"),
         ("int64_t *", "start_flips start_steps"),
         ("int32_t *", "members positions"),
         ("int16_t *", "same"),
         ("int8_t *", "code spins code_lut"),
-        ("uint8_t *", "has32"),
-        ("uint64_t *", "words buf32 pcg_state pcg_inc pcg_base"),
+        ("uint64_t *", "bitgens"),
         ("double *", "times"),
-        ("int64_t", "block n_sites n_replicas n_cols window_side window_area"),
+        ("int64_t", "n_sites n_replicas n_cols window_side window_area"),
         ("int64_t", "center_col total lut_stride term_offset sampler_offset"),
         ("int64_t", "continuous discrete_gate max_flips max_steps track"),
         ("double", "max_time"),
@@ -133,10 +132,6 @@ _SOURCE = (
         f"    {ctype} {name};\n".replace("* ", "*") for name, ctype in _STATE_FIELDS
     )
     + "} repro_state;\n"
-    + f"""
-#define PCG64_MULT_HI 0x{PCG64_MULTIPLIER >> 64:016x}ULL
-#define PCG64_MULT_LO 0x{PCG64_MULTIPLIER & ((1 << 64) - 1):016x}ULL
-"""
     + r"""
 /* numpy's ziggurat exponential, linked from libnpyrandom.a (declared in
    numpy/random/distributions.h, which needs Python.h to include). */
@@ -186,87 +181,16 @@ static void *alloc_scratch(const repro_state *st, round_scratch *sc)
     return block;
 }
 
-static void refill_block(repro_state *st, int64_t replica)
+static inline bitgen_t *replica_bitgen(const repro_state *st, int64_t replica)
 {
-    /* The replica's next block, as numpy's PCG64 emits it: step the 128-bit
-       LCG, output the XSL-RR mix of the post-step state.  Reading restarts
-       at the block's first word. */
-    uint64_t *state = st->pcg_state + 2 * replica;
-    const uint64_t *inc = st->pcg_inc + 2 * replica;
-    uint64_t *base = st->pcg_base + 2 * replica;
-    uint64_t *words = st->words + replica * st->block;
-    __uint128_t s = ((__uint128_t)state[1] << 64) | state[0];
-    __uint128_t plus = ((__uint128_t)inc[1] << 64) | inc[0];
-    __uint128_t mult = ((__uint128_t)PCG64_MULT_HI << 64) | PCG64_MULT_LO;
-    base[0] = state[0];
-    base[1] = state[1];
-    for (int64_t k = 0; k < st->block; k++) {
-        s = s * mult + plus;
-        uint64_t hi = (uint64_t)(s >> 64);
-        uint64_t x = hi ^ (uint64_t)s;
-        unsigned rot = (unsigned)(hi >> 58);
-        words[k] = (x >> rot) | (x << ((64u - rot) & 63u));
-    }
-    state[0] = (uint64_t)s;
-    state[1] = (uint64_t)(s >> 64);
-    st->pos[replica] = 0;
-}
-
-static inline uint64_t next_word(repro_state *st, int64_t replica)
-{
-    /* The one word reader: waiting times, candidates and the sampler's
-       slow path all consume the replica's stream through it. */
-    if (st->pos[replica] >= st->block)
-        refill_block(st, replica);
-    int64_t position = st->pos[replica];
-    st->pos[replica] = position + 1;
-    return st->words[replica * st->block + position];
-}
-
-static inline uint64_t next_half_word(repro_state *st, int64_t replica)
-{
-    /* PCG64's next_uint32: the low half of a fresh word, its high half
-       buffered for the next call. */
-    if (st->has32[replica]) {
-        st->has32[replica] = 0;
-        return st->buf32[replica];
-    }
-    uint64_t word = next_word(st, replica);
-    st->buf32[replica] = word >> 32;
-    st->has32[replica] = 1;
-    return word & 0xFFFFFFFFULL;
-}
-
-typedef struct {
-    repro_state *st;
-    int64_t replica;
-} word_source;
-
-static uint64_t source_next_uint64(void *source)
-{
-    word_source *src = (word_source *)source;
-    return next_word(src->st, src->replica);
-}
-
-static uint32_t source_next_uint32(void *source)
-{
-    word_source *src = (word_source *)source;
-    return (uint32_t)next_half_word(src->st, src->replica);
-}
-
-static double source_next_double(void *source)
-{
-    /* PCG64's next_double, bit for bit. */
-    return (double)(source_next_uint64(source) >> 11)
-           * (1.0 / 9007199254740992.0);
+    /* The replica's numpy bit generator: every draw of the loop goes
+       through it, so its state is the replica's one stream position. */
+    return (bitgen_t *)(uintptr_t)st->bitgens[replica];
 }
 
 double repro_standard_exponential(repro_state *st, int64_t replica)
 {
-    word_source source = {st, replica};
-    bitgen_t bitgen = {&source, source_next_uint64, source_next_uint32,
-                       source_next_double, source_next_uint64};
-    return random_standard_exponential(&bitgen);
+    return random_standard_exponential(replica_bitgen(st, replica));
 }
 
 static int64_t repro_step_round(repro_state *st, round_scratch *sc,
@@ -283,9 +207,11 @@ static int64_t repro_step_round(repro_state *st, round_scratch *sc,
         int64_t size = st->counts[sampler_row];
         if (size == 0)
             continue;
-        /* Waiting time first (continuous scheduler), then candidate. */
+        bitgen_t *bitgen = replica_bitgen(st, replica);
+        /* Waiting time first (continuous scheduler), then candidate: the
+           draws of exponential(1 / size) and integers(0, size). */
         if (st->continuous != 0) {
-            double wait = repro_standard_exponential(st, replica);
+            double wait = random_standard_exponential(bitgen);
             st->times[replica] += (1.0 / (double)size) * wait;
         } else {
             st->times[replica] += 1.0;
@@ -295,12 +221,12 @@ static int64_t repro_step_round(repro_state *st, round_scratch *sc,
         if (size > 1) {
             /* numpy's integers(0, size): Lemire over the 32-bit stream. */
             uint64_t usize = (uint64_t)size;
-            uint64_t scaled = next_half_word(st, replica) * usize;
+            uint64_t scaled = bitgen->next_uint32(bitgen->state) * usize;
             uint64_t leftover = scaled & 0xFFFFFFFFULL;
             if (leftover < usize) {
                 uint64_t threshold = (0x100000000ULL - usize) % usize;
                 while (leftover < threshold) {
-                    scaled = next_half_word(st, replica) * usize;
+                    scaled = bitgen->next_uint32(bitgen->state) * usize;
                     leftover = scaled & 0xFFFFFFFFULL;
                 }
             }
@@ -966,13 +892,15 @@ class CffiBackend(FlipLoopBackend):
     name = "cffi"
 
     def attach(self, engine) -> None:
-        """Bind to ``engine``: build its word buffer, capture the struct."""
+        """Bind to ``engine``: point at its bit generators, capture the struct."""
         super().attach(engine)
         r = engine.n_replicas
-        # Each replica's stream from its dynamics Generator's state, read
-        # once here; from now on only C reads and refills the words.
-        self._streams = BlockedReplicaStreams(
-            engine._rngs, block_words=engine._rng_block_words
+        # C draws through each replica's own numpy bitgen_t; holding the bit
+        # generators keeps the addresses valid for as long as the struct.
+        self._bit_generators = [rng.bit_generator for rng in engine._rngs]
+        self._bitgens = np.array(
+            [bits.ctypes.bit_generator.value for bits in self._bit_generators],
+            dtype=np.uint64,
         )
         # The run's start counters, filled by each run_rounds call.
         self._start_flips = np.zeros(r, dtype=np.int64)
@@ -990,13 +918,12 @@ class CffiBackend(FlipLoopBackend):
         Most of the engine's buffers are allocated once and mutated in
         place, but ``recompute_all`` rebuilds the classification LUT, so the
         capture re-runs whenever the engine bumps its runtime generation.
-        Every array the struct points into stays referenced by ``self`` or
-        by the engine, and every entry point reads ``self.engine`` (which
-        raises once the weakly held engine is gone) before calling into C,
-        so no pointer outlives its buffer.
+        Every array and bit generator the struct points into stays
+        referenced by ``self`` or by the engine, and every entry point reads
+        ``self.engine`` (which raises once the weakly held engine is gone)
+        before calling into C, so no pointer outlives its buffer.
         """
         engine = self.engine
-        streams = self._streams
         members, positions, counts = engine._sets.storage()
         # Contiguous copy: recompute_all rebinds the LUT, and the C code
         # wants one stable 2-row table either way.
@@ -1008,13 +935,7 @@ class CffiBackend(FlipLoopBackend):
             "times": engine._times,
             "steps": engine._n_steps,
             "code": engine._code_flat,
-            "words": streams._words,
-            "pos": streams._pos,
-            "has32": streams._has32,
-            "buf32": streams._buf32,
-            "pcg_state": streams._state,
-            "pcg_inc": streams._inc,
-            "pcg_base": streams._base,
+            "bitgens": self._bitgens,
             "spins": engine._spins_flat,
             "same": engine._same_flat,
             "row_lut": engine._row_lut,
@@ -1028,7 +949,6 @@ class CffiBackend(FlipLoopBackend):
         }
         self._lib = _load_library()
         st = _ReproState(
-            block=streams.block_words,
             n_sites=engine._n_sites,
             n_replicas=engine.n_replicas,
             term_offset=self._term_offset,
@@ -1073,8 +993,9 @@ class CffiBackend(FlipLoopBackend):
 
         ``repro_run_rounds`` builds each round's active set from the budget,
         steps it and applies its flips, and returns only at termination, at
-        the budget or after ``max_rounds`` rounds.  RNG block refills and
-        the sampler's slow paths run inside it.
+        the budget or after ``max_rounds`` rounds.  Every draw, the
+        sampler's slow paths included, runs inside it on the replicas' own
+        bit generators.
         """
         engine = self.engine
         if self._captured_generation != engine._runtime_generation:

@@ -172,6 +172,7 @@ class GlauberDynamics:
         callback:
             Invoked after every scheduler step with ``(dynamics, event)``.
         """
+        _check_run_budgets(max_flips, max_steps, max_time)
         if record_every <= 0:
             raise StateError("record_every must be positive")
         trajectory = Trajectory() if record_trajectory else None
@@ -212,6 +213,26 @@ class GlauberDynamics:
             trajectory=trajectory,
             events=events,
         )
+
+
+def _check_run_budgets(
+    max_flips: Optional[int], max_steps: Optional[int], max_time: Optional[float]
+) -> None:
+    """Refuse a run budget no counter can be held to, naming it.
+
+    A NaN compares false with every count, so engines would disagree on
+    whether it stops a run at once or never; a negative ``max_flips`` has no
+    meaning.  :meth:`GlauberDynamics.run` and
+    :meth:`~repro.core.ensemble.EnsembleDynamics.run` both call this, so
+    every engine refuses the same budgets with the same ``StateError``.
+    """
+    budgets = {"max_flips": max_flips, "max_steps": max_steps, "max_time": max_time}
+    for name, value in budgets.items():
+        # NaN is the one value that differs from itself.
+        if value is not None and value != value:
+            raise StateError(f"{name} is NaN; a run budget is a number or None")
+    if max_flips is not None and max_flips < 0:
+        raise StateError(f"max_flips must be non-negative, got {max_flips}")
 
 
 def run_to_completion(

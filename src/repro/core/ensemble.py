@@ -7,15 +7,10 @@ candidate sampling, the neighbourhood/happiness window refresh and the
 sampler membership bookkeeping — is batched across the replica axis:
 
 * RNG draws are the scalar engine's ``exponential`` / ``integers`` draws on
-  each replica's own dynamics stream.  The numpy backend makes them through
-  the replica's ``Generator``; the compiled backend makes them in C on the
-  replica's PCG64 words, pre-drawn in blocks of a
-  :class:`~repro.rng.BlockedReplicaStreams` that it builds when it attaches
-  (``engine._backend._streams``), consuming each stream exactly as the
-  per-call scalar path would.  A replica's stream position therefore lives
-  in ``_rngs`` on a numpy engine and in the compiled backend's word buffer
-  on a compiled one; the backend is fixed at construction, so it never
-  moves between the two.
+  each replica's own dynamics ``Generator`` (``_rngs``).  The numpy backend
+  makes them through the ``Generator``'s methods; the compiled backend makes
+  the same draws in C through its bit generator's ``bitgen_t``.  Either way
+  a replica's stream position lives in one place, its ``Generator``.
 * The unhappy/flippable samplers of all replicas live in one array-backed
   :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
   int32 members and positions), bulk-built at rebuild time.
@@ -73,7 +68,7 @@ import numpy as np
 from repro.core.backends.base import RunBudget
 from repro.core.backends.registry import create_backend
 from repro.core.config import ModelConfig
-from repro.core.dynamics import Trajectory
+from repro.core.dynamics import Trajectory, _check_run_budgets
 from repro.core.initializer import random_configuration
 from repro.core.neighborhood import window_sums
 from repro.core.state import classify_base
@@ -268,13 +263,6 @@ class EnsembleDynamics:
         stream.
     scheduler / flip_rule:
         Overrides for the configuration's defaults, as in the scalar engine.
-    rng_block_words:
-        Words pre-drawn per replica per RNG block refill of the compiled
-        flip loop (see :class:`~repro.rng.BlockedReplicaStreams`; validated
-        here under every backend, read only by the compiled one, which
-        allocates the blocks).  Purely a performance knob: results are
-        bitwise independent of it, which the boundary property tests assert
-        down to one-word blocks.
     backend:
         Flip-loop backend request (``"auto"``, ``"numpy"``, ``"cffi"`` or
         ``None``), resolved through
@@ -296,17 +284,9 @@ class EnsembleDynamics:
         initial_spins: Optional[np.ndarray] = None,
         scheduler: Optional[SchedulerKind] = None,
         flip_rule: Optional[FlipRule] = None,
-        rng_block_words: int = 4096,
         backend: Optional[str] = None,
     ) -> None:
         self.config = config
-        # Checked after the int conversion: a fraction below one would make
-        # zero-word blocks, which the C reader would read past.
-        self._rng_block_words = int(rng_block_words)
-        if self._rng_block_words <= 0:
-            raise ConfigurationError(
-                f"rng_block_words must be positive, got {rng_block_words}"
-            )
         if replica_seeds is not None:
             seeds = [int(s) for s in replica_seeds]
             if not seeds:
@@ -674,8 +654,7 @@ class EnsembleDynamics:
         *rounds* (plus the initial and final states).  One sample is O(R), so
         dense recording adds no per-site work.
         """
-        if max_flips is not None and max_flips < 0:
-            raise StateError(f"max_flips must be non-negative, got {max_flips}")
+        _check_run_budgets(max_flips, max_steps, max_time)
         if record_every <= 0:
             raise StateError("record_every must be positive")
         trajectory = EnsembleTrajectory(self.n_replicas) if record_trajectory else None

@@ -14,11 +14,9 @@ Their window counts come from :func:`window_sums_reference`, an ``int64``
 summed-area table read by four index gathers per site, never from the
 table builder and slice reader of :mod:`repro.core.neighborhood`.
 
-The PCG64 helpers at the end read and steer numpy's bit generator from
-outside: :func:`pcg64_state_after` maps a compiled stream's block base and
-read position to its logical LCG state, and the two probe helpers put a
-generator one chosen word away, so the C sampler's rare paths can be
-driven on purpose.
+The PCG64 helpers at the end steer numpy's bit generator from outside:
+they put a generator one chosen word away, so the C sampler's rare paths
+can be driven on purpose.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.core.neighborhood import neighborhood_size, require_window_fits
 from repro.errors import AnalysisError, ConfigurationError, PercolationError
 from repro.percolation.cluster import RadiusTailEstimate, cluster_radius, label_clusters
 from repro.percolation.union_find import UnionFind
-from repro.rng import PCG64_MULTIPLIER, SeedLike, make_rng
+from repro.rng import SeedLike, make_rng
 from repro.utils.validation import require_spin_array
 
 
@@ -254,27 +252,10 @@ def segregation_metrics_oracle(
     )
 
 
+#: The 128-bit LCG multiplier of numpy's PCG64 bit generator.
+_PCG64_MULTIPLIER = 47026247687942121848144207491837523525
 _PCG64_MASK = (1 << 128) - 1
-_PCG64_MULT_INV = pow(PCG64_MULTIPLIER, -1, 1 << 128)
-
-
-def pcg64_state_after(state: int, inc: int, delta: int) -> int:
-    """The 128-bit PCG64 LCG state ``delta`` 64-bit draws after ``state``.
-
-    Mirrors ``PCG64.advance``: one LCG step per output word, composed by
-    repeated squaring.  ``delta`` is taken modulo 2**128, so
-    ``2**128 - k`` steps back by ``k`` words.
-    """
-    mult, plus = 1, 0
-    cur_mult, cur_plus = PCG64_MULTIPLIER, inc
-    while delta:
-        if delta & 1:
-            mult = (mult * cur_mult) & _PCG64_MASK
-            plus = (plus * cur_mult + cur_plus) & _PCG64_MASK
-        cur_plus = ((cur_mult + 1) * cur_plus) & _PCG64_MASK
-        cur_mult = (cur_mult * cur_mult) & _PCG64_MASK
-        delta >>= 1
-    return (state * mult + plus) & _PCG64_MASK
+_PCG64_MULT_INV = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
 
 
 def probe_generator_for_word(probe: np.random.Generator, word: int) -> None:
@@ -302,7 +283,7 @@ def probe_draw(probe: np.random.Generator, word: int) -> tuple[float, int]:
     after = probe.bit_generator.state["state"]["state"]
     consumed, rolling = 0, before
     while rolling != after:
-        rolling = (rolling * PCG64_MULTIPLIER + inc) & _PCG64_MASK
+        rolling = (rolling * _PCG64_MULTIPLIER + inc) & _PCG64_MASK
         consumed += 1
         if consumed > 4096:  # pragma: no cover - defensive
             raise RuntimeError("probe draw did not converge")

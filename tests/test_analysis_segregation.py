@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -11,9 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import segregation_metrics_oracle
 from repro.analysis import segregation
-from repro.analysis.regions import _qualification_luts
+from repro.analysis.regions import _qualification_cutoffs, paper_ratio_threshold
 from repro.analysis.segregation import (
-    _qualification_cutoffs,
     default_region_radius,
     interface_density,
     local_homogeneity,
@@ -324,6 +324,47 @@ class TestKernelInputs:
         assert len(calls) == (6 if kernel == "compiled" else 0)
 
 
+#: Thresholds equal to one level's minority ratio, and one ulp below it:
+#: 5 / 20 of a radius-2 window and 7 / 42 of a radius-3 window are exact
+#: float quotients, so the count qualifies at the ratio and not below it.
+LEVEL_RATIOS = [0.25, math.nextafter(0.25, 0.0), 7.0 / 42.0, math.nextafter(7.0 / 42.0, 0.0)]
+
+#: The paper's default thresholds for horizons 1 to 3.
+PAPER_THRESHOLDS = [paper_ratio_threshold((2 * w + 1) ** 2) for w in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestThresholdOnALevelRatio:
+    """Both kernels decide a count whose ratio equals the threshold as the oracle does.
+
+    The cutoff of a level moves by one count between the ratio and one ulp
+    below it; a kernel comparing a count with its cutoff off by one, or
+    with the mirrored end off by one, moves an almost-monochromatic radius.
+    """
+
+    @pytest.mark.parametrize(
+        "threshold",
+        LEVEL_RATIOS,
+        ids=["r2_ratio", "r2_ratio_ulp_below", "r3_ratio", "r3_ratio_ulp_below"],
+    )
+    def test_batch_matches_oracle(self, kernel, threshold):
+        config = ModelConfig.square(side=16, horizon=1, tau=0.45)
+        rng = np.random.default_rng(3)
+        # Minority densities around the level ratios, on either type.
+        stack = np.array(
+            [np.where(rng.random((16, 16)) < density, 1, -1) for density in (0.15, 0.2, 0.8)],
+            dtype=np.int8,
+        )
+        other = LEVEL_RATIOS[LEVEL_RATIOS.index(threshold) ^ 1]
+        expected = [segregation_metrics_oracle(grid, config, 4, threshold) for grid in stack]
+        # The stack has windows on the boundary: the other side of it differs.
+        assert expected != [segregation_metrics_oracle(grid, config, 4, other) for grid in stack]
+        with measurement_kernel(kernel) as calls:
+            batch = segregation_metrics_batch(stack, config, 4, threshold)
+        _assert_matches_oracle(batch, expected)
+        assert len(calls) == (kernel == "compiled")
+
+
 class TestCompiledDispatch:
     """When the compiled kernel runs, and what it refuses."""
 
@@ -345,19 +386,22 @@ class TestCompiledDispatch:
             assert segregation_metrics_batch(stack, config, max_region_radius=6) == expected
         assert calls == [(2, 24, 24)]
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "threshold",
+        [0.0, 0.1, 0.5, 1.0, *LEVEL_RATIOS, *PAPER_THRESHOLDS],
+        ids=[
+            "0.0", "0.1", "0.5", "1.0",
+            "r2_ratio", "r2_ratio_ulp_below", "r3_ratio", "r3_ratio_ulp_below",
+            "paper_w1", "paper_w2", "paper_w3",
+        ],
+    )
     def test_cutoffs_reproduce_the_qualification_tables(self, threshold):
-        luts = _qualification_luts(threshold, 9)
-        cutoffs = _qualification_cutoffs(luts)
+        # Each count's decision is minority_ratio_map's float expression.
+        cutoffs = _qualification_cutoffs(threshold, 9)
         for radius in range(1, 10):
-            counts = np.arange(luts[radius].size)
             area = (2 * radius + 1) ** 2
-            decision = (counts <= cutoffs[radius]) | (counts >= area - cutoffs[radius])
-            assert np.array_equal(decision, luts[radius])
-
-    def test_cutoffs_refuse_a_table_that_is_not_a_prefix(self):
-        luts = _qualification_luts(0.1, 3)
-        luts[2] = luts[2].copy()
-        luts[2][5] = True
-        with pytest.raises(AnalysisError, match="radius 2"):
-            _qualification_cutoffs(luts)
+            for count in range(area + 1):
+                minority, majority = sorted((count, area - count))
+                expected = float(minority) / float(majority) <= threshold
+                cut = cutoffs[radius]
+                assert ((count <= cut) or (count >= area - cut)) == expected

@@ -15,20 +15,22 @@ Six layers are pinned here:
   build it, advances the ensemble engine *bit for bit* like the numpy
   backend (both are pinned to the scalar engine in
   ``tests/test_core_ensemble.py``): spins, clocks, step/flip counters, energies, the samplers'
-  packed layouts and each replica's RNG stream (its logical PCG64 state
-  and half-word buffer: the numpy backend's ``Generator`` against the C
-  reader's block position), across the base, two-sided and asymmetric
-  rules, with a tiny RNG block size so the C block refills fire
-  constantly.  The C exponential draw is also checked against the
-  replica's own ``Generator`` over scripted draws at every block size, and
-  fed steered words, so numpy's slow paths (layer-0 tail, wedge accept and
-  the rejecting recursion) run across block ends.
+  packed layouts and each replica's RNG stream (the state of its own
+  ``Generator``, which both backends draw through), across the base,
+  two-sided and asymmetric rules, and with replicas drawing through other
+  numpy bit generators than PCG64.  The C exponential draw is also checked
+  against a clone of the replica's ``Generator`` over scripted draws, and
+  on steered words, so numpy's slow paths (layer-0 tail, wedge accept and
+  the rejecting recursion) run on the replica's own bit generator; the C
+  candidate draw is steered through each path of Lemire's bounded loop,
+  the redraw included.
 * **Runs** — ``run()`` returns identical results and leaves identical
   state under every backend: flip/step/time budgets, trajectory segments,
   both flip rules and schedulers, wider horizons, rectangular tori and
   windows as wide as the torus, R = 40, and a run continued after a
   budgeted one (also across a ``recompute_all``, which makes the C backend
-  re-capture its pointers).  A compiled ``run()`` is one native call, or one
+  re-capture its pointers, and after draws made on a replica's Generator
+  between the runs).  A compiled ``run()`` is one native call, or one
   per trajectory segment, and a compiled ``step_all()`` is one native call.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
@@ -42,6 +44,7 @@ import ctypes
 import dataclasses
 import gc
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -51,7 +54,6 @@ import numpy as np
 import pytest
 
 import oracles
-from repro import rng as rng_module
 from repro.core.backends import cffi_backend
 from repro.core.backends.base import RunBudget
 from repro.core.backends.registry import (
@@ -81,43 +83,23 @@ BACKENDS = available_backends()
 SMALL = ModelConfig.square(side=16, horizon=1, tau=0.45)
 
 
-def _logical_state(streams, replica):
-    """The PCG64 state after the words a compiled stream has consumed.
-
-    Before the first refill the block is empty and the stream still sits at
-    the constructor's state.
-    """
-    state = rng_module._pcg64_value(streams._state[replica])
-    base = rng_module._pcg64_value(streams._base[replica])
-    if state == base:
-        return state
-    inc = rng_module._pcg64_value(streams._inc[replica])
-    return oracles.pcg64_state_after(base, inc, int(streams._pos[replica]))
-
-
 def _rng_positions(engine):
-    """Each replica's logical PCG64 state and half-word buffer.
+    """Each replica's ``Generator`` state: where its next draw starts.
 
-    A numpy engine draws through its replicas' Generators, a compiled one
-    through the C reader's blocks; either way this is where the replica's
-    next draw starts.
+    Both backends draw through the replicas' own Generators, so this is the
+    stream position under either.  Array-valued states (MT19937's key) are
+    held as lists, so positions compare with ``==`` for any bit generator.
     """
-    if engine.backend_name == "numpy":
-        states = [rng.bit_generator.state for rng in engine._rngs]
-        return [
-            (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
-            for s in states
-        ]
-    streams = engine._backend._streams
-    return [
-        (
-            _logical_state(streams, replica),
-            rng_module._pcg64_value(streams._inc[replica]),
-            int(streams._has32[replica]),
-            int(streams._buf32[replica]),
-        )
-        for replica in range(engine.n_replicas)
-    ]
+    return [_plain(rng.bit_generator.state) for rng in engine._rngs]
+
+
+def _plain(value):
+    """``value`` with every array, nested in dicts too, as a list."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def _engine_state(engine):
@@ -134,9 +116,8 @@ def _engine_state(engine):
         engine.energies(),
         engine.unhappy_counts(),
         engine.flippable_counts(),
-        # Where each replica's next draw starts: a refill that leaves the
-        # block base or the PCG64 state stale fails here, not only on a
-        # later draw.
+        # Where each replica's next draw starts: a draw made off the
+        # replica's Generator fails here, not only on a later draw.
         _rng_positions(engine),
         layouts,
     )
@@ -249,19 +230,11 @@ class TestBitwiseIdentity:
         _run_rounds(actual, rounds)
         _assert_states_equal(_engine_state(reference), _engine_state(actual))
 
-    @pytest.mark.parametrize("block_words", [1, 7, 4096])
-    def test_base_rule(self, backend_name, block_words):
-        # block_words=1 makes every word a refill, so the C reader's
-        # position must keep up with the numpy backend's Generators across
-        # one refill per word.
+    def test_base_rule(self, backend_name):
         self._compare(
             backend_name,
             lambda backend: EnsembleDynamics(
-                SMALL,
-                n_replicas=3,
-                seed=7,
-                rng_block_words=block_words,
-                backend=backend,
+                SMALL, n_replicas=3, seed=7, backend=backend
             ),
         )
 
@@ -273,7 +246,6 @@ class TestBitwiseIdentity:
                 tau_high=0.8,
                 n_replicas=3,
                 seed=11,
-                rng_block_words=7,
                 backend=backend,
             ),
         )
@@ -286,10 +258,29 @@ class TestBitwiseIdentity:
                 tau_minus=0.35,
                 n_replicas=3,
                 seed=13,
-                rng_block_words=7,
                 backend=backend,
             ),
         )
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_any_numpy_bit_generator(self, backend_name, bit_generator):
+        # The kernel calls the bitgen_t's own next_uint64 and next_uint32,
+        # so it assumes nothing of PCG64: MT19937 makes 32-bit words
+        # natively, the others split 64-bit words through their own
+        # half-word buffers.
+        def factory(backend):
+            engine = EnsembleDynamics(SMALL, n_replicas=3, seed=7, backend=backend)
+            engine._rngs[:] = [
+                np.random.Generator(bit_generator(seed)) for seed in engine.replica_seeds
+            ]
+            engine._backend.attach(engine)
+            return engine
+
+        self._compare(backend_name, factory)
 
     def test_experiment_rows_are_backend_invariant(self, backend_name):
         spec = ExperimentSpec(
@@ -356,32 +347,28 @@ RUN_CASES = {
     "record_every_7": (
         _ensemble(), {"record_trajectory": True, "record_every": 7}
     ),
-    "block_words_1": (_ensemble(rng_block_words=1), {}),
-    "block_words_7": (_ensemble(rng_block_words=7), {"max_steps": 90}),
     "discrete_only_if_happy": (
         _ensemble(scheduler=SchedulerKind.DISCRETE, **_ONLY_IF_HAPPY),
         {"max_steps": 300},
     ),
     "continuous_only_if_happy": (
-        _ensemble(rng_block_words=7, **_ONLY_IF_HAPPY), {"max_steps": 300}
+        _ensemble(**_ONLY_IF_HAPPY), {"max_steps": 300}
     ),
     "two_sided": (
         lambda backend: TwoSidedEnsemble(
-            SMALL, tau_high=0.8, n_replicas=3, seed=11,
-            rng_block_words=7, backend=backend,
+            SMALL, tau_high=0.8, n_replicas=3, seed=11, backend=backend,
         ),
         {"max_steps": 150},
     ),
     "asymmetric": (
         lambda backend: AsymmetricEnsemble(
-            SMALL, tau_minus=0.35, n_replicas=3, seed=13,
-            rng_block_words=7, backend=backend,
+            SMALL, tau_minus=0.35, n_replicas=3, seed=13, backend=backend,
         ),
         {"max_steps": 150},
     ),
     "r40": (_ensemble(n_replicas=40, seed=23), {}),
     "always_continuous": (
-        _ensemble(rng_block_words=7, **_ALWAYS), {"max_steps": 200}
+        _ensemble(**_ALWAYS), {"max_steps": 200}
     ),
     "always_discrete": (
         _ensemble(scheduler=SchedulerKind.DISCRETE, **_ALWAYS),
@@ -429,15 +416,14 @@ RUN_CASES = {
     "two_sided_discrete": (
         lambda backend: TwoSidedEnsemble(
             SMALL, tau_high=0.8, n_replicas=3, seed=11,
-            scheduler=SchedulerKind.DISCRETE, rng_block_words=7,
-            backend=backend,
+            scheduler=SchedulerKind.DISCRETE, backend=backend,
         ),
         {"max_steps": 150},
     ),
     "asymmetric_always": (
         lambda backend: AsymmetricEnsemble(
             SMALL, tau_minus=0.35, n_replicas=3, seed=13,
-            flip_rule=FlipRule.ALWAYS, rng_block_words=7, backend=backend,
+            flip_rule=FlipRule.ALWAYS, backend=backend,
         ),
         {"max_steps": 150},
     ),
@@ -503,6 +489,50 @@ class TestRunIdentity:
         else:
             assert calls == {"native": 1, "segments": 1}
 
+    def test_runs_leave_equal_generator_states(self, backend_name):
+        """Both backends advance each replica's own Generator, draw for draw."""
+        reference = _ensemble()("numpy")
+        actual = _ensemble()(backend_name)
+        starts = [rng.bit_generator.state for rng in actual._rngs]
+        reference.run()
+        actual.run()
+        for ref_rng, act_rng, start in zip(reference._rngs, actual._rngs, starts):
+            assert act_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert act_rng.bit_generator.state != start
+
+    @pytest.mark.parametrize("between", ["full_word", "half_word", "advance", "reseed"])
+    def test_draws_between_runs_move_the_stream(self, backend_name, between):
+        """A draw made on a replica's Generator between runs is where the next run starts.
+
+        The kernel keeps no copy of a stream: it reads each Generator's
+        state at the call, so outside draws, ``advance`` and a state
+        assignment are all seen as the numpy backend sees them.
+        """
+
+        def disturb(rng):
+            if between == "full_word":
+                rng.random()
+            elif between == "half_word":
+                rng.integers(0, 2**16)  # a 32-bit draw: moves the half-word buffer
+            elif between == "advance":
+                rng.bit_generator.advance(5)
+            else:
+                rng.bit_generator.state = np.random.default_rng(99).bit_generator.state
+
+        undisturbed = _ensemble()("numpy")
+        reference = _ensemble()("numpy")
+        actual = _ensemble()(backend_name)
+        for engine in (undisturbed, reference, actual):
+            engine.run(max_flips=13)
+        for engine in (reference, actual):
+            disturb(engine._rngs[1])
+        for engine in (undisturbed, reference, actual):
+            engine.run()
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+        # Replica 1 was still running, so the draw changed how it went on.
+        assert reference.times[1] != undisturbed.times[1]
+        assert reference.times[0] == undisturbed.times[0]
+
     def test_step_all_is_one_native_call(self, backend_name, monkeypatch):
         """A compiled step_all is one round of the native loop, nothing else."""
         engine = _ensemble()(backend_name)
@@ -523,8 +553,8 @@ class TestRunIdentity:
 
     @pytest.mark.parametrize("recompute", [False, True], ids=["plain", "recompute_all"])
     def test_budgeted_run_then_continuation(self, backend_name, recompute):
-        reference = _ensemble(rng_block_words=16)("numpy")
-        actual = _ensemble(rng_block_words=16)(backend_name)
+        reference = _ensemble()("numpy")
+        actual = _ensemble()(backend_name)
         budgets = ({"max_flips": 13}, {"record_trajectory": True, "record_every": 5})
         for index, kwargs in enumerate(budgets):
             if recompute and index:
@@ -695,15 +725,13 @@ class TestCompiledBoundary:
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
 class TestCompiledSampler:
-    """The C exponential draw is numpy's sampler on the replica's words.
+    """The C exponential draw is numpy's sampler on the replica's Generator.
 
-    Scripted draws hold it, block size by block size, to
-    ``standard_exponential`` on each replica's own dynamics ``Generator``
-    (which a compiled engine reads once and never advances).  Random draws
-    rarely reach layer 0's tail or the wedge's rejecting recursion, so the
-    steered cases put a word that takes each path at the block's last slot
-    (for the small blocks), and every slow path crosses the block end into
-    a C refill.
+    Scripted draws hold it to ``standard_exponential`` on a clone of each
+    replica's dynamics ``Generator``, value and state.  Random draws rarely
+    reach layer 0's tail or the wedge's rejecting recursion, so the steered
+    cases put the replica's own Generator one word before a word that takes
+    each path.
     """
 
     CASES = ("fast", "tail", "wedge_accept", "wedge_reject")
@@ -713,36 +741,20 @@ class TestCompiledSampler:
         backend = engine._backend
         return backend._lib.repro_standard_exponential(backend._state, replica)
 
-    @pytest.mark.parametrize("block_words", [1, 2, 3, 64, 4096])
-    def test_scripted_draws_match_numpy(self, backend_name, block_words):
-        engine = EnsembleDynamics(
-            SMALL, n_replicas=3, seed=5, rng_block_words=block_words,
-            backend=backend_name,
-        )
-        streams = engine._backend._streams
+    @staticmethod
+    def _clone(rng):
+        clone = np.random.Generator(np.random.PCG64())
+        clone.bit_generator.state = rng.bit_generator.state
+        return clone
+
+    def test_scripted_draws_match_numpy(self, backend_name):
+        engine = EnsembleDynamics(SMALL, n_replicas=3, seed=5, backend=backend_name)
         rngs = engine._rngs
-
-        def draw(replica):
-            value = self._draw(engine, replica)
-            assert value == rngs[replica].standard_exponential()
-            assert _logical_state(streams, replica) == (
-                rngs[replica].bit_generator.state["state"]["state"]
-            )
-
-        script = np.random.default_rng(block_words)
+        clones = [self._clone(rng) for rng in rngs]
+        script = np.random.default_rng(5)
         for replica in script.integers(0, 3, size=300).tolist():
-            draw(replica)
-        # Read replica 0 on until a draw starts exactly at its block end and
-        # takes one word: that draw opens a new block at position 1.
-        for _ in range(4 * block_words + 64):
-            at_end = streams._pos[0] == block_words
-            base = rng_module._pcg64_value(streams._base[0])
-            draw(0)
-            if at_end and streams._pos[0] == 1:
-                assert rng_module._pcg64_value(streams._base[0]) != base
-                break
-        else:
-            raise AssertionError("no one-word draw from an exact block end")
+            assert self._draw(engine, replica) == clones[replica].standard_exponential()
+            assert rngs[replica].bit_generator.state == clones[replica].bit_generator.state
 
     @staticmethod
     def _classify(word, consumed):
@@ -770,64 +782,86 @@ class TestCompiledSampler:
                         return word
         raise AssertionError(f"no steerable word takes the {case} path")
 
-    def _steer(self, engine, case, slot):
-        """Write a block for replica 1 with ``case``'s word at ``slot``.
-
-        The block is drawn from a probe generator on the replica's stream,
-        positioned ``slot`` words before that word, and the stream arrays
-        are set as a C refill would leave them, parked at ``slot``.
-        Returns ``(replica, probe)`` with ``probe`` positioned to emit the
-        steered word next.
-        """
-        streams = engine._backend._streams
-        replica = 1
-        inc = rng_module._pcg64_value(streams._inc[replica])
-        probe = np.random.Generator(np.random.PCG64(0))
-        probe.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        word = self._steered_word(probe, case)
-        oracles.probe_generator_for_word(probe, word)
-        at_word = probe.bit_generator.state
-        block_start = oracles.pcg64_state_after(
-            at_word["state"]["state"], inc, (1 << 128) - slot
-        )
-        state = dict(at_word, state={"state": block_start, "inc": inc})
-        probe.bit_generator.state = state
-        streams._words[replica] = probe.bit_generator.random_raw(streams.block_words)
-        streams._base[replica] = rng_module._pcg64_pair(block_start)
-        streams._state[replica] = rng_module._pcg64_pair(
-            probe.bit_generator.state["state"]["state"]
-        )
-        streams._pos[replica] = slot
-        probe.bit_generator.state = at_word
-        assert int(streams._words[replica, slot]) == word
-        return replica, probe
-
-    @pytest.mark.parametrize("block_words", [1, 2, 3, 4096])
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_numpy_on_steered_words(self, backend_name, case, block_words):
-        engine = EnsembleDynamics(
-            SMALL, n_replicas=2, seed=5, rng_block_words=block_words,
-            backend=backend_name,
+    def test_matches_numpy_on_steered_words(self, backend_name, case):
+        engine = EnsembleDynamics(SMALL, n_replicas=2, seed=5, backend=backend_name)
+        replica = 1
+        rng = engine._rngs[replica]
+        word = self._steered_word(self._clone(rng), case)
+        oracles.probe_generator_for_word(rng, word)
+        clone = self._clone(rng)
+        untouched = engine._rngs[0].bit_generator.state
+        assert self._draw(engine, replica) == clone.standard_exponential()
+        assert rng.bit_generator.state == clone.bit_generator.state
+        assert engine._rngs[0].bit_generator.state == untouched
+
+
+@pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+class TestCompiledCandidateDraw:
+    """The C candidate draw is numpy's ``integers(0, size)`` on the replica's Generator.
+
+    Lemire's method scales one 32-bit word by the sampler size, checks the
+    low half of the product against ``size`` and redraws while it is below
+    ``2**32 % size``: random runs almost never reach the redraw.  Each case
+    loads every replica's Generator with a buffered half word that takes one
+    path (its next 32-bit draw, as exponential draws take whole words), steps
+    one round on both backends and compares everything, Generator states
+    included.  Sampler sizes on a 15 x 15 torus are no powers of two, so
+    every size can reject.
+    """
+
+    CONFIG = ModelConfig.square(side=15, horizon=1, tau=0.45)
+
+    @staticmethod
+    def _sampler_sizes(engine):
+        offset = (
+            engine.n_replicas
+            if engine.flip_rule is FlipRule.ONLY_IF_HAPPY
+            and engine.scheduler is SchedulerKind.CONTINUOUS
+            else 0
         )
-        streams = engine._backend._streams
-        # The word sits in the block's last slot, so a slow path crosses
-        # the block end into a C refill (4096-word blocks: the first slot).
-        slot = block_words - 1 if block_words < 4096 else 0
-        replica, probe = self._steer(engine, case, slot)
-        steered_base = rng_module._pcg64_value(streams._base[replica])
-        assert self._draw(engine, replica) == probe.standard_exponential()
-        assert _logical_state(streams, replica) == (
-            probe.bit_generator.state["state"]["state"]
-        )
-        crossed = rng_module._pcg64_value(streams._base[replica]) != steered_base
-        assert crossed == (case != "fast" and block_words < 4096)
-        # The other replica's stream is untouched.
-        assert streams._pos[0] == block_words
+        counts = engine._sets.storage()[2]
+        return [int(counts[replica + offset]) for replica in range(engine.n_replicas)]
+
+    @staticmethod
+    def _half_word(size, path):
+        """A 32-bit word whose product with ``size`` takes ``path``."""
+        threshold = (1 << 32) % size
+        assert threshold > 0, f"size {size} never rejects"
+        if path == "accept":
+            return 1  # low half == size: accepted without the check
+        # The product's low half hits threshold exactly (accepted: the
+        # redraw test is strict) or threshold - gcd (redrawn); the low
+        # halves reachable are the multiples of gcd(2**32, size).
+        target = threshold if path == "check_then_accept" else threshold - math.gcd(1 << 32, size)
+        for k in range(size):
+            word = -(-(k << 32) // size)
+            if (word * size) & 0xFFFFFFFF == target:
+                return word
+        raise AssertionError(f"no word takes the {path} path for size {size}")
+
+    @pytest.mark.parametrize("scheduler", list(SchedulerKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("path", ["accept", "check_then_accept", "reject"])
+    def test_matches_numpy_on_steered_half_words(self, backend_name, path, scheduler):
+        engines = [
+            EnsembleDynamics(
+                self.CONFIG, n_replicas=2, seed=3, scheduler=scheduler, backend=name
+            )
+            for name in ("numpy", backend_name)
+        ]
+        sizes = self._sampler_sizes(engines[0])
+        for engine in engines:
+            for rng, size in zip(engine._rngs, sizes):
+                state = rng.bit_generator.state
+                state.update(has_uint32=1, uinteger=self._half_word(size, path))
+                rng.bit_generator.state = state
+            engine.step_all()
+        reference, actual = engines
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+        assert actual.n_steps.tolist() == [1, 1]
+        # A redraw takes a fresh 64-bit word and buffers its upper half.
+        buffered = [rng.bit_generator.state["has_uint32"] for rng in actual._rngs]
+        assert buffered == [int(path == "reject")] * 2
 
 
 class TestSweepProvenance:

@@ -5,12 +5,11 @@ The ensemble engine claims *bitwise* equivalence with scalar runs: replica
 :class:`~repro.core.simulation.Simulation` seeded with
 ``ensemble.replica_seeds[r]`` exactly — same final grid, flip count,
 termination flag and final clock — across schedulers, tau regimes, grid
-shapes, RNG block sizes and every flip-loop backend the host can run.  The
-scalar engine is the oracle; these tests are the contract that lets every
-experiment switch between engines and backends freely.
+shapes and every flip-loop backend the host can run.  The scalar engine
+is the oracle; these tests are the contract that lets every experiment
+switch between engines and backends freely.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +264,64 @@ class TestValidation:
                 initial_spins=np.zeros((1, 12, 12), dtype=np.int8),
             )
 
+    @pytest.mark.parametrize("engine", ["scalar", *BACKENDS])
+    @pytest.mark.parametrize(
+        "budget, value, message",
+        [
+            ("max_flips", float("nan"), "max_flips is NaN"),
+            ("max_steps", float("nan"), "max_steps is NaN"),
+            ("max_time", float("nan"), "max_time is NaN"),
+            ("max_flips", -1, "max_flips must be non-negative"),
+        ],
+        ids=["nan_flips", "nan_steps", "nan_time", "negative_flips"],
+    )
+    def test_rejects_unusable_run_budgets(self, engine, budget, value, message):
+        # Every engine refuses the same budgets by name, before any step.
+        config = ModelConfig.square(side=16, horizon=1, tau=0.45)
+        if engine == "scalar":
+            state = ModelState(config, random_configuration(config, 1))
+            dynamics = GlauberDynamics(state, seed=2)
+        else:
+            dynamics = EnsembleDynamics(config, n_replicas=2, seed=1, backend=engine)
+        with pytest.raises(StateError, match=message):
+            dynamics.run(**{budget: value})
+        assert np.all(np.asarray(dynamics.n_steps) == 0)
+
+    @pytest.mark.parametrize("engine", ["scalar", *BACKENDS])
+    @pytest.mark.parametrize(
+        "budget, value, unbounded",
+        [
+            ("max_flips", float("inf"), True),
+            ("max_flips", 2**70, True),
+            ("max_steps", -5, False),
+            ("max_time", float("inf"), True),
+            ("max_time", float("-inf"), False),
+        ],
+        ids=["inf_flips", "flips_past_int64", "negative_steps", "inf_time", "minus_inf_time"],
+    )
+    def test_accepts_unbounded_and_spent_budgets(self, engine, budget, value, unbounded):
+        # The shared check refuses NaN and negative flips only: an infinite
+        # or past-int64 budget runs as no budget, a spent one runs no step.
+        config = ModelConfig.square(side=16, horizon=1, tau=0.45)
+
+        def make():
+            if engine == "scalar":
+                state = ModelState(config, random_configuration(config, 1))
+                return GlauberDynamics(state, seed=2)
+            return EnsembleDynamics(config, n_replicas=2, seed=1, backend=engine)
+
+        def outcome(result):
+            fields = ("terminated", "n_flips", "n_steps", "final_time")
+            return [np.asarray(getattr(result, name)).tolist() for name in fields]
+
+        result = make().run(**{budget: value})
+        if unbounded:
+            assert outcome(result) == outcome(make().run())
+            assert np.all(result.terminated)
+        else:
+            assert np.all(np.asarray(result.n_steps) == 0)
+            assert not np.any(result.terminated)
+
 
 class TestIncrementalEnergies:
     """energies()/magnetizations() are incremental counters kept exact per flip."""
@@ -392,45 +449,33 @@ class TestEnsembleTrajectory:
         assert view.energy[-1] == sres.trajectory.energy[-1]
 
 
-class TestBlockedRngBoundaries:
-    """Bitwise scalar equivalence must be independent of the RNG block size.
+class TestStreamExactRuns:
+    """Runs to termination, and a budget stop then a resume, stay stream-exact.
 
-    On the compiled backend ``rng_block_words=1`` refills on every draw
-    (every consumption crosses a block edge), small sizes hit
-    exact-exhaustion boundaries, and runs to termination always stop
-    mid-block for the default size — the three regimes of its C word
-    reader.  The numpy backend draws through each replica's ``Generator``,
-    so for it the block size must change nothing by construction.
+    Both backends draw through each replica's own ``Generator``, so a run
+    stopped by a budget leaves the stream where the next run picks it up.
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("block_words", [1, 2, 7, 4096])
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_block_size_never_changes_results(self, block_words, scheduler, backend):
+    def test_runs_to_termination_match_scalar(self, scheduler, backend):
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.45, scheduler=scheduler
         )
-        ensemble = EnsembleDynamics(
-            config, n_replicas=2, seed=8, rng_block_words=block_words,
-            backend=backend,
-        )
+        ensemble = EnsembleDynamics(config, n_replicas=2, seed=8, backend=backend)
         result = ensemble.run()
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed)
-            assert np.array_equal(
-                reference.final_spins, result.final_spins[replica]
-            ), f"block_words={block_words} diverges from scalar"
+            assert np.array_equal(reference.final_spins, result.final_spins[replica])
             assert reference.n_flips == result.n_flips[replica]
             assert reference.final_time == result.final_time[replica]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mid_block_termination_then_resume(self, backend):
-        """Stopping on a budget mid-block and resuming stays stream-exact."""
+    def test_budget_stop_then_resume(self, backend):
+        """Stopping on a budget and resuming stays stream-exact."""
         config = ModelConfig.square(side=14, horizon=1, tau=0.45)
-        ensemble = EnsembleDynamics(
-            config, n_replicas=2, seed=12, rng_block_words=16, backend=backend
-        )
-        ensemble.run(max_flips=13)  # strand every replica mid-block
+        ensemble = EnsembleDynamics(config, n_replicas=2, seed=12, backend=backend)
+        ensemble.run(max_flips=13)
         ensemble.run()
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed)
@@ -438,35 +483,6 @@ class TestBlockedRngBoundaries:
                 reference.final_spins, ensemble.replica_spins(replica)
             )
             assert reference.final_time == float(ensemble.times[replica])
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("block_words", [0, -3, 0.5])
-    def test_rejects_nonpositive_block_words(self, backend, block_words):
-        # 0.5 would truncate to zero-word blocks.
-        config = ModelConfig.square(side=12, horizon=1, tau=0.4)
-        with pytest.raises(ConfigurationError, match="rng_block_words"):
-            EnsembleDynamics(
-                config, n_replicas=1, seed=1, rng_block_words=block_words,
-                backend=backend,
-            )
-
-    def test_numpy_engine_allocates_no_word_blocks(self):
-        """Only the compiled backend reads RNG words, so only it holds them."""
-        config = ModelConfig.square(side=12, horizon=1, tau=0.4)
-        n_replicas, block_words = 8, 65536
-        EnsembleDynamics(config, n_replicas=1, seed=1, backend="numpy")
-        tracemalloc.start()
-        try:
-            engine = EnsembleDynamics(
-                config, n_replicas=n_replicas, seed=1,
-                rng_block_words=block_words, backend="numpy",
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert engine.backend_name == "numpy"
-        # The blocks alone would be 8 x 65536 words x 8 bytes = 4 MiB.
-        assert peak < n_replicas * block_words * 8 // 16
 
 
 class TestDeferredCounters:

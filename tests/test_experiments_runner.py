@@ -1,5 +1,6 @@
 """Tests for the replicate/sweep runner."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.variants import VariantSpec
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, StateError
 from repro.experiments import runner
 from repro.experiments.parallel import run_sweep_parallel
 from repro.experiments.runner import (
@@ -55,6 +56,13 @@ class TestRunExperiment:
         table = run_experiment(small_spec)
         seeds = table.column("seed")
         assert len(set(seeds)) == len(seeds)
+
+    @pytest.mark.parametrize("budget", ["max_flips", "max_steps"])
+    @pytest.mark.parametrize("ensemble_size", [None, 1], ids=["ensemble", "scalar"])
+    def test_nan_budget_is_refused_by_either_engine(self, small_spec, ensemble_size, budget):
+        spec = dataclasses.replace(small_spec, **{budget: float("nan")})
+        with pytest.raises(StateError, match=f"{budget} is NaN"):
+            run_experiment(spec, ensemble_size=ensemble_size)
 
 
 class TestDefaultEngine:

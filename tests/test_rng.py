@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from oracles import pcg64_state_after
 from repro.rng import (
     choice_without_replacement,
     ensure_distinct,
@@ -84,39 +83,3 @@ class TestChoiceWithoutReplacement:
     def test_too_large_request_rejected(self, rng):
         with pytest.raises(ValueError):
             choice_without_replacement(rng, range(5), 6)
-
-
-class TestPcg64StateAfter:
-    """The stream-position oracle in ``tests/oracles.py`` is ``PCG64.advance``."""
-
-    def test_matches_bit_generator_advance(self):
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        expected = np.random.Generator(np.random.PCG64())
-        expected.bit_generator.state = state
-        expected.bit_generator.advance(123)
-        advanced = pcg64_state_after(
-            state["state"]["state"], state["state"]["inc"], 123
-        )
-        assert advanced == expected.bit_generator.state["state"]["state"]
-
-
-class TestBlockedReplicaStreams:
-    """The compiled loop's word buffer accepts only what it can serve."""
-
-    def test_rejects_non_pcg64_generators(self):
-        from repro.rng import BlockedReplicaStreams
-
-        bad = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(ValueError):
-            BlockedReplicaStreams([bad])
-
-    def test_rejects_bad_block_words(self):
-        from repro.rng import BlockedReplicaStreams
-
-        with pytest.raises(ValueError):
-            BlockedReplicaStreams([np.random.default_rng(0)], block_words=0)
-        with pytest.raises(ValueError):
-            BlockedReplicaStreams([np.random.default_rng(0)], block_words=0.5)
-        with pytest.raises(ValueError):
-            BlockedReplicaStreams([])
