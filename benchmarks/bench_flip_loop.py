@@ -5,10 +5,12 @@ sequential scalar runs, this file times the flip loop alone for every
 available backend of :class:`~repro.core.ensemble.EnsembleDynamics`, across
 several replica counts, on two paths: repeated ``step_all`` calls (one round
 per call) and one budgeted ``run``, which a compiled backend drives as one
-native call.  The numpy backend — the Python round loop — is the baseline:
-regressions in its per-replica ``Generator`` draws, the batched index-set
-updates or the fused window kernel show up here first, before they wash out
-in end-to-end numbers.
+native call that runs one replica at a time.  The numpy backend — the
+Python round loop, lockstep across replicas — is the baseline: regressions
+in its per-replica ``Generator`` draws, the batched index-set updates or the
+fused window kernel show up here first, before they wash out in end-to-end
+numbers.  Rounds are lockstep rounds on either backend: a compiled run's
+round count is the most steps any replica took.
 
 All backends advance bitwise-identical dynamics (asserted by the test
 suite), so flips/sec is a work-for-work comparison.  Quick mode trims the
@@ -18,9 +20,11 @@ machine-readable ``BENCH_PERF_flip_loop_backends.json``.
 The per-flip cost bench records what a flip loop with no Python in it
 should deliver: µs/flip of one ``run()`` at 64², 256² and 512² (a flip
 touches the same 49-site window at every size, so growth is memory
-traffic), and the 256² run's slowdown with a busy Python thread alongside,
-next to a busy *process* as the control for plain CPU contention.  It
-asserts only that each compiled ``run()`` was exactly one native call.
+traffic), at one and eight replicas on 256² and at two on 512² (whether
+the cost tracks one replica's arrays or the whole stack's), and the 256²
+run's slowdown with a busy Python thread alongside, next to a busy
+*process* as the control for plain CPU contention.  It asserts only that
+each compiled ``run()`` was exactly one native call.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ MIN_COMPILED_STEP_SPEEDUP = 3.0
 COMPILED_BACKENDS = ("cffi",)
 
 
-#: Grid sides of the per-flip cost rows (w = 3, R = 8, tau = 0.45).
-SCALING_SIDES = (64, 256, 512)
+#: ``(side, R)`` of the quiet per-flip cost rows (w = 3, tau = 0.45), in
+#: run order: R = 8 at every side, one replica at 256² and R = 2 at 512²
+#: (the site count of 256² at R = 8), each just before its side's R = 8 row.
+COST_RUNS = ((64, 8), (256, 1), (256, 8), (512, 2), (512, 8))
 
 #: The side at which the busy-thread and busy-process ratios are taken.
 CONTENTION_SIDE = 256
@@ -225,36 +231,41 @@ def _contended_run(config, max_steps, load: str) -> tuple[float, int, int]:
 
 
 def bench_flip_loop_per_flip_cost(benchmark, emit):
-    """µs/flip of ``run()`` across grid sides, and the busy-thread ratio.
+    """µs/flip of ``run()`` by grid side and replica count; busy-thread ratio.
 
-    Uses the default backend (cffi when it loads).  Rows: one per grid side
-    (64², 256², 512²; w = 3, R = 8, tau = 0.45) with µs/flip and the native
-    call count, then the 256² run quiet, beside a busy Python thread and
-    beside a busy process.  The thread ratio measures what the GIL still
-    costs a run; the process ratio is the same host's CPU contention with
-    no GIL involved, so their quotient isolates the GIL.  Only the native
-    call count is asserted (exactly one per compiled run); the timings and
-    ratios go into the record.
+    Uses the default backend (cffi when it loads).  Quiet rows
+    (:data:`COST_RUNS`; w = 3, tau = 0.45) record µs/flip and the native
+    call count: one per grid side at R = 8 (64², 256², 512²), one replica
+    at 256² and R = 2 at 512².  ``us_per_flip_ratio_r8_over_r1`` is what
+    running eight replicas costs a flip over running one; 512² at R = 2
+    holds as many sites as 256² at R = 8.  Then come the 256² R = 8 run
+    quiet, beside a busy Python thread and beside a busy process.  The
+    thread ratio measures what the GIL still costs a run; the process
+    ratio is the same host's CPU contention with no GIL involved, so their
+    quotient isolates the GIL.  Only the native call count is asserted
+    (exactly one per compiled run); the timings and ratios go into the
+    record.
     """
     params = flip_loop_parameters()
     max_steps = params["scaling_steps"]
     configs = {
         side: ModelConfig.square(side=side, horizon=3, tau=0.45)
-        for side in SCALING_SIDES
+        for side, _ in COST_RUNS
     }
-    EnsembleDynamics(configs[SCALING_SIDES[0]], n_replicas=8, seed=11).run(
+    EnsembleDynamics(configs[COST_RUNS[0][0]], n_replicas=8, seed=11).run(
         max_steps=1
     )  # warm-up: compile + capture
     native_calls: list[int] = []
 
     def run() -> ResultTable:
         table = ResultTable()
-        for side, config in configs.items():
-            engine = EnsembleDynamics(config, n_replicas=8, seed=11)
+        for side, n_replicas in COST_RUNS:
+            engine = EnsembleDynamics(configs[side], n_replicas=n_replicas, seed=11)
             elapsed, flips, calls = _counted_run(engine, max_steps)
             native_calls.append(calls)
             table.add_row(
                 grid=f"{side}x{side}",
+                n_replicas=n_replicas,
                 load="quiet",
                 flips=flips,
                 seconds=elapsed,
@@ -268,6 +279,7 @@ def bench_flip_loop_per_flip_cost(benchmark, emit):
             native_calls.append(calls)
             table.add_row(
                 grid=f"{CONTENTION_SIDE}x{CONTENTION_SIDE}",
+                n_replicas=8,
                 load=f"contention:{load}",
                 flips=flips,
                 seconds=elapsed,
@@ -278,7 +290,7 @@ def bench_flip_loop_per_flip_cost(benchmark, emit):
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     cost = {
-        row["grid"]: row["us_per_flip"]
+        (row["grid"], row["n_replicas"]): row["us_per_flip"]
         for row in table.rows
         if row["load"] == "quiet"
     }
@@ -290,10 +302,14 @@ def bench_flip_loop_per_flip_cost(benchmark, emit):
     engine_backend = default_backend_name()
     benchmark.extra_info["quick_mode"] = quick_mode()
     benchmark.extra_info["backend"] = engine_backend
-    for grid, us in cost.items():
-        benchmark.extra_info[f"us_per_flip_{grid}"] = float(us)
+    for (grid, n_replicas), us in cost.items():
+        suffix = "" if n_replicas == 8 else f"_r{n_replicas}"
+        benchmark.extra_info[f"us_per_flip_{grid}{suffix}"] = float(us)
     benchmark.extra_info["us_per_flip_ratio_512_over_64"] = float(
-        cost["512x512"] / cost["64x64"]
+        cost[("512x512", 8)] / cost[("64x64", 8)]
+    )
+    benchmark.extra_info["us_per_flip_ratio_r8_over_r1"] = float(
+        cost[("256x256", 8)] / cost[("256x256", 1)]
     )
     benchmark.extra_info["busy_thread_ratio"] = float(
         contention["thread"] / contention["quiet"]

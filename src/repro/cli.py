@@ -486,6 +486,9 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
     if args.max_steps is not None and args.max_steps <= 0:
         print("error: --max-steps must be positive", file=sys.stderr)
         return 2
+    if args.max_flips is not None and args.max_flips < 0:
+        print("error: --max-flips must be non-negative", file=sys.stderr)
+        return 2
     variant = _resolve_variant(args, [args.tau])
     if variant is None:
         return 2

@@ -8,7 +8,8 @@ storage — is pluggable.  A :class:`FlipLoopBackend` implements one
 operation over the engine's batched arrays, :meth:`~FlipLoopBackend.run_rounds`,
 which strings rounds together until a :class:`RunBudget` stops every
 replica; it is the only way a round runs.  The numpy backend runs it as a
-Python loop, the compiled backend as one native call.  Everything above it
+Python loop in lockstep, the compiled backend as one native call that runs
+one replica at a time.  Everything above it
 (seeding, trajectories, the public result surface) is shared, so backends
 can only differ in *how* rounds execute, never in what a round means.
 
@@ -96,18 +97,21 @@ class FlipLoopBackend:
         return engine
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
-        """Advance lockstep rounds until ``budget`` stops every replica.
+        """Advance rounds until ``budget`` stops every replica.
 
         Each round steps the replicas ``budget.active`` selects: per replica,
         termination and sampler checks, the RNG draws (waiting time under
         the continuous scheduler, then the Lemire candidate),
         clock/step updates, the member gather and the discrete-scheduler
-        flip gate — then the fused window update, the samplers' coded-op
-        stream and the flip counters for every replica that flips.  The
-        call also returns after ``max_rounds`` rounds (a trajectory-sample
-        boundary, or the single round of ``engine.step_all``).  Returns the
-        number of rounds run, so fewer than ``max_rounds`` means no replica
-        may step any more.
+        flip gate — then the window update, the samplers' coded-op stream
+        and the flip counter if it flips.  Replicas share no state a round
+        touches, so a backend may run the rounds in lockstep or each
+        replica's rounds in turn.  No replica runs more than ``max_rounds``
+        (a trajectory-sample boundary, or the single round of
+        ``engine.step_all``).  Returns the number of rounds run: the most
+        any replica was active for (each a step, or an idle round while its
+        sampler is empty), capped at ``max_rounds``, so fewer than
+        ``max_rounds`` means no replica may step any more.
         """
         raise NotImplementedError
 

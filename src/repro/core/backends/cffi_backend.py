@@ -1,11 +1,15 @@
 """The compiled flip loop and measurement kernel (stdlib ``ctypes`` + cc).
 
 A small C translation unit carries the engine's whole round loop
-(``repro_run_rounds``): each round's scalar control plane, the fused window
-update and the coded-op sampler maintenance (``repro_coded_ops``, also
-exported on its own for the edge-case suite).  It follows the scalar engine
-draw for draw, with the same IEEE-754 double expressions and no
-``-ffast-math``.  The same library measures: ``repro_measure``
+(``repro_run_rounds``), one replica at a time: replica 0 steps until its
+budget, its termination or ``max_rounds`` of its own steps, then replica 1,
+and so on.  Replicas share no sampler row, stream or window, so each ends
+bit for bit where lockstep rounds leave it, while only its own arrays pass
+through the cache.  A flip walks its window once, updating each site's
+same-type count and code and applying its sampler ops (``apply_op``, which
+the exported ``repro_coded_ops`` also uses) in window order.  It follows
+the scalar engine draw for draw, with the same IEEE-754 double expressions
+and no ``-ffast-math``.  The same library measures: ``repro_measure``
 (:func:`measure_counts`) returns the integer counts behind every
 :class:`~repro.analysis.segregation.SegregationMetrics` field for a whole
 replica stack in one call, one replica at a time in scratch sized to one
@@ -19,17 +23,18 @@ the backend needs no package beyond numpy (its registry name ``cffi``
 predates that binding).  A cache directory that is not private to the
 current user is refused, since ``dlopen`` runs the library's load-time code.
 
-The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
-~30 array arguments per call would swamp the C code) is solved with a
-pointer-capture struct, ``repro_state``, declared once in
+The hot-call overhead problem (a ``step_all`` round lasts microseconds;
+marshaling ~30 array arguments per call would swamp the C code) is solved
+with a pointer-capture struct, ``repro_state``, declared once in
 :data:`_STATE_FIELDS` for both C and ``ctypes``; the load's self-check
 compares the two sizes.  :class:`CffiBackend` fills it with raw pointers
 into the engine's arrays once per runtime generation, and each call passes
 that single struct pointer.  The struct is rebuilt whenever the engine
 bumps ``_runtime_generation``, which is what makes holding raw pointers
-safe.  It carries engine state and the run budget only: the loop's scratch
-is C's own, allocated once per call.  A run is one native call (one per
-trajectory segment, and ``step_all`` is one call of one round).
+safe.  It carries engine state and the run budget only: the loop's one
+scratch buffer, a window of offsets, is C's own, allocated once per call.
+A run is one native call (one per trajectory segment, and ``step_all`` is
+one call of one round).
 
 Every draw the kernel makes goes through the replica's own numpy
 ``bitgen_t``, the C interface of its dynamics ``Generator``'s bit generator
@@ -137,50 +142,6 @@ _SOURCE = (
    numpy/random/distributions.h, which needs Python.h to include). */
 extern double random_standard_exponential(bitgen_t *bitgen_state);
 
-typedef struct {
-    /* One repro_run_rounds call's scratch, private to C: the round's active
-       replicas and flips, one flip's window, the round's coded ops. */
-    int64_t *candidates;
-    int64_t *out_reps;
-    int64_t *out_flats;
-    int64_t *win_buf;
-    int64_t *same_buf;
-    int64_t *op_rows;
-    int64_t *op_indices;
-    int64_t *op_toggled;
-    int64_t *op_members;
-    int8_t *spin_buf;
-    int8_t *old_code_buf;
-    int8_t *new_code_buf;
-} round_scratch;
-
-static void *alloc_scratch(const repro_state *st, round_scratch *sc)
-{
-    /* One block for the whole call, int64 buffers first; NULL when the
-       allocation fails. */
-    size_t r = (size_t)st->n_replicas;
-    size_t area = (size_t)st->window_area;
-    size_t ops = r * area;
-    size_t n64 = 3 * r + 2 * area + 4 * ops;
-    char *block = malloc(n64 * sizeof(int64_t) + 3 * area);
-    if (block == NULL)
-        return NULL;
-    int64_t *p = (int64_t *)block;
-    sc->candidates = p;
-    sc->out_reps = p + r;
-    sc->out_flats = p + 2 * r;
-    sc->win_buf = p + 3 * r;
-    sc->same_buf = sc->win_buf + area;
-    sc->op_rows = sc->same_buf + area;
-    sc->op_indices = sc->op_rows + ops;
-    sc->op_toggled = sc->op_indices + ops;
-    sc->op_members = sc->op_toggled + ops;
-    sc->spin_buf = (int8_t *)(p + n64);
-    sc->old_code_buf = sc->spin_buf + area;
-    sc->new_code_buf = sc->old_code_buf + area;
-    return block;
-}
-
 static inline bitgen_t *replica_bitgen(const repro_state *st, int64_t replica)
 {
     /* The replica's numpy bit generator: every draw of the loop goes
@@ -193,21 +154,120 @@ double repro_standard_exponential(repro_state *st, int64_t replica)
     return random_standard_exponential(replica_bitgen(st, replica));
 }
 
-static int64_t repro_step_round(repro_state *st, round_scratch *sc,
-                                int64_t n_candidates)
+static inline void apply_op(int32_t *members, int32_t *positions,
+                            int64_t *counts, int64_t row, int64_t capacity,
+                            int64_t index, int64_t member)
 {
-    /* One step per replica in sc->candidates; returns the number of flips
-       collected in out_reps/out_flats. */
-    int64_t n_out = 0;
-    for (int64_t i = 0; i < n_candidates; i++) {
-        int64_t replica = sc->candidates[i];
-        if (st->counts[replica + st->term_offset] == 0)
-            continue;
-        int64_t sampler_row = replica + st->sampler_offset;
+    /* One membership bit of a coded op on one sampler row: append index
+       when it joins, swap-remove it when it leaves (the scalar
+       IndexSampler's layout).  A no-op when membership does not change. */
+    int64_t base = row * capacity;
+    int64_t target = base + index;
+    int64_t position = positions[target];
+    if (member) {
+        if (position < 0) {
+            int64_t count = counts[row];
+            members[base + count] = (int32_t)index;
+            positions[target] = (int32_t)count;
+            counts[row] = count + 1;
+        }
+    } else if (position >= 0) {
+        int64_t count = counts[row] - 1;
+        counts[row] = count;
+        int64_t last = members[base + count];
+        members[base + position] = (int32_t)last;
+        positions[base + last] = (int32_t)position;
+        positions[target] = -1;
+    }
+}
+
+void repro_coded_ops(const int64_t *rows, const int64_t *indices,
+                     const int64_t *toggled, const int64_t *member_codes,
+                     int64_t n_ops, int32_t *members, int32_t *positions,
+                     int64_t *counts, int64_t capacity, int64_t row_offset)
+{
+    for (int64_t k = 0; k < n_ops; k++) {
+        if (toggled[k] & 1)
+            apply_op(members, positions, counts, rows[k], capacity,
+                     indices[k], member_codes[k] & 1);
+        if (toggled[k] & 2)
+            apply_op(members, positions, counts, rows[k] + row_offset,
+                     capacity, indices[k], member_codes[k] & 2);
+    }
+}
+
+static void flip_site(repro_state *st, int64_t *window, int64_t replica,
+                      int64_t flat)
+{
+    /* Flip one site and refresh its window in window order: each site's
+       same-type count, code and sampler ops (unhappy row, then flippable
+       row) are final before the next site's, the update order of the
+       scalar ModelState._refresh_window.  The window's sites are distinct,
+       since it fits on the torus. */
+    int64_t base = replica * st->n_sites;
+    int8_t new_value = (int8_t)(-st->spins[base + flat]);
+    st->spins[base + flat] = new_value;
+    int64_t row = flat / st->n_cols;
+    int64_t col = flat - row * st->n_cols;
+    const int64_t *row_offsets = st->row_lut + row * st->window_side;
+    const int64_t *col_offsets = st->col_lut + col * st->window_side;
+    for (int64_t a = 0; a < st->window_side; a++)
+        for (int64_t b = 0; b < st->window_side; b++)
+            window[a * st->window_side + b] = row_offsets[a] + col_offsets[b];
+    int64_t dv = (int64_t)new_value;
+    int64_t spin_sum = 0, old_center = 0;
+    for (int64_t j = 0; j < st->window_area; j++) {
+        int64_t g = base + window[j];
+        int8_t spin = st->spins[g];
+        int64_t same = st->same[g];
+        spin_sum += spin;
+        if (j == st->center_col) {
+            /* The flipped agent is re-scored under its new type. */
+            old_center = same;
+            same = st->total + 1 - same;
+        } else {
+            same += dv * spin;
+        }
+        st->same[g] = (int16_t)same;
+        int8_t code = st->code_lut[(spin > 0) * st->lut_stride + same];
+        int64_t toggled = st->code[g] ^ code;
+        st->code[g] = code;
+        /* code ^ 1 turns the happy bit into unhappy membership. */
+        if (toggled & 1)
+            apply_op(st->members, st->positions, st->counts, replica,
+                     st->n_sites, window[j], (code ^ 1) & 1);
+        if (toggled & 2)
+            apply_op(st->members, st->positions, st->counts,
+                     replica + st->n_replicas, st->n_sites, window[j],
+                     code & 2);
+    }
+    /* Incremental counters from the pre-update centre count. */
+    if (st->track != 0) {
+        st->energies[replica] += dv * spin_sum + st->total - 2 * old_center;
+        st->n_plus[replica] += dv;
+    }
+}
+
+static int64_t run_replica(repro_state *st, int64_t *window, int64_t replica,
+                           int64_t max_rounds)
+{
+    /* One replica's share of the round loop: a step per round while it is
+       active (not terminated, within its budget), up to max_rounds.
+       Returns the rounds it was active, as the lockstep loop counts them. */
+    int64_t sampler_row = replica + st->sampler_offset;
+    bitgen_t *bitgen = replica_bitgen(st, replica);
+    int64_t rounds = 0;
+    while (rounds < max_rounds
+           && st->counts[replica + st->term_offset] != 0
+           && st->flips[replica] - st->start_flips[replica] < st->max_flips
+           && st->steps[replica] - st->start_steps[replica] < st->max_steps
+           && st->times[replica] < st->max_time) {
         int64_t size = st->counts[sampler_row];
         if (size == 0)
-            continue;
-        bitgen_t *bitgen = replica_bitgen(st, replica);
+            /* Nothing changes while the sampler is empty: an active
+               replica spends its remaining rounds idle. */
+            return max_rounds;
+        rounds += 1;
         /* Waiting time first (continuous scheduler), then candidate: the
            draws of exponential(1 / size) and integers(0, size). */
         if (st->continuous != 0) {
@@ -234,176 +294,34 @@ static int64_t repro_step_round(repro_state *st, round_scratch *sc,
         }
         int64_t flat = st->members[sampler_row * st->n_sites + draw];
         if (st->discrete_gate != 0
-            && (st->code[replica * st->n_sites + flat] & 2) == 0) {
+            && (st->code[replica * st->n_sites + flat] & 2) == 0)
             /* Discrete scheduler samples unhappy agents; may refuse. */
             continue;
-        }
-        sc->out_reps[n_out] = replica;
-        sc->out_flats[n_out] = flat;
-        n_out += 1;
+        flip_site(st, window, replica, flat);
+        st->flips[replica] += 1;
     }
-    return n_out;
-}
-
-static int64_t repro_apply_flips(repro_state *st, round_scratch *sc,
-                                 int64_t n_flips)
-{
-    /* The window update of the round's flips in out_reps/out_flats;
-       returns the number of coded ops written to the op buffers. */
-    int64_t n_ops = 0;
-    for (int64_t k = 0; k < n_flips; k++) {
-        int64_t rep = sc->out_reps[k];
-        int64_t flat = sc->out_flats[k];
-        int64_t base = rep * st->n_sites;
-        int64_t center = base + flat;
-        int8_t new_value = (int8_t)(-st->spins[center]);
-        st->spins[center] = new_value;
-        int64_t row = flat / st->n_cols;
-        int64_t col = flat - row * st->n_cols;
-        const int64_t *row_offsets = st->row_lut + row * st->window_side;
-        const int64_t *col_offsets = st->col_lut + col * st->window_side;
-        for (int64_t a = 0; a < st->window_side; a++) {
-            int64_t abase = a * st->window_side;
-            for (int64_t b = 0; b < st->window_side; b++)
-                sc->win_buf[abase + b] = row_offsets[a] + col_offsets[b];
-        }
-        int64_t dv = (int64_t)new_value;
-        int64_t spin_sum = 0;
-        for (int64_t j = 0; j < st->window_area; j++) {
-            int64_t g = base + sc->win_buf[j];
-            int8_t s = st->spins[g];
-            sc->spin_buf[j] = s;
-            sc->same_buf[j] = st->same[g];
-            spin_sum += s;
-        }
-        int64_t old_center = sc->same_buf[st->center_col];
-        /* Incremental counters from the pre-update centre count. */
-        if (st->track != 0) {
-            st->energies[rep] += dv * spin_sum + st->total - 2 * old_center;
-            st->n_plus[rep] += dv;
-        }
-        for (int64_t j = 0; j < st->window_area; j++)
-            sc->same_buf[j] = sc->same_buf[j] + dv * sc->spin_buf[j];
-        sc->same_buf[st->center_col] = st->total + 1 - old_center;
-        for (int64_t j = 0; j < st->window_area; j++) {
-            int64_t g = base + sc->win_buf[j];
-            st->same[g] = (int16_t)sc->same_buf[j];
-            int64_t spin_row = sc->spin_buf[j] > 0 ? 1 : 0;
-            int8_t new_code =
-                st->code_lut[spin_row * st->lut_stride + sc->same_buf[j]];
-            sc->new_code_buf[j] = new_code;
-            sc->old_code_buf[j] = st->code[g];
-            st->code[g] = new_code;
-        }
-        for (int64_t j = 0; j < st->window_area; j++) {
-            int8_t old_code = sc->old_code_buf[j];
-            int8_t new_code = sc->new_code_buf[j];
-            if (old_code == new_code)
-                continue;
-            sc->op_rows[n_ops] = rep;
-            sc->op_indices[n_ops] = sc->win_buf[j];
-            sc->op_toggled[n_ops] = old_code ^ new_code;
-            sc->op_members[n_ops] = new_code ^ 1;
-            n_ops += 1;
-        }
-    }
-    return n_ops;
-}
-
-void repro_coded_ops(const int64_t *rows, const int64_t *indices,
-                     const int64_t *toggled, const int64_t *member_codes,
-                     int64_t n_ops, int32_t *members, int32_t *positions,
-                     int64_t *counts, int64_t capacity, int64_t row_offset)
-{
-    int64_t offset_base = row_offset * capacity;
-    for (int64_t k = 0; k < n_ops; k++) {
-        int64_t row = rows[k];
-        int64_t index = indices[k];
-        int64_t toggle = toggled[k];
-        int64_t member = member_codes[k];
-        int64_t base = row * capacity;
-        if (toggle & 1) {
-            int64_t target = base + index;
-            int64_t position = positions[target];
-            if (member & 1) {
-                if (position < 0) {
-                    int64_t count = counts[row];
-                    members[base + count] = (int32_t)index;
-                    positions[target] = (int32_t)count;
-                    counts[row] = count + 1;
-                }
-            } else if (position >= 0) {
-                int64_t count = counts[row] - 1;
-                counts[row] = count;
-                int64_t last = members[base + count];
-                members[base + position] = (int32_t)last;
-                positions[base + last] = (int32_t)position;
-                positions[target] = -1;
-            }
-        }
-        if (toggle & 2) {
-            int64_t pair_row = row + row_offset;
-            int64_t pair_base = base + offset_base;
-            int64_t target = pair_base + index;
-            int64_t position = positions[target];
-            if (member & 2) {
-                if (position < 0) {
-                    int64_t count = counts[pair_row];
-                    members[pair_base + count] = (int32_t)index;
-                    positions[target] = (int32_t)count;
-                    counts[pair_row] = count + 1;
-                }
-            } else if (position >= 0) {
-                int64_t count = counts[pair_row] - 1;
-                counts[pair_row] = count;
-                int64_t last = members[pair_base + count];
-                members[pair_base + position] = (int32_t)last;
-                positions[pair_base + last] = (int32_t)position;
-                positions[target] = -1;
-            }
-        }
-    }
+    return rounds;
 }
 
 int64_t repro_run_rounds(repro_state *st, int64_t max_rounds)
 {
-    /* The engine's round loop (FlipLoopBackend.run_rounds) in one call:
-       build the active set, step it, apply the round's flips.  Returns the
-       number of rounds run, at termination, at the budget or after
-       max_rounds (a trajectory-sample boundary or step_all's one round),
-       or -1 when the call's scratch cannot be allocated. */
-    round_scratch sc;
-    void *scratch = alloc_scratch(st, &sc);
-    if (scratch == NULL)
+    /* The engine's round loop (FlipLoopBackend.run_rounds) in one call,
+       one replica at a time: replicas share no sampler row, stream or
+       window, so each ends bit for bit where lockstep rounds leave it,
+       with only its own arrays in cache.  Returns the most rounds any
+       replica was active (the lockstep round count, at most max_rounds: a
+       trajectory-sample boundary or step_all's one round), or -1 when the
+       call's scratch, one window of offsets, cannot be allocated. */
+    int64_t *window = malloc((size_t)st->window_area * sizeof(int64_t));
+    if (window == NULL)
         return -1;
-    int64_t rounds = 0;
-    while (rounds < max_rounds) {
-        int64_t n_active = 0;
-        for (int64_t r = 0; r < st->n_replicas; r++) {
-            if (st->counts[r + st->term_offset] == 0
-                || st->flips[r] - st->start_flips[r] >= st->max_flips
-                || st->steps[r] - st->start_steps[r] >= st->max_steps
-                || !(st->times[r] < st->max_time))
-                continue;
-            sc.candidates[n_active] = r;
-            n_active += 1;
-        }
-        if (n_active == 0)
-            break;
-        int64_t n_out = repro_step_round(st, &sc, n_active);
-        if (n_out > 0) {
-            int64_t n_ops = repro_apply_flips(st, &sc, n_out);
-            repro_coded_ops(sc.op_rows, sc.op_indices, sc.op_toggled,
-                            sc.op_members, n_ops, st->members,
-                            st->positions, st->counts, st->n_sites,
-                            st->n_replicas);
-            for (int64_t k = 0; k < n_out; k++)
-                st->flips[sc.out_reps[k]] += 1;
-        }
-        rounds += 1;
+    int64_t most = 0;
+    for (int64_t r = 0; r < st->n_replicas; r++) {
+        int64_t rounds = run_replica(st, window, r, max_rounds);
+        most = rounds > most ? rounds : most;
     }
-    free(scratch);
-    return rounds;
+    free(window);
+    return most;
 }
 
 typedef struct {
@@ -991,11 +909,10 @@ class CffiBackend(FlipLoopBackend):
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """The whole round loop as one native call.
 
-        ``repro_run_rounds`` builds each round's active set from the budget,
-        steps it and applies its flips, and returns only at termination, at
-        the budget or after ``max_rounds`` rounds.  Every draw, the
-        sampler's slow paths included, runs inside it on the replicas' own
-        bit generators.
+        ``repro_run_rounds`` runs each replica in turn until its
+        termination, its budget or ``max_rounds`` of its rounds, and returns
+        the most rounds any replica ran.  Every draw, the sampler's slow
+        paths included, runs inside it on the replicas' own bit generators.
         """
         engine = self.engine
         if self._captured_generation != engine._runtime_generation:

@@ -1,10 +1,10 @@
-"""Vectorized multi-replica Glauber dynamics.
+"""Multi-replica Glauber dynamics in one engine.
 
 :class:`EnsembleDynamics` advances ``R`` independent replicas of the same
-:class:`~repro.core.config.ModelConfig` in lockstep.  Spins are stored as one
-``(R, n_rows, n_cols)`` int8 array and *every* per-flip cost — RNG draws,
-candidate sampling, the neighbourhood/happiness window refresh and the
-sampler membership bookkeeping — is batched across the replica axis:
+:class:`~repro.core.config.ModelConfig` in rounds: in each round every
+replica that may still move takes one scheduler step.  Spins are stored as
+one ``(R, n_rows, n_cols)`` int8 array, and every replica's state lives in
+shared arrays with a replica axis:
 
 * RNG draws are the scalar engine's ``exponential`` / ``integers`` draws on
   each replica's own dynamics ``Generator`` (``_rngs``).  The numpy backend
@@ -14,17 +14,23 @@ sampler membership bookkeeping — is batched across the replica axis:
 * The unhappy/flippable samplers of all replicas live in one array-backed
   :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
   int32 members and positions), bulk-built at rebuild time.
-* The post-flip window update is one fused gather–classify–scatter kernel
-  over all flipping replicas: flat window indices come from precomputed
-  wrapped row/column lookups, int16 same-type counts are updated in place,
-  and a code table derived from the classification hook (see below)
-  refreshes every touched window.
+* The post-flip window update reads flat window indices from precomputed
+  wrapped row/column lookups, updates int16 same-type counts in place and
+  refreshes every touched site's code from a table derived from the
+  classification hook (see below).
 
 The rounds themselves run in the attached flip-loop backend
 (:mod:`repro.core.backends`): its
 :meth:`~repro.core.backends.base.FlipLoopBackend.run_rounds` is the only
 way a round executes, whether :meth:`EnsembleDynamics.run` asks for a whole
-run or :meth:`EnsembleDynamics.step_all` for one round.
+run or :meth:`EnsembleDynamics.step_all` for one round.  Replicas share no
+sampler row, stream or window, so a backend may order their steps as it
+likes.  The numpy backend runs the rounds in lockstep, batching every
+per-flip cost (draws, candidate gathers, one fused gather–classify–scatter
+window kernel over all flipping replicas, the sampler bookkeeping) across
+the replica axis.  The compiled backend runs one replica at a time to its
+stop, so only that replica's arrays pass through the cache; the state it
+leaves is the lockstep one, bit for bit.
 
 Equivalence with the scalar engine is exact, not approximate: replica ``r``
 consumes its own PCG64 stream in the same order and quantity as a scalar
@@ -240,7 +246,7 @@ class EnsembleRunResult:
 
 
 class EnsembleDynamics:
-    """R lockstep replicas of the Glauber segregation process, fully fused.
+    """R replicas of the Glauber segregation process in one engine.
 
     Parameters
     ----------

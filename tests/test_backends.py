@@ -32,6 +32,8 @@ Six layers are pinned here:
   re-capture its pointers, and after draws made on a replica's Generator
   between the runs).  A compiled ``run()`` is one native call, or one
   per trajectory segment, and a compiled ``step_all()`` is one native call.
+  Each ``run_rounds`` segment returns the numpy backend's lockstep round
+  count, though the compiled loop runs one replica at a time.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
@@ -532,6 +534,41 @@ class TestRunIdentity:
         # Replica 1 was still running, so the draw changed how it went on.
         assert reference.times[1] != undisturbed.times[1]
         assert reference.times[0] == undisturbed.times[0]
+
+    @pytest.mark.parametrize("segment", [1, 3, 7, None])
+    def test_run_rounds_returns_the_lockstep_round_count(self, backend_name, segment):
+        """Every segment returns the numpy backend's round count, state equal.
+
+        The compiled loop runs one replica at a time and returns the most
+        rounds any replica was active.  Under the discrete only-if-happy
+        rule refused flips still take steps, so a flip budget, then
+        termination, stops the replicas at different steps: the count is a
+        maximum over unequal ones, and each phase's rounds sum to its
+        largest step count.
+        """
+        factory = _ensemble(scheduler=SchedulerKind.DISCRETE, **_ONLY_IF_HAPPY)
+        engines = [factory(name) for name in ("numpy", backend_name)]
+        for max_flips in (13, None):
+            starts = [engine.n_steps for engine in engines]
+            budgets = [
+                RunBudget(engine.n_flips, engine.n_steps, max_flips=max_flips)
+                for engine in engines
+            ]
+            total = 0
+            while True:
+                rounds = [
+                    engine._backend.run_rounds(budget, segment)
+                    for engine, budget in zip(engines, budgets)
+                ]
+                assert rounds[0] == rounds[1]
+                _assert_states_equal(*(_engine_state(engine) for engine in engines))
+                total += rounds[0]
+                if rounds[0] != segment:
+                    break
+            taken = engines[1].n_steps - starts[1]
+            assert len(set(taken.tolist())) > 1
+            assert total == taken.max()
+        assert engines[1].all_terminated
 
     def test_step_all_is_one_native_call(self, backend_name, monkeypatch):
         """A compiled step_all is one round of the native loop, nothing else."""

@@ -164,6 +164,15 @@ class TestSimulateVariants:
         code, _ = run_cli(self.BASE_ARGS + ["--max-steps", "0"])
         assert code == 2
 
+    def test_negative_max_flips_rejected(self, capsys):
+        code, output = run_cli(self.BASE_ARGS + ["--max-flips", "-1"])
+        assert code == 2
+        assert output == ""  # refused before the run prints anything
+        assert "error: --max-flips must be non-negative" in capsys.readouterr().err
+        code, output = run_cli(self.BASE_ARGS + ["--max-flips", "0"])
+        assert code == 0
+        assert "flips=0 " in output
+
 
 class TestSweep:
     def test_sweep_with_explicit_taus(self, tmp_path):
