@@ -25,6 +25,15 @@ the cost tracks one replica's arrays or the whole stack's), and the 256²
 run's slowdown with a busy Python thread alongside, next to a busy
 *process* as the control for plain CPU contention.  It asserts only that
 each compiled ``run()`` was exactly one native call.
+
+The engine-build bench times what every cell pays before its first flip:
+``recompute_all`` (counts, codes, samplers and counters from the spins),
+compiled (one ``repro_rebuild`` call per stack) against the numpy array
+build that hosts without a C toolchain run.  Both must leave the same
+engine state, and the compiled build must be at least
+:data:`MIN_COMPILED_BUILD_SPEEDUP` times faster on the ``sweep-large-grid``
+cell (256², w = 3, R = 8), or the second mechanism does not pay for its
+code.  The smaller cells are recorded without a floor.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ import sys
 import threading
 import time
 
+import numpy as np
+import pytest
+
+from repro.core.backends.cffi_backend import cffi_available, cffi_unavailable_reason
 from repro.core.backends.registry import available_backends, default_backend_name
 from repro.core.config import ModelConfig
 from repro.core.ensemble import EnsembleDynamics
@@ -61,6 +74,15 @@ COST_RUNS = ((64, 8), (256, 1), (256, 8), (512, 2), (512, 8))
 
 #: The side at which the busy-thread and busy-process ratios are taken.
 CONTENTION_SIDE = 256
+
+#: Floor on the compiled ``recompute_all``'s speedup over the numpy build
+#: on the first of :data:`BUILD_CELLS`.
+MIN_COMPILED_BUILD_SPEEDUP = 3.0
+
+#: ``(side, w, R)`` of the engine-build rows (tau = 0.45): the
+#: ``sweep-large-grid`` cell, which carries the floor, then two smaller
+#: cells recorded without one (32², w = 1, R = 4 is serving's on-miss cell).
+BUILD_CELLS = ((256, 3, 8), (128, 3, 8), (32, 1, 4))
 
 
 def flip_loop_parameters() -> dict[str, int]:
@@ -322,3 +344,77 @@ def bench_flip_loop_per_flip_cost(benchmark, emit):
         assert native_calls == [1] * len(native_calls), (
             f"compiled run() returned to Python mid-run: {native_calls} native calls"
         )
+
+
+def _build_state(engine) -> list[np.ndarray]:
+    """What ``recompute_all`` writes: counts, codes, samplers and counters."""
+    _, positions, counts = engine._sets.storage()
+    return [
+        engine._same_flat,
+        engine._code_flat,
+        positions,
+        counts,
+        engine._energies,
+        engine._n_plus,
+        *(engine._sets.packed_members(row) for row in range(2 * engine.n_replicas)),
+    ]
+
+
+def _best_build_seconds(engine, repeats: int) -> float:
+    """The fastest of ``repeats`` ``recompute_all`` calls on ``engine``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        engine.recompute_all()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def bench_compiled_build_speedup(benchmark, emit):
+    """Compiled vs numpy ``recompute_all``: equal engine state, >= 3x at 256²."""
+    if not cffi_available():
+        pytest.skip(f"no compiled kernel: {cffi_unavailable_reason()}")
+    repeats = 5 if quick_mode() else 15
+
+    def run() -> ResultTable:
+        table = ResultTable()
+        for side, horizon, n_replicas in BUILD_CELLS:
+            config = ModelConfig.square(side=side, horizon=horizon, tau=0.45)
+            seconds = {}
+            states = {}
+            for name in ("numpy", "cffi"):
+                engine = EnsembleDynamics(
+                    config, n_replicas=n_replicas, seed=11, backend=name
+                )
+                seconds[name] = _best_build_seconds(engine, repeats)
+                states[name] = _build_state(engine)
+            assert all(
+                np.array_equal(ref, act)
+                for ref, act in zip(states["numpy"], states["cffi"])
+            ), f"compiled and numpy builds differ at {side}², w = {horizon}"
+            table.add_row(
+                grid=f"{side}x{side}",
+                horizon=horizon,
+                n_replicas=n_replicas,
+                numpy_ms=seconds["numpy"] * 1e3,
+                compiled_ms=seconds["cffi"] * 1e3,
+                speedup=seconds["numpy"] / seconds["cffi"],
+            )
+        return table
+
+    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedups = {
+        f"{row['grid']}_w{row['horizon']}_r{row['n_replicas']}": row["speedup"]
+        for row in table.rows
+    }
+    for cell, speedup in speedups.items():
+        benchmark.extra_info[f"speedup_{cell}"] = float(speedup)
+    benchmark.extra_info["quick_mode"] = quick_mode()
+    emit("PERF_compiled_build_speedup", table, benchmark)
+    side, horizon, n_replicas = BUILD_CELLS[0]
+    floored = speedups[f"{side}x{side}_w{horizon}_r{n_replicas}"]
+    assert floored >= MIN_COMPILED_BUILD_SPEEDUP, (
+        f"compiled engine build {floored:.2f}x below the "
+        f"{MIN_COMPILED_BUILD_SPEEDUP}x floor over numpy at {side}², "
+        f"w = {horizon}, R = {n_replicas}"
+    )

@@ -4,19 +4,25 @@ The ensemble engine's innermost layer — each round's control plane
 (termination/sampler filtering, RNG draws, clock updates, candidate
 gathers), the fused gather-classify-scatter window kernel, and the coded-op
 membership updates on :class:`~repro.utils.indexset.BatchedIndexSet`
-storage — is pluggable.  A :class:`FlipLoopBackend` implements one
-operation over the engine's batched arrays, :meth:`~FlipLoopBackend.run_rounds`,
-which strings rounds together until a :class:`RunBudget` stops every
-replica; it is the only way a round runs.  The numpy backend runs it as a
-Python loop in lockstep, the compiled backend as one native call that runs
-one replica at a time.  Everything above it
-(seeding, trajectories, the public result surface) is shared, so backends
-can only differ in *how* rounds execute, never in what a round means.
+storage — is pluggable, and so is the engine build that sets those arrays
+up.  A :class:`FlipLoopBackend` implements three operations over the
+engine's batched arrays.  :meth:`~FlipLoopBackend.run_rounds` strings
+rounds together until a :class:`RunBudget` stops every replica; it is the
+only way a round runs.  :meth:`~FlipLoopBackend.rebuild` writes every
+replica's counts, codes, samplers and counters from its spins; it is the
+only way the engine is built.  :meth:`~FlipLoopBackend.apply_coded_ops`
+applies one membership-op stream on its own, for the edge-case suite.
+The numpy backend runs the rounds as a Python loop in lockstep and the
+build as array code; the compiled backend runs each as one native call
+that handles one replica at a time.  Everything above them (seeding, the
+code table, trajectories, the public result surface) is shared, so
+backends can only differ in *how* rounds execute, never in what a round
+means.
 
 The contract is bitwise: every backend must consume each replica's PCG64
 stream in exactly the scalar engine's order and produce bit-identical
-spins, clocks, counters and sampler layouts.  Every backend draws through
-the replica's own ``Generator`` (``engine._rngs``): the numpy backend
+spins, clocks, counters, codes and sampler layouts.  Every backend draws
+through the replica's own ``Generator`` (``engine._rngs``): the numpy backend
 through its methods, the compiled backend through its bit generator's C
 interface.  So the stream position lives in one place under both.
 ``tests/test_core_ensemble.py`` pins every backend
@@ -67,12 +73,14 @@ class RunBudget:
 
 
 class FlipLoopBackend:
-    """One execution strategy for the engine's round loop.
+    """One execution strategy for the engine's build and round loop.
 
     Lifecycle: the registry constructs backends unattached (so capability
     probes and the standalone :meth:`apply_coded_ops` entry point need no
-    engine), then :meth:`attach` binds one to a live
-    :class:`~repro.core.ensemble.EnsembleDynamics` whose batched arrays it
+    engine).  An engine builds its arrays through its backend's
+    :meth:`rebuild`, which takes the engine as an argument, then
+    :meth:`attach` binds the backend to that live
+    :class:`~repro.core.ensemble.EnsembleDynamics`, whose batched arrays it
     will mutate in place.  A backend instance serves exactly one engine.
 
     The engine owns its backend, so the backend holds the engine only
@@ -95,6 +103,19 @@ class FlipLoopBackend:
         if engine is None:
             raise ReferenceError("the engine this backend served no longer exists")
         return engine
+
+    def rebuild(self, engine: "EnsembleDynamics") -> None:
+        """Build ``engine``'s counts, codes, samplers and counters from its spins.
+
+        Called by :meth:`~repro.core.ensemble.EnsembleDynamics.recompute_all`
+        (before :meth:`attach` on the engine's first build) once the engine
+        has tabulated its code table ``engine._code_lut``.  Writes, in place
+        and for every replica: each site's same-type count in its horizon
+        window and its code from the table, the energy and plus-site
+        counters, and both sampler rows with members in increasing index
+        order (the scalar ``ModelState.recompute_all`` insertion order).
+        """
+        raise NotImplementedError
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """Advance rounds until ``budget`` stops every replica.

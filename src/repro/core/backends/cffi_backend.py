@@ -1,4 +1,4 @@
-"""The compiled flip loop and measurement kernel (stdlib ``ctypes`` + cc).
+"""The compiled flip loop, engine build and measurement (stdlib ``ctypes`` + cc).
 
 A small C translation unit carries the engine's whole round loop
 (``repro_run_rounds``), one replica at a time: replica 0 steps until its
@@ -9,15 +9,19 @@ through the cache.  A flip walks its window once, updating each site's
 same-type count and code and applying its sampler ops (``apply_op``, which
 the exported ``repro_coded_ops`` also uses) in window order.  It follows
 the scalar engine draw for draw, with the same IEEE-754 double expressions
-and no ``-ffast-math``.  The same library measures: ``repro_measure``
-(:func:`measure_counts`) returns the integer counts behind every
-:class:`~repro.analysis.segregation.SegregationMetrics` field for a whole
-replica stack in one call, one replica at a time in scratch sized to one
-grid.  At first use the source is compiled with the system C compiler
-(:data:`_COMPILE_FLAGS`) into a shared object cached under a per-user temp
-directory, keyed by the source, the flags, numpy's version and the bytes of
-the numpy archive it links, so the compile cost is paid once per machine,
-not per process.  It is
+and no ``-ffast-math``.  The same library builds the engine and measures,
+each for a whole replica stack in one call, one replica at a time in
+scratch sized to one grid: ``repro_rebuild`` (:meth:`CffiBackend.rebuild`)
+writes every replica's same-type counts, codes from the engine's code
+table, energy and plus counters and both sampler rows, and
+``repro_measure`` (:func:`measure_counts`) returns the integer counts
+behind every :class:`~repro.analysis.segregation.SegregationMetrics`
+field.  Both count windows with one kernel, ``build_table``'s int32
+summed-area table.  At first use the source is compiled with the system C
+compiler (:data:`_COMPILE_FLAGS`) into a shared object cached under a
+per-user temp directory, keyed by the source, the flags, numpy's version
+and the bytes of the numpy archive it links, so the compile cost is paid
+once per machine, not per process.  It is
 loaded with :class:`ctypes.CDLL`, which releases the GIL for each call, so
 the backend needs no package beyond numpy (its registry name ``cffi``
 predates that binding).  A cache directory that is not private to the
@@ -123,11 +127,11 @@ class _ReproState(ctypes.Structure):
     ]
 
 
-# The compiled flip loop and measurement kernel.  The loop must advance the
-# engine bit for bit like the scalar engine and the numpy backend (the
-# scalar-equivalence and cross-backend bitwise suites are the enforcement);
-# the measurement must count what the numpy ``_measure`` counts (the oracle
-# bundle tests run both kernels).
+# The compiled flip loop, engine build and measurement kernel.  The loop
+# and the build must leave the engine bit for bit where the scalar engine
+# and the numpy backend do (the scalar-equivalence and cross-backend bitwise
+# suites are the enforcement); the measurement must count what the numpy
+# ``_measure`` counts (the oracle bundle tests run both kernels).
 _SOURCE = (
     "#include <stdint.h>\n"
     "#include <stdlib.h>\n"
@@ -620,6 +624,103 @@ int64_t repro_measure(const int8_t *spins, int64_t n_replicas, int64_t n_rows,
     return 0;
 }
 
+static void rebuild_row(const int8_t *restrict row, const int32_t *restrict up,
+                        const int32_t *restrict down, int64_t n_cols,
+                        int64_t side, const int8_t *restrict code_lut,
+                        int64_t lut_stride, int16_t *restrict same,
+                        int8_t *restrict code, int64_t *totals)
+{
+    /* One grid row of the engine build: every site's same-type count in
+       its horizon window and its code from the engine's code LUT; the
+       energy sums the counts, and the plus sites are counted. */
+    int32_t area = (int32_t)(side * side);
+    int64_t energy = 0, plus = 0;
+    for (int64_t j = 0; j < n_cols; j++) {
+        int32_t count = down[j + side] - up[j + side] - down[j] + up[j];
+        int32_t is_plus = row[j] > 0;
+        int32_t count_same = is_plus ? count : area - count;
+        same[j] = (int16_t)count_same;
+        code[j] = code_lut[is_plus * lut_stride + count_same];
+        energy += count_same;
+        plus += is_plus;
+    }
+    totals[0] += energy;
+    totals[1] += plus;
+}
+
+static void fill_samplers(const int8_t *restrict code, int64_t n_sites,
+                          int32_t *restrict unhappy_members,
+                          int32_t *restrict unhappy_positions,
+                          int32_t *restrict flippable_members,
+                          int32_t *restrict flippable_positions,
+                          int64_t *unhappy_count, int64_t *flippable_count)
+{
+    /* Both sampler rows of one replica, members in increasing index order
+       (the scalar IndexSampler's layout after recompute_all), non-members
+       at position -1.  Branch-free: each site's index goes into the slot
+       after each row's members, and the row's count moves past it only if
+       the site belongs; count | (bit - 1) is the count for a member and -1
+       otherwise.  The engine keeps n_sites below 2^31, so int32 counts
+       hold it. */
+    int32_t n_unhappy = 0, n_flippable = 0;
+    for (int64_t k = 0; k < n_sites; k++) {
+        int32_t unhappy = ~code[k] & 1;
+        int32_t flippable = (code[k] >> 1) & 1;
+        unhappy_members[n_unhappy] = (int32_t)k;
+        unhappy_positions[k] = n_unhappy | (unhappy - 1);
+        flippable_members[n_flippable] = (int32_t)k;
+        flippable_positions[k] = n_flippable | (flippable - 1);
+        n_unhappy += unhappy;
+        n_flippable += flippable;
+    }
+    *unhappy_count = n_unhappy;
+    *flippable_count = n_flippable;
+}
+
+int64_t repro_rebuild(const int8_t *spins, int64_t n_replicas, int64_t n_rows,
+                      int64_t n_cols, int64_t horizon, const int8_t *code_lut,
+                      int64_t lut_stride, int16_t *same, int8_t *code,
+                      int32_t *members, int32_t *positions, int64_t *counts,
+                      int64_t *energies, int64_t *n_plus)
+{
+    /* The engine build (EnsembleDynamics.recompute_all) of every replica of
+       an (R, n, m) int8 stack: same-type counts, codes from the code LUT
+       (two rows of lut_stride entries, minus then plus), energies, plus
+       counts and both sampler rows (rows [0, R) unhappy, [R, 2R)
+       flippable).  Replicas are built one at a time in scratch sized to
+       one grid, the plus indicator's int32 summed-area table padded by the
+       horizon; the engine keeps that table under 2^31 cells.  Returns 0,
+       or -1 when the scratch cannot be allocated. */
+    int64_t sites = n_rows * n_cols;
+    int64_t side = 2 * horizon + 1;
+    int64_t width = n_cols + side;
+    int32_t *table = malloc((size_t)(n_rows + side) * (size_t)width
+                            * sizeof(int32_t));
+    if (table == NULL)
+        return -1;
+    for (int64_t r = 0; r < n_replicas; r++) {
+        const int8_t *grid = spins + r * sites;
+        int64_t totals[2] = {0, 0};
+        build_table(grid, n_rows, n_cols, horizon, table);
+        /* Grid row i's windows span table rows i to i + side. */
+        for (int64_t i = 0; i < n_rows; i++) {
+            const int32_t *up = table + i * width;
+            rebuild_row(grid + i * n_cols, up, up + side * width, n_cols, side,
+                        code_lut, lut_stride, same + r * sites + i * n_cols,
+                        code + r * sites + i * n_cols, totals);
+        }
+        energies[r] = totals[0];
+        n_plus[r] = totals[1];
+        int64_t flippable_row = n_replicas + r;
+        fill_samplers(code + r * sites, sites, members + r * sites,
+                      positions + r * sites, members + flippable_row * sites,
+                      positions + flippable_row * sites, counts + r,
+                      counts + flippable_row);
+    }
+    free(table);
+    return 0;
+}
+
 int64_t repro_selfcheck(int64_t state_size)
 {
     /* Refuse a caller whose repro_state is not this one, then probe the
@@ -763,11 +864,13 @@ def _load_library() -> ctypes.CDLL:
     i64, address = ctypes.c_int64, ctypes.c_void_p
     coded_ops = (address,) * 4 + (i64,) + (address,) * 3 + (i64, i64)
     measure = (address,) + (i64,) * 7 + (address, address)
+    rebuild = (address,) + (i64,) * 4 + (address, i64) + (address,) * 7
     for name, restype, argtypes in (
         ("repro_run_rounds", i64, (state, i64)),
         ("repro_standard_exponential", ctypes.c_double, (state, i64)),
         ("repro_coded_ops", None, coded_ops),
         ("repro_measure", i64, measure),
+        ("repro_rebuild", i64, rebuild),
         ("repro_selfcheck", i64, (i64,)),
     ):
         function = getattr(lib, name)
@@ -905,6 +1008,29 @@ class CffiBackend(FlipLoopBackend):
                 f"{array.dtype} array"
             )
         return array.ctypes.data
+
+    def rebuild(self, engine) -> None:
+        """The engine build as one ``repro_rebuild`` call over the whole stack."""
+        lib = _load_library()
+        members, positions, counts = engine._sets.storage()
+        ptr = self._ptr
+        status = lib.repro_rebuild(
+            ptr("int8_t *", engine._spins_flat),
+            engine.n_replicas,
+            *engine.config.shape,
+            engine.config.horizon,
+            ptr("int8_t *", engine._code_lut),
+            engine._code_lut.shape[1],
+            ptr("int16_t *", engine._same_flat),
+            ptr("int8_t *", engine._code_flat),
+            ptr("int32_t *", members),
+            ptr("int32_t *", positions),
+            ptr("int64_t *", counts),
+            ptr("int64_t *", engine._energies),
+            ptr("int64_t *", engine._n_plus),
+        )
+        if status < 0:
+            raise MemoryError("the C kernel could not allocate its rebuild scratch")
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """The whole round loop as one native call.

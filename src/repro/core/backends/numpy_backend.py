@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend, RunBudget
+from repro.core.neighborhood import window_sums
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
@@ -34,6 +35,29 @@ class NumpyBackend(FlipLoopBackend):
         self._times_mv = memoryview(engine._times)
         self._steps_mv = memoryview(engine._n_steps)
         self._code_mv = memoryview(engine._code_flat)
+
+    def rebuild(self, engine) -> None:
+        """The engine build as array code over the whole replica stack.
+
+        One summed-area pass counts every replica's windows, one gather of
+        the code table classifies every site, and the samplers are
+        bulk-built from the codes' membership bits.
+        """
+        r = engine.n_replicas
+        plus_sites = engine._spins == 1
+        plus = window_sums(plus_sites, engine.config.horizon)
+        same = np.where(plus_sites, plus, engine.config.neighborhood_agents - plus)
+        # In place: backends may hold pointers into these arrays.
+        same.sum(axis=(1, 2), dtype=np.int64, out=engine._energies)
+        engine._n_plus[:] = np.count_nonzero(plus_sites, axis=(1, 2))
+        engine._same_flat[:] = same.reshape(-1)
+        lut = engine._code_lut
+        # One flat gather: row 1 of the table holds the plus agents' codes.
+        code = lut.reshape(-1)[plus_sites * lut.shape[1] + same].reshape(r, -1)
+        engine._code_flat[:] = code.reshape(-1)
+        engine._sets.fill_from_masks(
+            np.concatenate(((code & 1) == 0, (code & 2) != 0), axis=0)
+        )
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
         """The engine's round loop in Python: one :meth:`step_round` a round."""

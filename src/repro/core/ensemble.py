@@ -13,7 +13,7 @@ shared arrays with a replica axis:
   a replica's stream position lives in one place, its ``Generator``.
 * The unhappy/flippable samplers of all replicas live in one array-backed
   :class:`~repro.utils.indexset.BatchedIndexSet` (two rows per replica,
-  int32 members and positions), bulk-built at rebuild time.
+  int32 members and positions), filled in index order at rebuild time.
 * The post-flip window update reads flat window indices from precomputed
   wrapped row/column lookups, updates int16 same-type counts in place and
   refreshes every touched site's code from a table derived from the
@@ -31,6 +31,13 @@ window kernel over all flipping replicas, the sampler bookkeeping) across
 the replica axis.  The compiled backend runs one replica at a time to its
 stop, so only that replica's arrays pass through the cache; the state it
 leaves is the lockstep one, bit for bit.
+
+The engine build runs in the same backend:
+:meth:`EnsembleDynamics.recompute_all` tabulates the code table, then the
+backend's :meth:`~repro.core.backends.base.FlipLoopBackend.rebuild` writes
+every replica's same-type counts, codes, samplers and counters from the
+spins (the numpy backend as array code over the stack, the compiled one as
+a single native call that builds one replica at a time).
 
 Equivalence with the scalar engine is exact, not approximate: replica ``r``
 consumes its own PCG64 stream in the same order and quantity as a scalar
@@ -51,8 +58,9 @@ isolation: ``EnsembleDynamics(config, replica_seeds=[s])`` or
 Every classification of agents — the initial rebuild and the per-flip window
 refresh — goes through the single overridable :meth:`EnsembleDynamics._classify`
 hook, mirroring :meth:`repro.core.state.ModelState._classify` on the scalar
-side: the per-flip refresh reads a code table tabulated from the hook, so a
-hook that is not elementwise in ``(spin, same)`` is a
+side: the rebuild and the per-flip refresh read a code table tabulated from
+the hook, and every rebuild checks the hook's full-grid output against the
+codes it wrote, so a hook that is not elementwise in ``(spin, same)`` is a
 :class:`~repro.errors.ConfigurationError` at build time.  The variant
 engines in :mod:`repro.core.variants`
 (:class:`~repro.core.variants.TwoSidedEnsemble`,
@@ -86,6 +94,30 @@ from repro.utils.indexset import BatchedIndexSet
 #: Largest same-type count (N + 1, the code LUT's last column) the int16
 #: count arrays hold: N = (2w + 1)**2 stays below it up to w = 90.
 _SAME_COUNT_MAX = int(np.iinfo(np.int16).max)
+
+
+def _check_engine_limits(config: ModelConfig) -> None:
+    """Refuse a grid or window the engine's narrow arrays cannot hold.
+
+    Checked before any replica is drawn.  The build's int32 summed-area
+    table, padded by ``w``, has ``(n + 2w + 1) * (m + 2w + 1)`` cells, and
+    its entries, every site index and every sampler size stay below that.
+    """
+    n_rows, n_cols = config.shape
+    side = 2 * config.horizon + 1
+    if (n_rows + side) * (n_cols + side) > 2**31:
+        raise ConfigurationError(
+            "the fused engine indexes sites with 32-bit draws and builds "
+            "from an int32 summed-area table padded by w; a "
+            f"{n_rows}x{n_cols} torus at w = {config.horizon} exceeds "
+            "2**31 table cells (use smaller grids)"
+        )
+    if config.neighborhood_agents + 1 > _SAME_COUNT_MAX:
+        raise ConfigurationError(
+            "the fused engine keeps same-type counts as int16; "
+            f"N = {config.neighborhood_agents} (w = {config.horizon}) "
+            "exceeds that (w <= 90)"
+        )
 
 
 class EnsembleTrajectory:
@@ -272,9 +304,9 @@ class EnsembleDynamics:
     backend:
         Flip-loop backend request (``"auto"``, ``"numpy"``, ``"cffi"`` or
         ``None``), resolved through
-        :mod:`repro.core.backends.registry`: every round — its control
-        plane, the fused window update and the coded-op sampler
-        maintenance — executes behind the
+        :mod:`repro.core.backends.registry`: the engine build and every
+        round — its control plane, the fused window update and the coded-op
+        sampler maintenance — execute behind the
         :class:`~repro.core.backends.base.FlipLoopBackend` seam, and every
         backend is pinned bitwise identical, so this too is purely a
         performance knob.  The resolved name is exposed as
@@ -292,6 +324,7 @@ class EnsembleDynamics:
         flip_rule: Optional[FlipRule] = None,
         backend: Optional[str] = None,
     ) -> None:
+        _check_engine_limits(config)
         self.config = config
         if replica_seeds is not None:
             seeds = [int(s) for s in replica_seeds]
@@ -334,31 +367,19 @@ class EnsembleDynamics:
         self._energies = np.zeros(r, dtype=np.int64)
         self._n_plus = np.zeros(r, dtype=np.int64)
         self._build_runtime()
-        self.recompute_all()
-        # Last: the backend captures the runtime tables built above.
         self._backend = create_backend(backend)
         #: The resolved (concrete) backend executing this engine's hot path.
         self.backend_name = self._backend.name
+        # The backend builds the runtime tables, then captures them.
+        self.recompute_all()
         self._backend.attach(self)
 
     # ---------------------------------------------------------------- runtime
 
     def _build_runtime(self) -> None:
         """Allocate the fused engine's batched runtime structures."""
-        config = self.config
         r = self.n_replicas
-        n_sites = config.n_sites
-        if n_sites > 2**31:
-            raise ConfigurationError(
-                "the fused engine indexes sites with 32-bit draws; "
-                f"{n_sites} sites exceed that (use smaller grids)"
-            )
-        if config.neighborhood_agents + 1 > _SAME_COUNT_MAX:
-            raise ConfigurationError(
-                "the fused engine keeps same-type counts as int16; "
-                f"N = {config.neighborhood_agents} (w = {config.horizon}) "
-                "exceeds that (w <= 90)"
-            )
+        n_sites = self.config.n_sites
         self._n_sites = n_sites
         self._times = np.zeros(r, dtype=np.float64)
         self._n_steps = np.zeros(r, dtype=np.int64)
@@ -410,7 +431,7 @@ class EnsembleDynamics:
         """Batched happy/flippable classification — the engine's variant hook.
 
         Every classification in the engine — the O(R * grid) rebuild and the
-        fused per-flip window refresh, through the code table
+        fused per-flip window refresh, both through the code table
         :meth:`_refresh_code_lut` tabulates from it — funnels through this
         one method, exactly as :meth:`repro.core.state.ModelState._classify`
         does on the scalar side.  Subclasses implement variant rules by
@@ -418,60 +439,58 @@ class EnsembleDynamics:
         the base implementation applies the paper's one-sided rule via
         :func:`repro.core.state.classify_base`.  The kernels are pure and
         shape-agnostic, which is what lets one hook serve both the
-        ``(R, n, n)`` rebuild and the tabulation over every same-count.
+        ``(R, n, n)`` rebuild check and the tabulation over every same-count.
         """
         return classify_base(
             same, self.config.happiness_threshold, self.config.neighborhood_agents
         )
 
     def recompute_all(self) -> None:
-        """Rebuild counts, codes and samplers from the spins (O(R * grid)).
+        """Rebuild counts, codes, samplers and counters from the spins.
 
-        Fully batched: one summed-area pass builds every replica's window
-        counts, one classification call covers the whole stack, and the
-        samplers are bulk-built from the masks — no Python-per-site loops.
-        The insertion order (increasing flat index per replica) matches
-        :meth:`repro.core.state.ModelState.recompute_all`, which keeps the
-        sampler layouts (and hence RNG-draw outcomes) scalar-identical.
+        Four steps: tabulate the code table from :meth:`_classify`
+        (:meth:`_refresh_code_lut`); let the backend's
+        :meth:`~repro.core.backends.base.FlipLoopBackend.rebuild` write every
+        replica's same-type counts, codes from that table, energies, plus
+        counts and samplers (one native call on a compiled backend); check
+        the hook's full-grid output against the written codes; and bump the
+        runtime generation, so a backend re-captures the new table.  The
+        samplers' insertion order (increasing flat index per replica)
+        matches :meth:`repro.core.state.ModelState.recompute_all`, which
+        keeps the sampler layouts (and hence RNG-draw outcomes)
+        scalar-identical.
+
+        The check is what keeps the hook the single source of truth: a
+        subclass whose rule is not elementwise in ``(spin, same)`` disagrees
+        with its own table on the grid, which is a
+        :class:`~repro.errors.ConfigurationError` naming the hook.
         """
-        config = self.config
-        r = self.n_replicas
-        total = config.neighborhood_agents
-        plus = window_sums(self._spins == 1, config.horizon)
-        same = np.where(self._spins == 1, plus, total - plus)
-        # In place: backends may hold pointers into these counter arrays.
-        same.sum(axis=(1, 2), dtype=np.int64, out=self._energies)
-        self._n_plus[:] = np.count_nonzero(self._spins == 1, axis=(1, 2))
+        self._refresh_code_lut()
+        self._backend.rebuild(self)
         self._counters_stale = False
-        happy, flippable = self._classify(self._spins, same)
-        self._same_flat[:] = same.reshape(-1)
-        code = self._code_flat.reshape(r, self._n_sites)
-        np.left_shift(
-            flippable.reshape(r, self._n_sites).view(np.int8), 1, out=code
+        happy, flippable = self._classify(
+            self._spins, self._same_flat.reshape(self._spins.shape)
         )
-        code |= happy.reshape(r, self._n_sites).view(np.int8)
-        self._sets.fill_from_masks(
-            np.concatenate(
-                (
-                    ~happy.reshape(r, self._n_sites),
-                    flippable.reshape(r, self._n_sites),
-                ),
-                axis=0,
+        expected = flippable.view(np.int8) << 1
+        expected |= happy.view(np.int8)
+        if not np.array_equal(expected.reshape(-1), self._code_flat):
+            hook = f"{type(self).__qualname__}._classify"
+            raise ConfigurationError(
+                f"{hook} is not elementwise in (spin, same-type count): the "
+                "flip loop classifies touched windows from a table of the "
+                "hook's values, which disagrees with the hook on this grid"
             )
-        )
-        self._refresh_code_lut(same, code)
         self._runtime_generation += 1
 
-    def _refresh_code_lut(self, same: np.ndarray, code: np.ndarray) -> None:
+    def _refresh_code_lut(self) -> None:
         """Tabulate the classification hook over every possible same-count.
 
-        The per-flip kernel then classifies a touched window with one (or,
-        for spin-dependent rules, two) gathers instead of re-running the rule
-        arrays.  The table is *derived from* :meth:`_classify` — the hook
-        stays the single source of truth — and cross-checked here against the
-        hook's full-grid output: a subclass whose rule is not elementwise in
-        ``(spin, same)`` fails the check, which is a
-        :class:`~repro.errors.ConfigurationError` naming the hook.
+        Row 0 holds the codes of minus agents, row 1 those of plus agents,
+        one column per same-type count ``0 .. N + 1``.  The rebuild and the
+        per-flip kernel classify from this table (one gather, or two for
+        spin-dependent rules) instead of re-running the rule arrays; it is
+        *derived from* :meth:`_classify`, so the hook stays the single
+        source of truth.
         """
         total = self.config.neighborhood_agents
         axis = np.arange(total + 2, dtype=np.int64)
@@ -482,15 +501,6 @@ class EnsembleDynamics:
             )
             lut[row] = flippable.view(np.int8) << 1
             lut[row] |= happy.view(np.int8)
-        spin_pos = (self._spins > 0).reshape(self.n_replicas, self._n_sites)
-        expected = lut[spin_pos.view(np.int8), same.reshape(same.shape[0], -1)]
-        if not np.array_equal(expected, code):
-            hook = f"{type(self).__qualname__}._classify"
-            raise ConfigurationError(
-                f"{hook} is not elementwise in (spin, same-type count): the "
-                "flip loop classifies touched windows from a table of the "
-                "hook's values, which disagrees with the hook on this grid"
-            )
         self._code_lut = lut
         self._code_lut_flat = None if (lut[0] != lut[1]).any() else lut[0]
 

@@ -48,7 +48,8 @@ class TorusGrid:
         if not 0.0 <= density <= 1.0:
             raise ConfigurationError(f"density must lie in [0, 1], got {density}")
         draws = rng.random((n_rows, n_cols))
-        spins = np.where(draws < density, 1, -1).astype(np.int8)
+        # Built as int8 directly: 1 where the draw falls below the density.
+        spins = (draws < density).view(np.int8) * 2 - 1
         return cls(spins)
 
     # ---------------------------------------------------------------- basics

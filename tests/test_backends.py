@@ -1,6 +1,6 @@
 """The flip-loop backend seam: registry, selection, bitwise identity, provenance.
 
-Six layers are pinned here:
+Seven layers are pinned here:
 
 * **Registry** — capability probing, the CLI > env > spec > auto selection
   precedence, the single-warning numpy fallback for an unavailable backend
@@ -34,6 +34,13 @@ Six layers are pinned here:
   per trajectory segment, and a compiled ``step_all()`` is one native call.
   Each ``run_rounds`` segment returns the numpy backend's lockstep round
   count, though the compiled loop runs one replica at a time.
+* **Builds** — ``recompute_all`` leaves the same state under every backend
+  (the compiled build is one ``repro_rebuild`` call per stack): same-type
+  counts, codes, full position tables, packed sampler rows and counters,
+  on random stacks at w = 1-4, non-square and fully wrapped tori, uniform
+  stacks (empty sampler rows), checkerboards, the variant rules and
+  stacks rebuilt partway through a budgeted run, whose rebuild recounts
+  what the flip loop kept incrementally.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
@@ -105,17 +112,23 @@ def _plain(value):
 
 
 def _engine_state(engine):
-    """Everything a backend could corrupt, as one comparable bundle."""
+    """Everything a backend could corrupt, as one comparable bundle (copies)."""
     layouts = [
         engine._sets.packed_members(row)
         for row in range(2 * engine.n_replicas)
     ]
+    _, positions, _ = engine._sets.storage()
     return (
-        engine.spins,
+        engine.spins.copy(),
         engine.times,
         engine.n_steps,
         engine.n_flips,
         engine.energies(),
+        engine._n_plus.copy(),
+        engine._same_flat.copy(),
+        engine._code_flat.copy(),
+        # Every site's position in both sampler rows, -1 for non-members.
+        positions.copy(),
         engine.unhappy_counts(),
         engine.flippable_counts(),
         # Where each replica's next draw starts: a draw made off the
@@ -605,6 +618,127 @@ class TestRunIdentity:
         assert actual._backend._captured_generation == actual._runtime_generation
 
 
+def _planted(spins_of, config, n_replicas=3, seed=71):
+    """An engine factory whose replicas start from ``spins_of(config)``."""
+    stack = np.stack([spins_of(config)] * n_replicas)
+    return _ensemble(config, n_replicas=n_replicas, seed=seed, initial_spins=stack)
+
+
+def _checkerboard(config):
+    rows, cols = np.indices(config.shape)
+    return np.where((rows + cols) % 2 == 0, 1, -1).astype(np.int8)
+
+
+#: ``id -> engine factory``: stacks whose build exercises every path of the
+#: rebuild, empty and full sampler rows included.
+REBUILD_CASES = {
+    **{
+        f"random_w{w}": _ensemble(
+            ModelConfig.square(side=9 + 4 * w, horizon=w, tau=0.45),
+            n_replicas=4,
+            seed=100 + w,
+        )
+        for w in (1, 2, 3, 4)
+    },
+    "rectangular": _ensemble(
+        ModelConfig(n_rows=13, n_cols=22, horizon=2, tau=0.4), seed=43
+    ),
+    # The table's padding wraps the whole torus, and then whole rows.
+    "window_spans_torus": _ensemble(
+        ModelConfig.square(side=5, horizon=2, tau=0.45), seed=53
+    ),
+    "window_spans_rows": _ensemble(
+        ModelConfig(n_rows=3, n_cols=11, horizon=1, tau=0.45), seed=59
+    ),
+    # Everyone is happy on a uniform grid, so both sampler rows are empty.
+    "all_plus": _planted(lambda c: np.ones(c.shape, dtype=np.int8), SMALL),
+    "all_minus": _planted(lambda c: -np.ones(c.shape, dtype=np.int8), SMALL),
+    # At w = 1 a checkerboard agent has 5 of 9 like itself (happy at
+    # tau = 0.45, unhappy at tau = 0.6); odd sides wrap unlike neighbours.
+    "checkerboard": _planted(_checkerboard, SMALL),
+    "checkerboard_unhappy": _planted(
+        _checkerboard, ModelConfig.square(side=16, horizon=1, tau=0.6)
+    ),
+    "checkerboard_odd_side": _planted(
+        _checkerboard, ModelConfig.square(side=15, horizon=2, tau=0.45)
+    ),
+    "two_sided": lambda backend: TwoSidedEnsemble(
+        SMALL, tau_high=0.8, n_replicas=3, seed=11, backend=backend
+    ),
+    "asymmetric": lambda backend: AsymmetricEnsemble(
+        SMALL, tau_minus=0.35, n_replicas=3, seed=13, backend=backend
+    ),
+}
+
+
+@pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+class TestRebuildIdentity:
+    """The compiled engine build leaves the numpy build's state, bit for bit.
+
+    ``recompute_all`` runs each backend's ``rebuild``: every site's
+    same-type count and code, the full position tables, the packed sampler
+    rows and the energy and plus-site counters must match, at construction
+    and when an engine is rebuilt partway through a run.
+    """
+
+    @pytest.mark.parametrize("case", sorted(REBUILD_CASES))
+    def test_build_matches_numpy(self, backend_name, case):
+        factory = REBUILD_CASES[case]
+        reference, actual = factory("numpy"), factory(backend_name)
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+        reference.recompute_all()
+        actual.recompute_all()
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+
+    @pytest.mark.parametrize("case", ["all_plus", "all_minus"])
+    def test_uniform_stacks_have_empty_samplers(self, backend_name, case):
+        engine = REBUILD_CASES[case](backend_name)
+        assert engine._sets.counts.tolist() == [0] * 6
+        assert (engine._sets.storage()[1] == -1).all()
+        assert engine.all_terminated
+
+    @pytest.mark.parametrize("case", ["max_flips", "two_sided", "asymmetric"])
+    def test_rebuild_partway_through_a_budgeted_run(self, backend_name, case):
+        def counted(engine):
+            # What the flip loop keeps incrementally; the sampler layouts
+            # differ, since the build packs members in index order.
+            return (
+                engine._same_flat.copy(),
+                engine._code_flat.copy(),
+                engine.energies(),
+                engine._n_plus.copy(),
+                engine._sets.counts.copy(),
+            )
+
+        factory, kwargs = RUN_CASES[case]
+        reference, actual = _assert_runs_match(factory, kwargs, backend_name)
+        incremental = counted(actual)
+        reference.recompute_all()
+        actual.recompute_all()
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+        for kept, rebuilt in zip(incremental, counted(actual)):
+            np.testing.assert_array_equal(kept, rebuilt)
+        assert actual._backend._captured_generation != actual._runtime_generation
+        # Both go on from the rebuilt samplers alike.
+        _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
+        _assert_states_equal(_engine_state(reference), _engine_state(actual))
+
+    def test_rebuild_is_one_native_call(self, backend_name, monkeypatch):
+        lib = cffi_backend._load_library()
+        native_fn = lib.repro_rebuild
+        stacks = []
+
+        def counted_native(*args):
+            stacks.append(args[1])
+            return native_fn(*args)
+
+        monkeypatch.setattr(lib, "repro_rebuild", counted_native)
+        engine = _ensemble(n_replicas=5)(backend_name)
+        assert stacks == [5]
+        engine.recompute_all()
+        assert stacks == [5, 5]
+
+
 class TestCompiledKernelCache:
     """The C backend loads its library only from a private cache directory."""
 
@@ -747,6 +881,17 @@ class TestCompiledBoundary:
         assert huge.flags.c_contiguous
         with pytest.raises(MemoryError, match="measurement scratch"):
             cffi_backend.measure_counts(huge, 1, 5, 1, 1, np.zeros(2, dtype=np.int64))
+
+    def test_failed_rebuild_allocation_is_memory_error(self, backend_name):
+        engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)
+        before = _engine_state(engine)
+        # A 2**56-site torus: repro_rebuild's table asks malloc for more than
+        # any address space, before it reads a single site.
+        engine.config = ModelConfig(n_rows=1 << 40, n_cols=1 << 16, horizon=1, tau=0.45)
+        with pytest.raises(MemoryError, match="rebuild scratch"):
+            engine._backend.rebuild(engine)
+        engine.config = SMALL
+        _assert_states_equal(before, _engine_state(engine))
 
     def test_failed_scratch_allocation_is_memory_error(self, backend_name):
         engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)

@@ -227,11 +227,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="int16"):
             EnsembleDynamics(config, n_replicas=1, seed=1)
 
-    def test_rejects_non_elementwise_classify_hook(self):
-        # The flip loop classifies touched windows from a table of the hook
-        # over (spin, same-type count); a rule that also reads the site
-        # cannot be tabulated, so building the engine must fail, not fall
-        # back to something slower.
+    def test_rejects_grids_beyond_the_int32_build_table(self):
+        # 2**31 sites, as many as 32-bit draws index, but the build's int32
+        # summed-area table is padded by w: refused before any replica is
+        # drawn.
+        config = ModelConfig(n_rows=1 << 16, n_cols=1 << 15, horizon=1, tau=0.45)
+        with pytest.raises(ConfigurationError, match="int32 summed-area table"):
+            EnsembleDynamics(config, n_replicas=1, seed=1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejects_non_elementwise_classify_hook(self, backend):
+        # The build and the flip loop classify from a table of the hook over
+        # (spin, same-type count); a rule that also reads the site cannot be
+        # tabulated, so building the engine must fail under every backend,
+        # not fall back to something slower.
         class FirstRowAlwaysHappy(EnsembleDynamics):
             def _classify(self, spins, same):
                 happy, flippable = super()._classify(spins, same)
@@ -242,7 +251,7 @@ class TestValidation:
 
         config = ModelConfig.square(side=12, horizon=1, tau=0.4)
         with pytest.raises(ConfigurationError, match=r"FirstRowAlwaysHappy\._classify"):
-            FirstRowAlwaysHappy(config, n_replicas=2, seed=1)
+            FirstRowAlwaysHappy(config, n_replicas=2, seed=1, backend=backend)
 
     def test_rejects_empty_replica_seeds(self):
         config = ModelConfig.square(side=12, horizon=1, tau=0.4)
