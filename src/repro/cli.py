@@ -291,20 +291,22 @@ def _add_backend_argument(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_backend_request(args: argparse.Namespace) -> Optional[tuple[str, str]]:
+def _resolve_backend_request(args: argparse.Namespace) -> tuple[str, str]:
     """``(request, resolved name)`` for ``--backend`` > ``REPRO_BACKEND`` > auto.
 
     argparse already rejects an unknown ``--backend``; an unknown
-    ``REPRO_BACKEND`` reaches the registry instead, so its error (which
-    names the known backends) is printed here and ``None`` returned, making
-    both channels fail with exit 2 rather than a traceback.
+    ``REPRO_BACKEND`` reaches the registry instead, whose
+    :class:`~repro.errors.ConfigurationError` (naming the known backends)
+    :func:`main` reports, so both channels fail with exit 2.
     """
     request = select_backend_name(args.backend, None)
-    try:
-        return request, resolve_backend_name(request)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    return request, resolve_backend_name(request)
+
+
+def _require(ok: bool, message: str) -> None:
+    """Refuse a bad flag value before any work starts (exit 2 from :func:`main`)."""
+    if not ok:
+        raise ConfigurationError(message)
 
 
 def _add_store_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -407,41 +409,36 @@ def _default_step_budget(config: ModelConfig) -> int:
     return 20 * config.n_sites
 
 
-def _resolve_variant(args: argparse.Namespace, taus: Sequence[float]) -> Optional[VariantSpec]:
+def _resolve_variant(args: argparse.Namespace, taus: Sequence[float]) -> VariantSpec:
     """Build the :class:`VariantSpec` selected by the shared CLI flags.
 
-    Prints an error and returns ``None`` when an inapplicable knob is passed
-    (a parameter for a different variant is a configuration mistake, not a
-    value to ignore), when a parameter is out of range, or when ``--tau-high``
-    does not dominate every requested intolerance.  ``simulate`` and ``sweep``
-    share this resolution so the two subcommands reject exactly the same
-    inputs.
+    Raises :class:`~repro.errors.ConfigurationError` when an inapplicable
+    knob is passed (a parameter for a different variant is a configuration
+    mistake, not a value to ignore), when a parameter is out of range, or
+    when ``--tau-high`` does not dominate every requested intolerance.
+    ``simulate`` and ``sweep`` share this resolution so the two subcommands
+    reject exactly the same inputs.
     """
-    if args.variant != "two-sided" and args.tau_high is not None:
-        print(f"error: --tau-high does not apply to --variant {args.variant}", file=sys.stderr)
-        return None
-    if args.variant != "asymmetric" and args.tau_minus is not None:
-        print(f"error: --tau-minus does not apply to --variant {args.variant}", file=sys.stderr)
-        return None
-    try:
-        if args.variant == "two-sided":
-            tau_high = args.tau_high if args.tau_high is not None else 0.8
-            if any(tau > tau_high for tau in taus):
-                print(
-                    f"error: --tau-high {tau_high} must be at least every "
-                    "requested intolerance",
-                    file=sys.stderr,
-                )
-                return None
-            return VariantSpec.two_sided(tau_high)
-        if args.variant == "asymmetric":
-            return VariantSpec.asymmetric(
-                args.tau_minus if args.tau_minus is not None else 0.3
-            )
-        return VariantSpec.base()
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    _require(
+        args.variant == "two-sided" or args.tau_high is None,
+        f"--tau-high does not apply to --variant {args.variant}",
+    )
+    _require(
+        args.variant == "asymmetric" or args.tau_minus is None,
+        f"--tau-minus does not apply to --variant {args.variant}",
+    )
+    if args.variant == "two-sided":
+        tau_high = args.tau_high if args.tau_high is not None else 0.8
+        _require(
+            not any(tau > tau_high for tau in taus),
+            f"--tau-high {tau_high} must be at least every requested intolerance",
+        )
+        return VariantSpec.two_sided(tau_high)
+    if args.variant == "asymmetric":
+        return VariantSpec.asymmetric(
+            args.tau_minus if args.tau_minus is not None else 0.3
+        )
+    return VariantSpec.base()
 
 
 def _command_info(args: argparse.Namespace, out) -> int:
@@ -479,19 +476,16 @@ def _command_info(args: argparse.Namespace, out) -> int:
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
     """Run one seeded simulation (under any variant) and print before/after metrics."""
-    backend = _resolve_backend_request(args)
-    if backend is None:
-        return 2
-    backend_name = backend[1]
-    if args.max_steps is not None and args.max_steps <= 0:
-        print("error: --max-steps must be positive", file=sys.stderr)
-        return 2
-    if args.max_flips is not None and args.max_flips < 0:
-        print("error: --max-flips must be non-negative", file=sys.stderr)
-        return 2
+    backend_name = _resolve_backend_request(args)[1]
+    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
+    _require(
+        args.max_steps is None or args.max_steps > 0, "--max-steps must be positive"
+    )
+    _require(
+        args.max_flips is None or args.max_flips >= 0,
+        "--max-flips must be non-negative",
+    )
     variant = _resolve_variant(args, [args.tau])
-    if variant is None:
-        return 2
     config = ModelConfig.square(
         side=args.side, horizon=args.horizon, tau=args.tau, density=args.density
     )
@@ -545,31 +539,40 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
 def _command_sweep(args: argparse.Namespace, out) -> int:
     """Sweep the intolerance axis and print/write the aggregated table."""
     backend = _resolve_backend_request(args)
-    if backend is None:
-        return 2
-    if args.taus:
+    if args.taus is None:
+        taus = default_tau_grid()
+    else:
         try:
             taus = [float(part) for part in args.taus.split(",") if part.strip()]
         except ValueError as exc:
-            print(f"error: could not parse --taus: {exc}", file=sys.stderr)
-            return 2
-    else:
-        taus = default_tau_grid()
-    side = args.side if args.side else grid_side_for_horizon(args.horizon)
-    if args.workers <= 0 or (args.ensemble is not None and args.ensemble <= 0):
-        print("error: --workers and --ensemble must be positive", file=sys.stderr)
-        return 2
-    if args.record_every <= 0:
-        print("error: --record-every must be positive", file=sys.stderr)
-        return 2
-    if args.max_steps is not None and args.max_steps <= 0:
-        print("error: --max-steps must be positive", file=sys.stderr)
-        return 2
+            raise ConfigurationError(f"could not parse --taus: {exc}") from exc
+        _require(taus, "--taus lists no intolerance")
+        _require(
+            all(0.0 <= tau <= 1.0 for tau in taus),
+            f"--taus entries must lie in [0, 1], got {args.taus}",
+        )
+    _require(args.horizon > 0, f"--horizon must be positive, got {args.horizon}")
+    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
+    _require(
+        args.replicates > 0, f"--replicates must be positive, got {args.replicates}"
+    )
+    _require(
+        args.workers > 0 and (args.ensemble is None or args.ensemble > 0),
+        "--workers and --ensemble must be positive",
+    )
+    _require(args.record_every > 0, "--record-every must be positive")
+    _require(
+        args.max_steps is None or args.max_steps > 0, "--max-steps must be positive"
+    )
+    _require(args.retries >= 0, f"--retries must be non-negative, got {args.retries}")
+    _require(
+        args.cell_timeout is None or args.cell_timeout > 0,
+        f"--cell-timeout must be positive, got {args.cell_timeout}",
+    )
+    side = args.side if args.side is not None else grid_side_for_horizon(args.horizon)
     base = ModelConfig.square(side=side, horizon=args.horizon, tau=0.5)
     max_steps = args.max_steps
     variant = _resolve_variant(args, taus)
-    if variant is None:
-        return 2
     if max_steps is None and not variant.guarantees_termination:
         # No Lyapunov guarantee: cap every replicate so the sweep halts.
         max_steps = _default_step_budget(base)
@@ -698,9 +701,7 @@ def _command_reproduce(args: argparse.Namespace, out) -> int:
     from repro.errors import ReproError
     from repro.serving.store import reproduce_store
 
-    if args.ensemble is not None and args.ensemble <= 0:
-        print("error: --ensemble must be positive", file=sys.stderr)
-        return 2
+    _require(args.ensemble is None or args.ensemble > 0, "--ensemble must be positive")
     try:
         report = reproduce_store(
             args.store,
@@ -890,30 +891,33 @@ def _command_serve(args: argparse.Namespace, out) -> int:
     return 0
 
 
+_COMMANDS = {
+    "info": _command_info,
+    "simulate": _command_simulate,
+    "sweep": _command_sweep,
+    "checkpoint": _command_checkpoint,
+    "summarize": _command_summarize,
+    "reproduce": _command_reproduce,
+    "query": _command_query,
+    "serve": _command_serve,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` (the library's input
+    validation, and the commands' own flag checks) is a usage error: one
+    ``error:`` line on stderr and exit 2.
+    """
     if out is None:
         out = sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "info":
-        return _command_info(args, out)
-    if args.command == "simulate":
-        return _command_simulate(args, out)
-    if args.command == "sweep":
-        return _command_sweep(args, out)
-    if args.command == "checkpoint":
-        return _command_checkpoint(args, out)
-    if args.command == "summarize":
-        return _command_summarize(args, out)
-    if args.command == "reproduce":
-        return _command_reproduce(args, out)
-    if args.command == "query":
-        return _command_query(args, out)
-    if args.command == "serve":
-        return _command_serve(args, out)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args, out)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -77,11 +77,11 @@ class FlipLoopBackend:
 
     Lifecycle: the registry constructs backends unattached (so capability
     probes and the standalone :meth:`apply_coded_ops` entry point need no
-    engine).  An engine builds its arrays through its backend's
-    :meth:`rebuild`, which takes the engine as an argument, then
-    :meth:`attach` binds the backend to that live
-    :class:`~repro.core.ensemble.EnsembleDynamics`, whose batched arrays it
-    will mutate in place.  A backend instance serves exactly one engine.
+    engine).  An engine allocates its arrays, then :meth:`attach` binds the
+    backend to that live :class:`~repro.core.ensemble.EnsembleDynamics`,
+    before the first :meth:`rebuild`.  From then on every build and every
+    round reads :attr:`engine` and mutates its arrays in place; the engine
+    never reallocates them.  A backend instance serves exactly one engine.
 
     The engine owns its backend, so the backend holds the engine only
     weakly: a strong back-reference would make the pair a reference cycle,
@@ -104,14 +104,13 @@ class FlipLoopBackend:
             raise ReferenceError("the engine this backend served no longer exists")
         return engine
 
-    def rebuild(self, engine: "EnsembleDynamics") -> None:
-        """Build ``engine``'s counts, codes, samplers and counters from its spins.
+    def rebuild(self) -> None:
+        """Build the engine's counts, codes, samplers and counters from its spins.
 
         Called by :meth:`~repro.core.ensemble.EnsembleDynamics.recompute_all`
-        (before :meth:`attach` on the engine's first build) once the engine
-        has tabulated its code table ``engine._code_lut``.  Writes, in place
-        and for every replica: each site's same-type count in its horizon
-        window and its code from the table, the energy and plus-site
+        on the attached engine.  Writes, in place and for every replica: each
+        site's same-type count in its horizon window and its code from the
+        engine's code table ``engine._code_lut``, the energy and plus-site
         counters, and both sampler rows with members in increasing index
         order (the scalar ``ModelState.recompute_all`` insertion order).
         """

@@ -32,13 +32,16 @@ marshaling ~30 array arguments per call would swamp the C code) is solved
 with a pointer-capture struct, ``repro_state``, declared once in
 :data:`_STATE_FIELDS` for both C and ``ctypes``; the load's self-check
 compares the two sizes.  :class:`CffiBackend` fills it with raw pointers
-into the engine's arrays once per runtime generation, and each call passes
-that single struct pointer.  The struct is rebuilt whenever the engine
-bumps ``_runtime_generation``, which is what makes holding raw pointers
-safe.  It carries engine state and the run budget only: the loop's one
-scratch buffer, a window of offsets, is C's own, allocated once per call.
-A run is one native call (one per trajectory segment, and ``step_all`` is
-one call of one round).
+into the engine's arrays once, at :meth:`~CffiBackend.attach`, checking
+every pointer's element width there, and every ``repro_run_rounds`` and
+``repro_rebuild`` call passes that single struct pointer.  The engine
+allocates its arrays before it attaches its backend and never reallocates
+them, which is what makes holding raw pointers safe.  The struct carries
+engine state and the run budget only: each call's scratch (a window of
+offsets for the loop, one grid's summed-area table for the build) is C's
+own, allocated once per call.  A run is one native call (one per
+trajectory segment, and ``step_all`` is one call of one round), and so is
+a build.
 
 Every draw the kernel makes goes through the replica's own numpy
 ``bitgen_t``, the C interface of its dynamics ``Generator``'s bit generator
@@ -70,7 +73,6 @@ import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.errors import StateError
-from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
 _INT64_MAX = (1 << 63) - 1
@@ -677,45 +679,45 @@ static void fill_samplers(const int8_t *restrict code, int64_t n_sites,
     *flippable_count = n_flippable;
 }
 
-int64_t repro_rebuild(const int8_t *spins, int64_t n_replicas, int64_t n_rows,
-                      int64_t n_cols, int64_t horizon, const int8_t *code_lut,
-                      int64_t lut_stride, int16_t *same, int8_t *code,
-                      int32_t *members, int32_t *positions, int64_t *counts,
-                      int64_t *energies, int64_t *n_plus)
+int64_t repro_rebuild(repro_state *st)
 {
-    /* The engine build (EnsembleDynamics.recompute_all) of every replica of
-       an (R, n, m) int8 stack: same-type counts, codes from the code LUT
-       (two rows of lut_stride entries, minus then plus), energies, plus
-       counts and both sampler rows (rows [0, R) unhappy, [R, 2R)
-       flippable).  Replicas are built one at a time in scratch sized to
-       one grid, the plus indicator's int32 summed-area table padded by the
-       horizon; the engine keeps that table under 2^31 cells.  Returns 0,
-       or -1 when the scratch cannot be allocated. */
-    int64_t sites = n_rows * n_cols;
-    int64_t side = 2 * horizon + 1;
+    /* The engine build (EnsembleDynamics.recompute_all) of every replica:
+       same-type counts, codes from the code LUT (two rows of lut_stride
+       entries, minus then plus), energies, plus counts and both sampler
+       rows (rows [0, R) unhappy, [R, 2R) flippable).  Replicas are built
+       one at a time in scratch sized to one grid, the plus indicator's
+       int32 summed-area table padded by the horizon; the engine keeps that
+       table under 2^31 cells.  Returns 0, or -1 when the scratch cannot be
+       allocated. */
+    int64_t sites = st->n_sites, n_cols = st->n_cols;
+    int64_t n_rows = sites / n_cols;
+    int64_t side = st->window_side;
     int64_t width = n_cols + side;
     int32_t *table = malloc((size_t)(n_rows + side) * (size_t)width
                             * sizeof(int32_t));
     if (table == NULL)
         return -1;
-    for (int64_t r = 0; r < n_replicas; r++) {
-        const int8_t *grid = spins + r * sites;
+    for (int64_t r = 0; r < st->n_replicas; r++) {
+        const int8_t *grid = st->spins + r * sites;
+        int16_t *same = st->same + r * sites;
+        int8_t *code = st->code + r * sites;
         int64_t totals[2] = {0, 0};
-        build_table(grid, n_rows, n_cols, horizon, table);
+        build_table(grid, n_rows, n_cols, side / 2, table);
         /* Grid row i's windows span table rows i to i + side. */
         for (int64_t i = 0; i < n_rows; i++) {
             const int32_t *up = table + i * width;
             rebuild_row(grid + i * n_cols, up, up + side * width, n_cols, side,
-                        code_lut, lut_stride, same + r * sites + i * n_cols,
-                        code + r * sites + i * n_cols, totals);
+                        st->code_lut, st->lut_stride, same + i * n_cols,
+                        code + i * n_cols, totals);
         }
-        energies[r] = totals[0];
-        n_plus[r] = totals[1];
-        int64_t flippable_row = n_replicas + r;
-        fill_samplers(code + r * sites, sites, members + r * sites,
-                      positions + r * sites, members + flippable_row * sites,
-                      positions + flippable_row * sites, counts + r,
-                      counts + flippable_row);
+        st->energies[r] = totals[0];
+        st->n_plus[r] = totals[1];
+        int64_t flippable_row = st->n_replicas + r;
+        fill_samplers(code, sites, st->members + r * sites,
+                      st->positions + r * sites,
+                      st->members + flippable_row * sites,
+                      st->positions + flippable_row * sites, st->counts + r,
+                      st->counts + flippable_row);
     }
     free(table);
     return 0;
@@ -864,13 +866,12 @@ def _load_library() -> ctypes.CDLL:
     i64, address = ctypes.c_int64, ctypes.c_void_p
     coded_ops = (address,) * 4 + (i64,) + (address,) * 3 + (i64, i64)
     measure = (address,) + (i64,) * 7 + (address, address)
-    rebuild = (address,) + (i64,) * 4 + (address, i64) + (address,) * 7
     for name, restype, argtypes in (
         ("repro_run_rounds", i64, (state, i64)),
+        ("repro_rebuild", i64, (state,)),
         ("repro_standard_exponential", ctypes.c_double, (state, i64)),
         ("repro_coded_ops", None, coded_ops),
         ("repro_measure", i64, measure),
-        ("repro_rebuild", i64, rebuild),
         ("repro_selfcheck", i64, (i64,)),
     ):
         function = getattr(lib, name)
@@ -926,29 +927,22 @@ class CffiBackend(FlipLoopBackend):
         # The run's start counters, filled by each run_rounds call.
         self._start_flips = np.zeros(r, dtype=np.int64)
         self._start_steps = np.zeros(r, dtype=np.int64)
-        only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
-        self._continuous = engine.scheduler is SchedulerKind.CONTINUOUS
-        self._discrete_gate = only_if_happy and not self._continuous
-        self._term_offset = r if only_if_happy else 0
-        self._sampler_offset = r if (only_if_happy and self._continuous) else 0
         self._capture()
 
     def _capture(self) -> None:
-        """(Re)bind the ``repro_state`` struct to the engine's arrays.
+        """Bind the ``repro_state`` struct to the engine's arrays, once.
 
-        Most of the engine's buffers are allocated once and mutated in
-        place, but ``recompute_all`` rebuilds the classification LUT, so the
-        capture re-runs whenever the engine bumps its runtime generation.
-        Every array and bit generator the struct points into stays
-        referenced by ``self`` or by the engine, and every entry point reads
+        Runs at :meth:`attach`, before the engine's first build: the engine
+        allocates every array the struct points into before it attaches its
+        backend and mutates them only in place, so one capture, with one
+        check of every pointer, serves every later build and run.  Every
+        array and bit generator the struct points into stays referenced by
+        ``self`` or by the engine, and every entry point reads
         ``self.engine`` (which raises once the weakly held engine is gone)
         before calling into C, so no pointer outlives its buffer.
         """
         engine = self.engine
         members, positions, counts = engine._sets.storage()
-        # Contiguous copy: recompute_all rebinds the LUT, and the C code
-        # wants one stable 2-row table either way.
-        self._code_lut2 = np.ascontiguousarray(engine._code_lut, dtype=np.int8)
         arrays = {
             "counts": counts,
             "members": members,
@@ -961,7 +955,7 @@ class CffiBackend(FlipLoopBackend):
             "same": engine._same_flat,
             "row_lut": engine._row_lut,
             "col_lut": engine._col_lut,
-            "code_lut": self._code_lut2,
+            "code_lut": engine._code_lut,
             "energies": engine._energies,
             "n_plus": engine._n_plus,
             "flips": engine._n_flips,
@@ -972,23 +966,22 @@ class CffiBackend(FlipLoopBackend):
         st = _ReproState(
             n_sites=engine._n_sites,
             n_replicas=engine.n_replicas,
-            term_offset=self._term_offset,
-            sampler_offset=self._sampler_offset,
-            continuous=int(self._continuous),
-            discrete_gate=int(self._discrete_gate),
+            term_offset=engine._term_offset,
+            sampler_offset=engine._sampler_offset,
+            continuous=int(engine._continuous),
+            discrete_gate=int(engine._discrete_gate),
             n_cols=engine.config.n_cols,
             window_side=2 * engine.config.horizon + 1,
             window_area=engine._window_area,
             center_col=engine._center_col,
             total=engine.config.neighborhood_agents,
-            lut_stride=self._code_lut2.shape[1],
+            lut_stride=engine._code_lut.shape[1],
         )
         for name, ctype in _STATE_FIELDS:
             if ctype.endswith(" *"):
                 setattr(st, name, self._ptr(ctype, arrays[name]))
         self._state = st
         self._run_fn = self._lib.repro_run_rounds
-        self._captured_generation = engine._runtime_generation
 
     @staticmethod
     def _ptr(ctype: str, array: np.ndarray) -> int:
@@ -1009,27 +1002,14 @@ class CffiBackend(FlipLoopBackend):
             )
         return array.ctypes.data
 
-    def rebuild(self, engine) -> None:
-        """The engine build as one ``repro_rebuild`` call over the whole stack."""
-        lib = _load_library()
-        members, positions, counts = engine._sets.storage()
-        ptr = self._ptr
-        status = lib.repro_rebuild(
-            ptr("int8_t *", engine._spins_flat),
-            engine.n_replicas,
-            *engine.config.shape,
-            engine.config.horizon,
-            ptr("int8_t *", engine._code_lut),
-            engine._code_lut.shape[1],
-            ptr("int16_t *", engine._same_flat),
-            ptr("int8_t *", engine._code_flat),
-            ptr("int32_t *", members),
-            ptr("int32_t *", positions),
-            ptr("int64_t *", counts),
-            ptr("int64_t *", engine._energies),
-            ptr("int64_t *", engine._n_plus),
-        )
-        if status < 0:
+    def rebuild(self) -> None:
+        """The engine build as one ``repro_rebuild`` call over the whole stack.
+
+        The call reads the struct captured at :meth:`attach`, as
+        :meth:`run_rounds` does.
+        """
+        self.engine  # noqa: B018 - raises once the struct's arrays are gone
+        if self._lib.repro_rebuild(self._state) < 0:
             raise MemoryError("the C kernel could not allocate its rebuild scratch")
 
     def run_rounds(self, budget: RunBudget, max_rounds: Optional[int] = None) -> int:
@@ -1041,8 +1021,6 @@ class CffiBackend(FlipLoopBackend):
         paths included, runs inside it on the replicas' own bit generators.
         """
         engine = self.engine
-        if self._captured_generation != engine._runtime_generation:
-            self._capture()
         st = self._state
         self._start_flips[:] = budget.start_flips
         self._start_steps[:] = budget.start_steps

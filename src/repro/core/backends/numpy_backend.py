@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend, RunBudget
 from repro.core.neighborhood import window_sums
-from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
 
@@ -36,13 +35,14 @@ class NumpyBackend(FlipLoopBackend):
         self._steps_mv = memoryview(engine._n_steps)
         self._code_mv = memoryview(engine._code_flat)
 
-    def rebuild(self, engine) -> None:
+    def rebuild(self) -> None:
         """The engine build as array code over the whole replica stack.
 
         One summed-area pass counts every replica's windows, one gather of
         the code table classifies every site, and the samplers are
         bulk-built from the codes' membership bits.
         """
+        engine = self.engine
         r = engine.n_replicas
         plus_sites = engine._spins == 1
         plus = window_sums(plus_sites, engine.config.horizon)
@@ -80,10 +80,10 @@ class NumpyBackend(FlipLoopBackend):
         replicas that flip then go through :meth:`apply_flips` together.
         """
         engine = self.engine
-        only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
-        continuous = engine.scheduler is SchedulerKind.CONTINUOUS
-        discrete_gate = only_if_happy and not continuous
-        n_rep = engine.n_replicas
+        continuous = engine._continuous
+        discrete_gate = engine._discrete_gate
+        term_offset = engine._term_offset
+        sampler_offset = engine._sampler_offset
         n_sites = engine._n_sites
         counts_mv = engine._sets.counts_view()
         members_mv = engine._sets.members_view()
@@ -91,8 +91,6 @@ class NumpyBackend(FlipLoopBackend):
         steps_mv = self._steps_mv
         code_mv = self._code_mv
         rngs = engine._rngs
-        term_offset = n_rep if only_if_happy else 0
-        sampler_offset = n_rep if (only_if_happy and continuous) else 0
         reps: list[int] = []
         flats: list[int] = []
         for replica in candidates.tolist():

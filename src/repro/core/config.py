@@ -76,8 +76,8 @@ class ModelConfig:
         window_side = 2 * horizon + 1
         if window_side > min(n_rows, n_cols):
             raise ConfigurationError(
-                f"neighbourhood side {window_side} does not fit on a "
-                f"{n_rows}x{n_cols} torus"
+                f"neighbourhood side {window_side} (horizon {horizon}) does "
+                f"not fit on a {n_rows}x{n_cols} torus"
             )
         n_agents = neighborhood_size(horizon)
         threshold = int(math.ceil(tau * n_agents))
@@ -102,6 +102,7 @@ class ModelConfig:
         flip_rule: FlipRule = FlipRule.ONLY_IF_HAPPY,
     ) -> "ModelConfig":
         """Create a configuration on a square ``side x side`` torus."""
+        side = require_positive_int(side, "side")
         return cls(
             n_rows=side,
             n_cols=side,

@@ -32,12 +32,15 @@ the replica axis.  The compiled backend runs one replica at a time to its
 stop, so only that replica's arrays pass through the cache; the state it
 leaves is the lockstep one, bit for bit.
 
-The engine build runs in the same backend:
-:meth:`EnsembleDynamics.recompute_all` tabulates the code table, then the
-backend's :meth:`~repro.core.backends.base.FlipLoopBackend.rebuild` writes
+The engine is bound to its backend once: the constructor allocates every
+array, tabulates the code table and works out the flip rule's row switches,
+attaches the backend, and only then builds.  The build runs in the same
+backend: :meth:`EnsembleDynamics.recompute_all` is the backend's
+:meth:`~repro.core.backends.base.FlipLoopBackend.rebuild`, which writes
 every replica's same-type counts, codes, samplers and counters from the
-spins (the numpy backend as array code over the stack, the compiled one as
-a single native call that builds one replica at a time).
+spins in place (the numpy backend as array code over the stack, the
+compiled one as a single native call that builds one replica at a time),
+followed by the hook check below.
 
 Equivalence with the scalar engine is exact, not approximate: replica ``r``
 consumes its own PCG64 stream in the same order and quantity as a scalar
@@ -363,26 +366,30 @@ class EnsembleDynamics:
             self._spins[...] = planted.astype(np.int8)
         self._initial_spins = self._spins.copy()
 
-        self._n_flips = np.zeros(r, dtype=np.int64)
-        self._energies = np.zeros(r, dtype=np.int64)
-        self._n_plus = np.zeros(r, dtype=np.int64)
         self._build_runtime()
         self._backend = create_backend(backend)
         #: The resolved (concrete) backend executing this engine's hot path.
         self.backend_name = self._backend.name
-        # The backend builds the runtime tables, then captures them.
-        self.recompute_all()
+        # Bound once: every build and round goes through the attached backend.
         self._backend.attach(self)
+        self.recompute_all()
 
     # ---------------------------------------------------------------- runtime
 
     def _build_runtime(self) -> None:
-        """Allocate the fused engine's batched runtime structures."""
+        """Allocate every engine array and derive the fixed tables, once.
+
+        The arrays are only ever mutated in place afterwards, so a backend
+        may hold raw pointers into them from its ``attach`` on.
+        """
         r = self.n_replicas
         n_sites = self.config.n_sites
         self._n_sites = n_sites
         self._times = np.zeros(r, dtype=np.float64)
         self._n_steps = np.zeros(r, dtype=np.int64)
+        self._n_flips = np.zeros(r, dtype=np.int64)
+        self._energies = np.zeros(r, dtype=np.int64)
+        self._n_plus = np.zeros(r, dtype=np.int64)
         self._spins_flat = self._spins.reshape(-1)
         #: Incrementally maintained same-type counts, one flat row per replica.
         self._same_flat = np.zeros(r * n_sites, dtype=np.int16)
@@ -395,11 +402,17 @@ class EnsembleDynamics:
         #: stale flag triggers an exact O(R * grid) flush on the next read.
         self._track_counters = True
         self._counters_stale = False
-        #: Bumped whenever runtime tables a backend may have captured raw
-        #: views (or raw pointers) into are rebuilt; backends compare it
-        #: against their captured generation and re-capture when it moved.
-        self._runtime_generation = 0
+        # The flip rule's row switches: a replica ends when its unhappy row
+        # (offset 0) or flippable row (offset R) empties, and draws from the
+        # flippable row only under the continuous only-if-happy rule; the
+        # discrete only-if-happy rule draws unhappy agents and gates them.
+        only_if_happy = self.flip_rule is FlipRule.ONLY_IF_HAPPY
+        self._continuous = self.scheduler is SchedulerKind.CONTINUOUS
+        self._discrete_gate = only_if_happy and not self._continuous
+        self._term_offset = r if only_if_happy else 0
+        self._sampler_offset = r if (only_if_happy and self._continuous) else 0
         self._build_window_luts()
+        self._build_code_lut()
 
     def _build_window_luts(self) -> None:
         """Precompute the wrapped row/column lookups of the flip kernel.
@@ -432,7 +445,7 @@ class EnsembleDynamics:
 
         Every classification in the engine — the O(R * grid) rebuild and the
         fused per-flip window refresh, both through the code table
-        :meth:`_refresh_code_lut` tabulates from it — funnels through this
+        :meth:`_build_code_lut` tabulates from it — funnels through this
         one method, exactly as :meth:`repro.core.state.ModelState._classify`
         does on the scalar side.  Subclasses implement variant rules by
         overriding it with the shared kernels from :mod:`repro.core.variants`;
@@ -448,25 +461,22 @@ class EnsembleDynamics:
     def recompute_all(self) -> None:
         """Rebuild counts, codes, samplers and counters from the spins.
 
-        Four steps: tabulate the code table from :meth:`_classify`
-        (:meth:`_refresh_code_lut`); let the backend's
-        :meth:`~repro.core.backends.base.FlipLoopBackend.rebuild` write every
-        replica's same-type counts, codes from that table, energies, plus
-        counts and samplers (one native call on a compiled backend); check
-        the hook's full-grid output against the written codes; and bump the
-        runtime generation, so a backend re-captures the new table.  The
-        samplers' insertion order (increasing flat index per replica)
-        matches :meth:`repro.core.state.ModelState.recompute_all`, which
-        keeps the sampler layouts (and hence RNG-draw outcomes)
-        scalar-identical.
+        The attached backend's
+        :meth:`~repro.core.backends.base.FlipLoopBackend.rebuild` writes
+        every replica's same-type counts, codes from the code table,
+        energies, plus counts and samplers in place (one native call on a
+        compiled backend); then the hook's full-grid output is checked
+        against the written codes.  The samplers' insertion order
+        (increasing flat index per replica) matches
+        :meth:`repro.core.state.ModelState.recompute_all`, which keeps the
+        sampler layouts (and hence RNG-draw outcomes) scalar-identical.
 
         The check is what keeps the hook the single source of truth: a
         subclass whose rule is not elementwise in ``(spin, same)`` disagrees
         with its own table on the grid, which is a
         :class:`~repro.errors.ConfigurationError` naming the hook.
         """
-        self._refresh_code_lut()
-        self._backend.rebuild(self)
+        self._backend.rebuild()
         self._counters_stale = False
         happy, flippable = self._classify(
             self._spins, self._same_flat.reshape(self._spins.shape)
@@ -480,17 +490,17 @@ class EnsembleDynamics:
                 "flip loop classifies touched windows from a table of the "
                 "hook's values, which disagrees with the hook on this grid"
             )
-        self._runtime_generation += 1
 
-    def _refresh_code_lut(self) -> None:
+    def _build_code_lut(self) -> None:
         """Tabulate the classification hook over every possible same-count.
 
         Row 0 holds the codes of minus agents, row 1 those of plus agents,
-        one column per same-type count ``0 .. N + 1``.  The rebuild and the
+        one column per same-type count ``0 .. N + 1``.  The build and the
         per-flip kernel classify from this table (one gather, or two for
         spin-dependent rules) instead of re-running the rule arrays; it is
         *derived from* :meth:`_classify`, so the hook stays the single
-        source of truth.
+        source of truth, and every :meth:`recompute_all` checks it against
+        the hook on the grid.
         """
         total = self.config.neighborhood_agents
         axis = np.arange(total + 2, dtype=np.int64)
@@ -612,10 +622,8 @@ class EnsembleDynamics:
 
     def _termination_counts(self) -> np.ndarray:
         """``(R,)`` sizes of the sets whose emptiness means termination."""
-        counts = self._sets.counts
-        if self.flip_rule is FlipRule.ONLY_IF_HAPPY:
-            return counts[self.n_replicas :]
-        return counts[: self.n_replicas]
+        start = self._term_offset
+        return self._sets.counts[start : start + self.n_replicas]
 
     def is_replica_terminated(self, replica: int) -> bool:
         """Scalar-engine termination condition for one replica."""

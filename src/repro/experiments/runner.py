@@ -286,47 +286,38 @@ def run_sweep(
 ) -> ResultTable:
     """Run every cell of a sweep and concatenate the replicate rows.
 
-    ``progress`` (if given) is called exactly once per cell, in cell order,
-    after the cell completes — benchmarks use it to emit a line per cell.
-    ``workers`` > 1 delegates to
-    :func:`repro.experiments.parallel.run_sweep_parallel`, which shards cells
-    across a process pool while preserving row order; ``ensemble_size``
-    picks the replicate engine in either mode, as in :func:`run_experiment`.
-    ``checkpoint_dir`` (any worker count, including serial) streams completed
-    cells to a resumable artifact directory and skips cells a previous run
-    already recorded — see :mod:`repro.experiments.checkpoint`.
-    ``retries`` / ``cell_timeout`` / ``on_error`` configure the
-    fault-tolerant supervisor (retry with seeded backoff, hang detection,
-    quarantine — see :func:`~repro.experiments.parallel.run_sweep_parallel`);
-    any non-default value also routes through the supervised path.
-    ``backend`` requests a flip-loop backend for ensemble execution (see
-    :func:`run_experiment`), propagated to pool workers unchanged.
+    Every call runs through
+    :func:`repro.experiments.parallel.run_sweep_parallel`, whose supervisor
+    runs a serial sweep (``workers`` of ``None`` or 1) inline, cell by cell,
+    and shards a larger ``workers`` across a process pool while preserving
+    row order.  ``progress`` (if given) is called exactly once per cell, in
+    cell order, after the cell completes — benchmarks use it to emit a line
+    per cell.  ``ensemble_size`` picks the replicate engine, as in
+    :func:`run_experiment`.  ``checkpoint_dir`` streams completed cells to a
+    resumable artifact directory and skips cells a previous run already
+    recorded — see :mod:`repro.experiments.checkpoint`.  ``retries`` /
+    ``cell_timeout`` / ``on_error`` configure the fault-tolerant supervisor
+    (retry with seeded backoff, hang detection, quarantine).  Under the
+    default ``on_error="raise"`` a failing cell aborts the sweep with
+    :class:`~repro.experiments.parallel.SweepCellError`, which names the
+    cell and is chained to the original exception.  ``backend`` requests a
+    flip-loop backend for ensemble execution (see :func:`run_experiment`),
+    propagated to pool workers unchanged.
     """
-    if workers is not None and workers <= 0:
-        raise ExperimentError(f"workers must be positive, got {workers}")
-    supervised = retries != 0 or cell_timeout is not None or on_error != "raise"
-    if (workers is not None and workers > 1) or checkpoint_dir is not None or supervised:
-        # Imported here: parallel builds on this module's cell runner.
-        from repro.experiments.parallel import run_sweep_parallel
+    # Imported here: parallel builds on this module's cell runner.
+    from repro.experiments.parallel import run_sweep_parallel
 
-        return run_sweep_parallel(
-            sweep,
-            workers=workers if workers is not None else 1,
-            progress=progress,
-            ensemble_size=ensemble_size,
-            checkpoint_dir=checkpoint_dir,
-            retries=retries,
-            cell_timeout=cell_timeout,
-            on_error=on_error,
-            backend=backend,
-        )
-    table = ResultTable()
-    for cell in sweep.cells():
-        cell_table = run_experiment(cell, ensemble_size=ensemble_size, backend=backend)
-        table.extend(cell_table.rows)
-        if progress is not None:
-            progress(cell)
-    return table
+    return run_sweep_parallel(
+        sweep,
+        workers=1 if workers is None else workers,
+        progress=progress,
+        ensemble_size=ensemble_size,
+        checkpoint_dir=checkpoint_dir,
+        retries=retries,
+        cell_timeout=cell_timeout,
+        on_error=on_error,
+        backend=backend,
+    )
 
 
 #: Metrics summarised per parameter cell unless a caller overrides them

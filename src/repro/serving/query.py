@@ -323,6 +323,12 @@ class QueryEngine:
             raise ServingError(
                 f"on_miss must be one of {ON_MISS_POLICIES}, got {on_miss!r}"
             )
+        # Negated so NaN, which every comparison rejects, is refused too.
+        if max_distance is not None and not max_distance >= 0:
+            raise ServingError(
+                "max_distance must be a non-negative distance (inf for "
+                f"unbounded), got {max_distance}"
+            )
         if isinstance(stores, (ArtifactStore, str, os.PathLike)):
             stores = [stores]
         self.stores = [
@@ -340,7 +346,8 @@ class QueryEngine:
         self.cache = cache if cache is not None else make_query_cache()
         self.interpolate = bool(interpolate)
         self.on_miss = on_miss
-        self.max_distance = max_distance
+        # inf bounds nothing, so it is held (and reported) as None.
+        self.max_distance = None if max_distance == math.inf else max_distance
         self.gate = gate
         self.generation = int(generation)
 

@@ -28,9 +28,9 @@ Seven layers are pinned here:
   state under every backend: flip/step/time budgets, trajectory segments,
   both flip rules and schedulers, wider horizons, rectangular tori and
   windows as wide as the torus, R = 40, and a run continued after a
-  budgeted one (also across a ``recompute_all``, which makes the C backend
-  re-capture its pointers, and after draws made on a replica's Generator
-  between the runs).  A compiled ``run()`` is one native call, or one
+  budgeted one (also across a ``recompute_all``, which rewrites in place
+  the arrays the C backend captured, and after draws made on a replica's
+  Generator between the runs).  A compiled ``run()`` is one native call, or one
   per trajectory segment, and a compiled ``step_all()`` is one native call.
   Each ``run_rounds`` segment returns the numpy backend's lockstep round
   count, though the compiled loop runs one replica at a time.
@@ -40,7 +40,11 @@ Seven layers are pinned here:
   on random stacks at w = 1-4, non-square and fully wrapped tori, uniform
   stacks (empty sampler rows), checkerboards, the variant rules and
   stacks rebuilt partway through a budgeted run, whose rebuild recounts
-  what the flip loop kept incrementally.
+  what the flip loop kept incrementally.  The engine is bound once: its
+  backend is attached before the first build, the code table is tabulated
+  from the hook only at construction, and the C backend captures its
+  struct once per engine and hands that one struct to every
+  ``repro_rebuild`` and ``repro_run_rounds`` call.
 * **Rows** — :func:`run_experiment` produces identical rows (up to wall
   clock) under every backend, so recorded sweeps are backend-invariant.
 * **Provenance** — checkpointed sweeps stamp the resolved backend into the
@@ -232,6 +236,83 @@ class TestEngineSeam:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestBoundOnce:
+    """An engine binds its backend once, before its first build."""
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_backend_is_attached_before_the_first_build(
+        self, backend_name, monkeypatch
+    ):
+        backend_class = type(create_backend(backend_name))
+        rebuild = backend_class.rebuild
+        seen = []
+
+        def recording_rebuild(backend):
+            seen.append(backend.engine)
+            rebuild(backend)
+
+        monkeypatch.setattr(backend_class, "rebuild", recording_rebuild)
+        engine = EnsembleDynamics(SMALL, n_replicas=2, seed=3, backend=backend_name)
+        assert len(seen) == 1 and seen[0] is engine
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_code_table_is_tabulated_only_at_construction(self, backend_name):
+        class CountingEnsemble(EnsembleDynamics):
+            def __init__(self, *args, **kwargs):
+                self.classified = []
+                super().__init__(*args, **kwargs)
+
+            def _classify(self, spins, same):
+                self.classified.append(np.shape(same))
+                return super()._classify(spins, same)
+
+        engine = CountingEnsemble(SMALL, n_replicas=3, seed=4, backend=backend_name)
+        table = (SMALL.neighborhood_agents + 2,)
+        grid = (3, *SMALL.shape)
+        # The two 1-D tabulations (minus, plus), then the build's check.
+        assert engine.classified == [table, table, grid]
+        engine.run(max_flips=5)
+        engine.recompute_all()
+        engine.recompute_all()
+        assert engine.classified == [table, table, grid, grid, grid]
+
+    @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
+    def test_struct_is_captured_once(self, backend_name, monkeypatch):
+        capture = cffi_backend.CffiBackend._capture
+        captured = []
+
+        def counted_capture(backend):
+            captured.append(backend)
+            capture(backend)
+
+        lib = cffi_backend._load_library()
+        handed = []
+
+        def spy(name):
+            native = getattr(lib, name)
+
+            def counted_native(state, *args):
+                handed.append((name, state))
+                return native(state, *args)
+
+            return counted_native
+
+        for name in ("repro_rebuild", "repro_run_rounds"):
+            monkeypatch.setattr(lib, name, spy(name))
+        monkeypatch.setattr(cffi_backend.CffiBackend, "_capture", counted_capture)
+        engine = EnsembleDynamics(SMALL, n_replicas=3, seed=6, backend=backend_name)
+        engine.recompute_all()
+        engine.run(max_flips=5)
+        engine.step_all()
+        engine.run()
+        backend = engine._backend
+        assert captured == [backend]
+        assert [name for name, _ in handed] == (
+            ["repro_rebuild"] * 2 + ["repro_run_rounds"] * 3
+        )
+        assert all(state is backend._state for _, state in handed)
 
 
 @pytest.mark.parametrize("backend_name", [b for b in BACKENDS if b != "numpy"])
@@ -608,14 +689,13 @@ class TestRunIdentity:
         budgets = ({"max_flips": 13}, {"record_trajectory": True, "record_every": 5})
         for index, kwargs in enumerate(budgets):
             if recompute and index:
-                # A public rebuild bumps the runtime generation, so the C
-                # backend must re-capture its pointers before continuing.
+                # A public rebuild writes the arrays the C backend captured
+                # in place, so it goes on from the same struct.
                 reference.recompute_all()
                 actual.recompute_all()
             _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
             _assert_states_equal(_engine_state(reference), _engine_state(actual))
         assert actual.all_terminated
-        assert actual._backend._captured_generation == actual._runtime_generation
 
 
 def _planted(spins_of, config, n_replicas=3, seed=71):
@@ -718,7 +798,6 @@ class TestRebuildIdentity:
         _assert_states_equal(_engine_state(reference), _engine_state(actual))
         for kept, rebuilt in zip(incremental, counted(actual)):
             np.testing.assert_array_equal(kept, rebuilt)
-        assert actual._backend._captured_generation != actual._runtime_generation
         # Both go on from the rebuilt samplers alike.
         _assert_results_equal(reference.run(**kwargs), actual.run(**kwargs))
         _assert_states_equal(_engine_state(reference), _engine_state(actual))
@@ -728,9 +807,9 @@ class TestRebuildIdentity:
         native_fn = lib.repro_rebuild
         stacks = []
 
-        def counted_native(*args):
-            stacks.append(args[1])
-            return native_fn(*args)
+        def counted_native(state):
+            stacks.append(state.n_replicas)
+            return native_fn(state)
 
         monkeypatch.setattr(lib, "repro_rebuild", counted_native)
         engine = _ensemble(n_replicas=5)(backend_name)
@@ -818,9 +897,8 @@ class TestCompiledBoundary:
     ):
         engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)
         setattr(engine, attribute, replacement(getattr(engine, attribute)))
-        engine._runtime_generation += 1
         with pytest.raises(StateError, match=message):
-            engine.run(max_steps=1)
+            engine._backend.attach(engine)
 
     def test_coded_ops_refuses_int64_members(self, backend_name):
         sets = BatchedIndexSet(2, 4)
@@ -885,12 +963,14 @@ class TestCompiledBoundary:
     def test_failed_rebuild_allocation_is_memory_error(self, backend_name):
         engine = EnsembleDynamics(SMALL, n_replicas=3, seed=2, backend=backend_name)
         before = _engine_state(engine)
+        backend = engine._backend
         # A 2**56-site torus: repro_rebuild's table asks malloc for more than
         # any address space, before it reads a single site.
-        engine.config = ModelConfig(n_rows=1 << 40, n_cols=1 << 16, horizon=1, tau=0.45)
+        backend._state.n_sites = 1 << 56
+        backend._state.n_cols = 1 << 16
         with pytest.raises(MemoryError, match="rebuild scratch"):
-            engine._backend.rebuild(engine)
-        engine.config = SMALL
+            backend.rebuild()
+        backend._capture()
         _assert_states_equal(before, _engine_state(engine))
 
     def test_failed_scratch_allocation_is_memory_error(self, backend_name):

@@ -34,6 +34,49 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+SIM = ["simulate", "--side", "12", "--horizon", "1"]
+SWEEP = ["sweep", "--side", "10", "--horizon", "1", "--taus", "0.4", "--replicates", "1"]
+
+
+class TestUsageErrors:
+    """A bad flag value is one ``error:`` line naming it and exit 2.
+
+    Nothing runs first: the command prints nothing to stdout, and no
+    exception escapes :func:`main` (which would be a traceback and exit 1).
+    """
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (SIM + ["--density", "1.5"], "density"),
+            (SIM + ["--tau", "1.5"], "tau"),
+            (["simulate", "--side", "2", "--horizon", "1"], "horizon"),
+            (["simulate", "--side", "0", "--horizon", "1"], "side"),
+            (["simulate", "--side", "12", "--horizon", "0"], "horizon"),
+            (SIM + ["--seed", "-1"], "--seed"),
+            (SWEEP + ["--taus", "nan"], "--taus"),
+            (SWEEP + ["--taus", ","], "--taus"),
+            (SWEEP + ["--replicates", "0"], "--replicates"),
+            (SWEEP + ["--retries", "-1"], "--retries"),
+            (SWEEP + ["--cell-timeout", "0"], "--cell-timeout"),
+            (SWEEP + ["--horizon", "-1"], "--horizon"),
+            (SWEEP + ["--seed", "-1"], "--seed"),
+            (SWEEP + ["--side", "0"], "side"),
+            (["info", "--tau", "2"], "tau"),
+            (["info", "--tau", "nan"], "tau"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_bad_flag_value_is_a_usage_error(self, argv, named, capsys):
+        code, output = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert output == ""
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and named in line
+
+
 class TestInfo:
     def test_reports_thresholds_and_regime(self):
         code, output = run_cli(["info", "--tau", "0.45", "--horizon", "2"])
@@ -616,6 +659,18 @@ class TestServingCommands:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    @pytest.mark.parametrize("bound", ["nan", "-1"])
+    def test_nan_or_negative_max_distance_exits_two(
+        self, store, command, bound, capsys
+    ):
+        argv = [command, "--store", str(store), "--max-distance", bound]
+        argv += ["tau=0.3"] if command == "query" else ["--port", "0"]
+        code, output = run_cli(argv)
+        assert code == 2
+        assert output == ""
+        assert "error: max_distance" in capsys.readouterr().err
 
     def test_serve_rejects_missing_store_before_binding(self, tmp_path, capsys):
         code, _ = run_cli(

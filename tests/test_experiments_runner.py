@@ -161,6 +161,31 @@ class TestRunSweep:
         ]
         assert all(isinstance(cell, ExperimentSpec) for cell in visited)
 
+    def test_failing_cell_names_itself(self, monkeypatch):
+        """A plain serial sweep runs through the supervisor, so a failing
+        cell surfaces as a SweepCellError naming it, chained to the cause."""
+        from repro.experiments.parallel import SweepCellError
+
+        base = ModelConfig.square(side=12, horizon=1, tau=0.4)
+        sweep = SweepSpec(
+            name="fails", base_config=base, taus=[0.35, 0.4, 0.45], n_replicates=1
+        )
+        second = list(sweep.cells())[1].name
+        run_cell = runner.run_experiment
+
+        def failing_second(spec, **kwargs):
+            if spec.name == second:
+                raise RuntimeError("injected")
+            return run_cell(spec, **kwargs)
+
+        monkeypatch.setattr(runner, "run_experiment", failing_second)
+        visited = []
+        with pytest.raises(SweepCellError) as excinfo:
+            run_sweep(sweep, progress=visited.append)
+        assert excinfo.value.cell_index == 1
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert len(visited) == 1
+
     def test_ensemble_size_produces_identical_rows(self):
         base = ModelConfig.square(side=18, horizon=1, tau=0.4)
         sweep = SweepSpec(

@@ -461,3 +461,18 @@ class TestOnMissCompute:
     def test_invalid_on_miss_rejected(self, tmp_path):
         with pytest.raises(ServingError, match="on_miss"):
             QueryEngine(write_store(tmp_path / "s", []), on_miss="explode")
+
+    @pytest.mark.parametrize("bound", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_nan_or_negative_max_distance_rejected(self, tmp_path, bound):
+        # NaN would silently bound nothing (every comparison is false) and
+        # a negative bound would turn every non-exact answer into a miss.
+        with pytest.raises(ServingError, match="max_distance"):
+            QueryEngine(write_store(tmp_path / "s", grid_cells()), max_distance=bound)
+
+    def test_infinite_max_distance_is_unbounded(self, tmp_path):
+        engine = QueryEngine(
+            write_store(tmp_path / "s", grid_cells()), max_distance=math.inf
+        )
+        assert engine.answer("tau=0.9,rho=0.9,w=2")["source"] == "nearest"
+        assert engine.stats()["policy"]["max_distance"] is None
+        json.dumps(engine.stats(), allow_nan=False)
