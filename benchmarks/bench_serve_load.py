@@ -10,11 +10,15 @@ regimes:
 - **cold** — every request names a distinct point, so each one pays the
   full resolve-and-nearest-lookup path plus cache-insert/evict churn.
 
+Every cell carries one real metrics block (32 metrics x 7 statistics, from
+the committed fixture store), so each answer is as large as a real sweep's
+and the hot phase times the response encoding that serving actually pays.
+
 The hot/cold ratio is the cache's measured leverage; the exact-accounting
 invariant (every request is one hit, miss or coalesce) is asserted over the
 live ``/stats`` counters.  ``REPRO_BENCH_QUICK=1`` shrinks the request
-counts; the emitted ``BENCH_serve_load.json`` states the regime, counts and
-both rates.
+counts; the emitted ``BENCH_serve_load.json`` states the regime, counts,
+both rates and the hot answer's body size.
 """
 
 from __future__ import annotations
@@ -24,8 +28,13 @@ import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
-from repro.experiments.checkpoint import SUMMARY_FORMAT, SUMMARY_NAME
+from repro.experiments.checkpoint import (
+    SUMMARY_FORMAT,
+    SUMMARY_NAME,
+    load_summary,
+)
 from repro.experiments.results import ResultTable
 from repro.experiments.workloads import bench_quick_mode as quick_mode
 from repro.serving import LRUCache, make_server
@@ -39,14 +48,21 @@ HOT_RPS_FLOOR = 25.0
 #: Concurrent client threads (the server is threaded; exercise that).
 CLIENTS = 4
 
+#: The committed sweep store whose first cell lends every synthetic cell
+#: its metrics block.
+FIXTURE_STORE = (
+    Path(__file__).resolve().parents[1] / "tests" / "data"
+    / "sweep_fixture_store"
+)
+
 
 def _grid_store(directory, taus, rhos):
     """Fabricate a summary-only store with a ``len(taus) x len(rhos)`` grid."""
+    metrics = load_summary(FIXTURE_STORE)["cells"][0]["metrics"]
     cells = []
     for i, tau in enumerate(taus):
         for j, rho in enumerate(rhos):
             index = i * len(rhos) + j
-            value = float(index)
             cells.append(
                 {
                     "index": index,
@@ -54,17 +70,7 @@ def _grid_store(directory, taus, rhos):
                     "spec_hash": f"hash{index:06d}",
                     "params": {"tau": tau, "w": 2, "rho": rho},
                     "n_replicates": 2,
-                    "metrics": {
-                        "score": {
-                            "count": 2.0,
-                            "mean": value,
-                            "std": 0.0,
-                            "min": value,
-                            "max": value,
-                            "ci_low": value,
-                            "ci_high": value,
-                        }
-                    },
+                    "metrics": metrics,
                     "failure": None,
                 }
             )
@@ -83,17 +89,20 @@ def _grid_store(directory, taus, rhos):
     return directory
 
 
-def _measure(base: str, paths: list[str]) -> float:
-    """Issue every path from :data:`CLIENTS` threads; return requests/sec."""
-    def fetch(path: str) -> None:
+def _measure(base: str, paths: list[str]) -> tuple[float, int]:
+    """Issue every path from :data:`CLIENTS` threads.
+
+    Returns requests/sec and the largest body received.
+    """
+    def fetch(path: str) -> int:
         with urllib.request.urlopen(f"{base}{path}", timeout=30) as response:
             assert response.status == 200
-            response.read()
+            return len(response.read())
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
-        list(pool.map(fetch, paths))
-    return len(paths) / (time.perf_counter() - start)
+        sizes = list(pool.map(fetch, paths))
+    return len(paths) / (time.perf_counter() - start), max(sizes)
 
 
 def bench_serve_load(benchmark, emit, tmp_path):
@@ -119,8 +128,8 @@ def bench_serve_load(benchmark, emit, tmp_path):
             f"&rho={0.3 + 0.4 * k / cold_n:.6f}&w=2"
             for k in range(cold_n)
         ]
-        hot_rps = _measure(base, hot_paths)
-        cold_rps = _measure(base, cold_paths)
+        hot_rps, body_bytes = _measure(base, hot_paths)
+        cold_rps, _ = _measure(base, cold_paths)
 
         with urllib.request.urlopen(f"{base}/stats", timeout=30) as response:
             stats = json.loads(response.read())
@@ -136,6 +145,7 @@ def bench_serve_load(benchmark, emit, tmp_path):
         table = ResultTable()
         table.add_row(phase="hot", requests=hot_n, rps=hot_rps)
         table.add_row(phase="cold", requests=cold_n, rps=cold_rps)
+        benchmark.extra_info["body_bytes"] = body_bytes
         return table
 
     try:

@@ -29,6 +29,17 @@ from repro.errors import ExperimentError
 from repro.types import VariantKind
 
 
+def _require_non_negative_seed(seed: int) -> None:
+    """Reject a negative master seed before any replicate is seeded.
+
+    numpy's ``SeedSequence`` refuses one only when a replicate starts, so a
+    sweep would otherwise quarantine such a cell as flaky while cells whose
+    derived seed (``seed + 7919 * index``) is non-negative run.
+    """
+    if seed < 0:
+        raise ExperimentError(f"seed must be non-negative, got {seed}")
+
+
 def _require_budget_for_variant(
     variant: VariantSpec, max_flips: Optional[int], max_steps: Optional[int]
 ) -> None:
@@ -82,6 +93,7 @@ class ExperimentSpec:
             raise ExperimentError(
                 f"n_replicates must be positive, got {self.n_replicates}"
             )
+        _require_non_negative_seed(self.seed)
         if self.record_every <= 0:
             raise ExperimentError(
                 f"record_every must be positive, got {self.record_every}"
@@ -120,6 +132,7 @@ class SweepSpec:
             raise ExperimentError("sweep name must be non-empty")
         if not (self.taus or self.horizons or self.densities):
             raise ExperimentError("a sweep must vary at least one parameter")
+        _require_non_negative_seed(self.seed)
         if not isinstance(self.variant, VariantSpec):
             raise ExperimentError(
                 f"variant must be a VariantSpec, got {self.variant!r}"

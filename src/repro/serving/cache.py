@@ -6,7 +6,9 @@ repeats a small working set of parameter points, so answers are kept in a
 bounded least-recently-used cache and the counters are exported at the HTTP
 ``/stats`` endpoint.  The implementation is deliberately stdlib-only — an
 ``OrderedDict`` under one re-entrant lock — because the critical section is a
-dict move, far cheaper than the JSON encode that follows it on every request.
+dict move.  The query layer's entries keep their answer's encoded JSON
+(:mod:`repro.serving.query`), so a hot HTTP request pays that move and a
+byte copy, not a fresh encode of the answer.
 
 Concurrency contract: every public method is atomic under the internal lock.
 :meth:`LRUCache.get_or_compute` is **single-flight**: concurrent misses on

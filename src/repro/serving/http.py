@@ -145,6 +145,11 @@ def make_handler(service: QueryService, quiet: bool = True) -> type:
 
         server_version = "repro-serve/2"
 
+        #: A buffered ``wfile``: :meth:`_reply` flushes the status line,
+        #: headers and body in one send.  Sent in two, the body can wait
+        #: (Nagle's algorithm) for the client's delayed ACK of the headers.
+        wbufsize = 1 << 16
+
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             """Dispatch on path and reply with a JSON document."""
             url = urlsplit(self.path)
@@ -196,12 +201,12 @@ def make_handler(service: QueryService, quiet: bool = True) -> type:
                     deadline = None
                     if "deadline" in params:
                         deadline = _parse_deadline(params["deadline"])
-                    answer = engine.answer(
+                    body = engine.answer_json(
                         _request_query(params),
                         interpolate=interpolate,
                         deadline=deadline,
                     )
-                    self._reply(200, answer)
+                    self._reply(200, body)
                 else:
                     self._reply(
                         404,
@@ -233,12 +238,19 @@ def make_handler(service: QueryService, quiet: bool = True) -> type:
         def _reply(
             self,
             status: int,
-            payload: dict,
+            payload: Union[dict, bytes],
             headers: Optional[dict[str, str]] = None,
             close: bool = False,
         ) -> None:
-            """Send one JSON response."""
-            body = json.dumps(payload, default=json_default).encode("utf-8")
+            """Send one JSON response: a payload, or its encoded bytes.
+
+            The flush sends the whole response before the caller's request
+            leaves the in-flight count, so a drain never returns with a
+            body still in the buffer.
+            """
+            body = payload
+            if not isinstance(body, bytes):
+                body = json.dumps(body, default=json_default).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -249,6 +261,7 @@ def make_handler(service: QueryService, quiet: bool = True) -> type:
                 self.close_connection = True
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
 
         def send_error(  # noqa: D102 - http.server API
             self, code, message=None, explain=None
@@ -273,6 +286,7 @@ def make_handler(service: QueryService, quiet: bool = True) -> type:
                 self.end_headers()
                 if self.command != "HEAD" and body:
                     self.wfile.write(body)
+                self.wfile.flush()
             except OSError:  # pragma: no cover - peer already gone
                 pass
             self.close_connection = True

@@ -33,7 +33,10 @@ cache (:mod:`repro.serving.cache`) keyed on the resolved point and the
 store-snapshot generation, so a service under repeated traffic answers from
 memory and N concurrent misses on the same point run exactly one
 computation; hit/miss/eviction/coalesce counters are exposed via
-:meth:`QueryEngine.stats` and the HTTP ``/stats`` endpoint.
+:meth:`QueryEngine.stats` and the HTTP ``/stats`` endpoint.  Each cache
+entry also keeps its answer's JSON once :meth:`QueryEngine.answer_json`
+(the HTTP path) has encoded it, so a hot point is encoded once, not on
+every request, and an evicted entry takes its encoding with it.
 
 Under load, compute-on-miss admission is bounded by an optional
 :class:`~repro.serving.lifecycle.ComputeGate`.  A saturated gate triggers
@@ -48,6 +51,7 @@ never cached — they are a capacity artifact, not the point's true answer.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import warnings
@@ -60,6 +64,7 @@ from repro.errors import (
     ServingDegradationWarning,
     ServingError,
 )
+from repro.experiments.io import json_default
 from repro.serving.cache import LRUCache, cache_key, make_query_cache
 from repro.serving.lifecycle import ComputeGate
 from repro.serving.store import ArtifactStore, PathLike, query_spec_for_point
@@ -284,6 +289,37 @@ def bilinear_answer(
             _answer_cell_entry(cell, weight) for weight, cell in corners
         ],
     }
+
+
+def _open_json(payload: dict) -> bytes:
+    """``payload``'s JSON document without its closing brace.
+
+    An answer's per-call ``cached`` flag is always its last key, so
+    appending ``, "cached": true}`` (or ``false``) to this prefix gives
+    exactly the bytes ``json.dumps`` gives for the whole answer.
+    """
+    return json.dumps(payload, default=json_default).encode("utf-8")[:-1]
+
+
+class _Answer:
+    """One resolved answer payload and, once encoded, its open JSON.
+
+    The answer cache holds these, so an entry's encoding lives and dies
+    with the entry.  Two threads encoding the same entry at once both
+    produce the same bytes, so the unlocked assignment is benign.
+    """
+
+    __slots__ = ("payload", "_json")
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self._json: Optional[bytes] = None
+
+    def open_json(self) -> bytes:
+        """The payload's :func:`_open_json` prefix, encoded on first use."""
+        if self._json is None:
+            self._json = _open_json(self.payload)
+        return self._json
 
 
 class QueryEngine:
@@ -606,6 +642,51 @@ class QueryEngine:
         answer["degraded"] = True
         return answer
 
+    def _resolve(
+        self,
+        query: Union[str, dict[str, Union[float, str]]],
+        interpolate: Optional[bool],
+        deadline: Optional[float],
+    ) -> tuple[_Answer, bool]:
+        """The answer to ``query`` and whether the cache already held it.
+
+        The one resolve path behind :meth:`answer` and :meth:`answer_json`.
+        A degraded fallback is a fresh, uncached :class:`_Answer`.
+        """
+        use_interpolation = (
+            self.interpolate if interpolate is None else bool(interpolate)
+        )
+        point = self.resolve_point(query)
+        key = cache_key(point, use_interpolation, self.generation)
+        try:
+            entry, outcome = self.cache.get_or_compute(
+                key,
+                lambda: _Answer(self._lookup(point, use_interpolation)),
+                timeout=deadline,
+            )
+        except ServiceOverload:
+            fallback = self._degrade(point)
+            if fallback is None:
+                if self.gate is not None:
+                    self.gate.note_rejected()
+                raise
+            if self.gate is not None:
+                self.gate.note_degraded()
+            warnings.warn(
+                ServingDegradationWarning(
+                    f"compute gate saturated: answered {point} from the "
+                    "nearest stored cell (flagged degraded) instead of "
+                    "simulating it"
+                ),
+                stacklevel=3,
+            )
+            return _Answer(fallback), False
+        except DeadlineExceeded:
+            if self.gate is not None:
+                self.gate.note_timeout()
+            raise
+        return entry, outcome == "hit"
+
     # ---------------------------------------------------------------- public
 
     def answer(
@@ -627,43 +708,27 @@ class QueryEngine:
         compute gate is saturated the degradation ladder applies (see the
         module docstring).
         """
-        use_interpolation = (
-            self.interpolate if interpolate is None else bool(interpolate)
-        )
-        point = self.resolve_point(query)
-        key = cache_key(point, use_interpolation, self.generation)
-        try:
-            value, outcome = self.cache.get_or_compute(
-                key,
-                lambda: self._lookup(point, use_interpolation),
-                timeout=deadline,
-            )
-        except ServiceOverload:
-            fallback = self._degrade(point)
-            if fallback is None:
-                if self.gate is not None:
-                    self.gate.note_rejected()
-                raise
-            if self.gate is not None:
-                self.gate.note_degraded()
-            warnings.warn(
-                ServingDegradationWarning(
-                    f"compute gate saturated: answered {point} from the "
-                    "nearest stored cell (flagged degraded) instead of "
-                    "simulating it"
-                ),
-                stacklevel=2,
-            )
-            fallback = dict(fallback)
-            fallback["cached"] = False
-            return fallback
-        except DeadlineExceeded:
-            if self.gate is not None:
-                self.gate.note_timeout()
-            raise
-        answer = dict(value)
-        answer["cached"] = outcome == "hit"
+        entry, cached = self._resolve(query, interpolate, deadline)
+        answer = dict(entry.payload)
+        answer["cached"] = cached
         return answer
+
+    def answer_json(
+        self,
+        query: Union[str, dict[str, Union[float, str]]],
+        interpolate: Optional[bool] = None,
+        deadline: Optional[float] = None,
+    ) -> bytes:
+        """:meth:`answer` as the JSON the HTTP layer sends.
+
+        Byte for byte ``json.dumps(self.answer(...), default=json_default)``
+        encoded as UTF-8, with the same cache accounting and errors.  A
+        cached answer is encoded on its first call here and reused by
+        every later one; a degraded answer is encoded on each call.
+        """
+        entry, cached = self._resolve(query, interpolate, deadline)
+        flag = b', "cached": true}' if cached else b', "cached": false}'
+        return entry.open_json() + flag
 
     def stats(self) -> dict:
         """Cache counters plus store and policy descriptors (for ``/stats``)."""

@@ -27,6 +27,10 @@ class TestExperimentSpec:
         with pytest.raises(ExperimentError):
             ExperimentSpec(name="demo", config=base_config, n_replicates=0)
 
+    def test_negative_seed_rejected(self, base_config):
+        with pytest.raises(ExperimentError, match="seed must be non-negative, got -1"):
+            ExperimentSpec(name="demo", config=base_config, seed=-1)
+
 
 class TestSweepSpec:
     def test_cells_cover_cartesian_product(self, base_config):
@@ -71,6 +75,12 @@ class TestSweepSpec:
     def test_empty_name_rejected(self, base_config):
         with pytest.raises(ExperimentError):
             SweepSpec(name="", base_config=base_config, taus=[0.4])
+
+    def test_negative_seed_rejected_before_any_cell_runs(self, base_config):
+        # Cell 1's derived seed (-1 + 7919) is valid, so a sweep that got
+        # this far would run it and quarantine cell 0 as a flaky cell.
+        with pytest.raises(ExperimentError, match="seed must be non-negative, got -1"):
+            SweepSpec(name="grid", base_config=base_config, taus=[0.4, 0.45], seed=-1)
 
     def test_max_flips_propagated(self, base_config):
         sweep = SweepSpec(

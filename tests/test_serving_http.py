@@ -1,6 +1,8 @@
 """HTTP query-service tests: routes, status mapping, live cache counters."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,10 +11,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.errors import ServingDegradationWarning
 from repro.experiments.checkpoint import SUMMARY_FORMAT, SUMMARY_NAME
-from repro.serving import LRUCache, make_server
+from repro.serving import ComputeGate, LRUCache, QueryEngine, make_server
+from repro.serving.http import drain_server
 
-from test_serving_query import grid_cells, write_store
+from test_serving_query import encoded, encodes, grid_cells, write_store  # noqa: F401
 
 
 @pytest.fixture
@@ -33,6 +37,13 @@ def get(base, path):
     """GET a path and return ``(status, decoded JSON body)``."""
     with urllib.request.urlopen(f"{base}{path}", timeout=10) as response:
         return response.status, json.loads(response.read())
+
+
+def get_body(base, path):
+    """GET a path expected to succeed; return its raw body bytes."""
+    with urllib.request.urlopen(f"{base}{path}", timeout=10) as response:
+        assert response.status == 200
+        return response.read()
 
 
 def get_error(base, path):
@@ -417,6 +428,150 @@ class TestServiceStats:
         assert body["cache"]["coalesced"] == 0
         assert body["cache"]["inflight"] == 0
         assert body["store"]["generation"] == 0
+
+
+@pytest.fixture(scope="module")
+def sweep_store(tmp_path_factory):
+    """A real two-cell sweep store: 32 metrics per cell, computes allowed."""
+    from repro.core.config import ModelConfig
+    from repro.experiments.parallel import run_sweep_parallel
+    from repro.experiments.spec import SweepSpec
+
+    directory = tmp_path_factory.mktemp("sweep") / "store"
+    sweep = SweepSpec(
+        name="http-bodies",
+        base_config=ModelConfig.square(side=10, horizon=1, tau=0.3),
+        taus=(0.3, 0.45),
+        n_replicates=2,
+        seed=11,
+    )
+    run_sweep_parallel(sweep, workers=1, checkpoint_dir=directory)
+    return directory
+
+
+class TestEncodedBodies:
+    """A served body is the engine's answer encoded, byte for byte."""
+
+    #: (point, interpolate override, answer source); rho and w are pinned.
+    QUERIES = [
+        ("tau=0.3", None, "exact"),
+        ("tau=0.35", None, "interpolated"),
+        ("tau=0.32", False, "nearest"),
+        ("tau=0.9", None, "computed"),
+    ]
+
+    def test_every_source_first_and_repeated(self, sweep_store):
+        options = dict(interpolate=True, on_miss="compute", max_distance=0.5)
+        reference = QueryEngine(sweep_store, gate=ComputeGate(1), **options)
+        with running_server(sweep_store, max_compute=1, **options) as (
+            base,
+            server,
+        ):
+            for point, interpolate, source in self.QUERIES:
+                path = f"/query?point={point}"
+                if interpolate is False:
+                    path += "&interpolate=0"
+                for cached in (False, True):
+                    body = get_body(base, path)
+                    answer = reference.answer(point, interpolate=interpolate)
+                    assert (answer["source"], answer["cached"]) == (
+                        source, cached
+                    )
+                    assert len(answer["metrics"]) >= 30
+                    assert body == encoded(answer)
+            # A saturated gate degrades a miss, on every request.
+            server.engine.gate.admit()
+            reference.gate.admit()
+            for _ in range(2):
+                body = get_body(base, "/query?tau=0.8")
+                with pytest.warns(ServingDegradationWarning):
+                    answer = reference.answer({"tau": "0.8"})
+                assert answer["degraded"] is True
+                assert body == encoded(answer)
+            server.engine.gate.release()
+            _, stats = get(base, "/stats")
+        assert stats["cache"] == reference.stats()["cache"]
+        assert stats["compute"]["degraded"] == 2
+
+    def test_a_hot_point_is_encoded_once(self, service, encodes):
+        bodies = {
+            get_body(service, "/query?point=tau=0.3,rho=0.4,w=2")
+            for _ in range(12)
+        }
+        assert encodes == ["exact"]
+        assert len(bodies) == 2  # the first is a miss, the rest are hits
+        _, stats = get(service, "/stats")
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (1, 11)
+
+    def test_each_query_response_leaves_in_one_write(
+        self, service, monkeypatch
+    ):
+        writes = []
+        original = socket.SocketIO.write
+
+        def counting(self, data):
+            writes.append(bytes(data))
+            return original(self, data)
+
+        monkeypatch.setattr(socket.SocketIO, "write", counting)
+        paths = [
+            "/query?point=tau=0.3,rho=0.4,w=2",
+            "/query?point=tau=0.3,rho=0.4,w=2",
+            "/query?tau=0.4&rho=0.5&w=2",
+            "/query?tau=0.4&rho=0.5&w=2&interpolate=0",
+            "/query?tau=0.9&rho=0.9&w=2",
+        ]
+        for path in paths:
+            before = len(writes)
+            body = get_body(service, path)
+            assert len(writes) == before + 1, path
+            assert writes[-1].startswith(b"HTTP/1.0 200 ")
+            assert writes[-1].endswith(b"\r\n\r\n" + body)
+
+    def test_an_inflight_body_is_received_before_drain_returns(
+        self, tmp_path
+    ):
+        store = write_store(tmp_path / "store", [])
+        server = make_server(store, port=0, on_miss="compute")
+        thread = threading.Thread(
+            target=lambda: server.serve_forever(poll_interval=0.05),
+            daemon=True,
+        )
+        thread.start()
+        release, parked = threading.Event(), threading.Event()
+        block_compute(server.engine, release, answer_value=5.0)
+        end_request = server.service.end_request
+
+        def end_then_park():
+            # The request has left the in-flight count, so drain may return
+            # now; this handler thread sends nothing more until released.
+            end_request()
+            parked.wait(timeout=30)
+
+        server.service.end_request = end_then_park
+        host, port = server.server_address[:2]
+        client = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            client.request("GET", "/query?tau=0.3&rho=0.4&w=2")
+            while server.service.stats()["inflight_requests"] == 0:
+                pass
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                drained = pool.submit(drain_server, server, 30)
+                release.set()
+                assert drained.result(timeout=30) is True
+            # Drain has returned and the handler is parked: a body still in
+            # its buffer would never arrive, and the read would time out.
+            response = client.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["metrics"]["score"]["mean"] == 5.0
+        finally:
+            release.set()
+            parked.set()
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestRealStoreSmoke:

@@ -14,17 +14,27 @@ the query layer reads only the summary, so no simulation is needed.
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ModelConfig
-from repro.errors import QueryMiss, ServingError
+from repro.errors import QueryMiss, ServingDegradationWarning, ServingError
 from repro.experiments.checkpoint import SUMMARY_FORMAT, SUMMARY_NAME
+from repro.experiments.io import json_default
 from repro.experiments.parallel import run_sweep_parallel
 from repro.experiments.spec import SweepSpec
-from repro.serving import ArtifactStore, QueryEngine, parse_query
+from repro.serving import (
+    ArtifactStore,
+    ComputeGate,
+    LRUCache,
+    QueryEngine,
+    parse_query,
+)
+from repro.serving import query as query_module
 from repro.serving.query import axis_scales, normalized_distance
 
 
@@ -226,6 +236,123 @@ class TestAnswerShape:
         assert answer["source"] == "interpolated"
 
 
+def encoded(answer):
+    """``answer`` encoded whole, as ``json.dumps`` encodes it."""
+    return json.dumps(answer, default=json_default).encode("utf-8")
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Count the engine's answer encodes (calls of ``query._open_json``)."""
+    calls = []
+    original = query_module._open_json
+
+    def counting(payload):
+        calls.append(payload["source"])
+        return original(payload)
+
+    monkeypatch.setattr(query_module, "_open_json", counting)
+    return calls
+
+
+class TestAnswerJson:
+    """``answer_json`` is ``answer`` encoded, from one encode per entry."""
+
+    @pytest.mark.parametrize(
+        "query, interpolate, source",
+        [
+            ("tau=0.3,rho=0.4,w=2", None, "exact"),
+            ("tau=0.4,rho=0.5,w=2", True, "interpolated"),
+            ("tau=0.4,rho=0.5,w=2", False, "nearest"),
+        ],
+    )
+    def test_bytes_equal_the_encoded_answer(
+        self, tmp_path, query, interpolate, source
+    ):
+        cells = grid_cells(values=[0.1, 1 / 3, 2.5e-17, 7.0])
+        store = write_store(tmp_path / "s", cells)
+        served, reference = QueryEngine(store), QueryEngine(store)
+        for cached in (False, True):
+            body = served.answer_json(query, interpolate=interpolate)
+            answer = reference.answer(query, interpolate=interpolate)
+            assert (answer["source"], answer["cached"]) == (source, cached)
+            assert body == encoded(answer)
+        assert served.stats()["cache"] == reference.stats()["cache"]
+
+    def test_a_hot_point_is_encoded_once(self, tmp_path, encodes):
+        engine = QueryEngine(write_store(tmp_path / "s", grid_cells()))
+        bodies = {engine.answer_json("tau=0.3,rho=0.4,w=2") for _ in range(10)}
+        assert encodes == ["exact"]
+        assert len(bodies) == 2  # one miss, nine hits: only the flag differs
+
+    def test_answer_encodes_nothing(self, tmp_path, encodes):
+        engine = QueryEngine(write_store(tmp_path / "s", grid_cells()))
+        engine.answer("tau=0.3,rho=0.4,w=2")
+        engine.answer("tau=0.3,rho=0.4,w=2")
+        assert encodes == []
+        engine.answer_json("tau=0.3,rho=0.4,w=2")
+        assert encodes == ["exact"]
+
+    def test_an_evicted_entry_takes_its_encoding_with_it(
+        self, tmp_path, encodes
+    ):
+        engine = QueryEngine(
+            write_store(tmp_path / "s", grid_cells()), cache=LRUCache(1)
+        )
+        engine.answer_json("tau=0.3,rho=0.4,w=2")
+        engine.answer_json("tau=0.5,rho=0.6,w=2")  # evicts the first
+        body = engine.answer_json("tau=0.3,rho=0.4,w=2")
+        assert encodes == ["exact"] * 3
+        assert engine.stats()["cache"]["evictions"] == 2
+        assert json.loads(body)["cached"] is False
+
+    def test_degraded_answers_are_encoded_on_every_call(
+        self, tmp_path, encodes
+    ):
+        store = write_store(tmp_path / "s", grid_cells())
+        options = dict(on_miss="compute", max_distance=0.01)
+        served = QueryEngine(store, gate=ComputeGate(limit=1), **options)
+        reference = QueryEngine(store, gate=ComputeGate(limit=1), **options)
+        served.gate.admit()  # saturated: a miss degrades
+        reference.gate.admit()
+        for _ in range(2):
+            with pytest.warns(ServingDegradationWarning):
+                body = served.answer_json("tau=0.9,rho=0.9,w=2")
+            with pytest.warns(ServingDegradationWarning):
+                answer = reference.answer("tau=0.9,rho=0.9,w=2")
+            assert answer["degraded"] is True and answer["cached"] is False
+            assert body == encoded(answer)
+        assert encodes == ["nearest", "nearest"]
+        assert served.gate.stats()["degraded"] == 2
+        assert len(served.cache) == 0
+
+    def test_concurrent_first_uses_send_one_body(self, tmp_path):
+        """Threads racing on a fresh entry's encode all send its bytes."""
+        engine = QueryEngine(write_store(tmp_path / "s", grid_cells()))
+        engine.answer("tau=0.3,rho=0.4,w=2")  # cached, not yet encoded
+        expected = encoded(engine.answer("tau=0.3,rho=0.4,w=2"))
+        start = threading.Barrier(16)
+        bodies = []
+
+        def worker():
+            start.wait(timeout=10)
+            bodies.append(engine.answer_json("tau=0.3,rho=0.4,w=2"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bodies == [expected] * 16
+        assert engine.stats()["cache"]["hits"] == 17
+
+
 class TestInterpolation:
     def test_midpoint_is_mean_of_corners(self, tmp_path):
         cells = grid_cells(values=[1.0, 2.0, 3.0, 4.0])
@@ -376,6 +503,18 @@ class TestOnMissCompute:
         assert answer_a["metrics"] == answer_b["metrics"]
         again = first.answer("tau=0.42,rho=0.5,w=1")
         assert again["cached"] is True
+
+    def test_computed_answer_json_is_the_encoded_answer(self, real_store):
+        served = QueryEngine(real_store, max_distance=0.01, on_miss="compute")
+        reference = QueryEngine(
+            real_store, max_distance=0.01, on_miss="compute"
+        )
+        for cached in (False, True):
+            body = served.answer_json("tau=0.42,rho=0.5,w=1")
+            answer = reference.answer("tau=0.42,rho=0.5,w=1")
+            assert (answer["source"], answer["cached"]) == ("computed", cached)
+            assert len(answer["metrics"]) > 20
+            assert body == encoded(answer)
 
     def test_computed_answer_is_the_scalar_oracles(self, tmp_path, monkeypatch):
         """A compute runs the default ensemble, one native call per batch,
